@@ -84,6 +84,8 @@ class SharedBus(Component):
         #: transaction — a single comparison instead of a call into the
         #: kernel's dedup.
         self._wake_target: int | None = None
+        #: Observers replaying :attr:`holder` lazily (see :meth:`watch`).
+        self._watchers: list[Component] = []
         self.stats = StatGroup(name=f"{name}.stats")
         # The per-cycle and per-transaction paths below run millions of times
         # per campaign; bind the counters/histograms once instead of paying a
@@ -119,6 +121,17 @@ class SharedBus(Component):
             raise ProtocolError(f"master id {master_id} out of range")
         self._masters[master_id] = port
 
+    def watch(self, observer: Component) -> None:
+        """Sync ``observer`` before every change of :attr:`holder`.
+
+        An observer that samples the holder on its ticks but pushes no wake
+        (the :class:`~repro.bus.monitor.BusMonitor`) replays its skipped
+        samples lazily; syncing it before each holder change
+        (:meth:`~repro.sim.kernel.Kernel.sync`) makes that replay see the
+        holder those cycles really had.
+        """
+        self._watchers.append(observer)
+
     # ------------------------------------------------------------------
     # Master-side API
     # ------------------------------------------------------------------
@@ -135,6 +148,9 @@ class SharedBus(Component):
             raise ProtocolError(
                 f"master {master} already has an outstanding bus request"
             )
+        # Account the bus's lagging cycles with the old pending set, and
+        # make it due now so it can arbitrate in this very cycle.
+        self._touch(self)
         self._pending[master] = request
         self._num_pending += 1
         self.arbiter.on_request(master, request.issue_cycle)
@@ -220,6 +236,7 @@ class SharedBus(Component):
             return
         request = self._active_request
         holder = self._holder
+        self._sync_watchers()
         request.complete_cycle = cycle
         self._holder = None
         self._active_request = None
@@ -239,6 +256,7 @@ class SharedBus(Component):
             )
         port = self._masters[holder]
         if port is not None:
+            self._touch(port)
             port.on_complete(request, cycle)
 
     def _arbitrate_and_grant(self, cycle: int) -> None:
@@ -260,6 +278,7 @@ class SharedBus(Component):
         request.duration = duration
         self._pending[choice] = None
         self._num_pending -= 1
+        self._sync_watchers()
         self._holder = choice
         self._active_request = request
         self._release_cycle = cycle + duration
@@ -280,7 +299,13 @@ class SharedBus(Component):
             )
         port = self._masters[choice]
         if port is not None:
+            self._touch(port)
             port.on_grant(request, cycle)
+
+    def _sync_watchers(self) -> None:
+        """Sync every :meth:`watch` observer before the holder changes."""
+        for watcher in self._watchers:
+            self._sync(watcher)
 
     def _update_occupancy_stats(self) -> None:
         self._c_cycles_total.value += 1
@@ -313,7 +338,7 @@ class SharedBus(Component):
             return None
         return self.arbiter.next_grant_opportunity(self.pending_masters, now)
 
-    def fast_forward(self, cycles: int) -> None:
+    def fast_forward(self, start: int, cycles: int) -> None:
         """Bulk-account ``cycles`` skipped cycles of constant bus state."""
         self._c_cycles_total.value += cycles
         holder = self._holder
@@ -328,7 +353,7 @@ class SharedBus(Component):
             requestors = self.pending_masters
         else:
             self._c_cycles_idle.value += cycles
-        self.arbiter.advance_cycles(self.now, cycles, holder, requestors)
+        self.arbiter.advance_cycles(start, cycles, holder, requestors)
 
     # ------------------------------------------------------------------
     # Derived metrics

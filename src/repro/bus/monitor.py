@@ -51,7 +51,10 @@ class BusMonitor(Component):
     #: Event-queue protocol: the monitor is a pure observer and never pushes
     #: a wake at all — the absence of a heap entry is exactly its permanent
     #: ``next_event`` answer of ``None``.  Declaring it event-driven removes
-    #: it from the kernel's poll fallback.
+    #: it from the kernel's poll fallback.  The bus syncs it before every
+    #: holder change (:meth:`SharedBus.watch`), so under due-only dispatch it
+    #: never ticks: :meth:`fast_forward` replays its samples lazily, each
+    #: with the holder its cycle had.
     event_driven = True  # repro-lint: allow[CON001]
 
     def __init__(self, name: str, bus: SharedBus, window_cycles: int = 1000) -> None:
@@ -66,6 +69,7 @@ class BusMonitor(Component):
         self._idle = 0
         self.total_busy_per_master = [0] * bus.num_masters
         self.total_cycles_observed = 0
+        bus.watch(self)
 
     def tick(self) -> None:
         holder = self.bus.holder
@@ -90,12 +94,12 @@ class BusMonitor(Component):
         """
         return None
 
-    def fast_forward(self, cycles: int) -> None:
+    def fast_forward(self, start: int, cycles: int) -> None:
         """Sample ``cycles`` skipped cycles of constant bus occupancy in bulk,
         closing windows at the exact boundaries plain stepping would have."""
         holder = self.bus.holder
-        cursor = self.now
-        end = cursor + cycles
+        cursor = start
+        end = start + cycles
         while cursor < end:
             window_end = self._window_start + self.window_cycles
             chunk_end = window_end if window_end < end else end

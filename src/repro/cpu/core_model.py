@@ -379,7 +379,7 @@ class CoreModel(Component):
         # WAITING_BUS / WAITING_PORT / STORE_STALL: unblocked by the bus.
         return None
 
-    def fast_forward(self, cycles: int) -> None:
+    def fast_forward(self, start: int, cycles: int) -> None:
         """Replay the uniform per-cycle accounting of ``cycles`` skipped ticks."""
         if self._batch_remaining:
             # Counters were advanced at stretch entry; skipped ticks would
@@ -821,8 +821,8 @@ class CoreModel(Component):
         self.counters.items_completed += 1
         self._pending_kind = KIND_NONE
         self._advance_trace()
-        # This callback runs inside the *bus's* tick, after the core's own
-        # tick already flushed its wake — flush again here.
+        # This callback runs inside the *bus's* tick, outside the core's own
+        # tick and its wake flush — flush here.
         if self._wake_dirty:
             self._wake_dirty = False
             if self._wake_push:

@@ -9,7 +9,12 @@ pick it up from this registry.
 from __future__ import annotations
 
 from .base import Rule
-from .contracts import EventDrivenWakeRule, FastForwardHintRule, SlottedValueClassRule
+from .contracts import (
+    EventDrivenWakeRule,
+    FastForwardClockRule,
+    FastForwardHintRule,
+    SlottedValueClassRule,
+)
 from .determinism import (
     BuiltinHashRule,
     GlobalNumpyRandomRule,
@@ -36,6 +41,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     HotPathRule,
     EventDrivenWakeRule,
     FastForwardHintRule,
+    FastForwardClockRule,
     SlottedValueClassRule,
     SharedMemoryCleanupRule,
     FlockPairRule,

@@ -4,9 +4,10 @@ The kernel's scheduling contracts are easy to half-implement: an
 ``event_driven`` component that never pushes a wake silently never runs
 again once the poll fallback stops covering it; a ``fast_forward`` override
 without a matching ``next_event`` breaks the "only skip promised cycles"
-invariant; an unslotted value class silently grows a ``__dict__`` per cache
-line / bus request and melts the allocation budget.  These rules encode the
-contracts structurally.
+invariant; a ``fast_forward`` that reads the clock replays the wrong cycles,
+because the kernel catches components up lazily; an unslotted value class
+silently grows a ``__dict__`` per cache line / bus request and melts the
+allocation budget.  These rules encode the contracts structurally.
 """
 
 from __future__ import annotations
@@ -16,9 +17,16 @@ import ast
 from ..context import FileContext
 from .base import Rule
 
-__all__ = ["EventDrivenWakeRule", "FastForwardHintRule", "SlottedValueClassRule"]
+__all__ = [
+    "EventDrivenWakeRule",
+    "FastForwardClockRule",
+    "FastForwardHintRule",
+    "SlottedValueClassRule",
+]
 
 _WAKE_CALLS = frozenset({"schedule_wake", "_wake_schedule"})
+#: ``self`` attributes that read the current cycle.
+_CLOCK_READS = frozenset({"now", "clock", "_clock"})
 
 
 def _class_methods(node: ast.ClassDef) -> dict[str, ast.AST]:
@@ -100,6 +108,36 @@ class FastForwardHintRule(Rule):
                 f"makes the override dead code at best and a skipped-state "
                 f"bug at worst",
             )
+
+
+class FastForwardClockRule(Rule):
+    id = "CON004"
+    family = "contracts"
+    description = (
+        "a fast_forward override must not read self.now or self.clock — the "
+        "kernel runs it lazily, after the clock moved on; use its start argument"
+    )
+    interests = (ast.ClassDef,)
+
+    def visit(self, node: ast.AST, ctx: FileContext) -> None:
+        assert isinstance(node, ast.ClassDef)
+        method = _class_methods(node).get("fast_forward")
+        if method is None:
+            return
+        for sub in ast.walk(method):
+            if (
+                isinstance(sub, ast.Attribute)
+                and sub.attr in _CLOCK_READS
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                self.report(
+                    ctx,
+                    sub,
+                    f"{node.name}.fast_forward reads self.{sub.attr}: the kernel "
+                    f"catches components up lazily, after the clock moved past "
+                    f"the replayed cycles — take them from the start argument",
+                )
 
 
 def _dataclass_decorator(node: ast.ClassDef) -> tuple[ast.AST | None, bool]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..sim.errors import AnalysisError
 from .gumbel import GumbelFit, fit_gumbel_mle, fit_gumbel_moments
@@ -57,6 +56,9 @@ def block_maxima(samples, block_size: int = 10) -> np.ndarray:
 def goodness_of_fit(samples, fit: GumbelFit, alpha: float = 0.05) -> TestResult:
     """One-sample KS test of ``samples`` against the fitted Gumbel."""
     data = np.asarray(samples, dtype=np.float64)
+    # scipy is imported on use: it is most of what `import repro` costs.
+    from scipy import stats
+
     statistic, p_value = stats.kstest(
         data, "gumbel_r", args=(fit.location, fit.scale)
     )

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..sim.errors import AnalysisError
 
@@ -192,6 +191,9 @@ def fit_gumbel_mle(samples) -> GumbelFit:
     guess = fit_gumbel_moments(data)
     solved = _solve_mle_scale(data, guess.scale)
     if solved is None:
+        # scipy is imported on use: it is most of what `import repro` costs.
+        from scipy import stats
+
         try:
             solved = stats.gumbel_r.fit(data, loc=guess.location, scale=guess.scale)
         except (RuntimeError, ValueError):

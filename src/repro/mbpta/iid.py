@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..sim.errors import AnalysisError
 
@@ -74,6 +73,9 @@ def ks_identical_distribution_test(samples, alpha: float = 0.05) -> TestResult:
     data = _as_array(samples)
     half = data.size // 2
     first, second = data[:half], data[half:]
+    # scipy is imported on use: it is most of what `import repro` costs.
+    from scipy import stats
+
     statistic, p_value = stats.ks_2samp(first, second, method="asymp")
     return TestResult(
         name="ks_identical_distribution",
@@ -117,6 +119,8 @@ def runs_test(samples, alpha: float = 0.05) -> TestResult:
     if variance <= 0:
         raise AnalysisError("runs test variance is not positive")
     z = (runs - expected) / np.sqrt(variance)
+    from scipy import stats
+
     p_value = 2 * stats.norm.sf(abs(z))
     return TestResult(
         name="runs_test",
@@ -185,6 +189,8 @@ def ljung_box_test(samples, lags: int = 10, alpha: float = 0.05) -> TestResult:
     autocorrelations = autocovariances[1:] / denominator
     weights = 1.0 / (n - np.arange(1, lags + 1, dtype=np.float64))
     q = float(n * (n + 2) * np.dot(np.square(autocorrelations), weights))
+    from scipy import stats
+
     p_value = float(stats.chi2.sf(q, df=lags))
     return TestResult(
         name="ljung_box",

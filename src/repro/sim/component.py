@@ -14,6 +14,16 @@ This two-phase scheme mirrors how synchronous RTL behaves (combinational
 evaluation followed by the clock edge) and removes ordering sensitivity
 between components within a cycle for state that is latched in
 :meth:`post_tick`.
+
+That is the stepped reference.  :meth:`~repro.sim.kernel.Kernel.run` leaves
+out every tick a component promised is uniform bookkeeping — it ticks a
+component at its wake (:meth:`Component.next_event`, or the wake pushed with
+:meth:`Component.schedule_wake`) and catches the cycles in between up lazily
+through :meth:`Component.fast_forward`.  A component that calls into another
+component therefore touches it first (:meth:`~repro.sim.kernel.Kernel.touch`,
+pre-bound as ``_touch``), so the callee's lagging cycles are accounted with
+the state they had before the call changes it; one that changes state an
+observer samples syncs the observer first (``Kernel.sync``, ``_sync``).
 """
 
 from __future__ import annotations
@@ -26,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type hints
     from .kernel import Kernel
 
 __all__ = ["Component"]
+
+
+def _unbound_touch(component: "Component") -> None:
+    """``Component._touch``/``_sync`` before ``bind``: no run to catch up with."""
 
 
 class Component:
@@ -56,6 +70,11 @@ class Component:
         #: valid while ``_wake_push`` is True.
         self._wake_schedule: "Callable[[int, int], None] | None" = None
         self._wake_cancel: "Callable[[int], None] | None" = None
+        #: Pre-bound ``Kernel.touch``/``Kernel.sync``: call them on a
+        #: component before calling into it / before changing state it
+        #: observes (set by ``bind``).
+        self._touch: "Callable[[Component], None]" = _unbound_touch
+        self._sync: "Callable[[Component], None]" = _unbound_touch
 
     # ------------------------------------------------------------------
     # Kernel wiring
@@ -67,6 +86,8 @@ class Component:
         # of a three-property chain through kernel and clock.
         self._clock = kernel.clock
         self._wake_push = kernel.event_queue
+        self._touch = kernel.touch
+        self._sync = kernel.sync
 
     @property
     def kernel(self) -> "Kernel":
@@ -135,29 +156,37 @@ class Component:
         The kernel calls this before executing cycle ``now``.  The contract:
 
         * return an ``int`` cycle ``c >= now`` — "as long as no *other*
-          component changes state, my :meth:`tick` at every cycle before ``c``
-          is a no-op apart from the uniform per-cycle accounting replayed by
-          :meth:`fast_forward`; wake me at ``c``";
+          component calls into me, my :meth:`tick` at every cycle before
+          ``c`` is a no-op apart from the uniform per-cycle accounting
+          replayed by :meth:`fast_forward`; wake me at ``c``";
         * return ``None`` — "I have no self-scheduled activity at all; only
-          another component's activity can affect me" (skippable without
-          bound).
+          another component calling into me can affect me" (skippable
+          without bound).
 
-        The default returns ``now`` ("I may act every cycle"), which makes
-        fast-forwarding a strict opt-in: a kernel containing any component
-        that does not implement hints never skips a cycle and behaves exactly
-        like plain cycle-by-cycle stepping.
+        Under due-only dispatch the kernel ticks a component only at its wake
+        and in cycles another component touched it
+        (:meth:`~repro.sim.kernel.Kernel.touch`); its ticks at other cycles
+        are left to :meth:`fast_forward`, even while other components act in
+        those cycles.  The default returns ``now`` ("I may act every
+        cycle"), which makes fast-forwarding a strict opt-in: a kernel
+        containing any component that does not implement hints never skips
+        a cycle and behaves exactly like plain cycle-by-cycle stepping.
         """
         return now
 
-    def fast_forward(self, cycles: int) -> None:
-        """Account for ``cycles`` skipped cycles.
+    def fast_forward(self, start: int, cycles: int) -> None:
+        """Account for the ``cycles`` cycles from ``start`` this component
+        was not ticked in.
 
-        Called by the kernel when it jumps the clock over a stretch of dead
-        cycles.  Implementations must leave the component in exactly the
-        state that ``cycles`` consecutive :meth:`tick`/:meth:`post_tick`
-        calls would have produced (the kernel only skips cycles for which
-        every component promised, via :meth:`next_event`, that those calls
-        are uniform bookkeeping).  Default: nothing to account.
+        Implementations must leave the component in exactly the state that
+        :meth:`tick`/:meth:`post_tick` at cycles ``start`` to ``start +
+        cycles - 1`` would have produced; the kernel only leaves out ticks
+        the component promised, via its wake, are uniform bookkeeping.  The
+        catch-up is lazy: it runs right before the component's next tick,
+        before another component calls into it, or at the end of the run —
+        long after the clock moved past ``start``.  Take the cycles from the
+        arguments and never read :attr:`now` or :attr:`clock` here (``repro
+        lint`` rule CON004).  Default: nothing to account.
         """
 
     def reset(self) -> None:

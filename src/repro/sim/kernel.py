@@ -1,8 +1,9 @@
-"""Cycle-driven simulation kernel with an event queue for dead-cycle skipping.
+"""Cycle-driven simulation kernel: an event queue and due-only dispatch.
 
 The kernel owns the clock, the component list, the trace recorder and the
 per-run random streams.  One call to :meth:`Kernel.step` advances the
-simulated platform by exactly one cycle:
+simulated platform by exactly one cycle, and is the reference every other
+execution mode must reproduce bit for bit:
 
 1. every component's :meth:`~repro.sim.component.Component.tick` runs
    (evaluate phase, registration order);
@@ -10,51 +11,68 @@ simulated platform by exactly one cycle:
    (commit phase, registration order);
 3. the clock advances.
 
-:meth:`Kernel.run` steps until a stop condition (cycle limit or a registered
-completion predicate) is met.  In addition, ``run`` *fast-forwards* through
-dead cycles: when every component promises to be inert until some future
-cycle, the kernel jumps the clock there in one step, replaying the skipped
-cycles' uniform accounting through
-:meth:`~repro.sim.component.Component.fast_forward`.  Because a cycle is only
-skipped when *no* component can change state in it, the executed event cycles
-(grants, completions, cache accesses, RNG draws) are identical to plain
-stepping — fast-forwarded runs are bit-identical to cycle-by-cycle runs.
+:meth:`Kernel.run` executes until a stop condition (cycle limit or a
+registered completion predicate) is met, and reaches the same states with
+far fewer calls.  Every component exposes a *wake*: the first cycle at which
+its tick can do more than the uniform per-cycle accounting that
+:meth:`~repro.sim.component.Component.fast_forward` replays in bulk.  A cycle
+at which no component is awake is never executed — the clock jumps over it.
+The executed event cycles (grants, completions, cache accesses, RNG draws)
+are therefore those of plain stepping, and so is every counter.
 
-Two scheduling mechanisms decide how far the kernel may jump:
+Two scheduling mechanisms find the wakes:
 
 * the **event queue** (default, ``event_queue=True``) — components *push*
   their wakes into a binary heap (:class:`EventQueue`) via
   :meth:`Kernel.schedule_wake` at the state transitions where the wake
   changes (a bus grant, a request completion, a trace item boundary), and
-  invalidate superseded wakes lazily through per-component generation
-  counters.  Finding the next wake is then an O(log n) heap peek per
-  executed cycle instead of an O(components) poll;
-* the **hint scan** (``event_queue=False``, and the compatibility fallback
-  for components that do not push) — before each cycle the kernel polls
-  every component's :meth:`~repro.sim.component.Component.next_event` and
-  takes the minimum.
+  superseded wakes are invalidated lazily through per-component generation
+  counters;
+* the **hint scan** (``event_queue=False``) — before each cycle the kernel
+  polls every component's :meth:`~repro.sim.component.Component.next_event`
+  and takes the minimum; every component ticks on every executed cycle and
+  is fast-forwarded at every jump.
 
-Both mechanisms express the same contract and produce bit-identical runs
-(enforced by the event-queue rows of the equivalence matrix).  Components
-migrate incrementally: a component that sets
-:attr:`~repro.sim.component.Component.event_driven` owns its heap entry; any
-other component keeps being polled, and the kernel combines the heap minimum
-with the polled hints.  A wake that is scheduled but stale (the component's
-state moved on without rescheduling) only ever *adds* executed cycles — by
-the hint contract a tick before a component's true wake is uniform
-bookkeeping, so staleness degrades skipping, never correctness.
+Under the event queue, ``run`` uses **due-only dispatch**:
+
+* at an executed cycle ``t`` it ticks, in slot (registration) order, only the
+  components whose live wake is at or before ``t``, plus any component that
+  an earlier slot called into during ``t``;
+* a jump only moves the clock;
+* each component records the cycle it is synced to and is caught up with one
+  ``fast_forward(start, cycles)`` — right before it ticks, before another
+  component calls into it (:meth:`Kernel.touch`) or changes state it
+  observes (:meth:`Kernel.sync`), and for every component at the end of the
+  run.
+
+A component about to call into another touches it first.  A callee in an
+earlier slot has had its turn at ``t`` and is synced through ``t``; a callee
+in a later slot is synced through ``t - 1`` and made due at ``t``, so it
+still ticks after its caller, as stepping orders them.  A component whose
+live wake is still at or before ``t`` after its tick is re-armed at
+``t + 1``: a stale wake forces execution on every cycle, never skipping.  A
+kernel with poll-fallback components, hinted stop conditions or ``post_tick``
+overrides ticks every component on every executed cycle instead, as the hint
+scan does.  Both mechanisms produce bit-identical runs (enforced by the
+equivalence matrix).
+
+The executed cycles are the union of the components' own wakes.  The hint
+scan also re-reads a component's wake at every cycle some *other* component
+executes, so where a wake is conservative — TDMA under CBA, whose credit
+refill wake can precede the refilled master's next slot — it may skip a
+cycle that due-only dispatch executes as a no-op.  ``cycles_skipped`` can
+then differ by such cycles; every state and counter is still identical.
 
 Components may do arbitrarily much work per *event* to widen the gaps between
 events: the cores' batch interpreter (:mod:`repro.cpu.core_model`) executes a
 whole bus-free trace stretch at the cycle it becomes known and then exposes
-the stretch end as its wake, so the kernel jumps stretches that the per-item
-hints would have broken into per-item wakes.  The kernel needs no knowledge
-of this — the wake/``fast_forward`` contract already expresses it.
+the stretch end as its wake.  The kernel needs no knowledge of this — the
+wake/``fast_forward`` contract already expresses it.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Iterable, Protocol
 
@@ -224,17 +242,28 @@ class Kernel:
         #: Wall-clock profiler installed by :meth:`enable_profiling`
         #: (``None`` keeps the uninstrumented hot loop — the default).
         self.profiler: RunProfiler | None = None
+        # Due-only dispatch state, indexed by slot and rebuilt by _run_due:
+        # each slot's fast_forward hook (None for the base no-op), the first
+        # cycle it has not accounted for yet, and the last cycle it was queued
+        # as due.  _due holds the slots still to tick in the executed cycle
+        # under way; touch() is a no-op unless _dispatching.
+        self._slot_catch_ups: list[Callable[[int, int], None] | None] = []
+        self._synced: list[int] = []
+        self._due_marks: list[int] = []
+        self._due: list[int] = []
+        self._current_slot = -1
+        self._dispatching = False
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def register(self, component: Component) -> Component:
-        """Register ``component`` so it is ticked every cycle.
+        """Register ``component`` in the next slot.
 
-        Components are ticked in registration order; the platform builder
-        registers them in pipeline order (cores, caches, arbiter, bus, memory)
-        so that requests issued in a cycle can be observed by the arbiter in
-        the same cycle, matching the single-cycle arbitration of the paper.
+        Slots are ticked in registration order; the platform builder
+        registers them in pipeline order (cores, contenders, bus, monitor) so
+        that requests issued in a cycle can be observed by the arbiter in the
+        same cycle, matching the single-cycle arbitration of the paper.
         """
         if component.name in self._by_name:
             raise SchedulingError(f"a component named {component.name!r} is already registered")
@@ -288,8 +317,10 @@ class Kernel:
         Swaps every entry of the pre-bound hook lists for a timing proxy, so
         the per-cycle cost exists *only* on profiled kernels — the disabled
         mode keeps the exact loops the hook-list filtering built (the same
-        zero-cost-when-off pattern).  Must be called after every component is
-        registered (later registrations raise) and at most once per kernel.
+        zero-cost-when-off pattern).  Due-only dispatch builds its per-slot
+        tables from these lists, so a profiled run takes the same path as an
+        unprofiled one.  Must be called after every component is registered
+        (later registrations raise) and at most once per kernel.
         """
         if self.profiler is not None:
             raise SchedulingError("profiling is already enabled on this kernel")
@@ -349,6 +380,61 @@ class Kernel:
         """The component's currently scheduled wake cycle (observability)."""
         return self._events.scheduled_cycle(component._wake_slot)
 
+    def touch(self, component: Component) -> None:
+        """Catch ``component`` up before another component calls into it.
+
+        Under due-only dispatch a component that is not due lags behind the
+        clock: the cycles since it last ticked are accounted only when it is
+        next synced.  Whoever is about to change its state — the bus granting
+        or completing a master, a master submitting to the bus — must call
+        this first, so the lagging cycles are replayed with the state they
+        really had:
+
+        * a callee in an earlier slot already had its turn this cycle and is
+          synced through the current cycle;
+        * a callee in a later slot is synced through the previous cycle and
+          made due now, so it still ticks this cycle, after its caller.
+
+        A no-op outside due-only dispatch (every component is then ticked on
+        every executed cycle) and for objects not registered with this
+        kernel.
+        """
+        if not self._dispatching or getattr(component, "_kernel", None) is not self:
+            return
+        slot = component._wake_slot
+        now = self.clock._cycle
+        if slot > self._current_slot:
+            if self._due_marks[slot] != now:
+                self._due_marks[slot] = now
+                heappush(self._due, slot)
+            self._catch_up(slot, now)
+        else:
+            self._catch_up(slot, now + 1)
+
+    def sync(self, component: Component) -> None:
+        """Catch an observer up before state it samples changes.
+
+        Like :meth:`touch`, but the observer is not made due: its tick is
+        pure bookkeeping on the observed state, so the current cycle can be
+        accounted later, with the state this cycle leaves behind — the bus
+        syncs its :class:`~repro.bus.monitor.BusMonitor` this way before
+        every holder change.
+        """
+        if not self._dispatching or getattr(component, "_kernel", None) is not self:
+            return
+        slot = component._wake_slot
+        now = self.clock._cycle
+        self._catch_up(slot, now if slot > self._current_slot else now + 1)
+
+    def _catch_up(self, slot: int, through: int) -> None:
+        """Fast-forward ``slot`` over its lagging cycles before ``through``."""
+        lag = self._synced[slot]
+        if lag < through:
+            catch_up = self._slot_catch_ups[slot]
+            if catch_up is not None:
+                catch_up(lag, through - lag)
+            self._synced[slot] = through
+
     # ------------------------------------------------------------------
     # Stop conditions
     # ------------------------------------------------------------------
@@ -374,9 +460,10 @@ class Kernel:
         at which the predicate could flip, or ``None`` for "no time bound"
         (even a conservative ``lambda now: now`` suffices).  Without a hint
         such a predicate would fire on the wrong cycle; with one, the kernel
-        re-checks it at the hinted cycles and the batch interpreter disables
-        itself (:attr:`has_hinted_stops`), so the firing cycle is exactly the
-        stepped one.
+        re-checks it at the hinted cycles, ticks every component on every
+        executed cycle (so no accounting lags behind the clock) and the batch
+        interpreter disables itself (:attr:`has_hinted_stops`), so the firing
+        cycle is exactly the stepped one.
         """
         self._stop_conditions.append(predicate)
         if next_event is not None:
@@ -489,12 +576,13 @@ class Kernel:
 
     def _jump_to(self, wake: int) -> None:
         """Fast-forward every component and the clock to cycle ``wake``."""
-        delta = wake - self.clock.cycle
+        now = self.clock.cycle
+        delta = wake - now
         trace = self.trace
         if trace.enabled:
-            trace.record(self.clock.cycle, "kernel", "kernel.jump", cycles=delta, to=wake)
+            trace.record(now, "kernel", "kernel.jump", cycles=delta, to=wake)
         for component in self._fast_forwarders:
-            component.fast_forward(delta)
+            component.fast_forward(now, delta)
         self.clock.advance(delta)
         self.cycles_skipped += delta
 
@@ -515,24 +603,135 @@ class Kernel:
         run_started = perf_counter() if profiler is not None else 0.0
         clock = self.clock
         start = clock.cycle
+        skipped_before = self.cycles_skipped
         limit = start + max_cycles
         self._run_limit = limit
         fast_forward = self.fast_forward and self._all_hinted
+        if (
+            fast_forward
+            and self.event_queue
+            and not self._poll_hinters
+            and not self._stop_hints
+            and not self._post_tickers
+        ):
+            stop_fired = self._run_due(limit)
+        else:
+            stop_fired = self._run_every_cycle(limit, fast_forward)
+        if not stop_fired:
+            # The loop ran out of cycle budget; a stop condition may still
+            # hold at the boundary (e.g. the last step finished the work).
+            stop_fired = self._should_stop()
+        self.stop_condition_fired = stop_fired
+        self.finished = True
+        if profiler is not None:
+            executed = clock.cycle - start - (self.cycles_skipped - skipped_before)
+            # repro-lint: allow[DET001]
+            profiler.on_run(perf_counter() - run_started, executed)
+        return clock.cycle - start
+
+    def _run_due(self, limit: int) -> bool:
+        """Due-only dispatch (see the module docstring); returns whether a
+        stop condition fired."""
+        clock = self.clock
+        events = self._events
+        heap = events._heap
+        generations = events._generations
+        targets = events._targets
+        schedule = events.schedule
+        # Per-slot tables, built from the hook lists so that profiling
+        # proxies (which replace the lists' entries) time these calls too.
+        ticks = {hook.name: hook.tick for hook in self._tickers}
+        catch_ups = {hook.name: hook.fast_forward for hook in self._fast_forwarders}
+        components = self._components
+        slot_ticks = [ticks.get(c.name) for c in components]
+        slot_catch_ups = self._slot_catch_ups = [catch_ups.get(c.name) for c in components]
+        now = clock.cycle
+        synced = self._synced = [now] * len(components)
+        due_marks = self._due_marks = [-1] * len(components)
+        due: list[int] = []
+        self._due = due
+        trace = self.trace
+        should_stop = self._should_stop
+        stop_fired = False
+        self._dispatching = True
+        try:
+            while now < limit:
+                if should_stop():
+                    stop_fired = True
+                    break
+                # The heap peek is inlined (the queue's internals are bound
+                # above): a call per executed cycle is measurable against a
+                # scheduling decision of a few hundred nanoseconds.
+                wake = limit
+                while heap:
+                    cycle, slot, generation = heap[0]
+                    if generation == generations[slot]:
+                        if cycle < limit:
+                            wake = cycle
+                        break
+                    heappop(heap)
+                if wake > now:
+                    # No tick runs during a jump, so an event-state stop
+                    # predicate cannot flip across it; only the budget can
+                    # run out.  Components catch the cycles up lazily.
+                    delta = wake - now
+                    if trace.enabled:
+                        trace.record(now, "kernel", "kernel.jump", cycles=delta, to=wake)
+                    clock.advance(delta)
+                    self.cycles_skipped += delta
+                    now = wake
+                    if now >= limit:
+                        break
+                # Every live wake at or before now makes its slot due.
+                while heap:
+                    cycle, slot, generation = heap[0]
+                    if cycle > now:
+                        break
+                    heappop(heap)
+                    if generation == generations[slot] and due_marks[slot] != now:
+                        due_marks[slot] = now
+                        due.append(slot)
+                heapify(due)
+                while due:
+                    slot = heappop(due)
+                    self._current_slot = slot
+                    lag = synced[slot]
+                    if lag < now:
+                        catch_up = slot_catch_ups[slot]
+                        if catch_up is not None:
+                            catch_up(lag, now - lag)
+                    synced[slot] = now + 1
+                    tick = slot_ticks[slot]
+                    if tick is not None:
+                        tick()
+                    target = targets[slot]
+                    if target is not None and target <= now:
+                        # The tick left the popped wake in force: due again
+                        # next cycle, as a stale wake forces execution.
+                        schedule(slot, now + 1)
+                clock.advance()
+                now += 1
+        finally:
+            self._dispatching = False
+            self._current_slot = -1
+        for slot in range(len(components)):
+            self._catch_up(slot, now)
+        return stop_fired
+
+    def _run_every_cycle(self, limit: int, fast_forward: bool) -> bool:
+        """Stepping, the hint scan and the poll fallback: every component
+        ticks on every executed cycle and is fast-forwarded at every jump.
+        Returns whether a stop condition fired."""
+        clock = self.clock
         use_queue = fast_forward and self.event_queue
         tickers = self._tickers
         post_tickers = self._post_tickers
-        # The heap peek is inlined below (the queue's internals are bound
-        # once): at a handful of components the scheduling decision is only
-        # a few hundred nanoseconds, and a call per executed cycle is
-        # measurable against it.
         events_heap = self._events._heap
         events_generations = self._events._generations
         must_poll = bool(self._poll_hinters or self._stop_hints)
-        stop_fired = False
         while clock.cycle < limit:
             if self._should_stop():
-                stop_fired = True
-                break
+                return True
             if fast_forward:
                 if use_queue:
                     wake = limit
@@ -559,23 +758,14 @@ class Kernel:
                         continue
                     if clock.cycle >= limit:
                         break
-            # One cycle, inlined from step(): this is the hottest loop in the
-            # simulator and the call/loop setup of step(1) is measurable.
+            # One cycle, inlined from step(): the call/loop setup of step(1)
+            # is measurable on this path.
             for component in tickers:
                 component.tick()
             for component in post_tickers:
                 component.post_tick()
             clock.advance()
-        if not stop_fired:
-            # The loop ran out of cycle budget; a stop condition may still
-            # hold at the boundary (e.g. the last step finished the work).
-            stop_fired = self._should_stop()
-        self.stop_condition_fired = stop_fired
-        self.finished = True
-        if profiler is not None:
-            # repro-lint: allow[DET001]
-            profiler.on_run(perf_counter() - run_started, clock.cycle - start)
-        return clock.cycle - start
+        return False
 
     @property
     def truncated(self) -> bool:

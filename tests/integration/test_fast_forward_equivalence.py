@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import scale_workload
+from repro.platform.presets import rp_config
 from repro.platform.scenarios import (
     ScenarioResult,
     run_max_contention,
@@ -20,8 +22,9 @@ from repro.platform.scenarios import (
     run_wcet_estimation,
 )
 from repro.platform.system import MulticoreSystem
-from repro.sim.config import CBAParameters, PlatformConfig
+from repro.sim.config import CBAParameters, MemoryConfig, PlatformConfig
 from repro.workloads.base import WorkloadSpec
+from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
 from repro.workloads.synthetic import cpu_bound_workload, streaming_workload
 
 ARBITERS = [
@@ -125,6 +128,26 @@ def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bo
     stepped = run_multiprogram(workloads, config, fast_forward=False, **kwargs)
     skipped = run_multiprogram(workloads, config, fast_forward=True, **kwargs)
     assert _snapshot(stepped) == _snapshot(skipped)
+
+
+def test_sixteen_core_banked_frfcfs_multiprogram_identical():
+    """The shape of the 16-core consolidation benchmark at small scale: one
+    EEMBC task per core, banked DRAM with FR-FCFS reordering.  Stepping, the
+    hint scan and due-only dispatch (the production loop, where most cores
+    lag behind the clock between their wakes) must agree bit for bit."""
+    config = rp_config(16).with_updates(
+        memory=MemoryConfig(model="banked", controller_policy="frfcfs")
+    )
+    workloads = {
+        core: scale_workload(eembc_workload(FIGURE1_BENCHMARKS[core % 4]), 0.05)
+        for core in range(16)
+    }
+    kwargs = dict(seed=1, run_index=0, max_cycles=MAX_CYCLES)
+    stepped = run_multiprogram(workloads, config, fast_forward=False, **kwargs)
+    scanned = run_multiprogram(workloads, config, event_queue=False, **kwargs)
+    dispatched = run_multiprogram(workloads, config, **kwargs)
+    assert _snapshot(stepped) == _snapshot(scanned) == _snapshot(dispatched)
+    assert dispatched.system.observability["cycles_skipped"] > 0
 
 
 def _build_contention_system(fast_forward: bool, use_cba: bool) -> MulticoreSystem:

@@ -49,19 +49,64 @@ class TestFastForwardHint:
     def test_fast_forward_without_next_event_flagged(self, harness):
         source = """
             class Skipper:
-                def fast_forward(self, cycles):
-                    self.cycle = self.cycle + cycles
+                def fast_forward(self, start, cycles):
+                    self.total = self.total + cycles
         """
         assert harness.rule_ids(source) == ["CON002"]
 
     def test_fast_forward_with_next_event_ok(self, harness):
         source = """
             class Skipper:
-                def fast_forward(self, cycles):
-                    self.cycle = self.cycle + cycles
+                def fast_forward(self, start, cycles):
+                    self.total = self.total + cycles
 
                 def next_event(self):
                     return None
+        """
+        assert harness.rule_ids(source) == []
+
+
+class TestFastForwardClock:
+    def test_fast_forward_reading_now_flagged(self, harness):
+        source = """
+            class Lagger:
+                def next_event(self, now):
+                    return None
+
+                def fast_forward(self, start, cycles):
+                    self.window_end = self.now + cycles
+        """
+        assert harness.rule_ids(source) == ["CON004"]
+
+    def test_fast_forward_reading_clock_flagged(self, harness):
+        source = """
+            class Lagger:
+                def next_event(self, now):
+                    return None
+
+                def fast_forward(self, start, cycles):
+                    self.advance(self.clock.cycle, cycles)
+                    self.stamp = self._clock.cycle
+        """
+        assert harness.rule_ids(source) == ["CON004", "CON004"]
+
+    def test_fast_forward_using_start_ok(self, harness):
+        source = """
+            class Lagger:
+                def next_event(self, now):
+                    return now
+
+                def fast_forward(self, start, cycles):
+                    self.window_end = start + cycles
+                    self.peer.now_cached = self.peer.now
+        """
+        assert harness.rule_ids(source) == []
+
+    def test_clock_read_outside_fast_forward_ok(self, harness):
+        source = """
+            class Ticker:
+                def tick(self):
+                    self.last = self.now
         """
         assert harness.rule_ids(source) == []
 

@@ -33,6 +33,13 @@ class TestKernelProfiler:
         assert profiler.executed_cycles > 0
         assert 0.0 < profiler.attributed_seconds <= profiler.run_wall_seconds
 
+    def test_executed_cycles_exclude_skipped_cycles(self, tiny_workload):
+        system = run_profiled_system(tiny_workload)
+        kernel = system.kernel
+        assert kernel.cycles_skipped > 0
+        assert system.profiler is not None
+        assert system.profiler.executed_cycles == kernel.clock.cycle - kernel.cycles_skipped
+
     def test_component_seconds_covers_bus_and_cores(self, tiny_workload):
         profiler = run_profiled_system(tiny_workload).profiler
         components = profiler.component_seconds()

@@ -1,0 +1,224 @@
+"""Due-only dispatch: ``Kernel.run`` ticks only the components whose wake is due.
+
+Under the event queue the production loop ticks a component at its wake or
+when another component touched it (:meth:`Kernel.touch`), and catches every
+other cycle up lazily through ``fast_forward(start, cycles)``.  These tests
+pin the contract against the stepping oracle: cross-slot calls in both
+directions, truncated and stopped runs, the platform's tick savings, and a
+profiled run taking the same path as an unprofiled one.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from collections.abc import Callable
+
+import pytest
+
+from repro.experiments.runner import scale_workload
+from repro.obs.profiler import KernelProfiler
+from repro.platform.presets import rp_config
+from repro.platform.system import MulticoreSystem
+from repro.sim.component import Component
+from repro.sim.config import MemoryConfig, ObservabilityConfig
+from repro.sim.kernel import Kernel
+from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
+
+
+class Ledger(Component):
+    """Acts every ``period`` cycles (at ``phase``); in between it only adds
+    ``level * cycle`` to a running sum, which :meth:`fast_forward` replays in
+    closed form from its ``start`` argument.  An action raises the level of
+    every peer by ``push``, touching the peer first."""
+
+    event_driven = True
+
+    def __init__(self, name: str, period: int, phase: int, push: int) -> None:
+        super().__init__(name)
+        self.period = period
+        self.phase = phase
+        self.push = push
+        self.peers: list[Ledger] = []
+        self.level = 0
+        self.weighted = 0
+        self.cycles = 0
+        #: ``(cycle, level)`` at every action.
+        self.log: list[tuple[int, int]] = []
+        #: Real ticks (not part of the compared state: stepping ticks always).
+        self.ticks = 0
+
+    def tick(self) -> None:
+        now = self.now
+        self.ticks += 1
+        self.weighted += self.level * now
+        self.cycles += 1
+        if now % self.period == self.phase:
+            self.log.append((now, self.level))
+            for peer in self.peers:
+                self._touch(peer)
+                peer.level += self.push
+            self.schedule_wake(now + self.period)
+
+    def next_event(self, now: int) -> int | None:
+        return now + (self.phase - now) % self.period
+
+    def fast_forward(self, start: int, cycles: int) -> None:
+        # The sum of level * c for c in [start, start + cycles).
+        self.weighted += self.level * (cycles * start + cycles * (cycles - 1) // 2)
+        self.cycles += cycles
+
+    def state(self) -> tuple:
+        return (self.level, self.weighted, self.cycles, tuple(self.log))
+
+
+MODES = {
+    "stepped": dict(fast_forward=False),
+    "scanned": dict(event_queue=False),
+    "dispatched": dict(),
+}
+
+
+def _ledger_kernel(mode: str) -> tuple[Kernel, list[Ledger]]:
+    """Three ledgers whose actions coincide at some cycles, wired so every
+    slot calls into both an earlier and a later slot (or both later)."""
+    kernel = Kernel(**MODES[mode])
+    first = Ledger("first", period=12, phase=0, push=1)
+    middle = Ledger("middle", period=7, phase=3, push=5)
+    last = Ledger("last", period=4, phase=0, push=-2)
+    first.peers = [middle, last]
+    middle.peers = [first, last]
+    last.peers = [first, middle]
+    ledgers = [first, middle, last]
+    kernel.register_all(ledgers)
+    return kernel, ledgers
+
+
+def _run_ledgers(mode: str, max_cycles: int, stop_after: int | None = None):
+    kernel, ledgers = _ledger_kernel(mode)
+    if stop_after is not None:
+        kernel.add_stop_condition(lambda: len(ledgers[0].log) >= stop_after)
+    kernel.run(max_cycles=max_cycles)
+    return kernel, ledgers
+
+
+@pytest.mark.parametrize("max_cycles", [1, 2, 11, 12, 13, 500, 1_003])
+def test_cross_slot_calls_match_stepping(max_cycles: int):
+    reference_kernel, reference = _run_ledgers("stepped", max_cycles)
+    for mode in ("scanned", "dispatched"):
+        kernel, ledgers = _run_ledgers(mode, max_cycles)
+        assert kernel.clock.cycle == reference_kernel.clock.cycle
+        assert [ledger.state() for ledger in ledgers] == [
+            ledger.state() for ledger in reference
+        ], mode
+
+
+def test_dispatch_ticks_only_due_and_touched_components():
+    kernel, ledgers = _run_ledgers("dispatched", 1_200)
+    first, middle, last = ledgers
+    assert kernel.cycles_skipped > 0
+    executed = kernel.clock.cycle - kernel.cycles_skipped
+    # ``first`` is in the earliest slot: a touch syncs it without a tick, so
+    # it ticks at its own actions only.  ``middle`` also ticks when ``first``
+    # calls into it; ``last`` ticks at its actions and whenever ``middle``
+    # acts — which covers every executed cycle.
+    assert first.ticks == len(first.log) == 100
+    assert len(middle.log) < middle.ticks < executed
+    assert last.ticks == executed
+    # Every lagging cycle was caught up by the end of the run.
+    assert all(ledger.cycles == 1_200 for ledger in ledgers)
+
+
+@pytest.mark.parametrize("max_cycles", [5, 9, 250, 1_001])
+def test_truncated_run_leaves_every_counter_synced(max_cycles: int):
+    """The budget runs out mid-gap: no component is due, yet each one must
+    account for every cycle up to the budget."""
+    stepped_kernel, stepped = _run_ledgers("stepped", max_cycles)
+    kernel, ledgers = _run_ledgers("dispatched", max_cycles)
+    assert kernel.truncated and stepped_kernel.truncated
+    assert all(ledger.cycles == max_cycles for ledger in ledgers)
+    assert [ledger.state() for ledger in ledgers] == [ledger.state() for ledger in stepped]
+
+
+def test_stopped_run_leaves_every_counter_synced():
+    stepped_kernel, stepped = _run_ledgers("stepped", 10_000, stop_after=9)
+    kernel, ledgers = _run_ledgers("dispatched", 10_000, stop_after=9)
+    assert kernel.stop_condition_fired and stepped_kernel.stop_condition_fired
+    assert kernel.clock.cycle == stepped_kernel.clock.cycle
+    assert all(ledger.cycles == kernel.clock.cycle for ledger in ledgers)
+    assert [ledger.state() for ledger in ledgers] == [ledger.state() for ledger in stepped]
+
+
+def test_touch_outside_a_run_is_a_no_op():
+    kernel, (first, middle, _) = _ledger_kernel("dispatched")
+    first._touch(middle)
+    kernel.touch(Ledger("unregistered", period=3, phase=0, push=1))
+    assert middle.cycles == 0
+
+
+# ----------------------------------------------------------------------
+# The platform
+# ----------------------------------------------------------------------
+
+
+def _sixteen_core_system(scale: float, **kwargs) -> MulticoreSystem:
+    """The shape of the 16-core consolidation benchmark, at small scale."""
+    config = rp_config(16).with_updates(
+        memory=MemoryConfig(model="banked", controller_policy="frfcfs")
+    )
+    system = MulticoreSystem(config, seed=1, run_index=0, **kwargs)
+    for core in range(16):
+        workload = eembc_workload(FIGURE1_BENCHMARKS[core % 4])
+        system.add_task(core, scale_workload(workload, scale))
+    return system
+
+
+def _count_calls(system: MulticoreSystem, hook: str) -> Counter:
+    """Wrap ``hook`` on every component instance with a call counter."""
+    calls: Counter = Counter()
+    for component in system.kernel.components:
+        real = getattr(component, hook)
+
+        def counted(*args, _real: Callable = real, _name: str = component.name):
+            calls[_name] += 1
+            return _real(*args)
+
+        setattr(component, hook, counted)
+    return calls
+
+
+def test_sixteen_core_run_ticks_cores_on_few_executed_cycles():
+    system = _sixteen_core_system(0.05)
+    system.finalize()
+    ticks = _count_calls(system, "tick")
+    system.run(max_cycles=5_000_000)
+    kernel = system.kernel
+    executed = kernel.clock.cycle - kernel.cycles_skipped
+    core_ticks = sum(ticks[core.name] for core in system.cores.values())
+    assert executed > 0 and core_ticks > 0
+    assert core_ticks <= 0.10 * executed * 16
+    # The monitor is synced before every holder change and never made due:
+    # all its samples are replayed lazily.  Everything was caught up.
+    assert ticks[system.monitor.name] == 0
+    assert system.monitor.total_cycles_observed == kernel.clock.cycle
+    assert system.bus.stats.counter("cycles_total").value == kernel.clock.cycle
+
+
+def test_profiled_run_ticks_the_same_components():
+    plain = _sixteen_core_system(0.03)
+    plain.finalize()
+    plain_ticks = _count_calls(plain, "tick")
+    plain_catch_ups = _count_calls(plain, "fast_forward")
+    plain.run(max_cycles=5_000_000)
+
+    profiled = _sixteen_core_system(0.03, obs=ObservabilityConfig(profile_kernel=True))
+    profiled.run(max_cycles=5_000_000)
+    profiler = profiled.profiler
+    assert isinstance(profiler, KernelProfiler)
+    profiled_calls = profiler._calls
+
+    for component in plain.kernel.components:
+        name = component.name
+        assert profiled_calls.get((name, "tick"), 0) == plain_ticks[name], name
+        assert profiled_calls.get((name, "fast_forward"), 0) == plain_catch_ups[name], name
+    assert profiled.kernel.cycles_skipped == plain.kernel.cycles_skipped
+    assert profiler.executed_cycles == plain.kernel.clock.cycle - plain.kernel.cycles_skipped

@@ -39,7 +39,7 @@ class PeriodicPusher(Component):
             return now
         return now + (self.period - now % self.period)
 
-    def fast_forward(self, cycles: int) -> None:
+    def fast_forward(self, start: int, cycles: int) -> None:
         self.fast_forwarded += cycles
 
     def reset(self) -> None:
@@ -78,7 +78,7 @@ class OneShot(Component):
     def next_event(self, now: int) -> int | None:
         return self.wake if now <= self.wake else None
 
-    def fast_forward(self, cycles: int) -> None:
+    def fast_forward(self, start: int, cycles: int) -> None:
         pass
 
 

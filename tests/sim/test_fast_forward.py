@@ -27,7 +27,7 @@ class PeriodicWorker(Component):
             return now
         return now + (self.period - now % self.period)
 
-    def fast_forward(self, cycles: int) -> None:
+    def fast_forward(self, start: int, cycles: int) -> None:
         self.fast_forwarded += cycles
 
 
