@@ -7,15 +7,19 @@ permutations — implement this interface, and the credit-based arbitration of
 the paper (:class:`repro.core.cba.CreditBasedArbiter`) wraps any of them,
 filtering the set of eligible masters by budget before delegating.
 
-The bus drives an arbiter through three hooks:
+The bus drives an arbiter only at state transitions, never per cycle:
 
-* :meth:`Arbiter.cycle_update` every cycle, with the master currently holding
-  the bus (or ``None``) — used by stateful policies (TDMA slot counters,
-  credit budgets);
+* :meth:`Arbiter.on_request` when a master asserts a request;
 * :meth:`Arbiter.arbitrate` when the bus is idle and at least one master has a
   pending request;
 * :meth:`Arbiter.on_grant` when the grant actually happens, with the resolved
-  transaction duration.
+  transaction duration;
+* :meth:`Arbiter.next_grant_opportunity` and :meth:`Arbiter.advance_cycles`
+  when the kernel skips cycles (the wake of an idle bus with pending
+  requests, and the accounting of the cycles skipped).
+
+Time-dependent policy state is a function of the cycle argument (TDMA slots)
+or is anchored at grants and read in closed form (CBA credit budgets).
 """
 
 from __future__ import annotations
@@ -69,9 +73,6 @@ class Arbiter(ABC):
         Most policies ignore it; FIFO uses it to order grants by arrival time.
         """
 
-    def cycle_update(self, cycle: int, holder: int | None) -> None:
-        """Per-cycle hook; ``holder`` is the master using the bus this cycle."""
-
     # ------------------------------------------------------------------
     # Fast-forward support
     # ------------------------------------------------------------------
@@ -96,20 +97,16 @@ class Arbiter(ABC):
         holder: int | None,
         idle_requestors: Sequence[int] = (),
     ) -> None:
-        """Bulk equivalent of ``cycles`` per-cycle bus interactions.
+        """Account ``cycles`` skipped bus cycles from ``start_cycle``.
 
-        Must reproduce exactly what ``cycles`` consecutive
-        :meth:`cycle_update` calls (constant ``holder``) — plus, when the bus
-        idles with ``idle_requestors`` pending, the corresponding
-        :meth:`arbitrate` calls that returned ``None`` — would have done.
-        The default replays :meth:`cycle_update` only, short-circuiting for
-        policies that keep the base class's no-op (all the slot-/queue-based
-        policies here are stateless per cycle).
+        The bus was held by ``holder`` (or idle) throughout.  When it idled
+        with ``idle_requestors`` pending, this must reproduce what the
+        :meth:`arbitrate` calls that returned ``None`` in those cycles would
+        have done; the bus calls it for such windows only, because no other
+        skipped cycle reaches the arbiter.  The default does nothing: no
+        policy here keeps state those calls change (CBA counts its blocked
+        cycles).
         """
-        if type(self).cycle_update is Arbiter.cycle_update:
-            return
-        for offset in range(cycles):
-            self.cycle_update(start_cycle + offset, holder)
 
     def reset(self) -> None:
         """Return the arbiter to its power-on state."""

@@ -11,16 +11,31 @@
 The bus drives the arbiter through the hooks defined by
 :class:`repro.arbiters.Arbiter`, which is also how the credit-based
 arbitration of the paper plugs in (it *is* an arbiter wrapping another one).
+
+All bus work happens at state transitions — a submit, a grant, a release.
+Between a grant and its release a tick only counts an occupied cycle, which
+:meth:`SharedBus.fast_forward` replays in bulk.  The sorted requestor list
+changes at submit and grant, and the holder changes are appended to
+:attr:`SharedBus.holder_log`, from which the
+:class:`~repro.bus.monitor.BusMonitor` derives its windows when read.
 """
 
 from __future__ import annotations
+
+from array import array
+from bisect import insort
+from typing import TYPE_CHECKING, Callable
 
 from ..arbiters.base import Arbiter
 from ..sim.component import Component
 from ..sim.errors import ProtocolError
 from ..sim.stats import StatGroup
+from ..sim.trace import NullTraceRecorder, TraceRecorder
 from .ports import BusMasterPort, BusSlavePort
 from .transaction import BusRequest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type hints
+    from ..sim.kernel import Kernel
 
 __all__ = ["SharedBus"]
 
@@ -73,8 +88,12 @@ class SharedBus(Component):
         self.slave = slave
         self.max_latency = max_latency
         self._masters: list[BusMasterPort | None] = [None] * num_masters
+        #: Each master's ``on_grant`` (``None`` when it has none: the bus
+        #: then neither touches nor calls it at grant).
+        self._grant_hooks: list[Callable[[BusRequest, int], None] | None] = [None] * num_masters
         self._pending: list[BusRequest | None] = [None] * num_masters
-        self._num_pending = 0
+        #: Masters with a pending request, sorted; updated at submit and grant.
+        self._requestors: list[int] = []
         self._holder: int | None = None
         self._active_request: BusRequest | None = None
         self._release_cycle = 0
@@ -84,8 +103,11 @@ class SharedBus(Component):
         #: transaction — a single comparison instead of a call into the
         #: kernel's dedup.
         self._wake_target: int | None = None
-        #: Observers replaying :attr:`holder` lazily (see :meth:`watch`).
-        self._watchers: list[Component] = []
+        #: Holder changes as a flat ``cycle, holder`` sequence (holder -1
+        #: for an idle bus): the holder from each cycle on.  A release and a
+        #: grant in the same cycle collapse into one entry.
+        self.holder_log = array("q")
+        self._trace: TraceRecorder = NullTraceRecorder()
         self.stats = StatGroup(name=f"{name}.stats")
         # The per-cycle and per-transaction paths below run millions of times
         # per campaign; bind the counters/histograms once instead of paying a
@@ -105,32 +127,24 @@ class SharedBus(Component):
         self._c_cycles_master = [
             stats.counter(f"cycles_master_{m}") for m in range(num_masters)
         ]
-        self._h_total_latency = stats.histogram("total_latency")
-        self._h_wait_cycles = stats.histogram("wait_cycles")
-        self._h_grant_duration = stats.histogram("grant_duration")
-        # Skip the per-cycle arbiter callback entirely for policies that keep
-        # the base class's no-op (everything except CBA).
-        self._arbiter_is_stateful = type(arbiter).cycle_update is not Arbiter.cycle_update
+        self._sample_total_latency = stats.histogram("total_latency").sampler()
+        self._sample_wait_cycles = stats.histogram("wait_cycles").sampler()
+        self._sample_grant_duration = stats.histogram("grant_duration").sampler()
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
+    def bind(self, kernel: "Kernel") -> None:
+        super().bind(kernel)
+        # Read on every submit, grant and completion.
+        self._trace = kernel.trace
+
     def connect_master(self, master_id: int, port: BusMasterPort) -> None:
         """Attach the master port for ``master_id`` (called by the platform builder)."""
         if not 0 <= master_id < self.num_masters:
             raise ProtocolError(f"master id {master_id} out of range")
         self._masters[master_id] = port
-
-    def watch(self, observer: Component) -> None:
-        """Sync ``observer`` before every change of :attr:`holder`.
-
-        An observer that samples the holder on its ticks but pushes no wake
-        (the :class:`~repro.bus.monitor.BusMonitor`) replays its skipped
-        samples lazily; syncing it before each holder change
-        (:meth:`~repro.sim.kernel.Kernel.sync`) makes that replay see the
-        holder those cycles really had.
-        """
-        self._watchers.append(observer)
+        self._grant_hooks[master_id] = getattr(port, "on_grant", None)
 
     # ------------------------------------------------------------------
     # Master-side API
@@ -148,22 +162,28 @@ class SharedBus(Component):
             raise ProtocolError(
                 f"master {master} already has an outstanding bus request"
             )
-        # Account the bus's lagging cycles with the old pending set, and
-        # make it due now so it can arbitrate in this very cycle.
-        self._touch(self)
+        now = self.now
+        if self._holder is not None and self._release_cycle > now:
+            # The bus is held past this cycle, so its tick now could only
+            # count an occupied cycle: catch it up, but leave it asleep.
+            self._sync(self)
+        else:
+            # Account the bus's lagging cycles with the old pending set, and
+            # make it due now so it can arbitrate in this very cycle.
+            self._touch(self)
         self._pending[master] = request
-        self._num_pending += 1
+        insort(self._requestors, master)
         self.arbiter.on_request(master, request.issue_cycle)
         self._c_submitted.value += 1
-        trace = self.kernel.trace
+        trace = self._trace
         if trace.enabled:
             trace.record(
-                self.now,
+                now,
                 self.name,
                 "bus.request",
                 master=master,
                 request_id=request.request_id,
-                pending=self._num_pending,
+                pending=len(self._requestors),
             )
 
     def has_pending(self, master_id: int) -> bool:
@@ -183,42 +203,44 @@ class SharedBus(Component):
     @property
     def pending_masters(self) -> list[int]:
         """Masters with a request waiting to be granted."""
-        return [m for m in range(self.num_masters) if self._pending[m] is not None]
+        return list(self._requestors)
 
     # ------------------------------------------------------------------
     # Per-cycle behaviour
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        cycle = self.now
-        self._complete_if_done(cycle)
-        if self._holder is None:
+        cycle = self._clock._cycle
+        if self._holder is not None and cycle >= self._release_cycle:
+            self._complete(cycle)
+        if self._holder is None and self._requestors:
             self._arbitrate_and_grant(cycle)
-        self._update_occupancy_stats()
-        if self._arbiter_is_stateful:
-            # The arbiter sees the holder of *this* cycle (including a
-            # transaction granted this very cycle), which is what drives CBA
-            # budget draining.
-            self.arbiter.cycle_update(cycle, self._holder)
+        self._c_cycles_total.value += 1
+        if self._holder is not None:
+            self._c_cycles_busy.value += 1
+        elif self._requestors:
+            # Idle although someone wants the bus: either the arbiter withheld
+            # the grant (TDMA outside a slot, CBA budget not replenished) or
+            # no eligible requestor existed this cycle.
+            self._c_cycles_idle_pending.value += 1
+        else:
+            self._c_cycles_idle.value += 1
         if self._wake_push:
-            # After the whole cycle's bus activity (and the arbiter's budget
-            # update) is in: push the wake the hint scan would compute when
-            # polled for cycle + 1.  The steady states — holding with the
-            # release cycle already pushed, idle-empty with nothing pushed —
-            # skip the call entirely.
+            # After the whole cycle's bus activity is in: push the wake the
+            # hint scan would compute when polled for cycle + 1.  The steady
+            # states — holding with the release cycle already pushed,
+            # idle-empty with nothing pushed — skip the call entirely.
             if self._holder is not None:
                 if self._wake_target != self._release_cycle:
                     self._reschedule_wake(cycle + 1)
-            elif self._num_pending or self._wake_target is not None:
+            elif self._requestors or self._wake_target is not None:
                 self._reschedule_wake(cycle + 1)
 
     def _reschedule_wake(self, next_cycle: int) -> None:
         """Event-queue push mirroring :meth:`next_event` at ``next_cycle``."""
         if self._holder is not None:
             wake = self._release_cycle
-        elif self._num_pending:
-            wake = self.arbiter.next_grant_opportunity(
-                self.pending_masters, next_cycle
-            )
+        elif self._requestors:
+            wake = self.arbiter.next_grant_opportunity(self._requestors, next_cycle)
         else:
             wake = None
         if wake == self._wake_target:
@@ -229,21 +251,19 @@ class SharedBus(Component):
         else:
             self._wake_schedule(self._wake_slot, wake)
 
-    def _complete_if_done(self, cycle: int) -> None:
-        if self._holder is None or self._active_request is None:
-            return
-        if cycle < self._release_cycle:
-            return
+    def _complete(self, cycle: int) -> None:
         request = self._active_request
         holder = self._holder
-        self._sync_watchers()
+        if request is None or holder is None:  # pragma: no cover - set together at grant
+            raise ProtocolError("bus holder without an active request")
+        self.holder_log.extend((cycle, -1))
         request.complete_cycle = cycle
         self._holder = None
         self._active_request = None
         self._c_completed.value += 1
-        self._h_total_latency.add(request.total_latency)
-        self._h_wait_cycles.add(request.wait_cycles)
-        trace = self.kernel.trace
+        self._sample_total_latency(request.total_latency)
+        self._sample_wait_cycles(request.wait_cycles)
+        trace = self._trace
         if trace.enabled:
             trace.record(
                 cycle,
@@ -260,10 +280,7 @@ class SharedBus(Component):
             port.on_complete(request, cycle)
 
     def _arbitrate_and_grant(self, cycle: int) -> None:
-        requestors = self.pending_masters
-        if not requestors:
-            return
-        choice = self.arbiter.arbitrate(requestors, cycle)
+        choice = self.arbiter.arbitrate(self._requestors, cycle)
         if choice is None:
             return
         request = self._pending[choice]
@@ -277,8 +294,13 @@ class SharedBus(Component):
         request.grant_cycle = cycle
         request.duration = duration
         self._pending[choice] = None
-        self._num_pending -= 1
-        self._sync_watchers()
+        self._requestors.remove(choice)
+        log = self.holder_log
+        if log and log[-2] == cycle:
+            # Released in this very cycle: the grant replaces the idle entry.
+            log[-1] = choice
+        else:
+            log.extend((cycle, choice))
         self._holder = choice
         self._active_request = request
         self._release_cycle = cycle + duration
@@ -286,8 +308,8 @@ class SharedBus(Component):
         self._c_grants.value += 1
         self._c_grants_master[choice].value += 1
         self._c_cycles_master[choice].value += duration
-        self._h_grant_duration.add(duration)
-        trace = self.kernel.trace
+        self._sample_grant_duration(duration)
+        trace = self._trace
         if trace.enabled:
             trace.record(
                 cycle,
@@ -297,27 +319,10 @@ class SharedBus(Component):
                 request_id=request.request_id,
                 duration=duration,
             )
-        port = self._masters[choice]
-        if port is not None:
-            self._touch(port)
-            port.on_grant(request, cycle)
-
-    def _sync_watchers(self) -> None:
-        """Sync every :meth:`watch` observer before the holder changes."""
-        for watcher in self._watchers:
-            self._sync(watcher)
-
-    def _update_occupancy_stats(self) -> None:
-        self._c_cycles_total.value += 1
-        if self._holder is not None:
-            self._c_cycles_busy.value += 1
-        elif self._num_pending:
-            # Idle although someone wants the bus: either the arbiter withheld
-            # the grant (TDMA outside a slot, CBA budget not replenished) or
-            # no eligible requestor existed this cycle.
-            self._c_cycles_idle_pending.value += 1
-        else:
-            self._c_cycles_idle.value += 1
+        on_grant = self._grant_hooks[choice]
+        if on_grant is not None:
+            self._touch(self._masters[choice])
+            on_grant(request, cycle)
 
     # ------------------------------------------------------------------
     # Fast-forward support
@@ -334,26 +339,22 @@ class SharedBus(Component):
         """
         if self._holder is not None:
             return self._release_cycle
-        if not self._num_pending:
+        if not self._requestors:
             return None
-        return self.arbiter.next_grant_opportunity(self.pending_masters, now)
+        return self.arbiter.next_grant_opportunity(self._requestors, now)
 
     def fast_forward(self, start: int, cycles: int) -> None:
         """Bulk-account ``cycles`` skipped cycles of constant bus state."""
         self._c_cycles_total.value += cycles
-        holder = self._holder
-        # One allocation per fast-forward jump (thousands of cycles), not per
-        # tick — the empty-list default keeps the common holder branch cheap.
-        # repro-lint: allow[HOT001]
-        requestors: list[int] = []
-        if holder is not None:
+        if self._holder is not None:
             self._c_cycles_busy.value += cycles
-        elif self._num_pending:
+        elif self._requestors:
             self._c_cycles_idle_pending.value += cycles
-            requestors = self.pending_masters
+            # The only skipped cycles an arbiter accounts: its declined
+            # arbitrations (budget-blocked CBA requestors).
+            self.arbiter.advance_cycles(start, cycles, None, self._requestors)
         else:
             self._c_cycles_idle.value += cycles
-        self.arbiter.advance_cycles(start, cycles, holder, requestors)
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -383,7 +384,8 @@ class SharedBus(Component):
 
     def reset(self) -> None:
         self._pending = [None] * self.num_masters
-        self._num_pending = 0
+        self._requestors = []
+        self.holder_log = array("q")
         self._holder = None
         self._active_request = None
         self._release_cycle = 0

@@ -1,10 +1,15 @@
 """Bus monitor.
 
-A passive observer that samples the bus every cycle and keeps per-master
-occupancy and waiting statistics beyond what the bus itself accumulates.
-Experiments attach a monitor when they need windowed bandwidth shares (e.g.
-to show how CBA converges to a fair share over time) without burdening the
-bus model itself.
+A passive observer of per-master bus occupancy beyond what the bus itself
+accumulates.  Experiments read a monitor when they need windowed bandwidth
+shares (e.g. to show how CBA converges to a fair share over time) without
+burdening the bus model itself.
+
+The monitor is a view: the bus appends every holder change to its
+:attr:`~repro.bus.bus.SharedBus.holder_log`, and the monitor derives its
+windows and totals from that log and the bus's ``cycles_total`` counter when
+they are read.  It never ticks, so it costs nothing while the simulation
+runs.
 """
 
 from __future__ import annotations
@@ -46,15 +51,14 @@ class BandwidthWindow:
 
 
 class BusMonitor(Component):
-    """Samples bus occupancy every cycle and aggregates it into windows."""
+    """Per-master occupancy of a bus, in fixed-length windows and in total.
 
-    #: Event-queue protocol: the monitor is a pure observer and never pushes
-    #: a wake at all — the absence of a heap entry is exactly its permanent
-    #: ``next_event`` answer of ``None``.  Declaring it event-driven removes
-    #: it from the kernel's poll fallback.  The bus syncs it before every
-    #: holder change (:meth:`SharedBus.watch`), so under due-only dispatch it
-    #: never ticks: :meth:`fast_forward` replays its samples lazily, each
-    #: with the holder its cycle had.
+    Registering the monitor with a kernel is allowed and changes nothing: it
+    is event-driven with no wake and no hooks.  Its view starts at the bus
+    cycle of its last :meth:`reset` (cycle 0 for a fresh bus), and windows
+    are aligned to that cycle.
+    """
+
     event_driven = True  # repro-lint: allow[CON001]
 
     def __init__(self, name: str, bus: SharedBus, window_cycles: int = 1000) -> None:
@@ -63,91 +67,89 @@ class BusMonitor(Component):
             raise ValueError("window length must be positive")
         self.bus = bus
         self.window_cycles = window_cycles
-        self.windows: list[BandwidthWindow] = []
-        self._window_start = 0
-        self._busy = [0] * bus.num_masters
-        self._idle = 0
-        self.total_busy_per_master = [0] * bus.num_masters
-        self.total_cycles_observed = 0
-        bus.watch(self)
+        self._origin = 0
+        self.reset()
 
-    def tick(self) -> None:
-        holder = self.bus.holder
-        if holder is None:
-            self._idle += 1
-        else:
-            self._busy[holder] += 1
-            self.total_busy_per_master[holder] += 1
-        self.total_cycles_observed += 1
-        boundary = self.now + 1
-        if boundary - self._window_start >= self.window_cycles:
-            self._close_window(boundary)
-
-    # ------------------------------------------------------------------
-    # Fast-forward support
-    # ------------------------------------------------------------------
     def next_event(self, now: int) -> int | None:
-        """The monitor is a pure observer: it never forces a wake-up.
-
-        Window boundaries crossed inside a jump are reproduced exactly by
-        :meth:`fast_forward`, so no hint is needed for them either.
-        """
+        """The monitor never needs a wake: it is derived from the bus."""
         return None
 
-    def fast_forward(self, start: int, cycles: int) -> None:
-        """Sample ``cycles`` skipped cycles of constant bus occupancy in bulk,
-        closing windows at the exact boundaries plain stepping would have."""
-        holder = self.bus.holder
-        cursor = start
-        end = start + cycles
-        while cursor < end:
-            window_end = self._window_start + self.window_cycles
-            chunk_end = window_end if window_end < end else end
-            span = chunk_end - cursor
-            if holder is None:
-                self._idle += span
-            else:
-                self._busy[holder] += span
-                self.total_busy_per_master[holder] += span
-            self.total_cycles_observed += span
-            if chunk_end == window_end:
-                self._close_window(window_end)
-            cursor = chunk_end
+    def reset(self) -> None:
+        """Start the view at the bus's current cycle."""
+        self._origin = self._end()
 
-    def _close_window(self, end_cycle: int) -> None:
-        window = BandwidthWindow(
-            start_cycle=self._window_start,
-            end_cycle=end_cycle,
-            busy_cycles_per_master=tuple(self._busy),
-            idle_cycles=self._idle,
-        )
-        self.windows.append(window)
-        trace = self.kernel.trace
-        if trace.enabled:
-            trace.record(
-                end_cycle,
-                self.name,
-                "bus.window",
-                start=window.start_cycle,
-                busy=sum(window.busy_cycles_per_master),
-                idle=window.idle_cycles,
-                utilization=round(window.utilization, 6),
-            )
-        self._window_start = end_cycle
-        self._busy = [0] * self.bus.num_masters
-        self._idle = 0
+    # ------------------------------------------------------------------
+    # The derived view
+    # ------------------------------------------------------------------
+    def _end(self) -> int:
+        """First bus cycle not yet accounted by the bus."""
+        return self.bus.stats.counter("cycles_total").value
+
+    def _segments(self) -> list[tuple[int, int, int]]:
+        """``(start, end, holder)`` runs covering the observed cycles, holder
+        -1 where the bus idled."""
+        origin = self._origin
+        end = self._end()
+        if end <= origin:
+            return []
+        log = self.bus.holder_log
+        segments: list[tuple[int, int, int]] = []
+        cursor = origin
+        holder = -1
+        for index in range(0, len(log), 2):
+            cycle = log[index]
+            if cycle >= end:
+                break
+            if cycle > cursor:
+                segments.append((cursor, cycle, holder))
+                cursor = cycle
+            holder = log[index + 1]
+        segments.append((cursor, end, holder))
+        return segments
+
+    @property
+    def windows(self) -> list[BandwidthWindow]:
+        """Every complete window observed so far, oldest first."""
+        length = self.window_cycles
+        masters = self.bus.num_masters
+        windows: list[BandwidthWindow] = []
+        start = self._origin
+        busy = [0] * masters
+        idle = 0
+        for seg_start, seg_end, holder in self._segments():
+            cursor = seg_start
+            while cursor < seg_end:
+                boundary = start + length
+                chunk_end = boundary if boundary < seg_end else seg_end
+                if holder < 0:
+                    idle += chunk_end - cursor
+                else:
+                    busy[holder] += chunk_end - cursor
+                cursor = chunk_end
+                if chunk_end == boundary:
+                    windows.append(BandwidthWindow(start, boundary, tuple(busy), idle))
+                    start = boundary
+                    busy = [0] * masters
+                    idle = 0
+        return windows
+
+    @property
+    def total_busy_per_master(self) -> list[int]:
+        """Observed busy cycles of each master."""
+        busy = [0] * self.bus.num_masters
+        for start, end, holder in self._segments():
+            if holder >= 0:
+                busy[holder] += end - start
+        return busy
+
+    @property
+    def total_cycles_observed(self) -> int:
+        return max(0, self._end() - self._origin)
 
     def overall_shares(self) -> list[float]:
         """Per-master share of all observed busy cycles."""
-        busy = sum(self.total_busy_per_master)
+        totals = self.total_busy_per_master
+        busy = sum(totals)
         if not busy:
             return [0.0] * self.bus.num_masters
-        return [c / busy for c in self.total_busy_per_master]
-
-    def reset(self) -> None:
-        self.windows.clear()
-        self._window_start = 0
-        self._busy = [0] * self.bus.num_masters
-        self._idle = 0
-        self.total_busy_per_master = [0] * self.bus.num_masters
-        self.total_cycles_observed = 0
+        return [c / busy for c in totals]

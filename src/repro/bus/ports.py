@@ -3,7 +3,9 @@
 The bus talks to two kinds of peers:
 
 * **masters** (one per core) which assert a request and are notified when the
-  transaction completes — :class:`BusMasterPort`;
+  transaction completes — :class:`BusMasterPort` — and, if they define
+  ``on_grant(request, cycle)``, when it is granted (the bus skips masters
+  without one);
 * a **slave** (the L2 + memory controller side) which resolves how long a
   granted transaction holds the bus — :class:`BusSlavePort`.
 
@@ -23,10 +25,12 @@ __all__ = ["BusMasterPort", "BusSlavePort", "CallbackMaster", "FixedLatencySlave
 
 @runtime_checkable
 class BusMasterPort(Protocol):
-    """What the bus expects from a master (a core-side bus interface)."""
+    """What the bus expects from a master (a core-side bus interface).
 
-    def on_grant(self, request: BusRequest, cycle: int) -> None:
-        """Called the cycle the request is granted the bus."""
+    A master may also define ``on_grant(request, cycle)``, called the cycle
+    its request is granted the bus; it is optional, so it is not part of
+    the protocol.
+    """
 
     def on_complete(self, request: BusRequest, cycle: int) -> None:
         """Called the cycle the request releases the bus (data returned)."""

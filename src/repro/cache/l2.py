@@ -149,7 +149,7 @@ class L2BusSlave:
         self._c_by_class = {
             kind: self.stats.counter(f"class_{kind.value}") for kind in TransactionClass
         }
-        self._h_duration = self.stats.histogram("duration")
+        self._sample_duration = self.stats.histogram("duration").sampler()
         # The timings are frozen; flatten the per-class duration chain into
         # one dict lookup per transaction.
         self._duration_by_class = {
@@ -215,7 +215,7 @@ class L2BusSlave:
         request.annotate(transaction_class=kind.value)
         self._c_by_class[kind].value += 1
         self._c_requests.value += 1
-        self._h_duration.add(duration)
+        self._sample_duration(duration)
         return duration
 
     def reset(self) -> None:

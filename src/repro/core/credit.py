@@ -13,6 +13,27 @@ paper's ``N = 4``, ``MaxL = 56``), replenishment adds the core's scaled share
 
 A core is *eligible* for arbitration only when its budget is full — exactly
 the filter rule of Section III-A.
+
+:class:`CreditAccount` applies Equation 1 literally, one cycle (or one closed
+form over a run of cycles) at a time.  :class:`CreditBank` applies it lazily.
+A budget only changes regime when its core is granted the bus or released,
+so each account is *anchored* at its last grant and every read is a closed
+form of the cycle asked about:
+
+* a core that does not hold the bus at cycle ``t`` has
+  ``min(balance + share * (t - release), cap)``, with ``balance`` settled at
+  its last release;
+* the holder's drain is settled once, when the grant is made, by the closed
+  form of :meth:`CreditAccount.advance_as_holder` over the whole transaction;
+* the cycle a core regains a full budget (:attr:`CreditBank.eligible_from`)
+  is therefore fixed from one grant to the next, and the eligibility filter
+  is a comparison against it.
+
+Nothing is applied per cycle.  Reads are exact at any cycle at or after the
+anchor, in any order, so a lazily caught-up component may read behind one
+that already read ahead.  :meth:`CreditBank.step` and
+:meth:`CreditBank.advance` keep the per-cycle form as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -132,76 +153,14 @@ class CreditAccount:
           and immediately pays ``min(share, cap)`` (a fixed point).
 
         ``total_replenished``/``total_drained`` accumulate exactly what the
-        per-cycle loop would have accumulated.  The loop below iterates over
-        *regime transitions* (at most three), never over cycles, which is what
-        makes CBA fast-forward jumps O(1) regardless of transaction length.
+        per-cycle loop would have accumulated.  The loop of the closed form
+        iterates over *regime transitions* (at most three), never over cycles,
+        which is what makes a grant's settlement O(1) regardless of
+        transaction length.
         """
-        if cycles <= 0:
-            return
-        share = self.replenish_share
-        drain = self.drain_per_cycle
-        cap = self.cap
-        balance = self.balance
-        replenished = 0
-        drained = 0
-        remaining = cycles
-        while remaining > 0:
-            new_balance = balance + share
-            if new_balance > cap:
-                # Cap-clip cycle: saturate, then drain from the cap.
-                gained = cap - balance
-                paid = drain if drain < cap else cap
-                balance = cap - paid
-                if balance + share > cap:
-                    # Fixed point: every following cycle regains exactly what
-                    # the drain took (clipped at the cap) and pays it again.
-                    replenished += gained + paid * (remaining - 1)
-                    drained += paid * remaining
-                    remaining = 0
-                else:
-                    replenished += gained
-                    drained += paid
-                    remaining -= 1
-            elif new_balance < drain:
-                # Floor cycle: the whole balance is paid out; afterwards the
-                # balance sticks at zero, earning and paying min(share, cap)
-                # every cycle (share < drain here, so it never recovers).
-                replenished += share
-                drained += new_balance
-                balance = 0
-                remaining -= 1
-                if remaining:
-                    steady = share if share < cap else cap
-                    replenished += steady * remaining
-                    drained += steady * remaining
-                    remaining = 0
-            else:
-                # Linear regime: balance moves by share - drain per cycle.
-                if share == drain:
-                    replenished += share * remaining
-                    drained += drain * remaining
-                    remaining = 0
-                elif share > drain:
-                    # Rising towards the cap: count the cycles that stay
-                    # unclipped, bulk-apply them, then the clip fixed point
-                    # (next iteration) absorbs the rest.
-                    rise = share - drain
-                    unclipped = (cap - share - balance) // rise + 1
-                    steps = unclipped if unclipped < remaining else remaining
-                    replenished += share * steps
-                    drained += drain * steps
-                    balance += rise * steps
-                    remaining -= steps
-                else:
-                    # Falling towards the floor: the regime holds while
-                    # balance >= drain - share.
-                    fall = drain - share
-                    covered = balance // fall
-                    steps = covered if covered < remaining else remaining
-                    replenished += share * steps
-                    drained += drain * steps
-                    balance -= fall * steps
-                    remaining -= steps
+        balance, replenished, drained = _hold_trajectory(
+            self.balance, self.replenish_share, self.drain_per_cycle, self.cap, cycles
+        )
         self.balance = balance
         self.total_replenished += replenished
         self.total_drained += drained
@@ -228,11 +187,100 @@ class CreditAccount:
         self.total_drained = 0
 
 
+def _hold_trajectory(
+    balance: int, share: int, drain: int, cap: int, cycles: int
+) -> tuple[int, int, int]:
+    """``(balance, replenished, drained)`` after holding the bus ``cycles`` cycles.
+
+    The closed form behind :meth:`CreditAccount.advance_as_holder`: starting
+    from ``balance``, each cycle adds ``share`` (saturating at ``cap``) and
+    then pays ``drain`` (floored at zero).  The loop runs once per regime
+    transition (at most three), never once per cycle.
+    """
+    if cycles <= 0:
+        return balance, 0, 0
+    replenished = 0
+    drained = 0
+    remaining = cycles
+    while remaining > 0:
+        new_balance = balance + share
+        if new_balance > cap:
+            # Cap-clip cycle: saturate, then drain from the cap.
+            gained = cap - balance
+            paid = drain if drain < cap else cap
+            balance = cap - paid
+            if balance + share > cap:
+                # Fixed point: every following cycle regains exactly what
+                # the drain took (clipped at the cap) and pays it again.
+                replenished += gained + paid * (remaining - 1)
+                drained += paid * remaining
+                remaining = 0
+            else:
+                replenished += gained
+                drained += paid
+                remaining -= 1
+        elif new_balance < drain:
+            # Floor cycle: the whole balance is paid out; afterwards the
+            # balance sticks at zero, earning and paying min(share, cap)
+            # every cycle (share < drain here, so it never recovers).
+            replenished += share
+            drained += new_balance
+            balance = 0
+            remaining -= 1
+            if remaining:
+                steady = share if share < cap else cap
+                replenished += steady * remaining
+                drained += steady * remaining
+                remaining = 0
+        else:
+            # Linear regime: balance moves by share - drain per cycle.
+            if share == drain:
+                replenished += share * remaining
+                drained += drain * remaining
+                remaining = 0
+            elif share > drain:
+                # Rising towards the cap: count the cycles that stay
+                # unclipped, bulk-apply them, then the clip fixed point
+                # (next iteration) absorbs the rest.
+                rise = share - drain
+                unclipped = (cap - share - balance) // rise + 1
+                steps = unclipped if unclipped < remaining else remaining
+                replenished += share * steps
+                drained += drain * steps
+                balance += rise * steps
+                remaining -= steps
+            else:
+                # Falling towards the floor: the regime holds while
+                # balance >= drain - share.
+                fall = drain - share
+                covered = balance // fall
+                steps = covered if covered < remaining else remaining
+                replenished += share * steps
+                drained += drain * steps
+                balance -= fall * steps
+                remaining -= steps
+    return balance, replenished, drained
+
+
 class CreditBank:
-    """The set of credit accounts of all cores, built from :class:`CBAParameters`."""
+    """The credit accounts of all cores, anchored at their holder changes.
+
+    Per core the bank keeps an *anchor*: the cycle of the core's last grant
+    (or reset), the account state at that cycle, the cycle the grant
+    releases the bus, and — in :attr:`accounts` — the account settled at that
+    release.  Read budgets through the cycle-parameterised queries
+    (:meth:`balance`, :meth:`eligible`, :meth:`balances`, ...): an account's
+    own ``balance`` is its settled value, not the value at a later cycle.
+
+    The bus drives a bank through :meth:`grant` alone.  :meth:`step` and
+    :meth:`advance` are the per-cycle reference instead (they re-anchor every
+    account at the cycles they have applied); a bank is driven by one or the
+    other, never both.
+    """
 
     def __init__(self, params: CBAParameters) -> None:
         self.params = params
+        self.full_budget = params.scaled_full_budget
         self.accounts = [
             CreditAccount(
                 core_id=core,
@@ -244,6 +292,25 @@ class CreditBank:
             )
             for core in range(params.num_cores)
         ]
+        cores = params.num_cores
+        #: Cycle of each core's anchor: its last grant, or a reset.
+        self._anchor = [0] * cores
+        #: ``(balance, total_replenished, total_drained)`` at the anchor.
+        self._anchor_state = [(0, 0, 0)] * cores
+        #: Cycle the hold started at the anchor releases the bus (the anchor
+        #: itself when the anchor is not a grant).
+        self._release = [0] * cores
+        #: A holder's budget never rises while it drains, so it is eligible
+        #: from its grant up to this cycle (exclusive), then not until
+        #: :attr:`eligible_from`.
+        self._eligible_until = [0] * cores
+        #: First cycle at or after its release at which each core's budget is
+        #: full again.  Fixed from one grant of the core to the next.
+        self.eligible_from = [0] * cores
+        #: Cycles applied so far by the stepped reference.
+        self._stepped = 0
+        for core in range(cores):
+            self._settle(core, 0)
 
     def __len__(self) -> int:
         return len(self.accounts)
@@ -251,19 +318,154 @@ class CreditBank:
     def __getitem__(self, core_id: int) -> CreditAccount:
         return self.accounts[core_id]
 
-    def eligible_cores(self) -> list[int]:
-        """Cores currently allowed to take part in arbitration."""
-        return [acct.core_id for acct in self.accounts if acct.eligible]
+    # ------------------------------------------------------------------
+    # Transitions
+    # ------------------------------------------------------------------
+    def _settle(self, core: int, cycle: int) -> None:
+        """Anchor ``core`` at ``cycle`` with its account's current state."""
+        account = self.accounts[core]
+        self._anchor[core] = cycle
+        self._release[core] = cycle
+        self._eligible_until[core] = cycle
+        self._anchor_state[core] = (
+            account.balance,
+            account.total_replenished,
+            account.total_drained,
+        )
+        self.eligible_from[core] = cycle + account.cycles_until_eligible()
 
+    def grant(self, core: int, cycle: int, duration: int) -> None:
+        """``core`` holds the bus for ``duration`` cycles from ``cycle``.
+
+        Re-anchors the core at ``cycle`` and settles its whole drain at once:
+        the account jumps to its state at ``cycle + duration``, and the cycle
+        it is eligible again follows from that in closed form.
+        """
+        if duration <= 0:
+            raise BudgetError("a grant must hold the bus for at least one cycle")
+        balance, replenished, drained = self._state(core, cycle)
+        account = self.accounts[core]
+        share = account.replenish_share
+        drain = account.drain_per_cycle
+        cap = account.cap
+        full = self.full_budget
+        # Eligibility during the hold.  The budget never rises while held
+        # (the shares sum to the drain, so share <= drain): after the first
+        # cycle, which may clip at the cap, it falls by drain - share per
+        # cycle, so the cycles it stays full are a leading run.
+        if balance < full:
+            until = cycle
+        else:
+            first = (balance + share if balance + share < cap else cap) - drain
+            fall = drain - share
+            if first < full:
+                until = cycle + 1
+            elif not fall:
+                until = cycle + duration
+            else:
+                until = cycle + min(duration, (first - full) // fall + 2)
+        settled, gained, paid = _hold_trajectory(balance, share, drain, cap, duration)
+        account.balance = settled
+        account.total_replenished = replenished + gained
+        account.total_drained = drained + paid
+        release = cycle + duration
+        self._anchor[core] = cycle
+        self._anchor_state[core] = (balance, replenished, drained)
+        self._release[core] = release
+        self._eligible_until[core] = until
+        deficit = full - settled
+        self.eligible_from[core] = release if deficit <= 0 else release - (-deficit // share)
+
+    def set_initial_budget(self, core_id: int, balance: int, cycle: int = 0) -> None:
+        """Force a core's budget at ``cycle`` (the paper zeroes the TuA's
+        budget when collecting WCET-estimation measurements)."""
+        self.accounts[core_id].reset(balance)
+        self._settle(core_id, cycle)
+
+    def reset(self) -> None:
+        self._stepped = 0
+        for core, account in enumerate(self.accounts):
+            account.reset(self.params.initial_for(core))
+            self._settle(core, 0)
+
+    # ------------------------------------------------------------------
+    # Cycle-parameterised reads
+    # ------------------------------------------------------------------
+    def _state(self, core: int, cycle: int) -> tuple[int, int, int]:
+        """``(balance, total_replenished, total_drained)`` of ``core`` at
+        ``cycle`` (after the updates of every cycle before it)."""
+        account = self.accounts[core]
+        release = self._release[core]
+        if cycle >= release:
+            balance = account.balance + account.replenish_share * (cycle - release)
+            if balance > account.cap:
+                balance = account.cap
+            return (
+                balance,
+                account.total_replenished + balance - account.balance,
+                account.total_drained,
+            )
+        anchor = self._anchor[core]
+        if cycle < anchor:
+            raise BudgetError(
+                f"core {core} is anchored at cycle {anchor}; cannot read cycle {cycle}"
+            )
+        balance, replenished, drained = self._anchor_state[core]
+        balance, gained, paid = _hold_trajectory(
+            balance, account.replenish_share, account.drain_per_cycle, account.cap, cycle - anchor
+        )
+        return balance, replenished + gained, drained + paid
+
+    def balance(self, core: int, cycle: int) -> int:
+        """Scaled budget of ``core`` at ``cycle``."""
+        return self._state(core, cycle)[0]
+
+    def totals(self, core: int, cycle: int) -> tuple[int, int]:
+        """``(total_replenished, total_drained)`` of ``core`` up to ``cycle``."""
+        _, replenished, drained = self._state(core, cycle)
+        return replenished, drained
+
+    def eligible(self, core: int, cycle: int) -> bool:
+        """Whether ``core``'s budget is full at ``cycle``."""
+        return cycle >= self.eligible_from[core] or (
+            self._anchor[core] <= cycle < self._eligible_until[core]
+        )
+
+    def eligible_cores(self, cycle: int) -> list[int]:
+        """Cores allowed to take part in arbitration at ``cycle``."""
+        return [core for core in range(len(self.accounts)) if self.eligible(core, cycle)]
+
+    def balances(self, cycle: int) -> list[int]:
+        """Scaled budgets of all cores at ``cycle``."""
+        return [self._state(core, cycle)[0] for core in range(len(self.accounts))]
+
+    def cycles_until_any_eligible(self, core_ids: Iterable[int], cycle: int) -> int:
+        """Fewest cycles from ``cycle`` until one of ``core_ids`` is eligible
+        (0 when one already is), assuming none of them is granted meanwhile."""
+        return min(
+            0 if self.eligible(core, cycle) else self.eligible_from[core] - cycle
+            for core in core_ids
+        )
+
+    def eligibility_changes(self, core: int) -> tuple[int, int]:
+        """The cycles ``core``'s eligibility may flip after its anchor: the
+        end of its full-budget run during a hold, and its refill."""
+        return self._eligible_until[core], self.eligible_from[core]
+
+    # ------------------------------------------------------------------
+    # Stepped reference
+    # ------------------------------------------------------------------
     def step(self, holder: int | None) -> None:
-        """Advance one cycle: replenish every core, drain the bus holder."""
+        """Apply Equation 1 for one cycle: replenish every core, drain the
+        bus ``holder``."""
         for account in self.accounts:
             account.replenish()
         if holder is not None:
             self.accounts[holder].drain()
+        self._restep(1)
 
     def advance(self, cycles: int, holder: int | None) -> None:
-        """Advance ``cycles`` cycles at once with a constant bus ``holder``.
+        """Apply ``cycles`` cycles at once with a constant bus ``holder``.
 
         Exactly equivalent to ``cycles`` :meth:`step` calls, in O(1) time per
         account: non-holders only replenish (:meth:`CreditAccount.replenish_many`)
@@ -275,28 +477,9 @@ class CreditBank:
                 account.advance_as_holder(cycles)
             else:
                 account.replenish_many(cycles)
+        self._restep(cycles)
 
-    def cycles_until_any_eligible(self, core_ids: Iterable[int]) -> int:
-        """Fewest replenish cycles until one of ``core_ids`` becomes eligible.
-
-        0 when one already is.  This is the credit side of the event-queue
-        wake protocol: replenishment is deterministic while the bus idles, so
-        the first cycle at which a blocked core clears the budget filter is
-        known in advance, and the bus schedules its grant-opportunity wake
-        there (:meth:`repro.core.cba.CreditBasedArbiter.next_grant_opportunity`)
-        instead of being polled every cycle.  A grant restarts the holder's
-        drain and invalidates that wake — the bus re-pushes at its next tick.
-        """
-        return min(self.accounts[core].cycles_until_eligible() for core in core_ids)
-
-    def balances(self) -> list[int]:
-        return [account.balance for account in self.accounts]
-
-    def set_initial_budget(self, core_id: int, balance: int) -> None:
-        """Force a core's starting budget (the paper zeroes the TuA's budget
-        when collecting WCET-estimation measurements)."""
-        self.accounts[core_id].reset(balance)
-
-    def reset(self) -> None:
-        for core, account in enumerate(self.accounts):
-            account.reset(self.params.initial_for(core))
+    def _restep(self, cycles: int) -> None:
+        self._stepped += cycles
+        for core in range(len(self.accounts)):
+            self._settle(core, self._stepped)

@@ -52,6 +52,7 @@ distinction (contenders watch ``WAITING_BUS`` only).
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -228,6 +229,10 @@ class CoreModel(Component):
         #: end of the tick (or completion callback) that caused it, where the
         #: event-queue wake is re-derived from :meth:`next_event`.
         self._wake_dirty = False
+        #: Called with +1 when the core enters ``FINISHED`` and with -1 when
+        #: a reset takes it out again, so an owner can count finished cores
+        #: instead of polling them.
+        self.on_finish: Callable[[int], None] | None = None
         bus.connect_master(core_id, self)
 
     # ------------------------------------------------------------------
@@ -790,6 +795,8 @@ class CoreModel(Component):
             return
         self._state = CoreState.FINISHED
         self.counters.finish_cycle = self.now
+        if self.on_finish is not None:
+            self.on_finish(1)
         trace = self.kernel.trace
         if trace.enabled:
             trace.record(
@@ -803,9 +810,6 @@ class CoreModel(Component):
     # ------------------------------------------------------------------
     # Bus master port protocol
     # ------------------------------------------------------------------
-    def on_grant(self, request: BusRequest, cycle: int) -> None:
-        """The bus granted this core's request; nothing to do until completion."""
-
     def on_complete(self, request: BusRequest, cycle: int) -> None:
         """The bus transaction finished; resume the trace next cycle."""
         if request.annotations.get("buffered_store"):
@@ -853,6 +857,8 @@ class CoreModel(Component):
                 self._reschedule_wake()
 
     def reset(self) -> None:
+        if self._state is CoreState.FINISHED and self.on_finish is not None:
+            self.on_finish(-1)
         self.counters = CoreCounters(core_id=self.core_id)
         self.trace.reset()
         self.l1_data.reset()

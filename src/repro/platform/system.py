@@ -305,22 +305,26 @@ class MulticoreSystem:
             self.kernel.register(self.contenders[core_id])
         self.kernel.register(self.bus)
         self.kernel.register(self.monitor)
-        self._core_list = tuple(self.cores.values())
+        self._num_tasks = len(self.cores)
+        self._finished_tasks = sum(core.finished for core in self.cores.values())
+        for core in self.cores.values():
+            core.on_finish = self._count_finished
         self.kernel.add_stop_condition(self._all_tasks_finished)
         if self.cba is not None and self.kernel.trace.enabled:
-            self.cba.attach_trace(self.kernel.trace)
+            self.cba.attach_trace(self.kernel.trace, self.kernel.clock.cycle)
         if self.obs is not None and self.obs.profile_kernel:
             self.profiler = KernelProfiler()
             self.kernel.enable_profiling(self.profiler)
         self._finalized = True
 
+    def _count_finished(self, delta: int) -> None:
+        """A core entered (+1) or left (-1, by a reset) ``FINISHED``."""
+        self._finished_tasks += delta
+
     def _all_tasks_finished(self) -> bool:
-        # Evaluated once per executed cycle; a plain loop over a snapshot
-        # tuple beats all() with a generator expression.
-        for core in self._core_list:
-            if not core.finished:
-                return False
-        return True
+        # Evaluated once per executed cycle, so it reads a count the cores
+        # update when they finish.
+        return self._finished_tasks == self._num_tasks
 
     def run(
         self, max_cycles: int = 5_000_000, allow_truncation: bool = False
@@ -335,6 +339,8 @@ class MulticoreSystem:
         """
         self.finalize()
         self.kernel.run(max_cycles=max_cycles)
+        if self.cba is not None and self.kernel.trace.enabled:
+            self.cba.sync_trace(self.kernel.clock.cycle)
         if self.kernel.truncated and not allow_truncation:
             raise ConfigurationError(
                 f"simulation hit the {max_cycles}-cycle limit before all tasks finished; "
@@ -423,13 +429,13 @@ class MulticoreSystem:
             registry.counter("bus.monitor_busy_cycles", system=label, core=master).increment(
                 busy
             )
+        kernel = self.kernel
         if self.cba is not None:
             registry.counter("cba.blocked_cycles", system=label).increment(
                 self.cba.blocked_cycles
             )
-            for core_id, balance in enumerate(self.cba.budgets()):
+            for core_id, balance in enumerate(self.cba.budgets(kernel.clock.cycle)):
                 registry.gauge("cba.budget", system=label, core=core_id).set(balance)
-        kernel = self.kernel
         registry.counter("kernel.cycles_total", system=label).increment(kernel.clock.cycle)
         registry.counter("kernel.cycles_skipped", system=label).increment(
             kernel.cycles_skipped

@@ -58,10 +58,10 @@ equivalence matrix).
 
 The executed cycles are the union of the components' own wakes.  The hint
 scan also re-reads a component's wake at every cycle some *other* component
-executes, so where a wake is conservative — TDMA under CBA, whose credit
-refill wake can precede the refilled master's next slot — it may skip a
-cycle that due-only dispatch executes as a no-op.  ``cycles_skipped`` can
-then differ by such cycles; every state and counter is still identical.
+executes, so where a wake is conservative it may skip a cycle that due-only
+dispatch executes as a no-op.  ``cycles_skipped`` can then differ by such
+cycles; every state and counter is still identical.  The built-in
+components' wakes are exact, so for them it does not differ.
 
 Components may do arbitrarily much work per *event* to widen the gaps between
 events: the cores' batch interpreter (:mod:`repro.cpu.core_model`) executes a
@@ -412,13 +412,13 @@ class Kernel:
             self._catch_up(slot, now + 1)
 
     def sync(self, component: Component) -> None:
-        """Catch an observer up before state it samples changes.
+        """Catch a component up before state its accounting reads changes.
 
-        Like :meth:`touch`, but the observer is not made due: its tick is
-        pure bookkeeping on the observed state, so the current cycle can be
-        accounted later, with the state this cycle leaves behind — the bus
-        syncs its :class:`~repro.bus.monitor.BusMonitor` this way before
-        every holder change.
+        Like :meth:`touch`, but the component is not made due: its tick in
+        the current cycle would be pure bookkeeping, so that cycle can be
+        accounted later, with the state this cycle leaves behind — a master
+        submitting to a bus that a transaction holds past this cycle syncs
+        the bus this way.
         """
         if not self._dispatching or getattr(component, "_kernel", None) is not self:
             return
@@ -651,7 +651,9 @@ class Kernel:
         due: list[int] = []
         self._due = due
         trace = self.trace
-        should_stop = self._should_stop
+        # One stop predicate (the platform's) is called directly.
+        conditions = self._stop_conditions
+        should_stop = conditions[0] if len(conditions) == 1 else self._should_stop
         stop_fired = False
         self._dispatching = True
         try:
@@ -677,9 +679,8 @@ class Kernel:
                     delta = wake - now
                     if trace.enabled:
                         trace.record(now, "kernel", "kernel.jump", cycles=delta, to=wake)
-                    clock.advance(delta)
                     self.cycles_skipped += delta
-                    now = wake
+                    now = clock._cycle = wake
                     if now >= limit:
                         break
                 # Every live wake at or before now makes its slot due.
@@ -691,7 +692,8 @@ class Kernel:
                     if generation == generations[slot] and due_marks[slot] != now:
                         due_marks[slot] = now
                         due.append(slot)
-                heapify(due)
+                if len(due) > 1:
+                    heapify(due)
                 while due:
                     slot = heappop(due)
                     self._current_slot = slot
@@ -709,8 +711,8 @@ class Kernel:
                         # The tick left the popped wake in force: due again
                         # next cycle, as a stale wake forces execution.
                         schedule(slot, now + 1)
-                clock.advance()
                 now += 1
+                clock._cycle = now
         finally:
             self._dispatching = False
             self._current_slot = -1

@@ -21,7 +21,9 @@ without re-walking the underlying events.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = ["Counter", "Gauge", "RunningStats", "Histogram", "StatGroup"]
 
@@ -179,42 +181,78 @@ class RunningStats:
 
 
 class Histogram:
-    """Histogram over integer sample values (e.g. latencies in cycles)."""
+    """Histogram over integer sample values (e.g. latencies in cycles).
+
+    :meth:`add` sits on the bus's per-transaction path, so single samples are
+    appended to a raw column and folded into the bins on the first read.  The
+    column is a packed 64-bit array: 8 bytes a sample, however many samples
+    a long run leaves unread.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._bins: dict[int, int] = {}
-        self.count = 0
+        self._count = 0
+        #: Unit-weight samples not folded into the bins yet.
+        self._raw = array("q")
 
     def add(self, value: int, weight: int = 1) -> None:
         """Record ``weight`` occurrences of ``value``."""
+        if weight == 1:
+            self._raw.append(int(value))
+            return
         if weight <= 0:
             raise ValueError("histogram weight must be positive")
+        bins = self._folded()
         value = int(value)
-        bins = self._bins
         bins[value] = bins.get(value, 0) + weight
-        self.count += weight
+        self._count += weight
+
+    def sampler(self) -> Callable[[int], None]:
+        """``add`` of one unit-weight integer sample, bound for hot paths: it
+        appends to the raw column directly (the column object is never
+        replaced, so the binding survives reads and resets)."""
+        return self._raw.append
+
+    def _folded(self) -> dict[int, int]:
+        """The bins, with every raw sample folded in."""
+        raw = self._raw
+        if raw:
+            bins = self._bins
+            for value in raw:
+                bins[value] = bins.get(value, 0) + 1
+            self._count += len(raw)
+            del raw[:]
+        return self._bins
+
+    @property
+    def count(self) -> int:
+        """Total weight recorded."""
+        return self._count + len(self._raw)
 
     def frequency(self, value: int) -> int:
-        return self._bins.get(int(value), 0)
+        return self._folded().get(int(value), 0)
 
     def items(self) -> list[tuple[int, int]]:
         """Sorted (value, count) pairs."""
-        return sorted(self._bins.items())
+        return sorted(self._folded().items())
 
     @property
     def mean(self) -> float:
-        if not self.count:
+        bins = self._folded()
+        if not self._count:
             return 0.0
-        return sum(v * c for v, c in self._bins.items()) / self.count
+        return sum(v * c for v, c in bins.items()) / self._count
 
     @property
     def maximum(self) -> int:
-        return max(self._bins) if self._bins else 0
+        bins = self._folded()
+        return max(bins) if bins else 0
 
     @property
     def minimum(self) -> int:
-        return min(self._bins) if self._bins else 0
+        bins = self._folded()
+        return min(bins) if bins else 0
 
     def percentile(self, q: float) -> int:
         """Return the smallest value whose cumulative frequency reaches ``q``.
@@ -223,11 +261,12 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("percentile fraction must be in [0, 1]")
-        if not self.count:
+        items = self.items()
+        if not self._count:
             return 0
-        threshold = q * self.count
+        threshold = q * self._count
         cumulative = 0
-        for value, count in self.items():
+        for value, count in items:
             cumulative += count
             if cumulative >= threshold:
                 return value
@@ -235,14 +274,15 @@ class Histogram:
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's frequencies into this one."""
-        bins = self._bins
-        for value, count in other._bins.items():
+        bins = self._folded()
+        for value, count in other._folded().items():
             bins[value] = bins.get(value, 0) + count
-        self.count += other.count
+        self._count += other._count
 
     def reset(self) -> None:
         self._bins.clear()
-        self.count = 0
+        del self._raw[:]
+        self._count = 0
 
     def as_dict(self) -> dict[str, float]:
         return {

@@ -90,9 +90,6 @@ class GreedyContender(Component):
         if self._wake_push:
             self._wake_cancel(self._wake_slot)
 
-    def on_grant(self, request: BusRequest, cycle: int) -> None:
-        """Bus master protocol: nothing to do at grant time."""
-
     def on_complete(self, request: BusRequest, cycle: int) -> None:
         self.requests_completed += 1
         self._in_flight = False
@@ -153,15 +150,14 @@ class WCETModeContender(Component):
         self._bus_has_pending = bus.has_pending
         bus.connect_master(core_id, self)
 
-    def _budget_full(self) -> bool:
+    def _budget_full(self, cycle: int) -> bool:
         if self.cba is None:
             return True
-        account = self.cba.credits[self.core_id]
-        return account.eligible
+        return self.cba.credits.eligible(self.core_id, cycle)
 
     def tick(self) -> None:
         self.gate.update(
-            budget_full=self._budget_full(),
+            budget_full=self._budget_full(self.now),
             tua_request_ready=bool(self.tua_request_ready()),
         )
         if self._in_flight or self._bus_has_pending(self.core_id):
@@ -191,9 +187,9 @@ class WCETModeContender(Component):
             return now
         if not self.tua_request_ready():
             return None
-        if self._budget_full():
+        if self._budget_full(now):
             return now
-        return now + self.cba.credits[self.core_id].cycles_until_eligible()
+        return self.cba.credits.eligible_from[self.core_id]
 
     def _issue(self) -> None:
         request = BusRequest(

@@ -68,30 +68,32 @@ class TestCBAOpportunity:
         assert arbiter.next_grant_opportunity([0, 1], cycle=4) == 4
 
     def test_blocked_masters_wake_at_the_earliest_refill(self):
-        arbiter = _cba(initial=0)
+        arbiter = _cba()
+        arbiter.set_initial_budget(0, 0, cycle=100)
         # Full budget is scale * MaxL = 16, replenishment 1/cycle per core.
         assert arbiter.next_grant_opportunity([0], cycle=100) == 116
 
     def test_advance_cycles_matches_per_cycle_updates_while_holding(self):
         bulk = _cba(initial=3)
-        stepped = _cba(initial=3)
-        for cycle in range(5):
-            stepped.cycle_update(cycle, holder=1)
+        stepped = CreditBank(bulk.params)
+        for _ in range(5):
+            stepped.step(holder=1)
+        bulk.on_grant(1, 5, 0)
         bulk.advance_cycles(0, 5, holder=1, idle_requestors=())
-        assert bulk.budgets() == stepped.budgets()
+        assert bulk.budgets(5) == stepped.balances(5)
 
     def test_advance_cycles_accounts_blocked_idle_requestors(self):
         bulk = _cba(initial=0)
         stepped = _cba(initial=0)
+        reference = CreditBank(stepped.params)
         for cycle in range(6):
             assert stepped.arbitrate([0, 1], cycle) is None
-            stepped.cycle_update(cycle, holder=None)
+            reference.step(holder=None)
         bulk.advance_cycles(0, 6, holder=None, idle_requestors=[0, 1])
         assert bulk.blocked_cycles == stepped.blocked_cycles == 6
-        assert bulk.budgets() == stepped.budgets()
-        for fast, slow in zip(bulk.credits.accounts, stepped.credits.accounts, strict=True):
-            assert fast.total_replenished == slow.total_replenished
-            assert fast.total_drained == slow.total_drained
+        assert bulk.budgets(6) == stepped.budgets(6) == reference.balances(6)
+        for core, slow in enumerate(reference.accounts):
+            assert bulk.credits.totals(core, 6) == (slow.total_replenished, slow.total_drained)
 
 
 class TestCreditBankBulkAdvance:
@@ -103,7 +105,7 @@ class TestCreditBankBulkAdvance:
         for _ in range(37):
             stepped.step(holder)
         bulk.advance(37, holder)
-        assert bulk.balances() == stepped.balances()
+        assert bulk.balances(37) == stepped.balances(37)
         for fast, slow in zip(bulk.accounts, stepped.accounts, strict=True):
             assert fast.total_replenished == slow.total_replenished
             assert fast.total_drained == slow.total_drained

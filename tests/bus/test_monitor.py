@@ -69,3 +69,30 @@ def test_reset_clears_windows_and_totals():
     assert monitor.windows == []
     assert monitor.total_busy_per_master == [0, 0]
     assert monitor.total_cycles_observed == 0
+
+
+@pytest.mark.parametrize("latency", [1, 2, 3])
+def test_view_matches_per_cycle_sampling(latency):
+    """Windows and totals derived from the holder log equal a sample of the
+    bus holder taken after every cycle, including one-cycle transactions
+    back to back and a release and a grant in the same cycle."""
+    kernel, bus, monitor = make_monitored_bus(window=4, latency=latency)
+    held = []
+    for cycle in range(60):
+        for master in (0, 1):
+            wants = (cycle * (master + 3)) % 7 < 3
+            if wants and not bus.has_pending(master) and bus.holder != master:
+                bus.submit(BusRequest(master_id=master, address=0, issue_cycle=cycle))
+        kernel.step(1)
+        held.append(bus.holder)
+    windows = []
+    for start in range(0, len(held) - 3, 4):
+        chunk = held[start:start + 4]
+        busy = tuple(chunk.count(master) for master in (0, 1))
+        windows.append((start, start + 4, busy, chunk.count(None)))
+    assert [
+        (w.start_cycle, w.end_cycle, w.busy_cycles_per_master, w.idle_cycles)
+        for w in monitor.windows
+    ] == windows
+    assert monitor.total_busy_per_master == [held.count(0), held.count(1)]
+    assert monitor.total_cycles_observed == len(held)

@@ -23,7 +23,7 @@ def test_base_size_must_match_parameters():
 
 def test_all_cores_start_eligible_and_delegate_to_base():
     cba = make_cba()
-    assert cba.eligible_cores() == [0, 1, 2, 3]
+    assert cba.eligible_cores(0) == [0, 1, 2, 3]
     assert cba.arbitrate([1, 3], 0) in (1, 3)
 
 
@@ -42,27 +42,22 @@ def test_no_eligible_requestor_blocks_the_bus_and_is_counted():
 
 def test_holder_budget_drains_and_recovers():
     cba = make_cba()
-    # Simulate a 6-cycle transaction by core 1.  The net drain is 3 per busy
-    # cycle plus 1 for the saturated first cycle: deficit 19.
+    # A 6-cycle transaction by core 1.  The net drain is 3 per busy cycle
+    # plus 1 for the saturated first cycle: deficit 19.  A read at cycle t
+    # sees the updates of cycles 0 .. t-1.
     cba.on_grant(1, 6, 0)
-    for cycle in range(6):
-        cba.cycle_update(cycle, holder=1)
-    assert cba.budget(1) == 224 - (6 * 3 + 1)
-    assert not cba.credits[1].eligible
-    for cycle in range(6, 6 + 18):
-        cba.cycle_update(cycle, holder=None)
-    assert not cba.credits[1].eligible
-    cba.cycle_update(24, holder=None)
-    assert cba.credits[1].eligible
+    assert cba.budget(1, 6) == 224 - (6 * 3 + 1)
+    assert not cba.credits.eligible(1, 6)
+    assert not cba.credits.eligible(1, 6 + 18)
+    assert cba.credits.eligible(1, 25)
 
 
 def test_recovery_time_scales_with_transaction_length():
     cba = make_cba()
-    for cycle in range(56):
-        cba.cycle_update(cycle, holder=3)
-    deficit = 224 - cba.budget(3)
+    cba.on_grant(3, 56, 0)
+    deficit = 224 - cba.budget(3, 56)
     assert deficit == 56 * 3 + 1
-    assert cba.credits[3].cycles_until_eligible() == deficit
+    assert cba.credits.cycles_until_any_eligible([3], 56) == deficit
 
 
 def test_on_grant_and_on_request_are_forwarded_to_base():
@@ -86,12 +81,10 @@ def test_grant_accounting_tracks_cycles():
 def test_reset_restores_budgets_and_counters():
     cba = make_cba()
     cba.on_grant(0, 56, 0)
-    for cycle in range(10):
-        cba.cycle_update(cycle, holder=0)
     cba.set_initial_budget(1, 0)
     cba.arbitrate([1], 11)
     cba.reset()
-    assert cba.budgets() == [224] * 4
+    assert cba.budgets(0) == [224] * 4
     assert cba.blocked_cycles == 0
     assert cba.grants_per_master == [0, 0, 0, 0]
 
@@ -126,7 +119,6 @@ def _saturated_cycle_shares(use_cba: bool, seed: int = 5) -> list[float]:
         if holder is not None:
             cycles_used[holder] += 1
             remaining -= 1
-        arbiter.cycle_update(cycle, holder)
     total = sum(cycles_used)
     return [c / total for c in cycles_used]
 

@@ -83,14 +83,14 @@ class TestCreditBank:
     def test_paper_parameters_produce_224_budgets(self, cba_params):
         bank = CreditBank(cba_params)
         assert len(bank) == 4
-        assert bank.balances() == [224, 224, 224, 224]
-        assert bank.eligible_cores() == [0, 1, 2, 3]
+        assert bank.balances(0) == [224, 224, 224, 224]
+        assert bank.eligible_cores(0) == [0, 1, 2, 3]
 
     def test_step_replenishes_everyone_and_drains_holder(self, cba_params):
         bank = CreditBank(cba_params)
         bank.step(holder=2)
         # Holder: the +1 saturates (already full), then -4; others stay at 224.
-        assert bank.balances() == [224, 224, 220, 224]
+        assert bank.balances(1) == [224, 224, 220, 224]
 
     def test_step_without_holder_only_replenishes(self, cba_params):
         bank = CreditBank(cba_params)
@@ -112,13 +112,13 @@ class TestCreditBank:
         bank = CreditBank(cba_params)
         bank.set_initial_budget(0, 0)
         assert bank[0].balance == 0
-        assert bank.eligible_cores() == [1, 2, 3]
+        assert bank.eligible_cores(0) == [1, 2, 3]
 
     def test_reset_restores_initial_budgets(self, cba_params):
         bank = CreditBank(cba_params)
         bank.step(holder=0)
         bank.reset()
-        assert bank.balances() == [224] * 4
+        assert bank.balances(0) == [224] * 4
 
     def test_heterogeneous_shares(self):
         params = CBAParameters(max_latency=56, num_cores=4, replenish_shares=(3, 1, 1, 1))

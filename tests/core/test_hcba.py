@@ -82,29 +82,24 @@ class TestMakeHCBAArbiter:
         arbiter = make_hcba_arbiter(
             RoundRobinArbiter(4), 4, 56, favoured_core=0, variant="cap", cap_multiplier=2
         )
-        account = arbiter.credits[0]
+        credits = arbiter.credits
         # Let the favoured core accumulate up to its doubled cap.
-        for cycle in range(4 * 56 * 2):
-            arbiter.cycle_update(cycle, holder=None)
-        assert account.balance == 2 * 4 * 56
+        start = 4 * 56 * 2
+        assert credits.balance(0, start) == 2 * 4 * 56
         # First MaxL transaction.
-        for cycle in range(56):
-            arbiter.cycle_update(cycle, holder=0)
-        assert account.eligible  # still at or above the full budget
+        arbiter.on_grant(0, 56, start)
+        assert credits.eligible(0, start + 56)  # still at or above the full budget
         # Second MaxL transaction straight away.
-        for cycle in range(56):
-            arbiter.cycle_update(cycle, holder=0)
-        assert not account.eligible
+        arbiter.on_grant(0, 56, start + 56)
+        assert not credits.eligible(0, start + 112)
 
 
 class TestShareDynamics:
     def test_favoured_core_recovers_faster(self):
         arbiter = make_hcba_arbiter(RoundRobinArbiter(4), 4, 56, favoured_core=0)
         # Drain both core 0 and core 1 by a 6-cycle transaction each.
-        for cycle in range(6):
-            arbiter.cycle_update(cycle, holder=0)
-        for cycle in range(6, 12):
-            arbiter.cycle_update(cycle, holder=1)
-        recovery_favoured = arbiter.credits[0].cycles_until_eligible()
-        recovery_other = arbiter.credits[1].cycles_until_eligible()
+        arbiter.on_grant(0, 6, 0)
+        arbiter.on_grant(1, 6, 6)
+        recovery_favoured = arbiter.credits.cycles_until_any_eligible([0], 12)
+        recovery_other = arbiter.credits.cycles_until_any_eligible([1], 12)
         assert recovery_favoured < recovery_other

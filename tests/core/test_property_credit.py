@@ -42,7 +42,7 @@ def test_balances_stay_within_bounds(schedule):
 def test_conservation_of_credit(schedule):
     params = CBAParameters(max_latency=56, num_cores=4)
     bank = CreditBank(params)
-    initial = bank.balances()
+    initial = bank.balances(0)
     for holder in schedule:
         bank.step(holder)
     for start, account in zip(initial, bank.accounts, strict=True):

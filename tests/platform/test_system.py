@@ -58,7 +58,7 @@ def test_set_tua_initial_budget_applies_with_cba(cba_platform, tiny_workload):
     system = MulticoreSystem(cba_platform, seed=1)
     system.add_task(0, tiny_workload)
     system.set_tua_initial_budget(0, 0)
-    assert system.cba.budget(0) == 0
+    assert system.cba.budget(0, 0) == 0
 
 
 def test_contenders_generate_bus_traffic(rp_platform, tiny_workload):

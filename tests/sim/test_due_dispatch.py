@@ -17,10 +17,13 @@ import pytest
 
 from repro.experiments.runner import scale_workload
 from repro.obs.profiler import KernelProfiler
+from repro.cpu.core_model import CoreModel
 from repro.platform.presets import rp_config
+from repro.platform.scenarios import run_isolation, run_max_contention
 from repro.platform.system import MulticoreSystem
 from repro.sim.component import Component
-from repro.sim.config import MemoryConfig, ObservabilityConfig
+from repro.sim.config import MemoryConfig, ObservabilityConfig, PlatformConfig
+from repro.workloads.base import WorkloadSpec
 from repro.sim.kernel import Kernel
 from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
 
@@ -196,8 +199,8 @@ def test_sixteen_core_run_ticks_cores_on_few_executed_cycles():
     core_ticks = sum(ticks[core.name] for core in system.cores.values())
     assert executed > 0 and core_ticks > 0
     assert core_ticks <= 0.10 * executed * 16
-    # The monitor is synced before every holder change and never made due:
-    # all its samples are replayed lazily.  Everything was caught up.
+    # The monitor is a view over the bus's holder log: it never ticks.
+    # Everything was caught up.
     assert ticks[system.monitor.name] == 0
     assert system.monitor.total_cycles_observed == kernel.clock.cycle
     assert system.bus.stats.counter("cycles_total").value == kernel.clock.cycle
@@ -222,3 +225,77 @@ def test_profiled_run_ticks_the_same_components():
         assert profiled_calls.get((name, "fast_forward"), 0) == plain_catch_ups[name], name
     assert profiled.kernel.cycles_skipped == plain.kernel.cycles_skipped
     assert profiler.executed_cycles == plain.kernel.clock.cycle - plain.kernel.cycles_skipped
+
+
+def _outputs(system) -> dict:
+    """Every simulated output of a run, the execution-path fields left out."""
+    return {
+        "total_cycles": system.total_cycles,
+        "core_counters": {c: k.as_dict() for c, k in system.core_counters.items()},
+        "grants_per_core": system.grants_per_core,
+        "cycles_per_core": system.cycles_per_core,
+        "cba_blocked_cycles": system.cba_blocked_cycles,
+        "extra": system.extra,
+    }
+
+
+def test_tdma_under_cba_wakes_exactly_at_the_refilled_slot():
+    """A budget-blocked master's wake is its base policy's first chance once
+    refilled (its next TDMA slot), not the refill itself: due-only dispatch
+    executes no no-op cycle there, so it skips exactly what the hint scan
+    skips (this seed executed one extra cycle with a refill wake), and every
+    counter still equals stepping."""
+    workload = scale_workload(eembc_workload("cacheb"), 0.1)
+    config = PlatformConfig(arbitration="tdma", random_caches=True, use_cba=True)
+    results = {
+        mode: run_max_contention(
+            workload, config, seed=2, run_index=0, max_cycles=3_000_000, **kwargs
+        ).system
+        for mode, kwargs in MODES.items()
+    }
+    skipped = {mode: result.observability["cycles_skipped"] for mode, result in results.items()}
+    assert skipped["stepped"] == 0
+    assert skipped["dispatched"] == skipped["scanned"] > 0
+    assert results["stepped"].cba_blocked_cycles > 0
+    for mode in ("scanned", "dispatched"):
+        assert _outputs(results[mode]) == _outputs(results["stepped"]), mode
+
+
+def test_run_ending_in_a_store_drain_stops_on_the_stepped_cycle(monkeypatch):
+    """The platform stops on a count of finished cores kept at the
+    transitions.  The last core here finishes through its store buffer's
+    drain (the trace is exhausted first), and the run stops on the same
+    cycle as stepping; re-running after a reset counts afresh."""
+    drained: list[bool] = []
+    finish = CoreModel._finish
+
+    def recording_finish(core):
+        drained.append(bool(core._store_buffer or core._store_in_flight))
+        finish(core)
+
+    monkeypatch.setattr(CoreModel, "_finish", recording_finish)
+    stores = WorkloadSpec(
+        name="stores",
+        num_accesses=80,
+        working_set_bytes=64 * 1024,
+        mean_compute_gap=1.0,
+        write_fraction=1.0,
+    )
+    config = PlatformConfig(arbitration="round_robin", store_buffer_entries=4)
+    results = {
+        mode: run_isolation(stores, config, seed=3, run_index=0, **kwargs).system
+        for mode, kwargs in MODES.items()
+    }
+    assert drained and drained[0]
+    for mode in ("scanned", "dispatched"):
+        assert _outputs(results[mode]) == _outputs(results["stepped"]), mode
+
+    reruns = {}
+    for mode, kwargs in MODES.items():
+        system = MulticoreSystem(config, seed=3, run_index=0, **kwargs)
+        system.add_task(0, stores)
+        assert system.run().total_cycles == results["stepped"].total_cycles
+        system.kernel.reset()
+        assert not system._all_tasks_finished()
+        reruns[mode] = _outputs(system.run())
+    assert reruns["scanned"] == reruns["dispatched"] == reruns["stepped"]

@@ -133,7 +133,69 @@ class TestRunningStats:
         assert stats.stddev == pytest.approx(math.sqrt(variance), rel=1e-6, abs=1e-6)
 
 
+class _EagerHistogram:
+    """The binning a histogram promises, applied at every add."""
+
+    def __init__(self) -> None:
+        self.bins: dict[int, int] = {}
+
+    def add(self, value, weight=1):
+        self.bins[int(value)] = self.bins.get(int(value), 0) + weight
+
+    def reads(self):
+        items = sorted(self.bins.items())
+        count = sum(self.bins.values())
+        mean = sum(v * c for v, c in items) / count if count else 0.0
+        return items, count, mean
+
+
 class TestHistogram:
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("add"),
+                    st.integers(min_value=-5, max_value=40),
+                    st.sampled_from([1, 1, 1, 2, 5]),
+                ),
+                st.tuples(st.sampled_from(["items", "mean", "percentile", "as_dict"])),
+            ),
+            max_size=60,
+        )
+    )
+    def test_deferred_binning_matches_eager_binning(self, operations):
+        """Samples sit in a raw column until a read folds them; any
+        interleaving of adds and reads sees what eager binning would."""
+        hist = Histogram("h")
+        eager = _EagerHistogram()
+        for operation in operations:
+            if operation[0] == "add":
+                _, value, weight = operation
+                hist.add(value, weight=weight)
+                eager.add(value, weight)
+                continue
+            items, count, mean = eager.reads()
+            assert hist.count == count
+            if operation[0] == "items":
+                assert hist.items() == items
+            elif operation[0] == "mean":
+                assert hist.mean == pytest.approx(mean)
+            elif operation[0] == "percentile":
+                expected = 0
+                cumulative = 0
+                for value, weight in items:
+                    cumulative += weight
+                    if cumulative >= 0.9 * count:
+                        expected = value
+                        break
+                assert hist.percentile(0.9) == expected
+            else:
+                summary = hist.as_dict()
+                assert summary["count"] == count
+                assert summary["min"] == (items[0][0] if items else 0)
+                assert summary["max"] == (items[-1][0] if items else 0)
+        assert hist.items() == eager.reads()[0]
+
     def test_add_and_frequency(self):
         hist = Histogram("h")
         hist.add(5)
