@@ -1,12 +1,12 @@
 """Wall-clock benchmark harness for the simulation kernel's fast paths.
 
-Runs the paper's campaign scenarios in four modes of the same binary —
-cycle-by-cycle stepping, event-aware fast-forwarding (the PR 3 default),
-fast-forwarding plus the batch interpreter under the hint-scan scheduler
-(the PR 4 default), and the same under the heap-based event-queue scheduler
-(the current default) — verifies all four are bit-identical, and writes a
-``BENCH_kernel.json`` report so the performance trajectory of the simulator
-is tracked from PR to PR.
+Runs the paper's campaign scenarios in the three kernel modes of the same
+binary (:class:`repro.sim.config.KernelMode`) — cycle-by-cycle stepping,
+due-only dispatch without the batch interpreter (fast-forward), and due-only
+dispatch with it (production, the default) — verifies all three are
+bit-identical (:meth:`repro.platform.system.SystemResult.snapshot`), and
+writes a ``BENCH_kernel.json`` report so the performance trajectory of the
+simulator is tracked from PR to PR.
 
 The regression gate lives in ``benchmarks/compare_bench.py`` (run by the CI
 ``bench`` job against this harness's output and the committed baseline);
@@ -18,13 +18,12 @@ must stay fast), run directly or by the CI ``bench`` job::
     python benchmarks/bench_kernel.py --output BENCH_kernel.json
     python benchmarks/bench_kernel.py --quick      # CI-sized workloads
 
-Reading the numbers: ``speedup_vs_stepping`` isolates what cycle-skipping
-buys over stepping; ``speedup_batch_vs_fast_forward`` isolates what the
-batch interpreter buys on top of that (large on low-contention/L1-resident
-runs, where whole hit stretches collapse into single events; ~neutral on
-memory-latency-bound runs, where every access goes to the bus anyway); and
-``speedup_queue_vs_scan`` isolates what the event queue's O(log n) heap peek
-buys over the O(components) hint poll at equal semantics.
+Reading the numbers: ``speedup_vs_stepping`` isolates what due-only
+dispatch over columnar traces buys over stepping; and
+``speedup_batch_vs_fast_forward`` isolates what the batch interpreter buys
+on top of that (large on low-contention/L1-resident runs, where whole hit
+stretches collapse into single events; ~neutral on memory-latency-bound
+runs, where every access goes to the bus anyway).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.platform.scenarios import (  # noqa: E402  (path bootstrap above)
     run_multiprogram,
     run_wcet_estimation,
 )
-from repro.sim.config import CBAParameters, PlatformConfig  # noqa: E402
+from repro.sim.config import CBAParameters, KernelMode, PlatformConfig  # noqa: E402
 from repro.workloads.base import WorkloadSpec  # noqa: E402
 from repro.workloads.synthetic import streaming_workload  # noqa: E402
 
@@ -83,10 +82,10 @@ def scenarios(accesses: int) -> list[BenchScenario]:
     def config(arbitration: str, use_cba: bool = False) -> PlatformConfig:
         return PlatformConfig(arbitration=arbitration, use_cba=use_cba)
 
-    # The scaling direction the event queue exists for (ROADMAP: "more
-    # cores, split buses"): 16 L1-resident tasks consolidated on one bus,
-    # where the O(components) hint scan becomes the per-cycle bottleneck
-    # and the heap peek does not.
+    # The scaling direction due-only dispatch exists for: 16 L1-resident
+    # tasks consolidated on one bus, where stepping ticks every core on
+    # every cycle and due-only dispatch ticks only the ones whose wake is
+    # due.
     many_core = PlatformConfig(
         arbitration="round_robin", num_cores=16, cba=CBAParameters(num_cores=16)
     )
@@ -144,64 +143,39 @@ def scenarios(accesses: int) -> list[BenchScenario]:
     ]
 
 
-def _fingerprint(result: ScenarioResult) -> dict:
-    """What must match between the modes for the run to count."""
-    system = result.system
-    return {
-        "total_cycles": system.total_cycles,
-        "tua_cycles": result.tua_cycles,
-        "core_counters": {
-            core: counters.as_dict() for core, counters in system.core_counters.items()
-        },
-        "bandwidth_shares": system.bandwidth_shares,
-        "grants_per_core": system.grants_per_core,
-        "cba_blocked_cycles": system.cba_blocked_cycles,
-    }
-
-
 def bench_scenario(scenario: BenchScenario, repeats: int) -> dict:
-    def run(fast_forward: bool, batch: bool, queue: bool) -> ScenarioResult:
+    def run(mode: KernelMode) -> ScenarioResult:
         return scenario.runner(
             scenario.workload,
             scenario.config,
             seed=7,
             run_index=0,
             max_cycles=MAX_CYCLES,
-            fast_forward=fast_forward,
-            batch_interpreter=batch,
-            event_queue=queue,
+            mode=mode,
         )
 
-    stepped_s, stepped = time_best(lambda: run(False, False, False), repeats)
-    skipped_s, skipped = time_best(lambda: run(True, False, False), repeats)
-    batch_s, batched = time_best(lambda: run(True, True, False), repeats)
-    queue_s, queued = time_best(lambda: run(True, True, True), repeats)
+    stepped_s, stepped = time_best(lambda: run(KernelMode.STEPPING), repeats)
+    skipped_s, skipped = time_best(lambda: run(KernelMode.FAST_FORWARD), repeats)
+    production_s, production = time_best(lambda: run(KernelMode.PRODUCTION), repeats)
 
-    reference = _fingerprint(stepped)
-    for mode, result in (
-        ("fast-forward", skipped),
-        ("batch-interpreter", batched),
-        ("event-queue", queued),
-    ):
-        if _fingerprint(result) != reference:
+    reference = stepped.snapshot()
+    for mode, result in (("fast-forward", skipped), ("production", production)):
+        if result.snapshot() != reference:
             raise AssertionError(
                 f"{scenario.name}: {mode} run is NOT bit-identical to stepping"
             )
 
-    cycles = queued.system.total_cycles
+    cycles = production.system.total_cycles
     return {
         "cycles": cycles,
         "wall_s_stepping": round(stepped_s, 6),
         "wall_s_fast_forward": round(skipped_s, 6),
-        "wall_s_batch": round(batch_s, 6),
-        "wall_s_event_queue": round(queue_s, 6),
+        "wall_s_production": round(production_s, 6),
         "speedup_vs_stepping": round(stepped_s / skipped_s, 3),
-        "speedup_batch_vs_fast_forward": round(skipped_s / batch_s, 3),
-        "speedup_queue_vs_scan": round(batch_s / queue_s, 3),
+        "speedup_batch_vs_fast_forward": round(skipped_s / production_s, 3),
         "mcycles_per_s_stepping": round(cycles / stepped_s / 1e6, 3),
         "mcycles_per_s_fast_forward": round(cycles / skipped_s / 1e6, 3),
-        "mcycles_per_s_batch": round(cycles / batch_s / 1e6, 3),
-        "mcycles_per_s_event_queue": round(cycles / queue_s / 1e6, 3),
+        "mcycles_per_s_production": round(cycles / production_s / 1e6, 3),
         "bit_identical": True,
     }
 
@@ -240,16 +214,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{scenario.name:50s} {entry['cycles']:>9d} cycles  "
             f"stepping {entry['wall_s_stepping']:7.3f}s  "
             f"fast-forward {entry['wall_s_fast_forward']:7.3f}s  "
-            f"batch {entry['wall_s_batch']:7.3f}s  "
-            f"queue {entry['wall_s_event_queue']:7.3f}s  "
+            f"production {entry['wall_s_production']:7.3f}s  "
             f"-> {entry['speedup_vs_stepping']:5.2f}x / "
-            f"{entry['speedup_batch_vs_fast_forward']:5.2f}x / "
-            f"{entry['speedup_queue_vs_scan']:5.2f}x"
+            f"{entry['speedup_batch_vs_fast_forward']:5.2f}x"
         )
 
     speedups = [entry["speedup_vs_stepping"] for entry in results.values()]
     batch_speedups = [e["speedup_batch_vs_fast_forward"] for e in tracked.values()]
-    queue_speedups = [e["speedup_queue_vs_scan"] for e in results.values()]
     report = report_header("kernel_fast_forward")
     report.update(
         {
@@ -260,8 +231,6 @@ def main(argv: list[str] | None = None) -> int:
                 "min_speedup_vs_stepping": min(speedups),
                 "max_speedup_vs_stepping": max(speedups),
                 "batch_speedup_low_contention": min(batch_speedups),
-                "min_speedup_queue_vs_scan": min(queue_speedups),
-                "max_speedup_queue_vs_scan": max(queue_speedups),
                 "all_bit_identical": True,
             },
         }

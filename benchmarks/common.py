@@ -21,8 +21,8 @@ from typing import Any, Callable
 
 #: Scenario-name prefix of the tracked campaign wall-clock: the
 #: low-contention runs are the regression-gated ones (the batch interpreter
-#: and the event queue must keep winning there; the memory-latency-bound
-#: contention runs are expected to sit near 1x).
+#: must keep winning there; the memory-latency-bound contention runs are
+#: expected to sit near 1x).
 TRACKED_PREFIX = "low_contention/"
 
 #: Regression gate: a gated mode may not be more than this factor slower

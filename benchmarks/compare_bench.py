@@ -10,16 +10,16 @@ harnesses all call the same checks — and lets the gate reason about the
 Two kinds of check, chosen for robustness across machines:
 
 * **same-process gates** (current report only): wall-clock ratios between
-  modes measured in one process on one machine — the batch interpreter must
-  stay within ``factor`` of the fast-forward baseline and the event-queue
-  scheduler within ``factor`` of the hint scan on every tracked scenario;
-  every scenario must be bit-identical; the campaign's pool executor must be
+  modes measured in one process on one machine — production must stay
+  within ``factor`` of fast-forward (which differs from it only by the batch
+  interpreter) on every tracked scenario; every scenario must be
+  bit-identical; the campaign's pool executor must be
   bit-identical to serial and MBPTA post-processing under its latency
   budget.
 * **baseline diffs** (current vs committed): absolute wall clocks are
   machine-dependent (the committed baseline comes from a developer machine,
   the current report from a CI runner), so the gated quantity is the
-  *normalised throughput* of each tracked scenario — its default-mode
+  *normalised throughput* of each tracked scenario — its production
   Mcycles/s divided by the same process's stepping Mcycles/s — which cancels
   machine speed.  A tracked scenario failing ``current >= baseline/factor``
   fails the gate; so does the campaign's ``speedup_pool_vs_serial`` (itself
@@ -49,13 +49,17 @@ from common import REGRESSION_FACTOR, load_report, tracked_scenarios
 
 
 def _normalised_throughput(entry: dict[str, Any]) -> float | None:
-    """Default-mode throughput over stepping throughput (machine-neutral).
+    """Production throughput over stepping throughput (machine-neutral).
 
-    Falls back through the mode columns so reports predating the event
-    queue still diff cleanly.
+    Falls back through the default-mode columns of older reports (the
+    event-queue, then the batch column) so they still diff cleanly.
     """
     stepping = entry.get("mcycles_per_s_stepping")
-    default = entry.get("mcycles_per_s_event_queue") or entry.get("mcycles_per_s_batch")
+    default = (
+        entry.get("mcycles_per_s_production")
+        or entry.get("mcycles_per_s_event_queue")
+        or entry.get("mcycles_per_s_batch")
+    )
     if not stepping or not default:
         return None
     return default / stepping
@@ -74,18 +78,16 @@ def check_kernel_current(report: dict[str, Any], factor: float) -> list[str]:
             + ", ".join(untracked)
         )
     for name, entry in tracked_scenarios(report).items():
-        batch = entry.get("wall_s_batch")
+        production = entry.get("wall_s_production")
         fast_forward = entry.get("wall_s_fast_forward")
-        if batch is not None and fast_forward is not None and batch > factor * fast_forward:
+        if (
+            production is not None
+            and fast_forward is not None
+            and production > factor * fast_forward
+        ):
             failures.append(
-                f"kernel/{name}: batch path {batch:.3f}s is more than "
+                f"kernel/{name}: production path {production:.3f}s is more than "
                 f"{factor:.2f}x the fast-forward baseline {fast_forward:.3f}s"
-            )
-        queue = entry.get("wall_s_event_queue")
-        if queue is not None and batch is not None and queue > factor * batch:
-            failures.append(
-                f"kernel/{name}: event-queue scheduler {queue:.3f}s is more than "
-                f"{factor:.2f}x the hint-scan baseline {batch:.3f}s"
             )
     return failures
 

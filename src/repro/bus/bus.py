@@ -225,8 +225,8 @@ class SharedBus(Component):
         else:
             self._c_cycles_idle.value += 1
         if self._wake_push:
-            # After the whole cycle's bus activity is in: push the wake the
-            # hint scan would compute when polled for cycle + 1.  The steady
+            # After the whole cycle's bus activity is in: push the wake
+            # next_event gives for cycle + 1.  The steady
             # states — holding with the release cycle already pushed,
             # idle-empty with nothing pushed — skip the call entirely.
             if self._holder is not None:
@@ -328,7 +328,7 @@ class SharedBus(Component):
     # Fast-forward support
     # ------------------------------------------------------------------
     def next_event(self, now: int) -> int | None:
-        """Wake hint: completion of the transaction in flight, or the
+        """Wake: completion of the transaction in flight, or the
         arbiter's next chance to grant a waiting request.
 
         While a transaction holds the (non-split) bus nothing can happen

@@ -21,9 +21,8 @@ module provides the batched alternative:
   worker start so repeated materialisations of draw-free traces are served
   from cached columns.
 * :class:`BatchResult` — the columnar return trip: all samples of the batch
-  as one ``float64`` array (optionally via ``multiprocessing.shared_memory``
-  when the column is large enough to win), per-run metrics as named columns,
-  and per-job boundaries recovered from the run counts.  :meth:`~
+  as one ``float64`` array, per-run metrics as named columns, and per-job
+  boundaries recovered from the run counts.  :meth:`~
   BatchResult.split` folds it back into the per-job
   :class:`~repro.campaign.jobs.JobResult` records the store and the resume
   protocol require — bit-identical to what per-job dispatch produced.
@@ -66,11 +65,6 @@ PICKLE_PROTOCOL = 5
 #: Contexts kept per worker before the oldest is evicted (a campaign grid
 #: rarely has more than a handful of distinct platform points).
 CONTEXT_CACHE_SIZE = 64
-
-#: Below this many sample bytes a shared-memory segment costs more than the
-#: pickle round-trip it saves; executors pass their own threshold through.
-DEFAULT_SHM_MIN_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class JobContext:
@@ -138,8 +132,6 @@ class JobBatch:
     run_starts: tuple[int, ...]
     num_runs: tuple[int, ...]
     attempts: tuple[int, ...]
-    #: Minimum sample-column size (bytes) for the shared-memory return path.
-    shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES
 
     def __len__(self) -> int:
         return len(self.job_ids)
@@ -149,7 +141,6 @@ def batch_jobs(
     jobs: Sequence[tuple[CampaignJob, int]],
     context_key: str,
     context_blob: bytes,
-    shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
 ) -> JobBatch:
     """Pack ``(job, attempt)`` pairs sharing one context into a batch."""
     return JobBatch(
@@ -160,7 +151,6 @@ def batch_jobs(
         run_starts=tuple(job.run_start for job, _ in jobs),
         num_runs=tuple(job.num_runs for job, _ in jobs),
         attempts=tuple(attempt for _, attempt in jobs),
-        shm_min_bytes=shm_min_bytes,
     )
 
 
@@ -185,7 +175,7 @@ class BatchResult:
     run_starts: tuple[int, ...]
     num_runs: tuple[int, ...]
     completed: int
-    samples: np.ndarray | None
+    samples: np.ndarray
     metric_names: tuple[str, ...] | None
     metric_columns: tuple[np.ndarray, ...] | None
     metrics_rows: tuple[dict, ...] | None
@@ -196,37 +186,11 @@ class BatchResult:
     context_cache_hit: bool = False
     trace_cache_hits: int = 0
     trace_cache_misses: int = 0
-    #: Shared-memory transport of the sample column (large batches only).
-    shm_name: str | None = None
-    shm_length: int = 0
     failed_index: int | None = None
     failure_blob: bytes | None = None
     failure_message: str = ""
 
     # ------------------------------------------------------------------
-    def adopt_samples(self) -> np.ndarray:
-        """The batch's sample column, fetched from shared memory if needed.
-
-        Called once by the parent; attaching copies the column out and
-        unlinks the segment, so nothing leaks past the fold.
-        """
-        if self.samples is not None:
-            return self.samples
-        if self.shm_name is None:
-            self.samples = np.empty(0, dtype=np.float64)
-            return self.samples
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            view = np.ndarray((self.shm_length,), dtype=np.float64, buffer=segment.buf)
-            self.samples = view.copy()
-        finally:
-            segment.close()
-            segment.unlink()
-            self.shm_name = None
-        return self.samples
-
     def failure_exception(self) -> BaseException:
         """The original exception the culprit job raised, re-materialised."""
         if self.failure_blob is not None:
@@ -240,7 +204,7 @@ class BatchResult:
 
     def split(self) -> list[JobResult]:
         """Fold the columnar batch back into per-job results (completed only)."""
-        samples = self.adopt_samples()
+        samples = self.samples
         results: list[JobResult] = []
         offset = 0
         for index in range(self.completed):
@@ -326,32 +290,6 @@ def _pack_metrics(
     return names, columns, None
 
 
-def _export_samples(
-    samples: np.ndarray, shm_min_bytes: int
-) -> tuple[np.ndarray | None, str | None, int]:
-    """Move a large sample column into shared memory; small ones ride the pipe."""
-    if shm_min_bytes < 0 or samples.nbytes < max(shm_min_bytes, 1):
-        return samples, None, 0
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=samples.nbytes)
-    except (ImportError, OSError):  # no /dev/shm: fall back to the pipe
-        return samples, None, 0
-    try:
-        view = np.ndarray(samples.shape, dtype=np.float64, buffer=segment.buf)
-        view[:] = samples
-    except BaseException:
-        # Copy failed: reclaim the segment here — the parent never learns its
-        # name, so nobody else can, and a leak would outlive the process.
-        segment.close()
-        segment.unlink()
-        raise
-    name = segment.name
-    segment.close()  # the parent unlinks after adopting
-    return None, name, int(samples.size)
-
-
 def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
     """Execute a batch's jobs in table order inside a (warm) worker.
 
@@ -402,7 +340,6 @@ def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
     payloads = tuple(
         payload for result in job_results for payload in result.payloads
     )
-    samples_inline, shm_name, shm_length = _export_samples(samples, batch.shm_min_bytes)
     elapsed = tuple(result.elapsed_seconds for result in job_results)
     return BatchResult(
         context_key=batch.context_key,
@@ -412,7 +349,7 @@ def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
         run_starts=batch.run_starts,
         num_runs=tuple(batch.num_runs),
         completed=completed,
-        samples=samples_inline,
+        samples=samples,
         metric_names=metric_names,
         metric_columns=metric_columns,
         metrics_rows=metrics_rows,
@@ -422,8 +359,6 @@ def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
         context_cache_hit=cache_hit,
         trace_cache_hits=trace_hits_after - trace_hits_before,
         trace_cache_misses=trace_misses_after - trace_misses_before,
-        shm_name=shm_name,
-        shm_length=shm_length,
         failed_index=failed_index,
         failure_blob=failure_blob,
         failure_message=failure_message,

@@ -59,7 +59,6 @@ from typing import TYPE_CHECKING, ClassVar, Iterator, Sequence
 from ..obs.profiler import CampaignProfiler
 from ..sim.errors import ConfigurationError
 from .batches import (
-    DEFAULT_SHM_MIN_BYTES,
     JobContext,
     batch_jobs,
     init_batch_worker,
@@ -195,8 +194,7 @@ class ParallelExecutor(Executor):
     Chunking: jobs are grouped by shared context; each context's chunk size
     adapts from the measured per-job seconds toward ``chunk_target_seconds``
     per batch (clamped to ``max_chunk_jobs`` and spread across workers near
-    the tail), or is pinned with ``chunk_jobs``.  ``shm_min_bytes`` gates the
-    shared-memory return path for large sample columns.
+    the tail), or is pinned with ``chunk_jobs``.
 
     The dispatch loop survives worker death (pool rebuild + resubmission of
     the lost batches), hung batches (``job_timeout`` scales to a per-batch
@@ -217,7 +215,6 @@ class ParallelExecutor(Executor):
         chunk_target_seconds: float = 0.25,
         chunk_jobs: int | None = None,
         max_chunk_jobs: int = 64,
-        shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
     ) -> None:
         if max_workers <= 0:
             raise ConfigurationError("max_workers must be positive")
@@ -237,7 +234,6 @@ class ParallelExecutor(Executor):
         self.chunk_target_seconds = chunk_target_seconds
         self.chunk_jobs = chunk_jobs
         self.max_chunk_jobs = max_chunk_jobs
-        self.shm_min_bytes = shm_min_bytes
         #: Futures cancelled while unwinding the most recent execute() call.
         self.last_cancelled = 0
         self.last_batch_stats: dict[str, object] = {}
@@ -313,7 +309,6 @@ class ParallelExecutor(Executor):
             "context_cache_misses": 0,
             "trace_cache_hits": 0,
             "trace_cache_misses": 0,
-            "shm_batches": 0,
         }
         self.last_batch_stats = stats
 
@@ -398,7 +393,7 @@ class ParallelExecutor(Executor):
         def submit_batch(
             entries: list[tuple[CampaignJob, int]], group: _ContextGroup
         ) -> Future:
-            batch = batch_jobs(entries, group.key, group.blob, self.shm_min_bytes)
+            batch = batch_jobs(entries, group.key, group.blob)
             future = pool.submit(run_batch, batch, plan)
             deadline = (
                 None
@@ -626,8 +621,6 @@ class ParallelExecutor(Executor):
                     )
                     stats["trace_cache_hits"] += batch_result.trace_cache_hits  # type: ignore[operator]
                     stats["trace_cache_misses"] += batch_result.trace_cache_misses  # type: ignore[operator]
-                    if batch_result.shm_length:
-                        stats["shm_batches"] += 1  # type: ignore[operator]
                     if folded:
                         elapsed = sum(batch_result.elapsed) or 1e-9
                         entry.context.observe(elapsed / len(folded))

@@ -30,15 +30,15 @@ core across runs: a materialised trace replays its pre-drawn sequence, while
 a lazy generator trace draws a fresh one (see
 :class:`~repro.cpu.trace.MaterializedTrace`).
 
-On top of the columnar path sits the **batch interpreter** (on by default,
-``batch_interpreter=``): whenever the trace cursor advances, the core scans
+On top of the columnar path sits the **batch interpreter** (on in
+``KernelMode.PRODUCTION``): whenever the trace cursor advances, the core scans
 the maximal upcoming stretch of items that provably never touch the bus —
 pure-compute gaps and reads that hit in the L1, decided against per-run
 pre-computed ``(set index, tag)`` placement columns and a residency probe —
 and executes the whole stretch at once: cache hit effects are applied with
 their exact cycle-accurate stamps, counters and the cursor advance in bulk,
 and the core then merely counts down the stretch's cycles, exposing the
-stretch end as its :meth:`next_event` wake hint so the kernel can jump it in
+stretch end as its :meth:`next_event` wake so the kernel can jump it in
 one fast-forward.  Because a read hit changes no residency, draws no RNG and
 needs no bus, the executed events (the boundary bus access, every grant,
 every draw) land on exactly the cycles plain stepping produces — batch runs
@@ -60,6 +60,7 @@ from ..bus.bus import SharedBus
 from ..bus.transaction import AccessType, BusRequest
 from ..cache.l1 import L1Cache
 from ..sim.component import Component
+from ..sim.config import KernelMode
 from ..sim.stats import StatGroup
 from .counters import CoreCounters
 from .trace import (
@@ -115,7 +116,7 @@ class CoreModel(Component):
     Transition helpers set :attr:`_wake_dirty`; the tick wrapper (and the bus
     callbacks, which run outside the core's own tick) re-derive the wake from
     :meth:`next_event` exactly once per dirty tick, so push sites cannot
-    drift from the polled hint.
+    drift from it.
     """
 
     event_driven = True
@@ -129,7 +130,7 @@ class CoreModel(Component):
         bus: SharedBus,
         l1_instruction: L1Cache | None = None,
         store_buffer_entries: int = 0,
-        batch_interpreter: bool = True,
+        mode: KernelMode = KernelMode.PRODUCTION,
     ) -> None:
         """Create the core.
 
@@ -139,10 +140,9 @@ class CoreModel(Component):
         demand access needs the (single) bus port while a store is draining.
         The default of 0 keeps the fully blocking behaviour.
 
-        ``batch_interpreter`` enables the bulk execution of bus-free trace
-        stretches (see the module docstring).  It requires the columnar trace
-        path and is bit-identical to per-cycle stepping; the switch exists
-        for the equivalence tests and benchmarks, not as a safety valve.
+        ``mode`` enables the bulk execution of bus-free trace stretches (see
+        the module docstring) in ``KernelMode.PRODUCTION``.  It requires the
+        columnar trace path and is bit-identical to per-cycle stepping.
         """
         super().__init__(name)
         if store_buffer_entries < 0:
@@ -177,7 +177,7 @@ class CoreModel(Component):
         #: :attr:`obs` stat group — outside CoreCounters so result snapshots
         #: stay comparable across batch-on/off runs, and registrable in a
         #: campaign-level metrics registry.
-        self._batch = self._columnar and batch_interpreter
+        self._batch = self._columnar and mode is KernelMode.PRODUCTION
         self._batch_remaining = 0
         self.obs = StatGroup(f"{name}.obs")
         self._c_batched_items = self.obs.counter("batched_items")
@@ -233,6 +233,9 @@ class CoreModel(Component):
         #: a reset takes it out again, so an owner can count finished cores
         #: instead of polling them.
         self.on_finish: Callable[[int], None] | None = None
+        #: Called whenever :attr:`has_request_ready` rises or falls, so its
+        #: observers (the WCET-mode contenders) need not poll it.
+        self.request_observers: list[Callable[[], None]] = []
         bus.connect_master(core_id, self)
 
     # ------------------------------------------------------------------
@@ -251,7 +254,8 @@ class CoreModel(Component):
         """True while this core has a bus request issued but not completed.
 
         This is the signal (``REQ1`` for the task under analysis) that the
-        WCET-estimation-mode contenders observe.
+        WCET-estimation-mode contenders observe; :attr:`request_observers`
+        are called each time it changes.
         """
         return self._state is CoreState.WAITING_BUS
 
@@ -333,12 +337,10 @@ class CoreModel(Component):
     # Fast-forward support
     # ------------------------------------------------------------------
     def _reschedule_wake(self) -> None:
-        """Push the wake the hint scan would compute for the next cycle.
+        """Push the wake :meth:`next_event` gives for the next cycle.
 
-        Deriving the pushed wake from :meth:`next_event` (evaluated at the
-        next scheduling decision's ``now``) makes the two mechanisms equal by
-        construction — the state machine cannot push one thing and poll
-        another.
+        Deriving every push from one function means the state machine's
+        transitions cannot push inconsistent wakes.
         """
         wake = self.next_event(self.now + 1)
         if wake is None:
@@ -347,11 +349,11 @@ class CoreModel(Component):
             self._wake_schedule(self._wake_slot, wake)
 
     def next_event(self, now: int) -> int | None:
-        """Wake hint for the kernel's fast-forward.
+        """The core's wake (see :meth:`Component.next_event`).
 
         The core schedules its own events only while computing or walking the
         L1 pipeline; in every waiting state the event that unblocks it is a
-        bus completion, which the bus's own hint covers (``None`` here).
+        bus completion, which the bus's own wake covers (``None`` here).
         """
         state = self._state
         if state is CoreState.FINISHED:
@@ -359,7 +361,7 @@ class CoreModel(Component):
         if not self._started:
             return now
         if self._batch_remaining:
-            # The stretch end is the wake hint: only the tick that loads the
+            # The stretch end is the wake: only the tick that loads the
             # boundary item does anything (store buffer is empty mid-stretch).
             return now + self._batch_remaining - 1
         if (
@@ -477,12 +479,9 @@ class CoreModel(Component):
         truncated at its cycle budget reports exactly the partial work the
         stepped run reports — the unswallowed tail re-enters the
         cycle-accurate path and truncates item-by-item like stepping does.
-        Hinted stop conditions may watch fast-forwarded *accounting* (the
-        :meth:`~repro.sim.kernel.Kernel.add_stop_condition` contract), which
-        eager bulk counters would flip cycles early, so any hinted stop
-        disables batching outright; outside :meth:`~repro.sim.kernel.Kernel.run`
-        (bare ``kernel.step()`` driving) there is no horizon at all and
-        batching stays off, keeping stepped partial state exact.
+        Outside :meth:`~repro.sim.kernel.Kernel.run` (bare ``kernel.step()``
+        driving) there is no horizon at all and batching stays off, keeping
+        stepped partial state exact.
 
         Two scan implementations share these semantics: the candidate window
         runs from the cursor to the next write/atomic (which must go to the
@@ -497,8 +496,7 @@ class CoreModel(Component):
         Both commit identical effects — the equivalence matrix covers
         workloads exercising each.
         """
-        kernel = self.kernel
-        if self._store_buffer or self._store_in_flight or kernel.has_hinted_stops:
+        if self._store_buffer or self._store_in_flight:
             return False
         cursor = self._cursor
         # The next mandatory bus item bounds the window; the position cursor
@@ -547,7 +545,7 @@ class CoreModel(Component):
                 way = None
                 cost = gaps[j] + 1
             if not bounded:
-                horizon = kernel.run_horizon(self.now)
+                horizon = kernel.run_horizon()
                 if horizon is None:
                     # No run in progress (the core is being driven by bare
                     # kernel.step() calls): there is no bound on how soon the
@@ -588,8 +586,7 @@ class CoreModel(Component):
             and self._l1_probe(self._l1_sets[cursor], self._l1_tags[cursor]) is None
         ):
             return False
-        kernel = self.kernel
-        horizon = kernel.run_horizon(self.now)
+        horizon = self.kernel.run_horizon()
         if horizon is None:
             # Bare step() driving — eager execution is never safe (see the
             # scalar path).
@@ -754,8 +751,14 @@ class CoreModel(Component):
             self._deferred_request = request
             self._state = CoreState.WAITING_PORT
         else:
-            self._state = CoreState.WAITING_BUS
-            self.bus.submit(request)
+            self._raise_request(request)
+
+    def _raise_request(self, request: BusRequest) -> None:
+        """Issue a demand access and raise the request line it observes."""
+        self._state = CoreState.WAITING_BUS
+        self.bus.submit(request)
+        for observer in self.request_observers:
+            observer()
 
     def _accept_buffered_store(self, address: int) -> None:
         """Put a store into the write buffer and let the pipeline continue."""
@@ -825,6 +828,8 @@ class CoreModel(Component):
         self.counters.items_completed += 1
         self._pending_kind = KIND_NONE
         self._advance_trace()
+        for observer in self.request_observers:
+            observer()  # the request line fell
         # This callback runs inside the *bus's* tick, outside the core's own
         # tick and its wake flush — flush here.
         if self._wake_dirty:
@@ -849,8 +854,7 @@ class CoreModel(Component):
         elif self._state is CoreState.WAITING_PORT and self._deferred_request is not None:
             deferred = self._deferred_request
             self._deferred_request = None
-            self._state = CoreState.WAITING_BUS
-            self.bus.submit(deferred)
+            self._raise_request(deferred)
         if self._wake_dirty:
             self._wake_dirty = False
             if self._wake_push:

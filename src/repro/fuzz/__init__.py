@@ -21,7 +21,6 @@ from .harness import (
     check_monotonicity,
     check_scenario,
     run_mode,
-    snapshot,
 )
 from .runner import (
     REPRO_VERSION,
@@ -79,6 +78,5 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "shrink_scenario",
-    "snapshot",
     "write_repro",
 ]

@@ -4,12 +4,13 @@ Three invariant families, named by the strings a scenario's ``checks`` tuple
 carries:
 
 ``"modes"``
-    The scenario produces bit-identical results in all four kernel modes —
-    plain stepping, event-aware fast-forward, the batch interpreter and the
-    event-queue scheduler.  The compared snapshot covers everything the
-    columnar equivalence matrix compares (execution cycles, per-core
-    counters, bus/arbiter/CBA statistics, cache miss rates) plus the DRAM
-    bank counters of the banked memory model.
+    The scenario produces bit-identical results in all three kernel modes
+    (:class:`~repro.sim.config.KernelMode`): stepping, fast-forward and
+    production.  The compared snapshot is
+    :meth:`~repro.platform.system.SystemResult.snapshot`, the one the
+    equivalence matrices compare (execution cycles, per-core counters and
+    request latencies, bus/arbiter/CBA statistics, cache miss rates, DRAM
+    bank counters).
 
 ``"campaign"``
     Dispatching the scenario through the campaign engine yields identical
@@ -25,7 +26,8 @@ carries:
 
 Each check is deterministic given the scenario, so a failing scenario is a
 self-contained reproduction.  ``run_mode`` accepts an optional ``perturb``
-hook (called with the built system and the mode name before running) — the
+hook (called with the built system and the mode's value, e.g.
+``"fast_forward"``, before running) — the
 fuzzer's own mutation self-tests use it to break exactly one mode and assert
 the harness notices.
 """
@@ -41,6 +43,7 @@ from ..campaign.executor import SerialExecutor, create_executor
 from ..campaign.jobs import CampaignJob, seed_block_jobs
 from ..campaign.store import ArtifactStore
 from ..platform.system import MulticoreSystem, SystemResult
+from ..sim.config import KernelMode
 from .space import FuzzScenario
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "InvariantViolation",
     "build_system",
     "run_mode",
-    "snapshot",
     "check_modes",
     "check_campaign",
     "check_monotonicity",
@@ -61,26 +63,10 @@ __all__ = [
 PerturbHook = Callable[[MulticoreSystem, str], None]
 
 
-@dataclass(frozen=True)
-class KernelMode:
-    """One execution strategy of the simulation kernel."""
-
-    name: str
-    fast_forward: bool
-    event_queue: bool
-    batch_interpreter: bool
-    materialize_traces: bool
-
-
-#: The four modes of the equivalence matrix, reference (stepping) first.
-KERNEL_MODES = (
-    KernelMode("stepping", False, False, False, False),
-    KernelMode("fast_forward", True, False, False, True),
-    KernelMode("batch", True, False, True, True),
-    KernelMode("event_queue", True, True, True, True),
-)
-#: Production defaults: everything on.
-PRODUCTION_MODE = KERNEL_MODES[3]
+#: The modes of the equivalence matrix, reference (stepping) first.
+KERNEL_MODES = tuple(KernelMode)
+#: The default mode.
+PRODUCTION_MODE = KernelMode.PRODUCTION
 
 
 @dataclass(frozen=True)
@@ -101,10 +87,7 @@ def build_system(scenario: FuzzScenario, mode: KernelMode) -> MulticoreSystem:
         seed=scenario.seed,
         run_index=scenario.run_index,
         label=f"fuzz-{scenario.kind}",
-        fast_forward=mode.fast_forward,
-        materialize_traces=mode.materialize_traces,
-        batch_interpreter=mode.batch_interpreter,
-        event_queue=mode.event_queue,
+        mode=mode,
     )
     kind = scenario.kind
     if kind == "multiprogram":
@@ -140,38 +123,8 @@ def run_mode(
     """Run the scenario in one kernel mode and return the system result."""
     system = build_system(scenario, mode)
     if perturb is not None:
-        perturb(system, mode.name)
+        perturb(system, mode.value)
     return system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
-
-
-def snapshot(result: SystemResult, tua_core: int) -> dict[str, object]:
-    """Everything that must be bit-identical across kernel modes.
-
-    Mirrors the columnar equivalence matrix's snapshot;
-    :attr:`SystemResult.observability` is deliberately excluded (execution
-    strategies legitimately differ there).
-    """
-    return {
-        "truncated": result.truncated,
-        "total_cycles": result.total_cycles,
-        "tua_cycles": (
-            result.execution_cycles(tua_core) if tua_core in result.core_counters else 0
-        ),
-        "core_counters": {
-            core: dict(counters.as_dict())
-            for core, counters in sorted(result.core_counters.items())
-        },
-        "bus_utilization": result.bus_utilization,
-        "bandwidth_shares": list(result.bandwidth_shares),
-        "grants_per_core": list(result.grants_per_core),
-        "cycles_per_core": list(result.cycles_per_core),
-        "cba_blocked_cycles": result.cba_blocked_cycles,
-        "l1_miss_rates": {
-            core: rate for core, rate in sorted(result.l1_miss_rates.items())
-        },
-        "l2_miss_rate": result.l2_miss_rate,
-        "extra": result.extra,
-    }
 
 
 def _diff_keys(reference: dict[str, object], candidate: dict[str, object]) -> list[str]:
@@ -184,23 +137,24 @@ def _diff_keys(reference: dict[str, object], candidate: dict[str, object]) -> li
 def check_modes(
     scenario: FuzzScenario, perturb: PerturbHook | None = None
 ) -> InvariantViolation | None:
-    """All four kernel modes must produce bit-identical snapshots."""
+    """All kernel modes must produce bit-identical snapshots."""
     reference_mode = KERNEL_MODES[0]
-    reference = snapshot(run_mode(scenario, reference_mode, perturb), scenario.tua_core)
+    tua = scenario.tua_core
+    reference = run_mode(scenario, reference_mode, perturb).snapshot(tua)
     for mode in KERNEL_MODES[1:]:
-        candidate = snapshot(run_mode(scenario, mode, perturb), scenario.tua_core)
+        candidate = run_mode(scenario, mode, perturb).snapshot(tua)
         if candidate != reference:
             differing = _diff_keys(reference, candidate)
             parts = []
             for key in differing[:4]:
                 parts.append(
-                    f"{key}: {reference_mode.name}={reference[key]!r} "
-                    f"{mode.name}={candidate[key]!r}"
+                    f"{key}: {reference_mode.value}={reference[key]!r} "
+                    f"{mode.value}={candidate[key]!r}"
                 )
             return InvariantViolation(
                 invariant="modes",
                 detail=(
-                    f"{mode.name} diverges from {reference_mode.name} "
+                    f"{mode.value} diverges from {reference_mode.value} "
                     f"on {', '.join(differing)} — " + "; ".join(parts)
                 ),
             )

@@ -2,7 +2,7 @@
 
 The kernel's scheduling contracts are easy to half-implement: an
 ``event_driven`` component that never pushes a wake silently never runs
-again once the poll fallback stops covering it; a ``fast_forward`` override
+again under due-only dispatch; a ``fast_forward`` override
 without a matching ``next_event`` breaks the "only skip promised cycles"
 invariant; a ``fast_forward`` that reads the clock replays the wrong cycles,
 because the kernel catches components up lazily; an unslotted value class
@@ -81,7 +81,7 @@ class EventDrivenWakeRule(Rule):
             ctx,
             marker,
             f"class {node.name} declares event_driven = True but never calls "
-            f"schedule_wake/_wake_schedule: once off the poll fallback it "
+            f"schedule_wake/_wake_schedule: under due-only dispatch it "
             f"would sleep forever — push wakes at its state transitions (a "
             f"pure observer that genuinely never wakes may pragma this)",
         )

@@ -17,9 +17,9 @@ perfectly arbitrated.
 
 Both models are passive and synchronous: the memory controller calls them at
 bus-grant time, which happens on executed cycles in every kernel mode
-(stepping, fast-forward, batch, event queue), so their state evolution is
-bit-identical across modes by construction — no wake hints or
-``fast_forward`` bookkeeping are needed.
+(stepping, fast-forward, production), so their state evolution is
+bit-identical across modes by construction — no wakes or ``fast_forward``
+bookkeeping are needed.
 """
 
 from __future__ import annotations

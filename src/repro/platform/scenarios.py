@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..sim.config import PlatformConfig
+from ..sim.config import KernelMode, PlatformConfig
 from ..workloads.base import WorkloadSpec
 from .system import MulticoreSystem, SystemResult
 
@@ -55,27 +55,9 @@ class ScenarioResult:
     #: analysis never finished) and must not enter execution-time statistics.
     truncated: bool = False
 
-
-def _build_system(
-    config: PlatformConfig,
-    seed: int,
-    run_index: int,
-    label: str,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
-) -> MulticoreSystem:
-    return MulticoreSystem(
-        config,
-        seed=seed,
-        run_index=run_index,
-        label=label,
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
-    )
+    def snapshot(self) -> dict[str, object]:
+        """:meth:`SystemResult.snapshot` of the run, for the task under analysis."""
+        return self.system.snapshot(self.tua_core)
 
 
 def run_isolation(
@@ -86,10 +68,7 @@ def run_isolation(
     tua_core: int = 0,
     max_cycles: int = 5_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Run ``workload`` alone on the platform (the ``*-ISO`` bars of Figure 1).
 
@@ -97,15 +76,12 @@ def run_isolation(
     before the core has recovered a full budget waits, which is the isolation
     overhead the paper quantifies at ~3% on average.
     """
-    system = _build_system(
+    system = MulticoreSystem(
         config,
-        seed,
-        run_index,
+        seed=seed,
+        run_index=run_index,
         label=f"{config.arbitration}-iso",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
@@ -126,21 +102,15 @@ def run_max_contention(
     tua_core: int = 0,
     max_cycles: int = 5_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Run ``workload`` against greedy maximum-length contenders (``*-CON``)."""
-    system = _build_system(
+    system = MulticoreSystem(
         config,
-        seed,
-        run_index,
+        seed=seed,
+        run_index=run_index,
         label=f"{config.arbitration}-con",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     for core in range(config.num_cores):
@@ -164,10 +134,7 @@ def run_wcet_estimation(
     tua_core: int = 0,
     max_cycles: int = 5_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Run the analysis-time scenario of Section III-B / Table I.
 
@@ -176,15 +143,12 @@ def run_wcet_estimation(
     compete only when their budget is full and the TuA has a request ready,
     hold the bus for ``MaxL`` when granted).
     """
-    system = _build_system(
+    system = MulticoreSystem(
         config,
-        seed,
-        run_index,
+        seed=seed,
+        run_index=run_index,
         label=f"{config.arbitration}-wcet",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     for core in range(config.num_cores):
@@ -210,10 +174,7 @@ def run_mixed_criticality(
     max_cycles: int = 10_000_000,
     allow_truncation: bool = False,
     best_effort: "WorkloadSpec | str | None" = None,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Run a critical task against best-effort tasks on every other core.
 
@@ -237,15 +198,12 @@ def run_mixed_criticality(
         contender_spec = synthetic_workload(best_effort)
     else:
         contender_spec = best_effort
-    system = _build_system(
+    system = MulticoreSystem(
         config,
-        seed,
-        run_index,
+        seed=seed,
+        run_index=run_index,
         label=f"{config.arbitration}-mixed",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     system.add_task(tua_core, workload)
     for core in range(config.num_cores):
@@ -269,21 +227,15 @@ def run_multiprogram(
     tua_core: int = 0,
     max_cycles: int = 10_000_000,
     allow_truncation: bool = False,
-    fast_forward: bool = True,
-    materialize_traces: bool = True,
-    batch_interpreter: bool = True,
-    event_queue: bool = True,
+    mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Consolidate several real tasks (one per core) and run them together."""
-    system = _build_system(
+    system = MulticoreSystem(
         config,
-        seed,
-        run_index,
+        seed=seed,
+        run_index=run_index,
         label=f"{config.arbitration}-multi",
-        fast_forward=fast_forward,
-        materialize_traces=materialize_traces,
-        batch_interpreter=batch_interpreter,
-        event_queue=event_queue,
+        mode=mode,
     )
     for core_id, workload in workloads.items():
         system.add_task(core_id, workload)

@@ -5,7 +5,10 @@ contains: trace-driven cores with private L1 caches, the shared non-split bus
 with its arbiter (optionally wrapped by CBA), the partitioned write-back L2,
 the memory controller and the DRAM.  Experiments create a system from a
 :class:`~repro.sim.config.PlatformConfig`, place workloads and contenders on
-cores, run it, and read back a :class:`SystemResult`.
+cores, run it, and read back a :class:`SystemResult`.  A system runs in one
+:class:`~repro.sim.config.KernelMode`; every mode produces the same
+:meth:`SystemResult.snapshot`, and only :attr:`SystemResult.observability`
+(batched items, skipped cycles) tells them apart.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ..memory.dram import DRAM, BankedDRAM
 from ..obs.profiler import KernelProfiler
 from ..obs.registry import MetricsRegistry
 from ..obs.timeline import TimelineRecorder
-from ..sim.config import ObservabilityConfig, PlatformConfig
+from ..sim.config import KernelMode, ObservabilityConfig, PlatformConfig
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Kernel
 from ..sim.trace import TraceRecorder
@@ -67,6 +70,33 @@ class SystemResult:
         """Execution time (cycles) of the task that ran on ``core_id``."""
         return self.core_counters[core_id].execution_cycles
 
+    def snapshot(self, tua_core: int) -> dict[str, object]:
+        """Everything that must be bit-identical across kernel modes.
+
+        The one definition the equivalence matrices, the fuzzer and the
+        kernel bench compare.  :attr:`observability` is left out: execution
+        strategies legitimately differ there.
+        """
+        counters = sorted(self.core_counters.items())
+        return {
+            "config_label": self.config_label,
+            "truncated": self.truncated,
+            "total_cycles": self.total_cycles,
+            "tua_cycles": (
+                self.execution_cycles(tua_core) if tua_core in self.core_counters else 0
+            ),
+            "core_counters": {core: dict(c.as_dict()) for core, c in counters},
+            "request_latencies": {core: list(c.request_latencies) for core, c in counters},
+            "bus_utilization": self.bus_utilization,
+            "bandwidth_shares": list(self.bandwidth_shares),
+            "grants_per_core": list(self.grants_per_core),
+            "cycles_per_core": list(self.cycles_per_core),
+            "cba_blocked_cycles": self.cba_blocked_cycles,
+            "l1_miss_rates": dict(sorted(self.l1_miss_rates.items())),
+            "l2_miss_rate": self.l2_miss_rate,
+            "extra": self.extra,
+        }
+
 
 class MulticoreSystem:
     """Builder and runner for one simulated multicore platform instance."""
@@ -78,44 +108,21 @@ class MulticoreSystem:
         run_index: int = 0,
         trace: TraceRecorder | None = None,
         label: str = "",
-        fast_forward: bool = True,
-        materialize_traces: bool = True,
-        batch_interpreter: bool = True,
-        event_queue: bool = True,
+        mode: KernelMode = KernelMode.PRODUCTION,
         obs: ObservabilityConfig | None = None,
     ) -> None:
         """Build the platform.
 
-        ``fast_forward`` controls the kernel's event-aware cycle skipping.
-        It is bit-identical to plain stepping (enforced by the equivalence
-        test matrix) and on by default; the switch exists for those tests and
-        for benchmarking the skipping itself.
-
-        ``event_queue`` selects the kernel's heap-based wake scheduling
-        (components push wakes at state transitions) over the per-component
-        hint scan.  Both find the same wakes and are bit-identical (enforced
-        by the event-queue rows of the equivalence matrix); on by default,
-        the switch exists for those tests and for benchmarking the two
-        scheduling mechanisms against each other.
-
-        ``materialize_traces`` selects the columnar trace path: each task's
+        ``mode`` selects how the kernel executes it
+        (:class:`~repro.sim.config.KernelMode`); every mode produces
+        bit-identical results.  Outside ``KernelMode.STEPPING`` each task's
         trace is pre-computed into parallel ``(gap, address, kind)`` arrays
-        that the core consumes with a cursor.  Bit-identical to the lazy
-        item-at-a-time path for the run this system executes (enforced by the
-        columnar equivalence matrix) and on by default; the switch exists for
-        those tests and benchmarks.  Each run builds a fresh system (the
-        campaign/scenario protocol), so traces are materialised once per run;
-        resetting and re-running the *same* system replays the materialised
-        sequence rather than redrawing it — pass ``materialize_traces=False``
-        if fresh draws across in-place resets are needed.
-
-        ``batch_interpreter`` enables the cores' bulk execution of bus-free
-        trace stretches (consecutive L1 hits and pure compute, see
-        :mod:`repro.cpu.core_model`).  It rides on the columnar path (inert
-        when ``materialize_traces=False``), composes with fast-forwarding and
-        is bit-identical to per-cycle stepping (enforced by the batch rows of
-        the columnar equivalence matrix); on by default, the switch exists
-        for those tests and benchmarks.
+        that the core consumes with a cursor.  Each run builds a fresh system
+        (the campaign/scenario protocol), so traces are materialised once per
+        run; resetting and re-running the *same* system replays the
+        materialised sequence rather than redrawing it — use
+        ``KernelMode.STEPPING`` if fresh draws across in-place resets are
+        needed.
 
         ``obs`` opts into instrumentation
         (:class:`~repro.sim.config.ObservabilityConfig`): a timeline recorder
@@ -125,8 +132,6 @@ class MulticoreSystem:
         """
         self.config = config
         self.label = label or config.arbitration
-        self.materialize_traces = materialize_traces
-        self.batch_interpreter = batch_interpreter
         self.obs = obs
         self.profiler: KernelProfiler | None = None
         if trace is None and obs is not None and obs.timeline:
@@ -138,8 +143,7 @@ class MulticoreSystem:
             run_index=run_index,
             frequency_hz=config.frequency_hz,
             trace=trace,
-            fast_forward=fast_forward,
-            event_queue=event_queue,
+            mode=mode,
         )
         streams = self.kernel.streams
         self.latency_table = LatencyTable(config.bus_timings)
@@ -198,6 +202,8 @@ class MulticoreSystem:
 
         self.cores: dict[int, CoreModel] = {}
         self.contenders: dict[int, GreedyContender | WCETModeContender] = {}
+        #: ``(observed core, contender)`` of every WCET-mode contender.
+        self._tua_observers: list[tuple[int, WCETModeContender]] = []
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -229,7 +235,7 @@ class MulticoreSystem:
         )
         trace = spec.build_trace(
             streams.stream(f"workload.core{core_id}"),
-            materialize=self.materialize_traces,
+            materialize=self.kernel.mode is not KernelMode.STEPPING,
         )
         core = CoreModel(
             name=f"core{core_id}",
@@ -238,7 +244,7 @@ class MulticoreSystem:
             l1_data=l1,
             bus=self.bus,
             store_buffer_entries=self.config.store_buffer_entries,
-            batch_interpreter=self.batch_interpreter,
+            mode=self.kernel.mode,
         )
         self.cores[core_id] = core
         return core
@@ -278,6 +284,7 @@ class MulticoreSystem:
             address=0x7000_0000 + core_id * 0x0100_0000,
         )
         self.contenders[core_id] = contender
+        self._tua_observers.append((tua_core, contender))
         return contender
 
     def set_tua_initial_budget(self, core_id: int, budget: int = 0) -> None:
@@ -303,6 +310,10 @@ class MulticoreSystem:
             self.kernel.register(self.cores[core_id])
         for core_id in sorted(self.contenders):
             self.kernel.register(self.contenders[core_id])
+        for tua_core, contender in self._tua_observers:
+            tua = self.cores.get(tua_core)
+            if tua is not None:
+                tua.request_observers.append(contender.on_tua_line)
         self.kernel.register(self.bus)
         self.kernel.register(self.monitor)
         self._num_tasks = len(self.cores)

@@ -13,6 +13,7 @@ from .config import (
     BusTimings,
     CacheGeometry,
     CBAParameters,
+    KernelMode,
     PlatformConfig,
     DEFAULT_BUS_TIMINGS,
     DEFAULT_L1_GEOMETRY,
@@ -49,6 +50,7 @@ __all__ = [
     "BusTimings",
     "CacheGeometry",
     "CBAParameters",
+    "KernelMode",
     "PlatformConfig",
     "DEFAULT_BUS_TIMINGS",
     "DEFAULT_L1_GEOMETRY",

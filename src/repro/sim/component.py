@@ -15,15 +15,18 @@ evaluation followed by the clock edge) and removes ordering sensitivity
 between components within a cycle for state that is latched in
 :meth:`post_tick`.
 
-That is the stepped reference.  :meth:`~repro.sim.kernel.Kernel.run` leaves
-out every tick a component promised is uniform bookkeeping — it ticks a
-component at its wake (:meth:`Component.next_event`, or the wake pushed with
-:meth:`Component.schedule_wake`) and catches the cycles in between up lazily
+That is the stepped reference.  Due-only dispatch
+(:meth:`~repro.sim.kernel.Kernel.run` outside ``KernelMode.STEPPING``)
+leaves out every tick a component promised is uniform bookkeeping — it ticks
+a component at the wake the component pushed with
+:meth:`Component.schedule_wake` and catches the cycles in between up lazily
 through :meth:`Component.fast_forward`.  A component that calls into another
 component therefore touches it first (:meth:`~repro.sim.kernel.Kernel.touch`,
 pre-bound as ``_touch``), so the callee's lagging cycles are accounted with
 the state they had before the call changes it; one that changes state an
 observer samples syncs the observer first (``Kernel.sync``, ``_sync``).
+A component that is not :attr:`Component.event_driven` makes the kernel step
+every cycle.
 """
 
 from __future__ import annotations
@@ -46,13 +49,11 @@ class Component:
     """Base class for everything that is ticked by the kernel."""
 
     #: Whether this component *pushes* its wake into the kernel's event queue
-    #: (:meth:`schedule_wake`/:meth:`cancel_wake` at state transitions)
-    #: instead of being polled through :meth:`next_event` at every scheduling
-    #: decision.  Event-driven components must keep :meth:`next_event`
-    #: implemented and consistent with what they push: the kernel uses the
-    #: hint to seed the heap entry at registration/reset and falls back to
-    #: polling it when the event queue is disabled, so a component behaves
-    #: identically under both scheduling mechanisms.
+    #: (:meth:`schedule_wake`/:meth:`cancel_wake` at state transitions).  A
+    #: kernel holding any component that does not is stepped cycle by cycle.
+    #: Event-driven components must keep :meth:`next_event` implemented and
+    #: consistent with what they push: the kernel reads it to seed the heap
+    #: entry at registration and reset.
     event_driven: bool = False
 
     def __init__(self, name: str) -> None:
@@ -61,13 +62,13 @@ class Component:
         self._clock: Clock | None = None
         #: Event-queue slot assigned by ``Kernel.register``.
         self._wake_slot = -1
-        #: Cached ``kernel.event_queue`` so hot paths can skip computing a
-        #: wake they would push into a disabled queue.
+        #: Whether the kernel reads pushed wakes (every mode but stepping),
+        #: so hot paths can skip computing a wake nobody reads.
         self._wake_push = False
-        #: Pre-bound queue hooks (set by ``Kernel.register`` when the event
-        #: queue is on): hot push sites call these with ``_wake_slot``
-        #: directly, skipping the ``schedule_wake`` dispatch chain.  Only
-        #: valid while ``_wake_push`` is True.
+        #: Pre-bound queue hooks (set by ``Kernel.register`` when wakes are
+        #: pushed): hot push sites call these with ``_wake_slot`` directly,
+        #: skipping the ``schedule_wake`` dispatch chain.  Only valid while
+        #: ``_wake_push`` is True.
         self._wake_schedule: "Callable[[int, int], None] | None" = None
         self._wake_cancel: "Callable[[int], None] | None" = None
         #: Pre-bound ``Kernel.touch``/``Kernel.sync``: call them on a
@@ -85,7 +86,7 @@ class Component:
         # Cached so the heavily used :attr:`now` is one attribute hop instead
         # of a three-property chain through kernel and clock.
         self._clock = kernel.clock
-        self._wake_push = kernel.event_queue
+        self._wake_push = kernel._wake_push
         self._touch = kernel.touch
         self._sync = kernel.sync
 
@@ -135,25 +136,27 @@ class Component:
         Carries the same meaning as :meth:`next_event` returning ``cycle``
         and stays in force until rescheduled or cancelled; see
         :meth:`repro.sim.kernel.Kernel.schedule_wake`.  Safe to call on an
-        unbound component (no-op) and under the hint scan (the kernel
-        ignores it), so push sites need no mode checks for correctness —
-        hot paths may still consult :attr:`_wake_push` to skip computing a
-        wake nobody will read.
+        unbound component (no-op) and under stepping (the kernel ignores
+        it), so push sites need no mode checks for correctness — hot paths
+        may still consult :attr:`_wake_push` to skip computing a wake nobody
+        will read.
         """
         kernel = self._kernel
         if kernel is not None:
             kernel.schedule_wake(self, cycle)
 
     def cancel_wake(self) -> None:
-        """Drop this component's scheduled wake (hint value ``None``)."""
+        """Drop this component's scheduled wake (``next_event`` value ``None``)."""
         kernel = self._kernel
         if kernel is not None:
             kernel.cancel_wake(self)
 
     def next_event(self, now: int) -> int | None:
-        """Wake hint: the first cycle at which ticking this component matters.
+        """Wake: the first cycle at which ticking this component matters.
 
-        The kernel calls this before executing cycle ``now``.  The contract:
+        The kernel reads it at registration and reset to seed the
+        component's wake; event-driven components also derive what they push
+        from it.  The contract:
 
         * return an ``int`` cycle ``c >= now`` — "as long as no *other*
           component calls into me, my :meth:`tick` at every cycle before
@@ -168,9 +171,7 @@ class Component:
         (:meth:`~repro.sim.kernel.Kernel.touch`); its ticks at other cycles
         are left to :meth:`fast_forward`, even while other components act in
         those cycles.  The default returns ``now`` ("I may act every
-        cycle"), which makes fast-forwarding a strict opt-in: a kernel
-        containing any component that does not implement hints never skips
-        a cycle and behaves exactly like plain cycle-by-cycle stepping.
+        cycle").
         """
         return now
 

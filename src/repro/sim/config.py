@@ -18,6 +18,7 @@ Defaults reproduce the configuration described in Section IV-A of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from enum import Enum
 
 from .errors import ConfigurationError
 
@@ -25,6 +26,7 @@ __all__ = [
     "BusTimings",
     "CacheGeometry",
     "CBAParameters",
+    "KernelMode",
     "MemoryConfig",
     "ObservabilityConfig",
     "PlatformConfig",
@@ -250,6 +252,27 @@ class MemoryConfig:
     def worst_access_latency(self) -> int:
         """Latency of the slowest single access under this model."""
         return self.row_conflict_latency if self.model == "banked" else 0
+
+
+class KernelMode(str, Enum):
+    """How :meth:`~repro.sim.kernel.Kernel.run` executes a platform.
+
+    The three modes are bit-identical in every simulated output (the
+    equivalence matrices and ``repro fuzz`` enforce it); they differ only in
+    how much work they leave out, and each mode adds one mechanism to the one
+    before it, so a divergence names the mechanism at fault.  Like
+    :class:`ObservabilityConfig` it is not part of :class:`PlatformConfig`:
+    it cannot change what a run computes.
+    """
+
+    #: The reference oracle: every component ticks on every cycle, traces are
+    #: drawn item by item, and no component computes or pushes a wake.
+    STEPPING = "stepping"
+    #: Due-only dispatch over columnar traces, without the cores' batch
+    #: interpreter: the fault localiser between stepping and production.
+    FAST_FORWARD = "fast_forward"
+    #: Due-only dispatch plus the batch interpreter (the default).
+    PRODUCTION = "production"
 
 
 @dataclass(frozen=True)

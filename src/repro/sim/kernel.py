@@ -12,33 +12,28 @@ execution mode must reproduce bit for bit:
 3. the clock advances.
 
 :meth:`Kernel.run` executes until a stop condition (cycle limit or a
-registered completion predicate) is met, and reaches the same states with
-far fewer calls.  Every component exposes a *wake*: the first cycle at which
-its tick can do more than the uniform per-cycle accounting that
-:meth:`~repro.sim.component.Component.fast_forward` replays in bulk.  A cycle
-at which no component is awake is never executed — the clock jumps over it.
-The executed event cycles (grants, completions, cache accesses, RNG draws)
-are therefore those of plain stepping, and so is every counter.
+registered completion predicate) is met.  Its :class:`~repro.sim.config.KernelMode`
+picks one of two loops:
 
-Two scheduling mechanisms find the wakes:
+* **stepping** — the loop above on every cycle.  ``KernelMode.STEPPING``
+  always takes it (the oracle: no component computes or pushes a wake), and
+  so does any kernel holding a component that is not ``event_driven`` or
+  that overrides ``post_tick``;
+* **due-only dispatch** — every component *pushes* its wake, the first
+  cycle at which its tick can do more than the uniform per-cycle accounting
+  that :meth:`~repro.sim.component.Component.fast_forward` replays in bulk,
+  into a binary heap (:class:`EventQueue`) via :meth:`Kernel.schedule_wake`
+  at the state transitions where the wake changes (a bus grant, a request
+  completion, a trace item boundary); superseded wakes are invalidated
+  lazily through per-slot generation counters.
 
-* the **event queue** (default, ``event_queue=True``) — components *push*
-  their wakes into a binary heap (:class:`EventQueue`) via
-  :meth:`Kernel.schedule_wake` at the state transitions where the wake
-  changes (a bus grant, a request completion, a trace item boundary), and
-  superseded wakes are invalidated lazily through per-component generation
-  counters;
-* the **hint scan** (``event_queue=False``) — before each cycle the kernel
-  polls every component's :meth:`~repro.sim.component.Component.next_event`
-  and takes the minimum; every component ticks on every executed cycle and
-  is fast-forwarded at every jump.
-
-Under the event queue, ``run`` uses **due-only dispatch**:
+Due-only dispatch reaches the states of stepping with far fewer calls:
 
 * at an executed cycle ``t`` it ticks, in slot (registration) order, only the
   components whose live wake is at or before ``t``, plus any component that
   an earlier slot called into during ``t``;
-* a jump only moves the clock;
+* a cycle at which no component is due is never executed — the clock jumps
+  over it;
 * each component records the cycle it is synced to and is caught up with one
   ``fast_forward(start, cycles)`` — right before it ticks, before another
   component calls into it (:meth:`Kernel.touch`) or changes state it
@@ -48,26 +43,21 @@ Under the event queue, ``run`` uses **due-only dispatch**:
 A component about to call into another touches it first.  A callee in an
 earlier slot has had its turn at ``t`` and is synced through ``t``; a callee
 in a later slot is synced through ``t - 1`` and made due at ``t``, so it
-still ticks after its caller, as stepping orders them.  A component whose
-live wake is still at or before ``t`` after its tick is re-armed at
-``t + 1``: a stale wake forces execution on every cycle, never skipping.  A
-kernel with poll-fallback components, hinted stop conditions or ``post_tick``
-overrides ticks every component on every executed cycle instead, as the hint
-scan does.  Both mechanisms produce bit-identical runs (enforced by the
-equivalence matrix).
-
-The executed cycles are the union of the components' own wakes.  The hint
-scan also re-reads a component's wake at every cycle some *other* component
-executes, so where a wake is conservative it may skip a cycle that due-only
-dispatch executes as a no-op.  ``cycles_skipped`` can then differ by such
-cycles; every state and counter is still identical.  The built-in
-components' wakes are exact, so for them it does not differ.
+still ticks after its caller, as stepping orders them.  A component that
+must observe another's state change wakes itself with :meth:`Kernel.wake`
+at the first cycle stepping lets it see the change.  A component whose live
+wake is still at or before ``t`` after its tick is re-armed at ``t + 1``: a
+stale wake forces execution on every cycle, never skipping.  The executed
+event cycles (grants, completions, cache accesses, RNG draws) are therefore
+those of plain stepping, and so is every counter (enforced by the
+equivalence matrices).
 
 Components may do arbitrarily much work per *event* to widen the gaps between
-events: the cores' batch interpreter (:mod:`repro.cpu.core_model`) executes a
-whole bus-free trace stretch at the cycle it becomes known and then exposes
-the stretch end as its wake.  The kernel needs no knowledge of this — the
-wake/``fast_forward`` contract already expresses it.
+events: the cores' batch interpreter (:mod:`repro.cpu.core_model`,
+``KernelMode.PRODUCTION``) executes a whole bus-free trace stretch at the
+cycle it becomes known and then exposes the stretch end as its wake.  The
+kernel needs no knowledge of this — the wake/``fast_forward`` contract
+already expresses it.
 """
 
 from __future__ import annotations
@@ -78,6 +68,7 @@ from typing import Any, Callable, Iterable, Protocol
 
 from .clock import Clock
 from .component import Component
+from .config import KernelMode
 from .errors import SchedulingError
 from .rng import RandomStreams
 from .trace import NullTraceRecorder, TraceRecorder
@@ -199,43 +190,29 @@ class Kernel:
         run_index: int = 0,
         frequency_hz: float = 100_000_000.0,
         trace: TraceRecorder | None = None,
-        fast_forward: bool = True,
-        event_queue: bool = True,
+        mode: KernelMode = KernelMode.PRODUCTION,
     ) -> None:
         self.clock = Clock(frequency_hz=frequency_hz)
         self.streams = RandomStreams(seed=seed, run_index=run_index)
         self.trace = trace if trace is not None else NullTraceRecorder()
+        #: The execution mode (see :class:`~repro.sim.config.KernelMode`).
+        self.mode = KernelMode(mode)
+        #: Whether components push wakes; every mode but stepping needs them.
+        self._wake_push = self.mode is not KernelMode.STEPPING
         self._components: list[Component] = []
         self._by_name: dict[str, Component] = {}
         self._tickers: list[Component] = []
         self._post_tickers: list[Component] = []
         self._fast_forwarders: list[Component] = []
-        #: Pre-bound ``next_event`` methods of every component — the hint
-        #: scan used when the event queue is off; binding them at
-        #: registration spares the attribute lookup per component per
-        #: executed cycle.
-        self._hinters: list[Callable[[int], int | None]] = []
-        #: The subset of hinters still polled when the event queue is on:
-        #: components that do not push wakes (the compatibility fallback).
-        self._poll_hinters: list[Callable[[int], int | None]] = []
-        self._all_hinted = True
+        #: Set once a registered component cannot be dispatched due-only
+        #: (it is not ``event_driven`` or overrides ``post_tick``).
+        self._must_step = False
         self._stop_conditions: list[Callable[[], bool]] = []
-        self._stop_hints: list[Callable[[int], int | None]] = []
         self.finished = False
         self.stop_condition_fired = False
         #: Cycle bound of the :meth:`run` in progress (``start + max_cycles``),
         #: ``None`` outside a run.  See :meth:`run_horizon`.
         self._run_limit: int | None = None
-        #: Enable event-aware fast-forwarding in :meth:`run`.  Skipping is
-        #: bit-identical to stepping by construction; the switch exists for
-        #: equivalence tests and benchmarking, not as a safety valve.
-        self.fast_forward = fast_forward
-        #: Use the heap-based :class:`EventQueue` to find the next wake
-        #: (components push at state transitions) instead of polling every
-        #: component's hint.  Bit-identical to the scan (enforced by the
-        #: event-queue equivalence rows); the switch exists for those tests
-        #: and for benchmarking the scheduling mechanisms against each other.
-        self.event_queue = event_queue
         self._events = EventQueue()
         #: Cycles :meth:`run` jumped over instead of stepping (observability).
         self.cycles_skipped = 0
@@ -273,7 +250,7 @@ class Kernel:
             raise SchedulingError("cannot register components after profiling was enabled")
         component.bind(self)
         component._wake_slot = self._events.add_slot()
-        if self.event_queue:
+        if self._wake_push:
             component._wake_schedule = self._events.schedule
             component._wake_cancel = self._events.cancel
         self._components.append(component)
@@ -285,31 +262,25 @@ class Kernel:
             self._tickers.append(component)
         if type(component).post_tick is not Component.post_tick:
             self._post_tickers.append(component)
+            self._must_step = True
         if type(component).fast_forward is not Component.fast_forward:
             self._fast_forwarders.append(component)
-        self._hinters.append(component.next_event)
-        if component.event_driven:
-            # The component owns a heap entry; seed it from its current state
-            # so the first scheduling decision sees a valid wake even before
-            # the component's first tick had a chance to push one.
-            if self.event_queue:
-                self._prime_wake(component)
-        else:
-            self._poll_hinters.append(component.next_event)
-            if type(component).next_event is Component.next_event:
-                # The base hint pins the wake to the current cycle, so one
-                # non-opted-in component disables skipping for the whole
-                # kernel; remember that and spare run() the per-cycle probing.
-                self._all_hinted = False
+        if not component.event_driven:
+            self._must_step = True
+        elif self._wake_push:
+            # Seed the component's heap entry from its current state so the
+            # first scheduling decision sees a valid wake even before its
+            # first tick had a chance to push one.
+            self._prime_wake(component)
         return component
 
     def _prime_wake(self, component: Component) -> None:
-        """Seed an event-driven component's heap entry from its hint."""
-        hint = component.next_event(self.clock.cycle)
-        if hint is None:
+        """Seed an event-driven component's heap entry from its wake."""
+        wake = component.next_event(self.clock.cycle)
+        if wake is None:
             self._events.cancel(component._wake_slot)
         else:
-            self._events.schedule(component._wake_slot, hint)
+            self._events.schedule(component._wake_slot, wake)
 
     def enable_profiling(self, profiler: RunProfiler) -> None:
         """Attribute hook wall-clock to components via ``profiler``.
@@ -348,32 +319,27 @@ class Kernel:
             raise KeyError(f"no component named {name!r}") from None
 
     # ------------------------------------------------------------------
-    # Wake scheduling (the event-queue side of the fast-forward contract)
+    # Wake scheduling
     # ------------------------------------------------------------------
     def schedule_wake(self, component: Component, cycle: int) -> None:
         """Schedule (or move) ``component``'s wake to ``cycle``.
 
-        The wake carries the same meaning as a ``next_event`` hint returning
-        ``cycle``: every tick of the component before ``cycle`` is uniform
-        bookkeeping replayed by ``fast_forward``, and the component must be
-        ticked at ``cycle``.  It stays in force — superseding any earlier
-        schedule via the queue's generation counters — until rescheduled or
-        cancelled; components therefore push exactly at the state transitions
-        after which their previous wake no longer describes them (a bus
-        grant, a completion, a credit replenish target, a stretch end).
-
-        No-op when the kernel runs the hint scan (``event_queue=False``) —
-        components push unconditionally and the kernel ignores what it does
-        not use, so a component behaves identically under both mechanisms.
+        The wake means: every tick of the component before ``cycle`` is
+        uniform bookkeeping replayed by ``fast_forward``, and the component
+        must be ticked at ``cycle``.  It stays in force — superseding any
+        earlier schedule via the queue's generation counters — until
+        rescheduled or cancelled; components therefore push exactly at the
+        state transitions after which their previous wake no longer describes
+        them (a bus grant, a completion, a credit replenish target, a stretch
+        end).  No-op under ``KernelMode.STEPPING``, which ticks every cycle.
         """
-        if self.event_queue:
+        if self._wake_push:
             self._events.schedule(component._wake_slot, cycle)
 
     def cancel_wake(self, component: Component) -> None:
-        """Drop ``component``'s scheduled wake (hint value ``None``: only
-        another component's activity — a tick the kernel executes anyway —
-        can affect it)."""
-        if self.event_queue:
+        """Drop ``component``'s scheduled wake: only another component's
+        activity can affect it."""
+        if self._wake_push:
             self._events.cancel(component._wake_slot)
 
     def scheduled_wake(self, component: Component) -> int | None:
@@ -411,6 +377,22 @@ class Kernel:
         else:
             self._catch_up(slot, now + 1)
 
+    def wake(self, component: Component) -> None:
+        """Tick ``component`` at its next turn, as stepping would.
+
+        For a component that observes state another component just changed:
+        a later slot still ticks this cycle (it is touched), an earlier slot
+        has had its turn and ticks next cycle, which replaces its pushed
+        wake — so its tick must push its wake again.  A no-op outside
+        due-only dispatch and for objects not registered with this kernel.
+        """
+        if not self._dispatching or getattr(component, "_kernel", None) is not self:
+            return
+        if component._wake_slot > self._current_slot:
+            self.touch(component)
+        else:
+            self._events.schedule(component._wake_slot, self.clock._cycle + 1)
+
     def sync(self, component: Component) -> None:
         """Catch a component up before state its accounting reads changes.
 
@@ -438,36 +420,20 @@ class Kernel:
     # ------------------------------------------------------------------
     # Stop conditions
     # ------------------------------------------------------------------
-    def add_stop_condition(
-        self,
-        predicate: Callable[[], bool],
-        next_event: Callable[[int], int | None] | None = None,
-    ) -> None:
-        """Stop the run as soon as ``predicate()`` returns True (checked once per cycle).
+    def add_stop_condition(self, predicate: Callable[[], bool]) -> None:
+        """Stop the run as soon as ``predicate()`` returns True (checked once
+        per executed cycle).
 
-        ``predicate`` is assumed to watch *event* state — state that flips on
-        the exact cycle its event executes (task finished, request granted,
-        bus released, ...).  Such predicates cannot flip across a
-        fast-forwarded stretch, because cycles are only skipped when every
-        tick in them would be a no-op.  A predicate that instead watches the
-        clock ("stop at cycle X") or *accounting* — anything replayed in bulk
-        by ``fast_forward`` (stall-cycle counters, credit balances, monitor
-        windows) or applied eagerly by the cores' batch interpreter
-        (trace-progress counters such as ``items_completed``/``l1_hits`` and
-        cache hit statistics, which advance whole bus-free stretches at a
-        time) — must supply ``next_event``, the same wake-hint contract as
-        components: given the current cycle, return the earliest future cycle
-        at which the predicate could flip, or ``None`` for "no time bound"
-        (even a conservative ``lambda now: now`` suffices).  Without a hint
-        such a predicate would fire on the wrong cycle; with one, the kernel
-        re-checks it at the hinted cycles, ticks every component on every
-        executed cycle (so no accounting lags behind the clock) and the batch
-        interpreter disables itself (:attr:`has_hinted_stops`), so the firing
-        cycle is exactly the stepped one.
+        ``predicate`` must watch *event* state — state that flips on the exact
+        cycle its event executes (task finished, request granted, bus
+        released, ...).  Such predicates cannot flip across a skipped stretch,
+        because cycles are only skipped when every tick in them would be
+        uniform bookkeeping.  A predicate watching the clock or accounting
+        (anything replayed by ``fast_forward`` or applied eagerly by the
+        cores' batch interpreter) would fire on the wrong cycle; bound the
+        run with ``max_cycles`` instead.
         """
         self._stop_conditions.append(predicate)
-        if next_event is not None:
-            self._stop_hints.append(next_event)
 
     def _should_stop(self) -> bool:
         # Checked once per executed cycle; a plain loop avoids allocating a
@@ -495,102 +461,24 @@ class Kernel:
             clock.advance()
         return clock.cycle
 
-    def _fold_hints(
-        self, hinters: list[Callable[[int], int | None]], wake: int, now: int
-    ) -> int:
-        """Fold polled component hints plus the stop hints into ``wake``.
-
-        Returns ``now`` as soon as any hint pins the current cycle (no
-        skipping possible), otherwise the earliest future wake not above the
-        starting ``wake``.  One implementation serves both scheduling
-        mechanisms so their folding semantics cannot drift apart.
-        """
-        for hinter in hinters:
-            hint = hinter(now)
-            if hint is None:
-                continue
-            if hint <= now:
-                return now
-            if hint < wake:
-                wake = hint
-        for stop_hint in self._stop_hints:
-            hint = stop_hint(now)
-            if hint is None:
-                continue
-            if hint <= now:
-                return now
-            if hint < wake:
-                wake = hint
-        return wake
-
-    def _next_wake(self, limit: int) -> int:
-        """Hint scan: earliest cycle at which any component (or stop hint) may act.
-
-        Returns the current cycle when some component needs to run now (no
-        skipping possible), otherwise a cycle in ``(now, limit]`` to jump to.
-        """
-        return self._fold_hints(self._hinters, limit, self.clock.cycle)
-
-    def _poll_refine(self, wake: int, now: int) -> int:
-        """Fold the poll-fallback hints and stop hints into a heap ``wake``.
-
-        Only components that do not push wakes (the compatibility fallback,
-        e.g. the WCET-mode contenders whose hint reads *another* component's
-        state) and the hinted stop conditions are polled; the run loop skips
-        this entirely when neither exists.
-        """
-        return self._fold_hints(self._poll_hinters, wake, now)
-
-    @property
-    def has_hinted_stops(self) -> bool:
-        """Whether any registered stop condition supplied a wake hint.
-
-        Hinted predicates are the ones allowed to watch the clock or
-        fast-forwarded accounting (see :meth:`add_stop_condition`); a
-        counter-watching one would observe eagerly-applied batch effects
-        cycles before their real completion ticks, so the cores' batch
-        interpreter falls back to cycle-accurate execution whenever such a
-        predicate exists.
-        """
-        return bool(self._stop_hints)
-
-    def run_horizon(self, now: int) -> int | None:
-        """Earliest cycle whose tick might *not* execute, or ``None`` if unbounded.
+    def run_horizon(self) -> int | None:
+        """Earliest cycle whose tick might *not* execute, or ``None`` outside
+        a run.
 
         The cycle budget of the :meth:`run` in progress bounds how far the
         run can possibly step: the tick at the returned cycle — and at every
         later cycle — may never run.  Components that apply work *eagerly*
         for future cycles (the cores' batch interpreter) must keep that work
         strictly below this horizon, otherwise a run truncated at its budget
-        would report effects from cycles it never executed.  Hinted stop
-        conditions could also end the run early, but they disable eager
-        batching altogether (:attr:`has_hinted_stops`), so they need no
-        bounding here; they are still folded in as defense in depth.
+        would report effects from cycles it never executed.
         """
-        bound = self._run_limit
-        for stop_hint in self._stop_hints:
-            hint = stop_hint(now)
-            if hint is not None and (bound is None or hint < bound):
-                bound = hint
-        return bound
-
-    def _jump_to(self, wake: int) -> None:
-        """Fast-forward every component and the clock to cycle ``wake``."""
-        now = self.clock.cycle
-        delta = wake - now
-        trace = self.trace
-        if trace.enabled:
-            trace.record(now, "kernel", "kernel.jump", cycles=delta, to=wake)
-        for component in self._fast_forwarders:
-            component.fast_forward(now, delta)
-        self.clock.advance(delta)
-        self.cycles_skipped += delta
+        return self._run_limit
 
     def run(self, max_cycles: int = 1_000_000) -> int:
         """Run until a stop condition fires or ``max_cycles`` is reached.
 
         Returns the number of cycles executed by this call (stepped plus
-        fast-forwarded).  Whether the run ended because a stop condition fired
+        skipped).  Whether the run ended because a stop condition fired
         (as opposed to exhausting the ``max_cycles`` budget) is recorded in
         :attr:`stop_condition_fired`; :attr:`truncated` is the complementary
         view.
@@ -606,17 +494,10 @@ class Kernel:
         skipped_before = self.cycles_skipped
         limit = start + max_cycles
         self._run_limit = limit
-        fast_forward = self.fast_forward and self._all_hinted
-        if (
-            fast_forward
-            and self.event_queue
-            and not self._poll_hinters
-            and not self._stop_hints
-            and not self._post_tickers
-        ):
+        if self._wake_push and not self._must_step:
             stop_fired = self._run_due(limit)
         else:
-            stop_fired = self._run_every_cycle(limit, fast_forward)
+            stop_fired = self._run_stepping(limit)
         if not stop_fired:
             # The loop ran out of cycle budget; a stop condition may still
             # hold at the boundary (e.g. the last step finished the work).
@@ -720,46 +601,16 @@ class Kernel:
             self._catch_up(slot, now)
         return stop_fired
 
-    def _run_every_cycle(self, limit: int, fast_forward: bool) -> bool:
-        """Stepping, the hint scan and the poll fallback: every component
-        ticks on every executed cycle and is fast-forwarded at every jump.
-        Returns whether a stop condition fired."""
+    def _run_stepping(self, limit: int) -> bool:
+        """Every component ticks on every cycle; returns whether a stop
+        condition fired."""
         clock = self.clock
-        use_queue = fast_forward and self.event_queue
         tickers = self._tickers
         post_tickers = self._post_tickers
-        events_heap = self._events._heap
-        events_generations = self._events._generations
-        must_poll = bool(self._poll_hinters or self._stop_hints)
-        while clock.cycle < limit:
-            if self._should_stop():
+        should_stop = self._should_stop
+        while clock._cycle < limit:
+            if should_stop():
                 return True
-            if fast_forward:
-                if use_queue:
-                    wake = limit
-                    while events_heap:
-                        cycle_, slot_, generation_ = events_heap[0]
-                        if generation_ == events_generations[slot_]:
-                            if cycle_ < limit:
-                                wake = cycle_
-                            break
-                        heappop(events_heap)
-                    if must_poll and wake > clock.cycle:
-                        wake = self._poll_refine(wake, clock.cycle)
-                else:
-                    wake = self._next_wake(limit)
-                if wake > clock.cycle:
-                    self._jump_to(wake)
-                    # No tick ran during the jump, so an event-state stop
-                    # predicate (the add_stop_condition contract) cannot have
-                    # flipped: fall straight through to stepping the wake
-                    # cycle.  Only hinted predicates — the ones allowed to
-                    # watch the clock or fast-forwarded accounting — must be
-                    # re-checked, and only the cycle budget can run out.
-                    if self._stop_hints:
-                        continue
-                    if clock.cycle >= limit:
-                        break
             # One cycle, inlined from step(): the call/loop setup of step(1)
             # is measurable on this path.
             for component in tickers:
@@ -784,8 +635,8 @@ class Kernel:
         self._events.clear()
         for component in self._components:
             component.reset()
-        if self.event_queue:
-            # Re-seed the heap from the components' power-on hints, exactly
+        if self._wake_push:
+            # Re-seed the heap from the components' power-on wakes, exactly
             # as registration did.
             for component in self._components:
                 if component.event_driven:

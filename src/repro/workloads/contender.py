@@ -58,7 +58,7 @@ class GreedyContender(Component):
         self.requests_issued = 0
         self.requests_completed = 0
         self._in_flight = False
-        # Probed once per tick and once per wake hint; pre-binding spares the
+        # Probed once per tick and once per wake; pre-binding spares the
         # method lookups on the hot path (same idiom as the bus counters).
         self._bus_has_pending = bus.has_pending
         bus.connect_master(core_id, self)
@@ -107,26 +107,31 @@ class GreedyContender(Component):
 class WCETModeContender(Component):
     """The WCET-estimation-mode contender of Table I.
 
-    This contender stays on the kernel's *poll* fallback (``event_driven``
-    remains False) on purpose: its wake hint reads state it does not own —
-    the task under analysis's request line and its own CBA budget, both of
-    which can change during *other* components' ticks (the bus completing
-    the TuA's transaction, a deferred TuA request going out) after this
-    contender already ticked in the same cycle.  A pushed wake computed at
-    its own tick could therefore be *later* than the true one, which the
-    event-queue contract forbids; polling re-evaluates the cross-component
-    condition at every scheduling decision, exactly like the scan kernel.
+    Event-queue protocol: the contender's tick does something only at the
+    cycle its COMP bit sets (budget full while the task under analysis has a
+    request ready) and at the cycle it issues (COMP set and its port free).
+    It re-derives its wake from :meth:`next_event` after every tick, grant
+    and completion.  The one input it does not own, the task under
+    analysis's request line, reaches it through :meth:`on_tua_line`: each
+    time the line rises the contender is woken at the first cycle stepping
+    lets it see the request (:meth:`~repro.sim.kernel.Kernel.wake`), and
+    each time it falls the contender drops the refill wake it no longer
+    needs.
 
     Parameters
     ----------
     tua_request_ready:
         Callable returning whether the task under analysis currently has a
-        request ready (``REQ1``).
+        request ready (``REQ1``).  Whoever switches that line must call
+        :meth:`on_tua_line` (the platform registers it as a request
+        observer of the task under analysis's core).
     cba:
         The CBA arbiter, when present, so the contender can observe its own
         budget (``BUDGi == full``).  Without CBA the budget condition is
         trivially true and the contender competes whenever the TuA requests.
     """
+
+    event_driven = True
 
     def __init__(
         self,
@@ -156,40 +161,57 @@ class WCETModeContender(Component):
         return self.cba.credits.eligible(self.core_id, cycle)
 
     def tick(self) -> None:
+        now = self.now
         self.gate.update(
-            budget_full=self._budget_full(self.now),
+            budget_full=self._budget_full(now),
             tua_request_ready=bool(self.tua_request_ready()),
         )
-        if self._in_flight or self._bus_has_pending(self.core_id):
-            return
-        if self.gate.compete:
+        if self.gate.compete and not (
+            self._in_flight or self._bus_has_pending(self.core_id)
+        ):
             self._issue()
+        if self._wake_push:
+            self._reschedule_wake(now + 1)
+
+    def _reschedule_wake(self, cycle: int) -> None:
+        """Push the wake :meth:`next_event` gives for ``cycle``."""
+        wake = self.next_event(cycle)
+        if wake is None:
+            self._wake_cancel(self._wake_slot)
+        else:
+            self._wake_schedule(self._wake_slot, wake)
 
     def next_event(self, now: int) -> int | None:
-        """Wake hint honouring the COMP-bit dynamics of Table I.
+        """The first cycle from ``now`` at which a tick sets COMP or issues.
 
-        The gate's inputs are frozen during a skip except the contender's own
-        budget, which replenishes monotonically while it is not holding the
-        bus.  The only self-scheduled event is therefore the cycle the budget
-        refills while the TuA is requesting, which would set COMP and trigger
-        an issue.  All other transitions ride on bus/TuA events:
-
-        * request in flight — COMP cannot *gain* observable effect until the
-          completion (and while holding, the draining budget keeps the gate
-          shut); the bus hint covers the completion cycle;
-        * COMP already set and free to issue — issue this very tick;
-        * TuA not requesting — the gate cannot open until the TuA's state
-          changes, which is a ticked cycle by construction.
+        * COMP set — issue at ``now`` if the port is free; otherwise nothing
+          until the completion (which re-derives the wake);
+        * TuA not requesting — COMP cannot set until the line rises, which
+          wakes the contender (:meth:`on_tua_line`);
+        * otherwise COMP sets at the first cycle the budget is full: ``now``
+          or the contender's ``eligible_from``, which only its own grant
+          moves.
         """
-        if self._in_flight or self._bus_has_pending(self.core_id):
-            return None
-        if self.gate.compete or self.gate.mode is OperatingMode.OPERATION:
+        gate = self.gate
+        if gate.compete or gate.mode is OperatingMode.OPERATION:
+            if self._in_flight or self._bus_has_pending(self.core_id):
+                return None
             return now
         if not self.tua_request_ready():
             return None
         if self._budget_full(now):
             return now
         return self.cba.credits.eligible_from[self.core_id]
+
+    def on_tua_line(self) -> None:
+        """The task under analysis's request line rose or fell."""
+        kernel = self._kernel
+        if kernel is None:
+            return
+        if self.tua_request_ready():
+            kernel.wake(self)
+        elif self._wake_push:
+            self._reschedule_wake(self.now + 1)
 
     def _issue(self) -> None:
         request = BusRequest(
@@ -205,10 +227,14 @@ class WCETModeContender(Component):
     def on_grant(self, request: BusRequest, cycle: int) -> None:
         """Bus master protocol: the grant clears the compete bit (Table I)."""
         self.gate.on_granted()
+        if self._wake_push:
+            self._reschedule_wake(cycle + 1)
 
     def on_complete(self, request: BusRequest, cycle: int) -> None:
         self.requests_completed += 1
         self._in_flight = False
+        if self._wake_push:
+            self._reschedule_wake(cycle + 1)
 
     def reset(self) -> None:
         self.gate.reset()

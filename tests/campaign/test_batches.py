@@ -70,9 +70,9 @@ def _grid_jobs(workload):
     return jobs
 
 
-def _batch_of(jobs, attempt=1, **kwargs):
+def _batch_of(jobs, attempt=1):
     key, blob = pickle_context(JobContext.from_job(jobs[0]))
-    return batch_jobs([(job, attempt) for job in jobs], key, blob, **kwargs)
+    return batch_jobs([(job, attempt) for job in jobs], key, blob)
 
 
 # ----------------------------------------------------------------------
@@ -94,19 +94,6 @@ def test_run_batch_round_trip_matches_run_job():
         assert result.run_start == expected.run_start
         assert result.num_runs == expected.num_runs
         assert result.elapsed_seconds > 0.0
-
-
-def test_shared_memory_transport_is_bit_identical():
-    """Forcing the shm return path changes transport, not a single sample."""
-    jobs, reference = _single_context_jobs()
-    result = run_batch(_batch_of(jobs, shm_min_bytes=0))
-    assert result.samples is None  # rode shared memory, not the pipe
-    assert result.shm_name is not None
-    folded = result.split()
-    assert result.shm_name is None  # adopted, copied out and unlinked
-    assert {r.job_id: r.samples for r in folded} == {
-        job_id: ref.samples for job_id, ref in reference.items()
-    }
 
 
 def test_worker_context_cache_hits_after_first_batch():

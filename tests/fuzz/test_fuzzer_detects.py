@@ -32,8 +32,8 @@ def _make_broken_tdma(num_masters, rng, options):
 
 
 def _perturb_banked_dram(system, mode_name):
-    """Make banked DRAM slightly faster in the batch mode only."""
-    if mode_name == "batch" and type(system.dram).__name__ == "BankedDRAM":
+    """Make banked DRAM slightly faster in the fast-forward mode only."""
+    if mode_name == "fast_forward" and type(system.dram).__name__ == "BankedDRAM":
         system.dram.row_hit_latency += 3
 
 

@@ -9,8 +9,8 @@ from repro.fuzz import (
     check_scenario,
     fuzz_iteration,
     run_mode,
-    snapshot,
 )
+from repro.sim.config import KernelMode
 
 
 def _scenario_of_kind(kind: str, seed: int = 77, budget: int = 200):
@@ -31,9 +31,11 @@ def test_all_kinds_run_in_production_mode():
 
 def test_snapshot_covers_counters_and_memory():
     scenario = fuzz_iteration(77, 0)
-    shot = snapshot(run_mode(scenario, PRODUCTION_MODE), scenario.tua_core)
+    shot = run_mode(scenario, PRODUCTION_MODE).snapshot(scenario.tua_core)
     assert shot["total_cycles"] > 0
     assert scenario.tua_core in shot["core_counters"]
+    # The per-request latencies the equivalence matrices compare.
+    assert shot["request_latencies"][scenario.tua_core]
     assert "memory" in shot["extra"]
     # Observability output is mode-dependent and must stay out of the snapshot.
     assert "observability" not in shot
@@ -49,7 +51,7 @@ def test_perturbing_one_mode_is_detected():
     # A perturbation of the L2 latency table in exactly one mode must
     # surface as a "modes" violation.
     def perturb_latency(system, mode_name):
-        if mode_name == "batch":
+        if mode_name == "fast_forward":
             slave = system.l2_slave
             slave._duration_by_class = {
                 kind: max(1, duration - 1)
@@ -59,7 +61,7 @@ def test_perturbing_one_mode_is_detected():
     violation = check_modes(scenario, perturb_latency)
     assert violation is not None
     assert violation.invariant == "modes"
-    assert "batch" in violation.detail
+    assert "fast_forward" in violation.detail
 
 
 def test_unknown_invariant_name_rejected():
@@ -69,7 +71,7 @@ def test_unknown_invariant_name_rejected():
 
 
 def test_modes_table_matches_the_equivalence_matrix():
-    names = [mode.name for mode in KERNEL_MODES]
-    assert names == ["stepping", "fast_forward", "batch", "event_queue"]
-    assert KERNEL_MODES[0].fast_forward is False
-    assert PRODUCTION_MODE.event_queue is True
+    names = [mode.value for mode in KERNEL_MODES]
+    assert names == ["stepping", "fast_forward", "production"]
+    assert KERNEL_MODES == tuple(KernelMode)
+    assert PRODUCTION_MODE is KernelMode.PRODUCTION

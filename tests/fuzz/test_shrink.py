@@ -7,7 +7,7 @@ def _failing_pair(seed: int = 99, budget: int = 40):
     """A (scenario, violation) pair produced by a one-mode perturbation."""
 
     def perturb(system, mode_name):
-        if mode_name == "batch":
+        if mode_name == "fast_forward":
             slave = system.l2_slave
             slave._duration_by_class = {
                 kind: max(1, duration - 1)

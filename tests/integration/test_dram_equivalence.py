@@ -2,9 +2,8 @@
 
 The banked DRAM model (row buffers, bank conflicts, FR-FCFS reordering) is
 driven synchronously from the L2 bus slave at grant time, so it must be
-*bit-identical* across every kernel execution mode — plain stepping,
-event-aware fast-forward, the batch interpreter and the event-queue
-scheduler — exactly like the fixed-latency model it generalises.  These
+*bit-identical* across every kernel mode — stepping, fast-forward and
+production — exactly like the fixed-latency model it generalises.  These
 tests enforce that for both controller policies under real multi-core
 contention, and guard against vacuity: the banked model must actually
 diverge from the fixed model, and FR-FCFS must actually reorder.
@@ -20,18 +19,16 @@ from __future__ import annotations
 import pytest
 
 from repro.platform.system import MulticoreSystem
-from repro.sim.config import BusTimings, CacheGeometry, MemoryConfig, PlatformConfig
+from repro.sim.config import (
+    BusTimings,
+    CacheGeometry,
+    KernelMode,
+    MemoryConfig,
+    PlatformConfig,
+)
 from repro.workloads.base import AddressPattern, WorkloadSpec
 
 MAX_CYCLES = 2_000_000
-
-#: (fast_forward, event_queue, batch_interpreter, materialize_traces)
-KERNEL_MODES = {
-    "stepping": (False, False, False, False),
-    "fast_forward": (True, False, False, True),
-    "batch": (True, False, True, True),
-    "event_queue": (True, True, True, True),
-}
 
 DIRTY_STRIDER = WorkloadSpec(
     name="dirty-strider",
@@ -65,52 +62,34 @@ def _config(policy: str, random_caches: bool = True) -> PlatformConfig:
     )
 
 
-def _run(config: PlatformConfig, mode: str, seed: int = 11, cores: int | None = None):
-    fast_forward, event_queue, batch, materialize = KERNEL_MODES[mode]
-    system = MulticoreSystem(
-        config,
-        seed=seed,
-        run_index=0,
-        label=f"dram-{mode}",
-        fast_forward=fast_forward,
-        event_queue=event_queue,
-        batch_interpreter=batch,
-        materialize_traces=materialize,
-    )
+def _run(
+    config: PlatformConfig,
+    mode: KernelMode = KernelMode.PRODUCTION,
+    seed: int = 11,
+    cores: int | None = None,
+):
+    system = MulticoreSystem(config, seed=seed, run_index=0, label="dram", mode=mode)
     for core in range(cores if cores is not None else config.num_cores):
         system.add_task(core, DIRTY_STRIDER)
     return system.run(max_cycles=MAX_CYCLES)
 
 
-def _snapshot(result) -> dict:
-    return {
-        "total_cycles": result.total_cycles,
-        "core_counters": {
-            core: counters.as_dict()
-            for core, counters in sorted(result.core_counters.items())
-        },
-        "grants_per_core": list(result.grants_per_core),
-        "cycles_per_core": list(result.cycles_per_core),
-        "bus_utilization": result.bus_utilization,
-        "l2_miss_rate": result.l2_miss_rate,
-        "extra": result.extra,
-    }
+def _agree(config: PlatformConfig, cores: int | None = None) -> dict:
+    """Stepping's snapshot, asserted equal in the other two modes."""
+    reference = _run(config, KernelMode.STEPPING, cores=cores).snapshot(0)
+    for mode in (KernelMode.FAST_FORWARD, KernelMode.PRODUCTION):
+        assert _run(config, mode, cores=cores).snapshot(0) == reference, mode
+    return reference
 
 
 @pytest.mark.parametrize("policy", ["in_order", "frfcfs"])
 def test_banked_dram_bit_identical_across_kernel_modes(policy):
-    config = _config(policy)
-    reference = _snapshot(_run(config, "stepping"))
+    reference = _agree(_config(policy))
     assert reference["extra"]["memory"]["row_conflicts"] > 0  # DRAM truly contended
-    for mode in ("fast_forward", "batch", "event_queue"):
-        assert _snapshot(_run(config, mode)) == reference, mode
 
 
 def test_banked_dram_deterministic_caches_bit_identical():
-    config = _config("frfcfs", random_caches=False)
-    reference = _snapshot(_run(config, "stepping"))
-    for mode in ("fast_forward", "batch", "event_queue"):
-        assert _snapshot(_run(config, mode)) == reference, mode
+    _agree(_config("frfcfs", random_caches=False))
 
 
 def test_reordering_bit_identical_across_kernel_modes():
@@ -120,16 +99,13 @@ def test_reordering_bit_identical_across_kernel_modes():
     dirty misses (multi-core interleaving would close it), so this run
     actually reorders — and every mode must reorder identically.
     """
-    config = _config("frfcfs")
-    reference = _snapshot(_run(config, "stepping", cores=1))
+    reference = _agree(_config("frfcfs"), cores=1)
     assert reference["extra"]["memory"]["reordered_accesses"] > 0
-    for mode in ("fast_forward", "batch", "event_queue"):
-        assert _snapshot(_run(config, mode, cores=1)) == reference, mode
 
 
 def test_frfcfs_differs_from_in_order():
-    in_order = _run(_config("in_order"), "event_queue", cores=1)
-    frfcfs = _run(_config("frfcfs"), "event_queue", cores=1)
+    in_order = _run(_config("in_order"), cores=1)
+    frfcfs = _run(_config("frfcfs"), cores=1)
     assert in_order.total_cycles != frfcfs.total_cycles
     # Row hits recovered by reordering make the frfcfs schedule faster overall.
     assert frfcfs.extra["memory"]["row_hits"] > in_order.extra["memory"]["row_hits"]
@@ -138,7 +114,7 @@ def test_frfcfs_differs_from_in_order():
 
 def test_banked_differs_from_fixed():
     """Non-vacuity: the banked model changes timing relative to the fixed model."""
-    banked = _run(_config("in_order"), "event_queue")
-    fixed = _run(_config("in_order").with_updates(memory=MemoryConfig()), "event_queue")
+    banked = _run(_config("in_order"))
+    fixed = _run(_config("in_order").with_updates(memory=MemoryConfig()))
     assert banked.total_cycles != fixed.total_cycles
     assert fixed.extra["memory"]["row_conflicts"] == 0

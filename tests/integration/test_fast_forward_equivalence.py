@@ -1,12 +1,13 @@
 """Fast-forward equivalence matrix.
 
-The event-aware kernel promises that jumping over dead cycles is
-*bit-identical* to stepping through them: same grant/completion cycles, same
-RNG draws, same counters, same pWCET inputs.  These tests enforce the promise
-across every arbitration policy, both cache configurations (random placement
-+ replacement vs deterministic modulo + LRU), CBA on and off, and the
-scenarios that exercise every component state (greedy contention, the
-WCET-estimation mode of Table I, multiprogram runs with store buffers).
+Due-only dispatch promises that jumping over dead cycles is *bit-identical*
+to stepping through them: same grant/completion cycles, same RNG draws, same
+counters, same pWCET inputs.  These tests run every row in all three kernel
+modes (stepping, fast-forward, production) across every arbitration policy,
+both cache configurations (random placement + replacement vs deterministic
+modulo + LRU), CBA on and off, and the scenarios that exercise every
+component state (greedy contention, the WCET-estimation mode of Table I,
+multiprogram runs with store buffers).
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ import pytest
 from repro.experiments.runner import scale_workload
 from repro.platform.presets import rp_config
 from repro.platform.scenarios import (
-    ScenarioResult,
     run_max_contention,
     run_multiprogram,
     run_wcet_estimation,
 )
 from repro.platform.system import MulticoreSystem
-from repro.sim.config import CBAParameters, MemoryConfig, PlatformConfig
+from repro.sim.config import CBAParameters, KernelMode, MemoryConfig, PlatformConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
 from repro.workloads.synthetic import cpu_bound_workload, streaming_workload
@@ -48,67 +48,85 @@ def _config(arbitration: str, random_caches: bool, use_cba: bool, **kwargs) -> P
     )
 
 
-def _snapshot(result: ScenarioResult) -> dict:
-    """Flatten everything observable about a scenario run for comparison."""
-    system = result.system
-    return {
-        "scenario": result.scenario,
-        "tua_cycles": result.tua_cycles,
-        "truncated": result.truncated,
-        "total_cycles": system.total_cycles,
-        "core_counters": {
-            core: counters.as_dict() for core, counters in system.core_counters.items()
-        },
-        "request_latencies": {
-            core: counters.request_latencies
-            for core, counters in system.core_counters.items()
-        },
-        "bus_utilization": system.bus_utilization,
-        "bandwidth_shares": system.bandwidth_shares,
-        "grants_per_core": system.grants_per_core,
-        "cycles_per_core": system.cycles_per_core,
-        "cba_blocked_cycles": system.cba_blocked_cycles,
-        "l1_miss_rates": system.l1_miss_rates,
-        "l2_miss_rate": system.l2_miss_rate,
-        "extra": system.extra,
-    }
-
-
 @pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
 @pytest.mark.parametrize("random_caches", [True, False], ids=["random", "deterministic"])
 @pytest.mark.parametrize("arbitration", ARBITERS)
 def test_max_contention_identical_with_and_without_skipping(
-    arbitration: str, random_caches: bool, use_cba: bool
+    arbitration: str, random_caches: bool, use_cba: bool, modes_agree
 ):
     """Greedy contenders keep the bus saturated — the stall-heavy case
     fast-forwarding exists for — across the full policy/cache/CBA matrix."""
     config = _config(arbitration, random_caches, use_cba)
     workload = streaming_workload(num_accesses=150)
-    kwargs = dict(seed=11, run_index=2, max_cycles=MAX_CYCLES)
-    stepped = run_max_contention(workload, config, fast_forward=False, **kwargs)
-    skipped = run_max_contention(workload, config, fast_forward=True, **kwargs)
-    assert _snapshot(stepped) == _snapshot(skipped)
+    modes_agree(
+        lambda mode: run_max_contention(
+            workload, config, seed=11, run_index=2, max_cycles=MAX_CYCLES, mode=mode
+        )
+    )
 
 
 @pytest.mark.parametrize("use_cba", [True, False], ids=["cba", "plain"])
 @pytest.mark.parametrize("arbitration", ["random_permutations", "tdma", "round_robin"])
 def test_wcet_estimation_identical_with_and_without_skipping(
-    arbitration: str, use_cba: bool
+    arbitration: str, use_cba: bool, modes_agree
 ):
     """The Table I analysis-mode contenders gate on the TuA's request line and
-    their own budget — the trickiest wake-hint interaction (COMP-bit dynamics,
-    zeroed TuA budget, budget refill wake-ups)."""
+    their own budget — the trickiest wake interaction (COMP-bit dynamics,
+    zeroed TuA budget, budget refill wake-ups, the TuA's line rising)."""
     config = _config(arbitration, random_caches=True, use_cba=use_cba)
     workload = streaming_workload(num_accesses=120)
-    kwargs = dict(seed=5, run_index=7, max_cycles=MAX_CYCLES)
-    stepped = run_wcet_estimation(workload, config, fast_forward=False, **kwargs)
-    skipped = run_wcet_estimation(workload, config, fast_forward=True, **kwargs)
-    assert _snapshot(stepped) == _snapshot(skipped)
+    modes_agree(
+        lambda mode: run_wcet_estimation(
+            workload, config, seed=5, run_index=7, max_cycles=MAX_CYCLES, mode=mode
+        )
+    )
+
+
+#: H-CBA parameterisations (N = 4, MaxL = 56): heterogeneous replenishment
+#: shares, and per-core budget caps above the full budget, under which a
+#: granted core can stay eligible for part of its hold.
+HCBA = {
+    "shares": CBAParameters(replenish_shares=(1, 3, 1, 1)),
+    "caps": CBAParameters(budget_caps=(224, 336, 280, 224)),
+}
+
+
+@pytest.mark.parametrize("store_buffer_entries", [0, 2], ids=["blocking", "buffered"])
+@pytest.mark.parametrize("hcba", sorted(HCBA))
+@pytest.mark.parametrize("arbitration", ["random_permutations", "tdma", "round_robin"])
+def test_wcet_estimation_under_hcba_identical(
+    arbitration: str, hcba: str, store_buffer_entries: int, modes_agree
+):
+    """The Table I contenders' wakes under H-CBA: per-core refill rates and
+    caps move their ``eligible_from``, and with a store buffer the TuA's
+    request line also rises inside the bus's tick (a deferred request
+    released by a store drain), which the contenders see a cycle later."""
+    config = _config(
+        arbitration,
+        random_caches=True,
+        use_cba=True,
+        cba=HCBA[hcba],
+        store_buffer_entries=store_buffer_entries,
+    )
+    workload = WorkloadSpec(
+        name="store_burst",
+        num_accesses=100,
+        working_set_bytes=8 * 1024,
+        mean_compute_gap=2.0,
+        write_fraction=0.5,
+    )
+    modes_agree(
+        lambda mode: run_wcet_estimation(
+            workload, config, seed=8, run_index=1, max_cycles=MAX_CYCLES, mode=mode
+        )
+    )
 
 
 @pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
 @pytest.mark.parametrize("arbitration", ["round_robin", "tdma"])
-def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bool):
+def test_multiprogram_with_store_buffers_identical(
+    arbitration: str, use_cba: bool, modes_agree
+):
     """Real tasks on every core plus write buffers: exercises the buffered
     store drain, port-wait and store-stall states under fast-forwarding."""
     config = _config(arbitration, random_caches=True, use_cba=use_cba, store_buffer_entries=2)
@@ -124,17 +142,18 @@ def test_multiprogram_with_store_buffers_identical(arbitration: str, use_cba: bo
         1: store_heavy,
         2: cpu_bound_workload(num_accesses=80),
     }
-    kwargs = dict(seed=3, run_index=1, max_cycles=MAX_CYCLES)
-    stepped = run_multiprogram(workloads, config, fast_forward=False, **kwargs)
-    skipped = run_multiprogram(workloads, config, fast_forward=True, **kwargs)
-    assert _snapshot(stepped) == _snapshot(skipped)
+    modes_agree(
+        lambda mode: run_multiprogram(
+            workloads, config, seed=3, run_index=1, max_cycles=MAX_CYCLES, mode=mode
+        )
+    )
 
 
-def test_sixteen_core_banked_frfcfs_multiprogram_identical():
+def test_sixteen_core_banked_frfcfs_multiprogram_identical(modes_agree):
     """The shape of the 16-core consolidation benchmark at small scale: one
-    EEMBC task per core, banked DRAM with FR-FCFS reordering.  Stepping, the
-    hint scan and due-only dispatch (the production loop, where most cores
-    lag behind the clock between their wakes) must agree bit for bit."""
+    EEMBC task per core, banked DRAM with FR-FCFS reordering.  Stepping and
+    due-only dispatch (where most cores lag behind the clock between their
+    wakes) must agree bit for bit."""
     config = rp_config(16).with_updates(
         memory=MemoryConfig(model="banked", controller_policy="frfcfs")
     )
@@ -142,17 +161,17 @@ def test_sixteen_core_banked_frfcfs_multiprogram_identical():
         core: scale_workload(eembc_workload(FIGURE1_BENCHMARKS[core % 4]), 0.05)
         for core in range(16)
     }
-    kwargs = dict(seed=1, run_index=0, max_cycles=MAX_CYCLES)
-    stepped = run_multiprogram(workloads, config, fast_forward=False, **kwargs)
-    scanned = run_multiprogram(workloads, config, event_queue=False, **kwargs)
-    dispatched = run_multiprogram(workloads, config, **kwargs)
-    assert _snapshot(stepped) == _snapshot(scanned) == _snapshot(dispatched)
+    dispatched = modes_agree(
+        lambda mode: run_multiprogram(
+            workloads, config, seed=1, run_index=0, max_cycles=MAX_CYCLES, mode=mode
+        )
+    )
     assert dispatched.system.observability["cycles_skipped"] > 0
 
 
-def _build_contention_system(fast_forward: bool, use_cba: bool) -> MulticoreSystem:
+def _build_contention_system(mode: KernelMode, use_cba: bool) -> MulticoreSystem:
     config = _config("random_permutations", random_caches=True, use_cba=use_cba)
-    system = MulticoreSystem(config, seed=23, run_index=4, fast_forward=fast_forward)
+    system = MulticoreSystem(config, seed=23, run_index=4, mode=mode)
     system.add_task(0, streaming_workload(num_accesses=150))
     for core in range(1, config.num_cores):
         system.add_greedy_contender(core)
@@ -165,8 +184,8 @@ def test_internal_state_identical_and_skipping_not_vacuous(use_cba: bool):
     windowed monitor accounting and credit-bank totals — plus proof that the
     fast-forwarded run actually skipped cycles (the matrix must not pass
     vacuously because nothing was ever jumped)."""
-    stepped = _build_contention_system(fast_forward=False, use_cba=use_cba)
-    skipped = _build_contention_system(fast_forward=True, use_cba=use_cba)
+    stepped = _build_contention_system(KernelMode.STEPPING, use_cba=use_cba)
+    skipped = _build_contention_system(KernelMode.PRODUCTION, use_cba=use_cba)
     stepped.run(max_cycles=MAX_CYCLES)
     skipped.run(max_cycles=MAX_CYCLES)
 
@@ -194,7 +213,7 @@ def test_internal_state_identical_and_skipping_not_vacuous(use_cba: bool):
 def test_fast_forward_skips_most_cycles_of_a_memory_bound_run():
     """The point of the PR: in a bus-stall-bound run nearly every cycle is
     dead time, and the kernel should jump it rather than step it."""
-    system = _build_contention_system(fast_forward=True, use_cba=False)
+    system = _build_contention_system(KernelMode.PRODUCTION, use_cba=False)
     system.run(max_cycles=MAX_CYCLES)
     total = system.kernel.clock.cycle
     assert system.kernel.cycles_skipped > 0.8 * total

@@ -1,11 +1,12 @@
 """Due-only dispatch: ``Kernel.run`` ticks only the components whose wake is due.
 
-Under the event queue the production loop ticks a component at its wake or
+Outside ``KernelMode.STEPPING`` the kernel ticks a component at its wake or
 when another component touched it (:meth:`Kernel.touch`), and catches every
 other cycle up lazily through ``fast_forward(start, cycles)``.  These tests
 pin the contract against the stepping oracle: cross-slot calls in both
-directions, truncated and stopped runs, the platform's tick savings, and a
-profiled run taking the same path as an unprofiled one.
+directions, truncated and stopped runs, every scenario runner taking the
+due-only loop, the platform's tick savings, and a profiled run taking the
+same path as an unprofiled one.
 """
 
 from __future__ import annotations
@@ -18,13 +19,20 @@ import pytest
 from repro.experiments.runner import scale_workload
 from repro.obs.profiler import KernelProfiler
 from repro.cpu.core_model import CoreModel
-from repro.platform.presets import rp_config
-from repro.platform.scenarios import run_isolation, run_max_contention
+from repro.platform.presets import cba_config, rp_config
+from repro.platform.scenarios import (
+    run_isolation,
+    run_max_contention,
+    run_mixed_criticality,
+    run_multiprogram,
+    run_wcet_estimation,
+)
 from repro.platform.system import MulticoreSystem
 from repro.sim.component import Component
-from repro.sim.config import MemoryConfig, ObservabilityConfig, PlatformConfig
+from repro.sim.config import KernelMode, MemoryConfig, ObservabilityConfig, PlatformConfig
 from repro.workloads.base import WorkloadSpec
 from repro.sim.kernel import Kernel
+from repro.workloads.contender import WCETModeContender
 from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
 
 
@@ -75,16 +83,16 @@ class Ledger(Component):
 
 
 MODES = {
-    "stepped": dict(fast_forward=False),
-    "scanned": dict(event_queue=False),
-    "dispatched": dict(),
+    "stepped": KernelMode.STEPPING,
+    "fast_forward": KernelMode.FAST_FORWARD,
+    "dispatched": KernelMode.PRODUCTION,
 }
 
 
 def _ledger_kernel(mode: str) -> tuple[Kernel, list[Ledger]]:
     """Three ledgers whose actions coincide at some cycles, wired so every
     slot calls into both an earlier and a later slot (or both later)."""
-    kernel = Kernel(**MODES[mode])
+    kernel = Kernel(mode=MODES[mode])
     first = Ledger("first", period=12, phase=0, push=1)
     middle = Ledger("middle", period=7, phase=3, push=5)
     last = Ledger("last", period=4, phase=0, push=-2)
@@ -107,7 +115,7 @@ def _run_ledgers(mode: str, max_cycles: int, stop_after: int | None = None):
 @pytest.mark.parametrize("max_cycles", [1, 2, 11, 12, 13, 500, 1_003])
 def test_cross_slot_calls_match_stepping(max_cycles: int):
     reference_kernel, reference = _run_ledgers("stepped", max_cycles)
-    for mode in ("scanned", "dispatched"):
+    for mode in ("fast_forward", "dispatched"):
         kernel, ledgers = _run_ledgers(mode, max_cycles)
         assert kernel.clock.cycle == reference_kernel.clock.cycle
         assert [ledger.state() for ledger in ledgers] == [
@@ -206,14 +214,29 @@ def test_sixteen_core_run_ticks_cores_on_few_executed_cycles():
     assert system.bus.stats.counter("cycles_total").value == kernel.clock.cycle
 
 
-def test_profiled_run_ticks_the_same_components():
-    plain = _sixteen_core_system(0.03)
+def _wcet_system(scale: float, **kwargs) -> MulticoreSystem:
+    """The WCET-estimation runs of the MBPTA pool, at small scale."""
+    system = MulticoreSystem(cba_config(), seed=1, run_index=0, **kwargs)
+    system.add_task(0, scale_workload(eembc_workload("canrdr"), scale))
+    for core in range(1, 4):
+        system.add_wcet_contender(core, tua_core=0)
+    system.set_tua_initial_budget(0, 0)
+    return system
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda **kw: _sixteen_core_system(0.03, **kw), lambda **kw: _wcet_system(0.1, **kw)],
+    ids=["sixteen_core", "wcet_estimation"],
+)
+def test_profiled_run_ticks_the_same_components(build):
+    plain = build()
     plain.finalize()
     plain_ticks = _count_calls(plain, "tick")
     plain_catch_ups = _count_calls(plain, "fast_forward")
     plain.run(max_cycles=5_000_000)
 
-    profiled = _sixteen_core_system(0.03, obs=ObservabilityConfig(profile_kernel=True))
+    profiled = build(obs=ObservabilityConfig(profile_kernel=True))
     profiled.run(max_cycles=5_000_000)
     profiler = profiled.profiler
     assert isinstance(profiler, KernelProfiler)
@@ -227,38 +250,84 @@ def test_profiled_run_ticks_the_same_components():
     assert profiler.executed_cycles == plain.kernel.clock.cycle - plain.kernel.cycles_skipped
 
 
-def _outputs(system) -> dict:
-    """Every simulated output of a run, the execution-path fields left out."""
-    return {
-        "total_cycles": system.total_cycles,
-        "core_counters": {c: k.as_dict() for c, k in system.core_counters.items()},
-        "grants_per_core": system.grants_per_core,
-        "cycles_per_core": system.cycles_per_core,
-        "cba_blocked_cycles": system.cba_blocked_cycles,
-        "extra": system.extra,
-    }
+def test_wcet_contenders_tick_on_few_executed_cycles():
+    """The Table I contenders push their wakes: each ticks when the TuA's
+    request line rises, when its budget refills and when it issues — not
+    on every executed cycle."""
+    system = _wcet_system(0.1)
+    system.finalize()
+    ticks = _count_calls(system, "tick")
+    result = system.run(max_cycles=5_000_000)
+    kernel = system.kernel
+    executed = kernel.clock.cycle - kernel.cycles_skipped
+    contender_ticks = sum(ticks[c.name] for c in system.contenders.values())
+    assert all(isinstance(c, WCETModeContender) for c in system.contenders.values())
+    assert sum(result.extra["contender_requests"].values()) > 0
+    assert 0 < contender_ticks <= 0.35 * executed * len(system.contenders)
+
+
+_SCENARIO_WORKLOAD = scale_workload(eembc_workload("canrdr"), 0.05)
+SCENARIO_RUNNERS: dict[str, Callable] = {
+    "isolation": lambda mode: run_isolation(_SCENARIO_WORKLOAD, cba_config(), mode=mode),
+    "max_contention": lambda mode: run_max_contention(
+        _SCENARIO_WORKLOAD, cba_config(), mode=mode
+    ),
+    "wcet_estimation": lambda mode: run_wcet_estimation(
+        _SCENARIO_WORKLOAD, cba_config(), mode=mode
+    ),
+    "multiprogram": lambda mode: run_multiprogram(
+        {core: _SCENARIO_WORKLOAD for core in range(4)}, cba_config(), mode=mode
+    ),
+    "mixed_criticality": lambda mode: run_mixed_criticality(
+        _SCENARIO_WORKLOAD, cba_config(), mode=mode
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_RUNNERS))
+def test_every_scenario_runner_takes_due_only_dispatch(scenario, monkeypatch):
+    """Production runs every shipped scenario on the due-only loop (no
+    component forces stepping); stepping runs it on the stepping loop."""
+    loops: list[str] = []
+    for name in ("_run_due", "_run_stepping"):
+        real = getattr(Kernel, name)
+
+        def spy(kernel, limit, _real=real, _name=name):
+            loops.append(_name)
+            return _real(kernel, limit)
+
+        monkeypatch.setattr(Kernel, name, spy)
+    run = SCENARIO_RUNNERS[scenario]
+    production = run(KernelMode.PRODUCTION)
+    assert loops == ["_run_due"]
+    assert production.system.observability["cycles_skipped"] > 0
+    loops.clear()
+    stepping = run(KernelMode.STEPPING)
+    assert loops == ["_run_stepping"]
+    assert stepping.snapshot() == production.snapshot()
 
 
 def test_tdma_under_cba_wakes_exactly_at_the_refilled_slot():
     """A budget-blocked master's wake is its base policy's first chance once
     refilled (its next TDMA slot), not the refill itself: due-only dispatch
-    executes no no-op cycle there, so it skips exactly what the hint scan
-    skips (this seed executed one extra cycle with a refill wake), and every
-    counter still equals stepping."""
+    executes no no-op cycle there, so it skips exactly 29,247 cycles (a
+    refill wake would execute one more), and every counter still equals
+    stepping."""
     workload = scale_workload(eembc_workload("cacheb"), 0.1)
     config = PlatformConfig(arbitration="tdma", random_caches=True, use_cba=True)
     results = {
-        mode: run_max_contention(
-            workload, config, seed=2, run_index=0, max_cycles=3_000_000, **kwargs
+        name: run_max_contention(
+            workload, config, seed=2, run_index=0, max_cycles=3_000_000, mode=mode
         ).system
-        for mode, kwargs in MODES.items()
+        for name, mode in MODES.items()
     }
     skipped = {mode: result.observability["cycles_skipped"] for mode, result in results.items()}
     assert skipped["stepped"] == 0
-    assert skipped["dispatched"] == skipped["scanned"] > 0
+    assert skipped["dispatched"] == 29_247
+    assert 0 < skipped["fast_forward"] < skipped["dispatched"]  # no batched stretches
     assert results["stepped"].cba_blocked_cycles > 0
-    for mode in ("scanned", "dispatched"):
-        assert _outputs(results[mode]) == _outputs(results["stepped"]), mode
+    for mode in ("fast_forward", "dispatched"):
+        assert results[mode].snapshot(0) == results["stepped"].snapshot(0), mode
 
 
 def test_run_ending_in_a_store_drain_stops_on_the_stepped_cycle(monkeypatch):
@@ -283,19 +352,23 @@ def test_run_ending_in_a_store_drain_stops_on_the_stepped_cycle(monkeypatch):
     )
     config = PlatformConfig(arbitration="round_robin", store_buffer_entries=4)
     results = {
-        mode: run_isolation(stores, config, seed=3, run_index=0, **kwargs).system
-        for mode, kwargs in MODES.items()
+        name: run_isolation(stores, config, seed=3, run_index=0, mode=mode).system
+        for name, mode in MODES.items()
     }
     assert drained and drained[0]
-    for mode in ("scanned", "dispatched"):
-        assert _outputs(results[mode]) == _outputs(results["stepped"]), mode
+    for mode in ("fast_forward", "dispatched"):
+        assert results[mode].snapshot(0) == results["stepped"].snapshot(0), mode
 
     reruns = {}
-    for mode, kwargs in MODES.items():
-        system = MulticoreSystem(config, seed=3, run_index=0, **kwargs)
+    for name, mode in MODES.items():
+        system = MulticoreSystem(config, seed=3, run_index=0, mode=mode)
         system.add_task(0, stores)
         assert system.run().total_cycles == results["stepped"].total_cycles
         system.kernel.reset()
         assert not system._all_tasks_finished()
-        reruns[mode] = _outputs(system.run())
-    assert reruns["scanned"] == reruns["dispatched"] == reruns["stepped"]
+        rerun = system.run()
+        assert system._all_tasks_finished() and not rerun.truncated
+        reruns[name] = rerun.snapshot(0)
+    # Materialised traces replay their sequence after a reset; stepping's
+    # lazy traces draw a fresh one, so only the two due-only modes compare.
+    assert reruns["fast_forward"] == reruns["dispatched"]

@@ -1,16 +1,17 @@
 """Unit tests for the kernel's heap-based event queue.
 
-The queue replaces the per-component ``next_event`` poll with pushed wakes
-plus lazy generation-based invalidation.  These tests pin the contracts the
-platform relies on: wakes persist until superseded, staleness biases toward
-execution (never toward skipping), pushed and polled components compose, and
-the ``run_horizon``/truncation/resumption behaviour of ``run`` is identical
-under both scheduling mechanisms.
+Components push their wakes into the queue, with lazy generation-based
+invalidation.  These tests pin the contracts the platform relies on: wakes
+persist until superseded, staleness biases toward execution (never toward
+skipping), a component that does not push forces stepping, and the
+``run_horizon``/truncation/resumption behaviour of ``run`` is identical in
+every mode.
 """
 
 import pytest
 
 from repro.sim.component import Component
+from repro.sim.config import KernelMode
 from repro.sim.errors import SchedulingError
 from repro.sim.kernel import EventQueue, Kernel
 
@@ -49,7 +50,7 @@ class PeriodicPusher(Component):
 
 
 class PolledWorker(PeriodicPusher):
-    """The same periodic behaviour via the poll fallback (no pushes)."""
+    """The same periodic behaviour without pushed wakes."""
 
     event_driven = False
 
@@ -178,42 +179,44 @@ def test_pushed_wakes_jump_between_events():
     assert kernel.cycles_skipped == worker.fast_forwarded == 1000 - 10
 
 
-def test_pushed_and_polled_components_compose():
+def test_component_without_pushed_wakes_forces_stepping():
+    """A component that is not ``event_driven`` has no wake to dispatch on,
+    so the kernel steps every cycle and both components act on their
+    cycles."""
     kernel = Kernel()
     pusher = kernel.register(PeriodicPusher("push", period=100))
     polled = kernel.register(PolledWorker("poll", period=60))
     kernel.run(max_cycles=600)
     assert pusher.action_cycles == list(range(0, 600, 100))
     assert polled.action_cycles == list(range(0, 600, 60))
-    # Only the union of both schedules was executed.
-    executed = 600 - kernel.cycles_skipped
-    assert executed == len({c for c in range(600) if c % 100 == 0 or c % 60 == 0})
+    assert kernel.cycles_skipped == 0
+    assert polled.idle_cycles_seen == 600 - 10
 
 
-def test_queue_and_scan_modes_execute_identically():
+def test_stepping_and_due_only_modes_execute_identically():
     results = []
-    for event_queue in (False, True):
-        kernel = Kernel(event_queue=event_queue)
-        pusher = kernel.register(PeriodicPusher("push", period=70))
-        polled = kernel.register(PolledWorker("poll", period=45))
+    for mode in KernelMode:
+        kernel = Kernel(mode=mode)
+        first = kernel.register(PeriodicPusher("first", period=70))
+        second = kernel.register(PeriodicPusher("second", period=45))
         kernel.run(max_cycles=1500)
         results.append(
             (
-                pusher.action_cycles,
-                polled.action_cycles,
-                kernel.cycles_skipped,
+                first.action_cycles,
+                second.action_cycles,
+                first.idle_cycles_seen + first.fast_forwarded,
                 kernel.clock.cycle,
             )
         )
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_wake_exactly_on_run_horizon_is_not_executed():
     """A wake landing exactly on ``start + max_cycles`` belongs to the first
     cycle that may never run: the run must end at the horizon without ticking
-    it, under both scheduling mechanisms."""
-    for event_queue in (False, True):
-        kernel = Kernel(event_queue=event_queue)
+    it, in both due-only modes."""
+    for mode in (KernelMode.FAST_FORWARD, KernelMode.PRODUCTION):
+        kernel = Kernel(mode=mode)
         component = kernel.register(OneShot("edge", wake=500))
         executed = kernel.run(max_cycles=500)
         assert executed == 500
@@ -301,32 +304,19 @@ def test_step_outside_run_ignores_the_queue():
     assert kernel.cycles_skipped == 0
 
 
-def test_clock_hinted_stop_fires_exactly_with_queue():
-    kernel = Kernel()
-    kernel.register(PeriodicPusher("w", period=1000))
-    deadline = 777
-    kernel.add_stop_condition(
-        lambda: kernel.clock.cycle >= deadline,
-        next_event=lambda now: deadline,
-    )
-    kernel.run(max_cycles=10_000)
-    assert kernel.clock.cycle == deadline
-    assert kernel.stop_condition_fired
-
-
 def test_schedule_wake_on_unbound_component_is_safe():
     component = PeriodicPusher("loose", period=10)
     component.schedule_wake(5)  # no kernel: must not raise
     component.cancel_wake()
 
 
-def test_scan_mode_ignores_pushes():
-    """With event_queue=False the kernel polls hints; pushes are accepted
-    and ignored, so a pushing component behaves identically."""
-    kernel = Kernel(event_queue=False)
+def test_stepping_mode_ignores_pushes():
+    """Stepping ticks every cycle; pushes are accepted and ignored, so a
+    pushing component behaves identically."""
+    kernel = Kernel(mode=KernelMode.STEPPING)
     worker = kernel.register(PeriodicPusher("w", period=100))
     kernel.run(max_cycles=1000)
     assert worker.action_cycles == list(range(0, 1000, 100))
-    assert worker.idle_cycles_seen == 0
-    assert kernel.cycles_skipped == 1000 - 10
+    assert worker.idle_cycles_seen == 1000 - 10
+    assert kernel.cycles_skipped == 0
     assert kernel.scheduled_wake(worker) is None  # nothing was enqueued

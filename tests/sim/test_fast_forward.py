@@ -1,13 +1,14 @@
 """Unit tests for the kernel's event-aware fast-forwarding."""
 
-import pytest
-
 from repro.sim.component import Component
+from repro.sim.config import KernelMode
 from repro.sim.kernel import Kernel
 
 
 class PeriodicWorker(Component):
-    """Acts every ``period`` cycles, sleeps (with a wake hint) in between."""
+    """Acts every ``period`` cycles, sleeps (with a pushed wake) in between."""
+
+    event_driven = True
 
     def __init__(self, name: str, period: int) -> None:
         super().__init__(name)
@@ -19,6 +20,7 @@ class PeriodicWorker(Component):
     def tick(self) -> None:
         if self.now % self.period == 0:
             self.action_cycles.append(self.now)
+            self.schedule_wake(self.now + self.period)
         else:
             self.idle_cycles_seen += 1
 
@@ -34,6 +36,8 @@ class PeriodicWorker(Component):
 class Sleeper(Component):
     """A component with no self-scheduled events at all."""
 
+    event_driven = True
+
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.ticks = 0
@@ -46,7 +50,7 @@ class Sleeper(Component):
 
 
 class DefaultHinter(Component):
-    """Overrides tick but keeps the base (conservative) wake hint."""
+    """Overrides tick but does not push wakes (not ``event_driven``)."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -78,8 +82,8 @@ def test_component_with_default_hint_disables_skipping():
     assert worker.action_cycles == list(range(0, 500, 100))
 
 
-def test_fast_forward_switch_disables_skipping():
-    kernel = Kernel(fast_forward=False)
+def test_stepping_mode_disables_skipping():
+    kernel = Kernel(mode=KernelMode.STEPPING)
     worker = kernel.register(PeriodicWorker("w", period=100))
     kernel.run(max_cycles=500)
     assert kernel.cycles_skipped == 0
@@ -104,19 +108,6 @@ def test_state_based_stop_condition_checked_after_each_jump():
     # Actions at 0, 50 and 100; the predicate flips during the cycle-100 step
     # and is observed right after it — never later, despite the jumps.
     assert kernel.clock.cycle == 101
-    assert kernel.stop_condition_fired
-
-
-def test_clock_based_stop_condition_with_hint_fires_exactly():
-    kernel = Kernel()
-    kernel.register(Sleeper("s"))
-    deadline = 777
-    kernel.add_stop_condition(
-        lambda: kernel.clock.cycle >= deadline,
-        next_event=lambda now: deadline,
-    )
-    kernel.run(max_cycles=10_000)
-    assert kernel.clock.cycle == deadline
     assert kernel.stop_condition_fired
 
 

@@ -11,26 +11,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMPARE = REPO_ROOT / "benchmarks" / "compare_bench.py"
 
 
 def kernel_report(
-    batch: float = 1.0,
+    production: float = 1.0,
     fast_forward: float = 1.0,
-    queue: float = 1.0,
     bit_identical: bool = True,
     stepping_mcps: float = 0.5,
-    queue_mcps: float = 2.0,
+    production_mcps: float = 2.0,
 ) -> dict:
     scenario = {
         "cycles": 1_000_000,
         "wall_s_stepping": 4.0,
         "wall_s_fast_forward": fast_forward,
-        "wall_s_batch": batch,
-        "wall_s_event_queue": queue,
+        "wall_s_production": production,
         "mcycles_per_s_stepping": stepping_mcps,
-        "mcycles_per_s_event_queue": queue_mcps,
+        "mcycles_per_s_production": production_mcps,
         "bit_identical": bit_identical,
     }
     return {
@@ -80,23 +80,16 @@ def test_clean_reports_pass(tmp_path):
 
 
 def test_batch_slower_than_fast_forward_fails(tmp_path):
-    result = run_gate(tmp_path, kernel_report(batch=1.5, fast_forward=1.0))
+    result = run_gate(tmp_path, kernel_report(production=1.5, fast_forward=1.0))
     assert result.returncode == 1
-    assert "batch path" in result.stdout
-
-
-def test_event_queue_slower_than_scan_fails(tmp_path):
-    result = run_gate(tmp_path, kernel_report(batch=1.0, queue=1.3))
-    assert result.returncode == 1
-    assert "event-queue scheduler" in result.stdout
+    assert "production path" in result.stdout
 
 
 def test_untracked_scenarios_are_not_gated(tmp_path):
     """Only low_contention/* is wall-clock gated; the memory-latency-bound
     contention scenarios may sit at ~1x without failing the gate."""
     report = kernel_report()
-    report["scenarios"]["contention/round_robin"]["wall_s_batch"] = 99.0
-    report["scenarios"]["contention/round_robin"]["wall_s_event_queue"] = 99.0
+    report["scenarios"]["contention/round_robin"]["wall_s_production"] = 99.0
     result = run_gate(tmp_path, report)
     assert result.returncode == 0, result.stdout + result.stderr
 
@@ -110,8 +103,8 @@ def test_bit_identity_failure_fails_everywhere(tmp_path):
 
 
 def test_normalised_throughput_regression_vs_baseline_fails(tmp_path):
-    baseline = kernel_report(stepping_mcps=0.5, queue_mcps=2.0)  # 4.0x normalised
-    current = kernel_report(stepping_mcps=0.5, queue_mcps=1.0)  # 2.0x normalised
+    baseline = kernel_report(stepping_mcps=0.5, production_mcps=2.0)  # 4.0x normalised
+    current = kernel_report(stepping_mcps=0.5, production_mcps=1.0)  # 2.0x normalised
     result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 1
     assert "normalised throughput" in result.stdout
@@ -120,9 +113,9 @@ def test_normalised_throughput_regression_vs_baseline_fails(tmp_path):
 def test_baseline_diff_skipped_across_workload_sizes(tmp_path):
     """A --quick report (smaller traces, lower batch speedups) must not be
     gated against a full-size baseline — the diff is skipped, not failed."""
-    baseline = kernel_report(stepping_mcps=0.5, queue_mcps=2.0)
+    baseline = kernel_report(stepping_mcps=0.5, production_mcps=2.0)
     baseline["accesses"] = 800
-    current = kernel_report(stepping_mcps=0.5, queue_mcps=1.0)  # would regress
+    current = kernel_report(stepping_mcps=0.5, production_mcps=1.0)  # would regress
     current["accesses"] = 200
     result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 0, result.stdout + result.stderr
@@ -133,8 +126,8 @@ def test_machine_speed_differences_do_not_fail_baseline_diff(tmp_path):
     """A CI runner half as fast as the baseline machine scales stepping and
     default-mode throughput together; the normalised ratio is unchanged and
     the gate passes."""
-    baseline = kernel_report(stepping_mcps=0.5, queue_mcps=2.0)
-    current = kernel_report(stepping_mcps=0.25, queue_mcps=1.0)
+    baseline = kernel_report(stepping_mcps=0.5, production_mcps=2.0)
+    current = kernel_report(stepping_mcps=0.25, production_mcps=1.0)
     result = run_gate(tmp_path, current, baseline)
     assert result.returncode == 0, result.stdout + result.stderr
 
@@ -144,10 +137,22 @@ def test_pre_event_queue_baseline_schema_still_compares(tmp_path):
     batch column for the normalised-throughput diff."""
     baseline = kernel_report()
     for entry in baseline["scenarios"].values():
-        del entry["mcycles_per_s_event_queue"]
+        del entry["mcycles_per_s_production"]
         entry["mcycles_per_s_batch"] = 2.0
     result = run_gate(tmp_path, kernel_report(), baseline)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("mcps", [2.0, 1.0], ids=["steady", "regressed"])
+def test_event_queue_baseline_schema_still_compares(tmp_path, mcps):
+    """Baselines written before the production column (four-mode reports)
+    diff on their event-queue column: the default mode of their time."""
+    baseline = kernel_report()
+    for entry in baseline["scenarios"].values():
+        del entry["mcycles_per_s_production"]
+        entry["mcycles_per_s_event_queue"] = 2.0
+    result = run_gate(tmp_path, kernel_report(production_mcps=mcps), baseline)
+    assert result.returncode == (0 if mcps == 2.0 else 1), result.stdout + result.stderr
 
 
 def test_dropped_tracked_scenario_is_logged(tmp_path):
