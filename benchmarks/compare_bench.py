@@ -187,8 +187,7 @@ def diff_campaign_baseline(
             f"(mean {dispatch.get('mean_chunk_jobs', 0)} jobs, "
             f"max {dispatch.get('max_chunk_jobs', 0)}), "
             f"context cache {dispatch.get('context_cache_hits', 0)} hits / "
-            f"{dispatch.get('context_cache_misses', 0)} misses, "
-            f"trace cache {dispatch.get('trace_cache_hits', 0)} hits"
+            f"{dispatch.get('context_cache_misses', 0)} misses"
         )
     speedup_now = now.get("speedup_pool_vs_serial")
     speedup_then = then.get("speedup_pool_vs_serial")

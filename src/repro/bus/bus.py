@@ -366,13 +366,19 @@ class SharedBus(Component):
             return 0.0
         return self.stats.counter("cycles_busy").value / total
 
+    def _check_master(self, master_id: int) -> None:
+        if not 0 <= master_id < self.num_masters:
+            raise ProtocolError(f"unknown master {master_id}")
+
     def cycles_granted(self, master_id: int) -> int:
         """Total bus-hold cycles granted to ``master_id`` so far."""
-        return self.stats.counter(f"cycles_master_{master_id}").value
+        self._check_master(master_id)
+        return self._c_cycles_master[master_id].value
 
     def grants(self, master_id: int) -> int:
         """Total number of grants given to ``master_id`` so far."""
-        return self.stats.counter(f"grants_master_{master_id}").value
+        self._check_master(master_id)
+        return self._c_grants_master[master_id].value
 
     def bandwidth_shares(self) -> list[float]:
         """Per-master share of all granted bus cycles (sums to 1 when any)."""

@@ -9,8 +9,6 @@ reusable for both levels.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..sim.config import CacheGeometry
 from ..sim.errors import ConfigurationError
 from ..sim.stats import StatGroup
@@ -61,11 +59,6 @@ class SetAssociativeCache:
             [CacheLine() for _ in range(geometry.associativity)]
             for _ in range(geometry.num_sets)
         ]
-        #: Vectorised residency mirror of the tag store, created lazily by
-        #: :meth:`residency_mirror` and kept in sync from then on.  ``None``
-        #: keeps caches that never batch-probe (the L2) free of the per-fill
-        #: mirror update.
-        self._mirror_tags: np.ndarray | None = None
         self.stats = StatGroup(name=f"{name}.stats")
         # Every access increments one of these; bind them once instead of
         # doing a string-keyed lookup per access.
@@ -127,56 +120,6 @@ class SetAssociativeCache:
         self.replacement.on_access(self._sets[set_index], way, cycle)
         self._c_read_hits.value += 1
 
-    #: Mirror entry of an invalid way: all-ones never collides with a real
-    #: tag (tags are block addresses of at-most-63-bit addresses), so probes
-    #: can compare against the tag plane alone, without a validity mask.
-    MIRROR_EMPTY = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-    def residency_mirror(self) -> np.ndarray:
-        """``(num_sets, ways)`` mirror of the tag store as one uint64 array.
-
-        Invalid ways hold :attr:`MIRROR_EMPTY`, so ``mirror[sets] == tags``
-        decides a whole candidate stretch's read hits in one numpy comparison
-        instead of one :meth:`read_hit_way` call per item.  Created (and
-        back-filled from the current line state) on first call; from then on
-        every fill, flush and reset updates it in place — the *same* array
-        object stays valid for the cache's lifetime, so callers bind it once
-        per run.  Read hits never change residency, which is what makes a
-        single probe of the mirror valid for every item of a bus-free
-        stretch.
-        """
-        if self._mirror_tags is None:
-            geometry = self.geometry
-            self._mirror_tags = np.full(
-                (geometry.num_sets, geometry.associativity),
-                self.MIRROR_EMPTY,
-                dtype=np.uint64,
-            )
-            for set_index, ways in enumerate(self._sets):
-                for way, line in enumerate(ways):
-                    if line.valid:
-                        self._mirror_tags[set_index, way] = line.tag
-        return self._mirror_tags
-
-    def commit_read_hits(
-        self, set_indices: list[int], ways: list[int], cycles: list[int]
-    ) -> None:
-        """Bulk :meth:`commit_read_hit` for pre-probed ``(set, way)`` pairs.
-
-        Applies each hit's replacement touch with its exact cycle stamp (LRU
-        state stays bit-identical to stepping) and advances the hit counter
-        once for the whole batch.  When the policy never reads access history
-        (random replacement), the stamping loop is skipped outright —
-        ``count_read_hits`` is the even cheaper entry point for callers that
-        know this up front and skip building the stamp columns too.
-        """
-        if self.replacement.uses_access_history:
-            all_sets = self._sets
-            on_access = self.replacement.on_access
-            for set_index, way, cycle in zip(set_indices, ways, cycles, strict=True):
-                on_access(all_sets[set_index], way, cycle)
-        self._c_read_hits.value += len(set_indices)
-
     def count_read_hits(self, count: int) -> None:
         """Advance the read-hit statistic for ``count`` pre-probed hits whose
         replacement touches are droppable (``uses_access_history`` is False —
@@ -228,8 +171,6 @@ class SetAssociativeCache:
         if victim.valid:
             self._c_evictions.value += 1
         victim.fill(tag, cycle, dirty=is_write and self.write_back)
-        if self._mirror_tags is not None:
-            self._mirror_tags[set_index, victim_way] = tag
         self.replacement.on_access(ways, victim_way, cycle)
         return AccessResult(
             hit=False,
@@ -256,8 +197,6 @@ class SetAssociativeCache:
                 if line.valid and line.dirty:
                     dirty += 1
                 line.invalidate()
-        if self._mirror_tags is not None:
-            self._mirror_tags.fill(self.MIRROR_EMPTY)
         return dirty
 
     def occupancy(self) -> float:
@@ -290,6 +229,4 @@ class SetAssociativeCache:
             for line in ways:
                 line.invalidate()
                 line.last_used = 0
-        if self._mirror_tags is not None:
-            self._mirror_tags.fill(self.MIRROR_EMPTY)
         self.stats.reset()

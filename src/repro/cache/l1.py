@@ -91,17 +91,6 @@ class L1Cache:
         """
         return self.cache.read_hit_way, self.cache.commit_read_hit
 
-    def residency_mirror(self):
-        """Numpy mirror of the tag store (invalid ways hold the sentinel) —
-        the vectorised form of the probe above; see
-        :meth:`repro.cache.cache.SetAssociativeCache.residency_mirror`."""
-        return self.cache.residency_mirror()
-
-    def commit_read_hits(self, set_indices, ways, cycles) -> None:
-        """Bulk read-hit commit with exact cycle stamps; see
-        :meth:`repro.cache.cache.SetAssociativeCache.commit_read_hits`."""
-        self.cache.commit_read_hits(set_indices, ways, cycles)
-
     @property
     def hit_stamps_droppable(self) -> bool:
         """True when read-hit replacement touches are unobservable (the

@@ -15,11 +15,10 @@ module provides the batched alternative:
   round-trip dispatches the whole chunk.
 * :func:`run_batch` — the worker entry point.  Warm workers keep a
   process-global cache of deserialised contexts keyed by content hash, so a
-  context blob is unpickled once per worker, not once per batch; the
-  workload layer's deterministic-trace column cache
-  (:func:`repro.workloads.base.enable_trace_column_cache`) is switched on at
-  worker start so repeated materialisations of draw-free traces are served
-  from cached columns.
+  context blob is unpickled once per worker, not once per batch.  Traces
+  are not cached: each run materialises its own, because a warm worker
+  could replay cached columns only for draw-free specs, which almost no
+  registered workload is.
 * :class:`BatchResult` — the columnar return trip: all samples of the batch
   as one ``float64`` array, per-run metrics as named columns, and per-job
   boundaries recovered from the run counts.  :meth:`~
@@ -45,7 +44,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..workloads.base import enable_trace_column_cache, trace_column_cache_stats
 from .jobs import CampaignJob, JobResult, run_job
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -57,6 +55,7 @@ __all__ = [
     "JobContext",
     "batch_jobs",
     "run_batch",
+    "warm_up_worker",
 ]
 
 #: Out-of-band-buffer-capable protocol used for context blobs and results.
@@ -184,8 +183,6 @@ class BatchResult:
     elapsed: tuple[float, ...]
     #: Worker-side cache accounting, folded into the profiler's counters.
     context_cache_hit: bool = False
-    trace_cache_hits: int = 0
-    trace_cache_misses: int = 0
     failed_index: int | None = None
     failure_blob: bytes | None = None
     failure_message: str = ""
@@ -247,15 +244,9 @@ class BatchResult:
 _CONTEXT_CACHE: dict[str, JobContext] = {}
 
 
-def init_batch_worker() -> None:
-    """Pool initializer: arm the per-worker caches.
-
-    The deterministic-trace column cache only ever changes *worker* memory —
-    cached columns replay draw-free streams, and the workload stream is
-    private per core — so enabling it here keeps the parent process (and the
-    serial executor) byte-for-byte untouched.
-    """
-    enable_trace_column_cache(True)
+def warm_up_worker() -> None:
+    """No-op task: submitting one per worker makes the pool spawn them all,
+    so a profiled campaign can time the spawn on its own."""
 
 
 def _context_for(batch: JobBatch) -> tuple[JobContext, bool]:
@@ -299,7 +290,6 @@ def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
     unbatched execution; only the transport is columnar.
     """
     context, cache_hit = _context_for(batch)
-    trace_hits_before, trace_misses_before = trace_column_cache_stats()
     job_results: list[JobResult] = []
     failure_blob: bytes | None = None
     failure_message = ""
@@ -329,7 +319,6 @@ def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
             break
         job_results.append(result)
 
-    trace_hits_after, trace_misses_after = trace_column_cache_stats()
     completed = len(job_results)
     if job_results:
         samples = np.concatenate([result.samples_array for result in job_results])
@@ -357,8 +346,6 @@ def run_batch(batch: JobBatch, plan: "FaultPlan | None" = None) -> BatchResult:
         truncated=tuple(result.truncated_runs for result in job_results),
         elapsed=elapsed,
         context_cache_hit=cache_hit,
-        trace_cache_hits=trace_hits_after - trace_hits_before,
-        trace_cache_misses=trace_misses_after - trace_misses_before,
         failed_index=failed_index,
         failure_blob=failure_blob,
         failure_message=failure_message,

@@ -61,9 +61,9 @@ from ..sim.errors import ConfigurationError
 from .batches import (
     JobContext,
     batch_jobs,
-    init_batch_worker,
     pickle_context,
     run_batch,
+    warm_up_worker,
 )
 from .jobs import CampaignJob, JobResult, run_job
 from .resilience import (
@@ -250,9 +250,7 @@ class ParallelExecutor(Executor):
     # Submission helpers
     # ------------------------------------------------------------------
     def _build_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers, initializer=init_batch_worker
-        )
+        return ProcessPoolExecutor(max_workers=self.workers)
 
     def _crash_next_attempt(self, job: CampaignJob, attempt: int) -> int:
         """The attempt a job lost to a pool break should resubmit as.
@@ -307,8 +305,6 @@ class ParallelExecutor(Executor):
             "contexts": 0,
             "context_cache_hits": 0,
             "context_cache_misses": 0,
-            "trace_cache_hits": 0,
-            "trace_cache_misses": 0,
         }
         self.last_batch_stats = stats
 
@@ -348,7 +344,7 @@ class ParallelExecutor(Executor):
         spawn_started = perf_counter()
         pool = self._build_pool()
         if profiler is not None:
-            wait({pool.submit(init_batch_worker) for _ in range(self.workers)})
+            wait({pool.submit(warm_up_worker) for _ in range(self.workers)})
             profiler.add("spawn", perf_counter() - spawn_started, count=self.workers)
 
         def have_pending() -> bool:
@@ -474,7 +470,7 @@ class ParallelExecutor(Executor):
                 return self._build_pool()
             started = perf_counter()
             fresh = self._build_pool()
-            wait({fresh.submit(init_batch_worker) for _ in range(self.workers)})
+            wait({fresh.submit(warm_up_worker) for _ in range(self.workers)})
             profiler.add("spawn", perf_counter() - started, count=self.workers)
             return fresh
 
@@ -611,16 +607,10 @@ class ParallelExecutor(Executor):
                             "cache_hit" if batch_result.context_cache_hit
                             else "cache_miss"
                         )
-                        if batch_result.trace_cache_hits:
-                            profiler.count(
-                                "trace_cache_hit", batch_result.trace_cache_hits
-                            )
                     stats["context_cache_hits"] += int(batch_result.context_cache_hit)  # type: ignore[operator]
                     stats["context_cache_misses"] += int(  # type: ignore[operator]
                         not batch_result.context_cache_hit
                     )
-                    stats["trace_cache_hits"] += batch_result.trace_cache_hits  # type: ignore[operator]
-                    stats["trace_cache_misses"] += batch_result.trace_cache_misses  # type: ignore[operator]
                     if folded:
                         elapsed = sum(batch_result.elapsed) or 1e-9
                         entry.context.observe(elapsed / len(folded))

@@ -54,8 +54,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from ..bus.bus import SharedBus
 from ..bus.transaction import AccessType, BusRequest
 from ..cache.l1 import L1Cache
@@ -74,22 +72,6 @@ from .trace import (
 )
 
 __all__ = ["CoreState", "CoreModel"]
-
-#: The vectorised residency probe is used when both the candidate window and
-#: the core's running stretch-length estimate reach this many items; below
-#: it the scalar per-item probe wins (measured parity ~64 items, clear
-#: vector wins from ~128 — the numpy fixed cost per probe round needs that
-#: many items to amortise; the estimate runs at 1.5x the observed stretch).
-_VEC_MIN_WINDOW = 96
-#: Cap on the adaptive stretch-length estimate, i.e. on the vectorised
-#: scan's *first* probe width.  Within one scan the width then gallops (4x
-#: per round), so a fully resident trace is decided in a handful of numpy
-#: operations while the wasted probe past an early miss stays proportional
-#: to the items actually taken.
-_VEC_CHUNK = 256
-#: Initial stretch-length estimate (and smallest vectorised probe width).
-_VEC_CHUNK_FIRST = 16
-
 
 class CoreState(str, Enum):
     """What the core is doing in the current cycle."""
@@ -185,40 +167,10 @@ class CoreModel(Component):
         if self._batch:
             self._l1_sets, self._l1_tags = trace.placement_columns(l1_data.placement)
             self._l1_probe, self._l1_commit = l1_data.batch_read_hooks()
-            # Vectorised residency: the candidate stretch between two
-            # mandatory bus items is decided against the L1's (num_sets,
-            # ways) tag-store mirror in one numpy comparison per chunk; the
-            # scalar probe above stays as the fallback for short windows,
-            # where the fixed cost of array indexing exceeds a handful of
-            # probe calls.
-            self._set_array, self._tag_array = trace.placement_arrays(l1_data.placement)
-            self._mirror_tags = l1_data.residency_mirror()
-            self._bus_bounds = trace.bus_bound_indices().tolist()
-            self._bound_pos = 0
-            self._commit_hits = l1_data.commit_read_hits
             #: Random replacement never reads the access history, so batch
             #: commits may count hits without computing per-hit stamps/ways.
             self._hits_cheap = l1_data.hit_stamps_droppable
             self._count_hits = l1_data.cache.count_read_hits
-            # Per-run prefix sums: item i's cost is gap + transition cycle
-            # (+ hit latency for reads), so a stretch's cycle count and every
-            # hit's exact completion stamp fall out of one subtraction
-            # against these instead of a cumsum per probe.
-            self._read_mask = trace.kinds == np.int8(KIND_READ)
-            self._cost_prefix = np.cumsum(
-                trace.compute_gaps + 1 + l1_data.hit_latency * self._read_mask
-            )
-            #: Adaptive stretch-length estimate: ~1.5x the *smaller* of the
-            #: two most recent stretches (updated by both scan paths in
-            #: :meth:`_commit_batch`).  Taking the pairwise minimum adds
-            #: hysteresis — one long stretch in a short-stretch regime does
-            #: not flip the route, so spiky distributions stay on the scalar
-            #: probe while genuinely resident phases (consecutive long
-            #: stretches) move to the vectorised one, which the estimate
-            #: also sizes so a typical stretch is decided in one numpy round
-            #: without over-probing far past its end.
-            self._stretch_estimate = _VEC_CHUNK_FIRST
-            self._last_stretch = 0
         self._store_buffer: list[int] = []
         self._store_in_flight = False
         self._deferred_request: BusRequest | None = None
@@ -483,40 +435,13 @@ class CoreModel(Component):
         driving) there is no horizon at all and batching stays off, keeping
         stepped partial state exact.
 
-        Two scan implementations share these semantics: the candidate window
-        runs from the cursor to the next write/atomic (which must go to the
-        bus no matter what the cache holds, pre-computed per trace).  When
-        both the window and the core's adaptive stretch-length estimate
-        reach ``_VEC_MIN_WINDOW``, the window is decided *vectorised* — the
-        reads' pre-computed ``(set, tag)`` placements are compared against
-        the L1 tag-store mirror in one numpy operation per probe round, the
-        stretch ending at the first read miss or the run-horizon cut found
-        on per-run cost prefix sums.  Short windows and short-stretch
-        regimes use the scalar per-item probe, whose fixed cost is lower.
-        Both commit identical effects — the equivalence matrix covers
-        workloads exercising each.
+        The scan probes one item at a time against the L1's tag store.  The
+        L1 is write-through, so every store ends a stretch and stretches on
+        the paper's workloads stay short; a vectorised whole-window probe
+        measured no faster even on long L1-resident stretches.
         """
         if self._store_buffer or self._store_in_flight:
             return False
-        cursor = self._cursor
-        # The next mandatory bus item bounds the window; the position cursor
-        # into the per-trace boundary list only ever moves forward.
-        bounds = self._bus_bounds
-        pos = self._bound_pos
-        num_bounds = len(bounds)
-        while pos < num_bounds and bounds[pos] < cursor:
-            pos += 1
-        self._bound_pos = pos
-        hard_end = bounds[pos] if pos < num_bounds else self._trace_len
-        if (
-            hard_end - cursor >= _VEC_MIN_WINDOW
-            and self._stretch_estimate >= _VEC_MIN_WINDOW
-        ):
-            return self._enter_batch_vector(first_tick, cursor, hard_end)
-        return self._enter_batch_scalar(first_tick, cursor, hard_end)
-
-    def _enter_batch_scalar(self, first_tick: bool, cursor: int, end: int) -> bool:
-        """Per-item probe scan over a short candidate window."""
         kernel = self.kernel
         gaps = self._gaps
         kinds = self._kinds
@@ -527,11 +452,14 @@ class CoreModel(Component):
         cheap = self._hits_cheap
         latency = self.l1_data.hit_latency
         read_kind = KIND_READ
+        none_kind = KIND_NONE
         base = self.now - 1 if first_tick else self.now
         budget = None
         bounded = False
         cycles = 0
         reads = 0
+        cursor = self._cursor
+        end = self._trace_len
         j = cursor
         while j < end:
             kind = kinds[j]
@@ -541,9 +469,10 @@ class CoreModel(Component):
                 if way is None:
                     break
                 cost = gaps[j] + 1 + latency
-            else:  # pure compute (writes/atomics bound the window)
-                way = None
+            elif kind == none_kind:
                 cost = gaps[j] + 1
+            else:  # writes and atomics always go to the bus
+                break
             if not bounded:
                 horizon = kernel.run_horizon()
                 if horizon is None:
@@ -569,107 +498,10 @@ class CoreModel(Component):
         self._commit_batch(cursor, j, cycles, reads)
         return True
 
-    def _enter_batch_vector(self, first_tick: bool, cursor: int, hard_end: int) -> bool:
-        """Vectorised scan: the window's hits fall out of one numpy compare
-        per chunk against the L1 tag-store mirror.
-
-        Correct for the same reason the scalar scan is: read hits change no
-        residency, so the mirror probed once at stretch entry stays valid for
-        every item of the stretch; the first read miss (or the run-horizon
-        budget) ends it before any state the probe relied on could change.
-        """
-        # Fail fast on a leading read miss with one scalar probe — the
-        # common exit after a bus completion loads the very item that missed,
-        # and it should not cost a whole vectorised chunk to find out.
-        if (
-            self._kinds[cursor] == KIND_READ
-            and self._l1_probe(self._l1_sets[cursor], self._l1_tags[cursor]) is None
-        ):
-            return False
-        horizon = self.kernel.run_horizon()
-        if horizon is None:
-            # Bare step() driving — eager execution is never safe (see the
-            # scalar path).
-            return False
-        base = self.now - 1 if first_tick else self.now
-        budget = horizon - 1 - base
-        if budget <= 0:
-            return False
-        read_mask = self._read_mask
-        cost_prefix = self._cost_prefix
-        sets = self._set_array
-        tags = self._tag_array
-        mirror_tags = self._mirror_tags
-        commit = self._commit_hits
-        # Everything is priced off the per-run prefix sums: the cost of
-        # items ``cursor..k`` is ``cost_prefix[k] - prev``, and a hit at
-        # item ``i`` completes at ``stamp_base + cost_prefix[i]``.
-        prev = int(cost_prefix[cursor - 1]) if cursor else 0
-        stamp_base = base - prev
-        # The longest prefix whose completion ticks all execute before the
-        # run horizon, as an absolute index bound (one binary search on the
-        # whole-run prefix sums).
-        budget_end = int(np.searchsorted(cost_prefix, prev + budget, side="right"))
-        if budget_end < hard_end:
-            hard_end = budget_end
-        j = cursor
-        reads = 0
-        width = self._stretch_estimate
-        while j < hard_end:
-            end = j + width
-            if end > hard_end:
-                end = hard_end
-            width <<= 2  # gallop: long stretches finish in few rounds
-            chunk_reads = read_mask[j:end]
-            set_chunk = sets[j:end]
-            # Invalid ways mirror as a sentinel no real tag equals, so the
-            # residency of the whole chunk is one compare against the tag
-            # plane (no validity mask needed).
-            match = mirror_tags[set_chunk] == tags[j:end, None]
-            viable = match.any(axis=1) | ~chunk_reads
-            if viable.all():
-                take = end - j
-                stop = False
-            else:
-                # First read miss: the stretch ends just before it.
-                take = int(np.argmin(viable))
-                stop = True
-            if take:
-                if self._hits_cheap:
-                    count = int(np.count_nonzero(chunk_reads[:take]))
-                    if count:
-                        self._count_hits(count)
-                        reads += count
-                else:
-                    hits = np.flatnonzero(chunk_reads[:take])
-                    if hits.size:
-                        # Every read in the prefix is a hit by construction;
-                        # stamp each with the exact cycle the stepped L1
-                        # pipeline would have completed it.
-                        stamps = stamp_base + cost_prefix[j + hits]
-                        ways = match[hits].argmax(axis=1)
-                        commit(set_chunk[hits].tolist(), ways.tolist(), stamps.tolist())
-                        reads += int(hits.size)
-                j += take
-            if stop:
-                break
-        if j == cursor:
-            return False
-        cycles = int(cost_prefix[j - 1]) - prev
-        self._commit_batch(cursor, j, cycles, reads)
-        return True
-
     def _commit_batch(self, cursor: int, end: int, cycles: int, reads: int) -> None:
         """Advance counters/cursor for a swallowed stretch and start the
-        countdown (shared tail of the scalar and vectorised scans)."""
+        countdown."""
         items = end - cursor
-        # Re-aim the stretch estimate (route + vectorised probe width) at
-        # ~1.5x the smaller of this stretch and the previous one.
-        floor = items if items < self._last_stretch else self._last_stretch
-        self._last_stretch = items
-        self._stretch_estimate = min(
-            _VEC_CHUNK, max(_VEC_CHUNK_FIRST, floor + (floor >> 1))
-        )
         latency = self.l1_data.hit_latency
         counters = self.counters
         counters.items_completed += items
@@ -876,10 +708,6 @@ class CoreModel(Component):
         self._cursor = 0
         self._batch_remaining = 0
         self.obs.reset()
-        if self._batch:
-            self._bound_pos = 0
-            self._stretch_estimate = _VEC_CHUNK_FIRST
-            self._last_stretch = 0
         self._store_buffer = []
         self._store_in_flight = False
         self._deferred_request = None

@@ -276,8 +276,6 @@ class MaterializedTrace(WorkloadTrace):
         self._position = 0
         self._columns: tuple[list[int], list[int], list[int]] | None = None
         self._placement_columns: tuple[object, tuple[list[int], list[int]]] | None = None
-        self._placement_arrays: tuple[object, np.ndarray, np.ndarray] | None = None
-        self._bus_bound: np.ndarray | None = None
 
     @classmethod
     def from_columns(
@@ -318,53 +316,23 @@ class MaterializedTrace(WorkloadTrace):
             )
         return self._columns
 
-    def placement_arrays(self, placement) -> tuple[np.ndarray, np.ndarray]:
-        """Per-item ``(set_index, tag)`` columns under ``placement`` as arrays.
+    def placement_columns(self, placement) -> tuple[list[int], list[int]]:
+        """Per-item ``(set_index, tag)`` columns under ``placement``.
 
         Computed with the placement's vectorised form over the whole address
         column in one call (bit-identical per element to the scalar mapping)
         and cached against the placement object, so a run's batch interpreter
         pays for the hashing once.  Items without a memory access carry
-        address 0; their entries are never probed.  The arrays are read-only;
-        this is what the vectorised residency probe compares against the L1's
-        tag-store mirror, while :meth:`placement_columns` derives the
-        list form consumed by the scalar probe fallback.
+        address 0; their entries are never probed.  Treat the lists as
+        read-only.
         """
-        cached = self._placement_arrays
-        if cached is not None and cached[0] is placement:
-            return cached[1], cached[2]
-        set_array, tag_array = placement.index_tag_arrays(self.addresses)
-        set_array.setflags(write=False)
-        tag_array.setflags(write=False)
-        self._placement_arrays = (placement, set_array, tag_array)
-        return set_array, tag_array
-
-    def placement_columns(self, placement) -> tuple[list[int], list[int]]:
-        """The :meth:`placement_arrays` columns as plain Python lists
-        (cached; treat as read-only)."""
         cached = self._placement_columns
         if cached is not None and cached[0] is placement:
             return cached[1]
-        set_array, tag_array = self.placement_arrays(placement)
+        set_array, tag_array = placement.index_tag_arrays(self.addresses)
         columns = (set_array.tolist(), tag_array.tolist())
         self._placement_columns = (placement, columns)
         return columns
-
-    def bus_bound_indices(self) -> np.ndarray:
-        """Sorted indices of items that go to the bus regardless of cache
-        state — writes and atomics (the write-through L1 propagates every
-        store; atomics are indivisible read-modify-writes against the shared
-        level).  These are the hard boundaries of batch-interpreter
-        stretches: a stretch can only ever end early at a read miss or the
-        run-horizon budget, so the scan between two boundaries is safely
-        vectorisable.  Computed once per trace and cached (read-only).
-        """
-        if self._bus_bound is None:
-            kinds = self.kinds
-            bound = np.flatnonzero((kinds == KIND_WRITE) | (kinds == KIND_ATOMIC))
-            bound.setflags(write=False)
-            self._bus_bound = bound
-        return self._bus_bound
 
     def next_item(self) -> TraceItem | None:
         position = self._position

@@ -2,12 +2,13 @@
 
 Given a scenario that violates an invariant, the shrinker walks a fixed list
 of simplifying transformations — fewer cores, shorter traces, zeroed
-workload fractions, deterministic caches, the fixed memory model, CBA off —
-and greedily accepts any candidate that still violates the *same* invariant,
-repeating until a full pass accepts nothing or the re-execution budget is
-spent.  There is no randomness anywhere: the shrunk scenario is a pure
-function of the failing scenario (itself a pure function of the fuzzer
-seed), so two machines shrink one failure to the same repro file.
+workload fractions, deterministic caches, the fixed memory model,
+homogeneous CBA, CBA off — and greedily accepts any candidate that still
+violates the *same* invariant, repeating until a full pass accepts nothing
+or the re-execution budget is spent.  There is no randomness anywhere: the
+shrunk scenario is a pure function of the failing scenario (itself a pure
+function of the fuzzer seed), so two machines shrink one failure to the same
+repro file.
 """
 
 from __future__ import annotations
@@ -112,6 +113,18 @@ def _candidates(scenario: FuzzScenario) -> Iterator[FuzzScenario]:
         builders.append(
             lambda: _with_config(
                 scenario, memory=replace(config.memory, controller_policy="in_order")
+            )
+        )
+    cba = config.cba
+    if cba.replenish_shares is not None or cba.budget_caps is not None:
+        builders.append(
+            lambda: _with_config(
+                scenario,
+                cba=CBAParameters(
+                    max_latency=cba.max_latency,
+                    num_cores=cba.num_cores,
+                    initial_budget=cba.initial_budget,
+                ),
             )
         )
     if config.use_cba:

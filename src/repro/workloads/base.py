@@ -33,46 +33,7 @@ from ..cpu.trace import (
 )
 from ..sim.errors import WorkloadError
 
-__all__ = [
-    "AddressPattern",
-    "WorkloadSpec",
-    "enable_trace_column_cache",
-    "trace_column_cache_stats",
-]
-
-
-# ----------------------------------------------------------------------
-# Deterministic-trace column cache
-# ----------------------------------------------------------------------
-# Some specs draw nothing that reaches the trace (constant gaps, structured
-# addresses, a pure read/write mix): every run materialises byte-identical
-# columns.  Warm campaign workers re-materialise such traces hundreds of
-# times, so they may opt into caching the generated columns keyed by the
-# (frozen, hashable) spec itself.  Safe for bit-identity because the
-# workload stream is private per core — skipping its draws is unobservable
-# outside the trace — and the cache only ever serves specs whose columns
-# cannot differ between runs (:attr:`WorkloadSpec.deterministic_trace`).
-# Disabled by default; :func:`repro.campaign.batches.init_batch_worker`
-# turns it on inside pool workers only.
-_TRACE_CACHE_ENABLED = False
-_TRACE_CACHE: dict["WorkloadSpec", tuple[list[int], list[int], list[int]]] = {}
-_TRACE_CACHE_HITS = 0
-_TRACE_CACHE_MISSES = 0
-_TRACE_CACHE_CAPACITY = 128
-
-
-def enable_trace_column_cache(enabled: bool = True) -> None:
-    """Switch the deterministic-trace column cache on or off (clears it)."""
-    global _TRACE_CACHE_ENABLED, _TRACE_CACHE_HITS, _TRACE_CACHE_MISSES
-    _TRACE_CACHE_ENABLED = enabled
-    _TRACE_CACHE.clear()
-    _TRACE_CACHE_HITS = 0
-    _TRACE_CACHE_MISSES = 0
-
-
-def trace_column_cache_stats() -> tuple[int, int]:
-    """``(hits, misses)`` served by the column cache since it was enabled."""
-    return _TRACE_CACHE_HITS, _TRACE_CACHE_MISSES
+__all__ = ["AddressPattern", "WorkloadSpec"]
 
 
 class AddressPattern:
@@ -188,49 +149,8 @@ class WorkloadSpec:
             kinds.append(KIND_NONE)
         return gaps, addresses, kinds
 
-    @property
-    def deterministic_trace(self) -> bool:
-        """True when every run of this spec materialises identical columns.
-
-        Holds when each of the three draw sites is draw-free or
-        draw-independent: gaps (no randomness when the mean is zero or the
-        variability is zero), addresses (no hot-region redirection and a
-        structured pattern), and access kinds (a pure atomic, pure write or
-        pure read mix — :meth:`_draw_access_type` consumes a draw either way,
-        but the outcome is fixed and the workload stream is private, so
-        skipping the draw is unobservable).
-        """
-        gaps_fixed = self.mean_compute_gap == 0 or self.gap_variability == 0
-        addresses_fixed = (
-            self.hot_fraction == 0.0 and self.pattern != AddressPattern.RANDOM
-        )
-        kinds_fixed = self.atomic_fraction == 1.0 or (
-            self.atomic_fraction == 0.0 and self.write_fraction in (0.0, 1.0)
-        )
-        return gaps_fixed and addresses_fixed and kinds_fixed
-
     def materialize_trace(self, rng: np.random.Generator) -> MaterializedTrace:
-        """Build one run's trace in columnar form (see :meth:`generate_columns`).
-
-        When the column cache is enabled and the spec's trace is
-        deterministic, the columns are generated once and replayed for every
-        later run — the trace items are identical either way.
-        """
-        global _TRACE_CACHE_HITS, _TRACE_CACHE_MISSES
-        if _TRACE_CACHE_ENABLED and self.deterministic_trace:
-            columns = _TRACE_CACHE.get(self)
-            if columns is None:
-                _TRACE_CACHE_MISSES += 1
-                columns = self.generate_columns(rng)
-                while len(_TRACE_CACHE) >= _TRACE_CACHE_CAPACITY:
-                    _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-                _TRACE_CACHE[self] = columns
-            else:
-                _TRACE_CACHE_HITS += 1
-            gaps, addresses, kinds = columns
-            return MaterializedTrace.from_columns(
-                gaps, addresses, kinds, name=self.name
-            )
+        """Build one run's trace in columnar form (see :meth:`generate_columns`)."""
         gaps, addresses, kinds = self.generate_columns(rng)
         return MaterializedTrace.from_columns(gaps, addresses, kinds, name=self.name)
 

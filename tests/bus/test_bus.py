@@ -76,6 +76,17 @@ def test_unknown_master_rejected():
         bus.submit(BusRequest(master_id=5, address=0))
 
 
+@pytest.mark.parametrize("master_id", [7, -1])
+def test_stat_reads_reject_unknown_master_without_new_counters(master_id):
+    kernel, bus = make_bus(num_masters=4)
+    keys = set(bus.stats.as_dict())
+    with pytest.raises(ProtocolError):
+        bus.grants(master_id)
+    with pytest.raises(ProtocolError):
+        bus.cycles_granted(master_id)
+    assert set(bus.stats.as_dict()) == keys
+
+
 def test_slave_duration_outside_bounds_rejected():
     kernel = Kernel()
     bus = SharedBus(

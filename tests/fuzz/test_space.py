@@ -91,3 +91,34 @@ def test_invalid_scenarios_rejected():
         scenario.with_updates(kind="bogus")
     with pytest.raises(Exception):
         scenario.with_updates(workloads=())
+
+
+def _is_hcba(scenario) -> bool:
+    cba = scenario.config.cba
+    return scenario.config.use_cba and (
+        cba.replenish_shares is not None or cba.budget_caps is not None
+    )
+
+
+def test_fixed_seed_reaches_hcba_within_25_iterations():
+    assert any(_is_hcba(fuzz_iteration(7, i)) for i in range(25))
+
+
+def test_hcba_draws_are_valid_and_buildable():
+    """Drawn H-CBA favours the task under analysis, keeps every share
+    positive and every cap at or above the scaled full budget."""
+    scenarios = [s for s in _draw_many(67, 80) if _is_hcba(s)]
+    assert any(s.config.cba.replenish_shares for s in scenarios)
+    assert any(s.config.cba.budget_caps for s in scenarios)
+    for scenario in scenarios:
+        cba = scenario.config.cba
+        if cba.replenish_shares is not None:
+            assert len(cba.replenish_shares) == scenario.config.num_cores
+            assert min(cba.replenish_shares) > 0
+        if cba.budget_caps is not None:
+            assert min(cba.budget_caps) >= cba.scaled_full_budget
+            assert cba.budget_caps[scenario.tua_core] == max(cba.budget_caps)
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+    for scenario in scenarios[:6]:
+        for mode in KERNEL_MODES:
+            build_system(scenario, mode)

@@ -27,6 +27,7 @@ from repro.platform.scenarios import (
 )
 from repro.platform.system import MulticoreSystem
 from repro.sim.config import KernelMode, PlatformConfig
+from repro.sim.trace import TraceRecorder
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.synthetic import cpu_bound_workload, mixed_workload
 
@@ -229,17 +230,54 @@ def test_batch_truncated_runs_identical(max_cycles: int, modes_agree):
     assert result.truncated
 
 
+def _longest_stretch(
+    workload: WorkloadSpec, config: PlatformConfig, seed: int, run_index: int, max_cycles: int
+) -> tuple[int, int, int]:
+    """``(items, start, end cycle)`` of the longest stretch a production
+    isolation run commits, read from its ``core.stretch`` trace events."""
+    trace = TraceRecorder(kinds={"core.stretch"})
+    system = MulticoreSystem(config, seed=seed, run_index=run_index, trace=trace)
+    system.add_task(0, workload)
+    system.run(max_cycles=max_cycles, allow_truncation=True)
+    event = max(trace.events, key=lambda event: event.payload["items"])
+    return event.payload["items"], event.cycle, event.cycle + event.payload["cycles"]
+
+
 @pytest.mark.parametrize("arbitration", ["round_robin", "random_permutations"])
-def test_vectorised_residency_identical(arbitration: str, modes_agree):
-    """An L1-resident, write-free workload drives the *vectorised* residency
-    scan (long stretches, windows unbounded by stores)."""
+def test_long_resident_stretches_identical(arbitration: str, modes_agree):
+    """An L1-resident, write-free workload makes the batch scan commit
+    stretches of thousands of items in one go."""
     config = _config(arbitration, use_cba=False)
     workload = _l1_resident(4_000, mean_compute_gap=4.0)
+    items, _, _ = _longest_stretch(workload, config, 19, 2, MAX_CYCLES)
+    assert items >= 500
     modes_agree(
         lambda mode: run_isolation(
             workload, config, seed=19, run_index=2, max_cycles=MAX_CYCLES, mode=mode
         )
     )
+
+
+def test_long_resident_stretch_truncated_identical(modes_agree):
+    """A cycle budget that falls inside a long stretch cuts the stretch at
+    the run horizon, and the partial work matches stepping's."""
+    config = _config("round_robin", use_cba=False)
+    workload = _l1_resident(4_000, mean_compute_gap=4.0)
+    max_cycles = 12_000
+    items, start, end = _longest_stretch(workload, config, 19, 2, MAX_CYCLES)
+    assert items >= 500 and start < max_cycles < end
+    result = modes_agree(
+        lambda mode: run_isolation(
+            workload,
+            config,
+            seed=19,
+            run_index=2,
+            max_cycles=max_cycles,
+            allow_truncation=True,
+            mode=mode,
+        )
+    )
+    assert result.truncated
 
 
 def test_batching_is_not_vacuous(varied_workload: WorkloadSpec):
