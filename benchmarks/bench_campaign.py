@@ -76,7 +76,7 @@ def time_campaign(jobs, executor) -> tuple[float, dict, dict]:
     results = campaign.run(jobs)
     elapsed = time.perf_counter() - start
     aggregated = aggregate_by_label(jobs, results)
-    stats = dict(getattr(executor, "last_batch_stats", {}) or {})
+    stats = dict(getattr(executor, "last_dispatch_stats", {}) or {})
     return elapsed, {label: agg.samples for label, agg in aggregated.items()}, stats
 
 
@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"campaign grid: {len(GRID)} labels x {args.runs} runs = {len(jobs)} jobs")
 
     serial_s, serial_samples, _ = time_campaign(jobs, SerialExecutor())
-    pool_s, pool_samples, batch_stats = time_campaign(
+    pool_s, pool_samples, dispatch_stats = time_campaign(
         jobs, ParallelExecutor(max_workers=args.jobs)
     )
 
@@ -173,13 +173,12 @@ def main(argv: list[str] | None = None) -> int:
         f"campaign wall time: serial {serial_s:6.2f}s  "
         f"pool({args.jobs}) {pool_s:6.2f}s  -> {serial_s / pool_s:4.2f}x"
     )
-    if batch_stats:
+    if dispatch_stats:
         print(
-            f"batched dispatch: {batch_stats.get('batches', 0)} batches "
-            f"(mean {batch_stats.get('mean_chunk_jobs', 0)} jobs, "
-            f"max {batch_stats.get('max_chunk_jobs', 0)}), "
-            f"context cache {batch_stats.get('context_cache_hits', 0)} hits / "
-            f"{batch_stats.get('context_cache_misses', 0)} misses"
+            f"pool dispatch: {dispatch_stats.get('jobs_dispatched', 0)} jobs over "
+            f"{dispatch_stats.get('contexts', 0)} contexts, "
+            f"context cache {dispatch_stats.get('context_cache_hits', 0)} hits / "
+            f"{dispatch_stats.get('context_cache_misses', 0)} misses"
         )
 
     # MBPTA post-processing of a 1,000-sample campaign.  The sample vector
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "speedup_pool_vs_serial": round(serial_s / pool_s, 3),
             "bit_identical": True,
-            "batch_dispatch": batch_stats,
+            "dispatch": dispatch_stats,
         },
         "mbpta_post_1000_samples": mbpta_1000,
         "mbpta_post_campaign_samples": mbpta_campaign,

@@ -179,13 +179,12 @@ def diff_campaign_baseline(
         f"mbpta total {baseline.get('mbpta_post_1000_samples', {}).get('total_ms')}ms "
         f"-> {current.get('mbpta_post_1000_samples', {}).get('total_ms')}ms"
     )
-    dispatch = now.get("batch_dispatch") or {}
+    dispatch = now.get("dispatch") or {}
     if dispatch:
         print(
-            "campaign batched dispatch: "
-            f"{dispatch.get('batches', 0)} batches "
-            f"(mean {dispatch.get('mean_chunk_jobs', 0)} jobs, "
-            f"max {dispatch.get('max_chunk_jobs', 0)}), "
+            "campaign pool dispatch: "
+            f"{dispatch.get('jobs_dispatched', 0)} jobs over "
+            f"{dispatch.get('contexts', 0)} contexts, "
             f"context cache {dispatch.get('context_cache_hits', 0)} hits / "
             f"{dispatch.get('context_cache_misses', 0)} misses"
         )

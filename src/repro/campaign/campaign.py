@@ -214,7 +214,7 @@ class Campaign:
                 self._metrics_registry(
                     results,
                     self.last_report,
-                    batch_stats=getattr(self.executor, "last_batch_stats", None),
+                    dispatch_stats=getattr(self.executor, "last_dispatch_stats", None),
                 ),
                 self.metrics_path,
             )
@@ -224,15 +224,15 @@ class Campaign:
     def _metrics_registry(
         results: Mapping[str, JobResult],
         report: "CampaignReport | None" = None,
-        batch_stats: Mapping[str, object] | None = None,
+        dispatch_stats: Mapping[str, int] | None = None,
     ) -> MetricsRegistry:
         """Fold every job result into a labelled campaign-level registry.
 
         Job counters, run samples and every per-run side-metric (including
         the cores' batch-interpreter counters) become one series per
         ``(label, scenario)`` pair, mergeable across campaigns.  The parallel
-        executor's batched-dispatch accounting (batch count, worker cache
-        hits) rides along as ``campaign.dispatch.*`` counters.
+        executor's dispatch accounting (jobs dispatched, contexts, worker
+        cache hits/misses) rides along as ``campaign.dispatch.*`` counters.
         """
         registry = MetricsRegistry()
         for result in results.values():
@@ -265,11 +265,8 @@ class Campaign:
             registry.counter("campaign.quarantined_store_lines").increment(
                 report.quarantined_store_lines
             )
-        if batch_stats:
-            for name, value in batch_stats.items():
-                if isinstance(value, bool) or not isinstance(value, int):
-                    continue  # derived ratios stay in the profiler artifact
-                registry.counter(f"campaign.dispatch.{name}").increment(value)
+        for name, value in (dispatch_stats or {}).items():
+            registry.counter(f"campaign.dispatch.{name}").increment(value)
         return registry
 
 

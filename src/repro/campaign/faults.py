@@ -370,11 +370,7 @@ def run_chaos(
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         path = Path(store_path) if store_path is not None else Path(tmp) / "chaos.jsonl"
         store = ChaosStore(path, plan)
-        # Pin two jobs per batch: singleton batches would reduce chaos to the
-        # per-job dispatch it already covered, whereas a fault inside a
-        # multi-job chunk exercises the partial-batch paths (completed prefix
-        # folded, untouched suffix requeued, culprit charged).
-        executor = ParallelExecutor(max_workers=workers, chunk_jobs=2)
+        executor = ParallelExecutor(max_workers=workers)
         campaign = Campaign(
             executor=executor,
             store=store,
@@ -420,7 +416,7 @@ def run_chaos_sweep(
 
     Each sweep iteration reuses every other knob and derives its fault seed
     as ``fault_seed + i``, so which jobs crash/fail/hang (and where the
-    corruption lands relative to batch boundaries) varies across iterations
+    corruption lands in the store) varies across iterations
     while each one stays individually reproducible.  Returns the
     ``(fault_seed, report)`` pairs in sweep order.
     """

@@ -291,32 +291,26 @@ def seed_block_jobs(
     *,
     seed: int,
     num_runs: int,
-    block_size: int = 1,
     **fields: object,
 ) -> list[CampaignJob]:
-    """Split ``num_runs`` runs into contiguous seed-block jobs.
+    """One single-run job per run index ``0 .. num_runs - 1``.
 
-    ``block_size = 1`` (the default) maximises parallelism and makes job IDs
-    independent of the worker count, so a store written by ``--jobs 1`` is
-    reused verbatim by ``--jobs 8`` and vice versa.
+    One run per job maximises parallelism and makes job IDs independent of
+    the worker count, so a store written by ``--jobs 1`` is reused verbatim
+    by ``--jobs 8`` and vice versa.
     """
     if num_runs <= 0:
         raise ConfigurationError("num_runs must be positive")
-    if block_size <= 0:
-        raise ConfigurationError("block_size must be positive")
-    jobs = []
-    for start in range(0, num_runs, block_size):
-        jobs.append(
-            CampaignJob(
-                label=label,
-                scenario=scenario,
-                seed=seed,
-                run_start=start,
-                num_runs=min(block_size, num_runs - start),
-                **fields,  # type: ignore[arg-type]
-            )
+    return [
+        CampaignJob(
+            label=label,
+            scenario=scenario,
+            seed=seed,
+            run_start=start,
+            **fields,  # type: ignore[arg-type]
         )
-    return jobs
+        for start in range(num_runs)
+    ]
 
 
 # ----------------------------------------------------------------------

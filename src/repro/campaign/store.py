@@ -92,7 +92,7 @@ class ArtifactStore:
         self._lock_handle = None
         self._lock_count = 0
         #: Append handle kept open across puts while an *outer* lock is held
-        #: (a campaign run), so streaming batch results pay one open() per
+        #: (a campaign run), so streaming job results pay one open() per
         #: campaign instead of one per record.
         self._append_handle = None
 

@@ -35,11 +35,8 @@ Every experiment command also accepts the campaign-engine flags:
   related experiments);
 * ``--quiet`` — suppress the progress/ETA lines written to stderr;
 * ``--profile PATH`` — write a per-phase campaign wall-clock profile
-  (spawn/dispatch/simulate/result/store, plus batch/cache counters) as JSON
-  to PATH;
-* ``--chunk-seconds S`` / ``--chunk-jobs N`` — tune the parallel executor's
-  batched dispatch: adapt chunk sizes toward ``S`` seconds per batch
-  (default 0.25), or pin every batch to ``N`` jobs;
+  (spawn/dispatch/simulate/result/store, plus worker context-cache
+  counters) as JSON to PATH;
 * ``--metrics PATH`` — export a labelled metrics registry built from every
   job result to PATH (JSONL, or Prometheus text for ``.prom``/``.txt``);
 * ``--retries N`` — retry failing jobs up to N extra times (seeded
@@ -122,14 +119,6 @@ def _campaign_flags() -> argparse.ArgumentParser:
         help="per-job wall-clock budget; hung jobs are killed and retried",
     )
     group.add_argument(
-        "--chunk-seconds", type=float, default=None, metavar="S",
-        help="target seconds per dispatched job batch (default: 0.25)",
-    )
-    group.add_argument(
-        "--chunk-jobs", type=int, default=None, metavar="N",
-        help="pin every dispatched batch to N jobs (default: adaptive)",
-    )
-    group.add_argument(
         "--strict-store", action="store_true",
         help="fail on corrupt store lines instead of quarantining them",
     )
@@ -160,8 +149,6 @@ def campaign_from_args(args: argparse.Namespace) -> Campaign:
             args.jobs,
             retry_policy=retry_policy,
             job_timeout=job_timeout,
-            chunk_target_seconds=getattr(args, "chunk_seconds", None),
-            chunk_jobs=getattr(args, "chunk_jobs", None),
         ),
         store=store,
         resume=args.resume,

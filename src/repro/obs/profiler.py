@@ -10,15 +10,12 @@ Two independent profilers cover the two performance mysteries on the roadmap:
   like the no-op tick-hook filtering.
 * :class:`CampaignProfiler` attributes campaign wall-clock across the five
   pool phases — ``spawn`` (worker process startup/shutdown), ``dispatch``
-  (building and submitting job batches to the pool), ``simulate`` (waiting
-  for results), ``result`` (folding finished batch results back into per-job
-  records) and ``store`` (artifact-store writes) — which is the
-  instrumentation behind the batched-dispatch redesign (the per-job
-  ``pickle``/``aggregate`` split it replaces is what proved dispatch
-  overhead dominated ``speedup_pool_vs_serial``).  Alongside the timed
-  phases it keeps named :attr:`~CampaignProfiler.counters` (batch count,
-  worker context-cache hits/misses) so cache behaviour lands in the same
-  JSON artifact.
+  (submitting one future per job to the pool), ``simulate`` (waiting for
+  results), ``result`` (collecting each finished job's result) and
+  ``store`` (artifact-store writes).  Alongside the timed phases it keeps
+  named :attr:`~CampaignProfiler.counters` (``cache_hit``/``cache_miss``:
+  whether a worker already held the job's context) so cache behaviour lands
+  in the same JSON artifact.
 
 Both render to plain dictionaries (JSON artifacts) consumed by
 :mod:`repro.obs.report` and the ``repro obs profile`` command.
@@ -143,8 +140,8 @@ class CampaignProfiler:
     def __init__(self, output_path: str | Path | None = None) -> None:
         self.seconds = {phase: 0.0 for phase in self.PHASES}
         self.events = {phase: 0 for phase in self.PHASES}
-        #: Named event counters with no wall-clock of their own (batch count,
-        #: worker cache hits/misses) — accumulated via :meth:`count`.
+        #: Named event counters with no wall-clock of their own (worker
+        #: context-cache hits/misses) — accumulated via :meth:`count`.
         self.counters: dict[str, int] = {}
         #: End-to-end wall-clock of the campaign dispatch loops profiled so
         #: far (measured by the orchestrator *around* the executor, so

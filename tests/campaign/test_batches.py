@@ -1,14 +1,9 @@
-"""Chunked batch dispatch: round trips, boundary invariance, caches, resume.
+"""Warm-worker job transport: round trips, the context cache, resume.
 
-The batching tentpole's contract has two halves:
-
-* **transport is invisible** — however jobs are grouped into batches
-  (singletons, worker-sized chunks, ragged tails) and however the sample
-  column travels (inline pickle or shared memory), the folded per-job
-  results are bit-identical to per-job ``run_job`` execution;
-* **faults stay per-job** — a failure inside a chunk charges exactly the
-  culprit row, folds the completed prefix, and leaves the untouched suffix
-  requeueable, so resume and resilience semantics survive batching.
+The transport is invisible: a job rebuilt from its shared context blob and
+run in a worker reproduces per-job ``run_job`` execution bit for bit, the
+worker unpickles each context once, a failing job is charged alone, and a
+pooled campaign killed partway resumes from its store without duplicates.
 """
 
 from __future__ import annotations
@@ -17,17 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.batches import (
-    JobContext,
-    batch_jobs,
-    pickle_context,
-    run_batch,
-)
+from repro.campaign.batches import JobContext, pickle_context, run_job_in_worker
 from repro.campaign.campaign import Campaign
 from repro.campaign.executor import ParallelExecutor, SerialExecutor
 from repro.campaign.faults import FaultInjectedError, FaultPlan
 from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.progress import NullProgress
+from repro.campaign.resilience import RetryPolicy
 from repro.campaign.store import ArtifactStore
 from repro.platform.presets import cba_config, rp_config
 from repro.workloads.base import AddressPattern, WorkloadSpec
@@ -70,20 +61,24 @@ def _grid_jobs(workload):
     return jobs
 
 
-def _batch_of(jobs, attempt=1):
-    key, blob = pickle_context(JobContext.from_job(jobs[0]))
-    return batch_jobs([(job, attempt) for job in jobs], key, blob)
+def _in_worker(job, attempt=1, plan=None):
+    """Run ``job`` through the worker entry point, as the pool would."""
+    key, blob = pickle_context(JobContext.from_job(job))
+    return run_job_in_worker(
+        key, blob, job.job_id, job.label, job.run_start, job.num_runs,
+        attempt, plan,
+    )
 
 
 # ----------------------------------------------------------------------
 # Round trips
 # ----------------------------------------------------------------------
-def test_run_batch_round_trip_matches_run_job():
-    """A folded batch reproduces every field per-job dispatch produced."""
+def test_worker_round_trip_matches_run_job():
+    """A job run in a worker reproduces every field in-process execution produced."""
     jobs, reference = _single_context_jobs()
-    folded = run_batch(_batch_of(jobs[:3])).split()
-    assert len(folded) == 3
-    for result in folded:
+    for job in jobs[:3]:
+        result, _ = _in_worker(job)
+        assert result.job_id == job.job_id
         expected = reference[result.job_id]
         assert result.samples == expected.samples
         assert result.metrics == expected.metrics
@@ -96,89 +91,109 @@ def test_run_batch_round_trip_matches_run_job():
         assert result.elapsed_seconds > 0.0
 
 
-def test_worker_context_cache_hits_after_first_batch():
+def test_worker_context_cache_hits_after_first_job():
     from repro.campaign import batches
 
     jobs, _ = _single_context_jobs()
     batches._CONTEXT_CACHE.clear()
-    first = run_batch(_batch_of(jobs[:1]))
-    second = run_batch(_batch_of(jobs[1:2]))
-    assert not first.context_cache_hit
-    assert second.context_cache_hit
+    _, first_hit = _in_worker(jobs[0])
+    _, second_hit = _in_worker(jobs[1])
+    assert not first_hit
+    assert second_hit
 
 
-# ----------------------------------------------------------------------
-# Chunk boundaries never change samples
-# ----------------------------------------------------------------------
-@settings(
-    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(data=st.data())
-def test_chunk_boundaries_never_change_samples(data):
-    """Any contiguous partition of the job list folds to the same samples."""
-    jobs, reference = _single_context_jobs()
-    key, blob = pickle_context(JobContext.from_job(jobs[0]))
-    remaining = list(jobs)
-    folded = []
-    while remaining:
-        size = data.draw(st.integers(1, len(remaining)))
-        chunk, remaining = remaining[:size], remaining[size:]
-        batch = batch_jobs([(job, 1) for job in chunk], key, blob)
-        folded.extend(run_batch(batch).split())
-    assert {r.job_id: r.samples for r in folded} == {
-        job_id: ref.samples for job_id, ref in reference.items()
-    }
-
-
-@pytest.mark.parametrize("chunk_jobs", [1, 2, 4])
-def test_pinned_pool_chunk_sizes_are_bit_identical(tiny_workload, chunk_jobs):
-    """Through the real pool: singleton, worker-sized and ragged chunks all
-    reproduce the serial samples (4 against 3-job contexts forces a tail)."""
-    jobs = _grid_jobs(tiny_workload)
-    serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
-    executor = ParallelExecutor(max_workers=2, chunk_jobs=chunk_jobs)
-    parallel = {r.job_id: r.samples for r in executor.execute(jobs)}
-    assert parallel == serial
-    stats = executor.last_batch_stats
-    assert stats["jobs_dispatched"] == len(jobs)
-    assert 1 <= stats["max_chunk_jobs"] <= chunk_jobs
-
-
-def test_adaptive_dispatch_reports_batch_stats(tiny_workload):
+def test_pool_dispatch_reports_context_cache_stats(tiny_workload):
     jobs = _grid_jobs(tiny_workload)
     executor = ParallelExecutor(max_workers=2)
-    results = list(executor.execute(jobs))
-    assert len(results) == len(jobs)
-    stats = executor.last_batch_stats
+    assert len(list(executor.execute(jobs))) == len(jobs)
+    stats = executor.last_dispatch_stats
     assert stats["contexts"] == 2  # RP and CBA platform points
     assert stats["jobs_dispatched"] == len(jobs)
-    assert stats["batches"] >= 2
     assert (
         stats["context_cache_hits"] + stats["context_cache_misses"]
-        == stats["batches"]
+        == stats["jobs_dispatched"]
     )
+    # Each worker misses at most once per context; every other job hits.
+    assert 1 <= stats["context_cache_misses"] <= 2 * executor.workers
 
 
 # ----------------------------------------------------------------------
-# Faults at batch granularity
+# The transport never changes samples
 # ----------------------------------------------------------------------
-def test_partial_batch_failure_folds_prefix_and_charges_culprit():
+@settings(
+    max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_context_cache_state_never_changes_samples(data):
+    """Whatever order jobs reach a worker in, and whether its context cache
+    is cold or warm, every job folds to the in-process samples; a job hits
+    the cache exactly when its context was unpickled since the last clear."""
+    from repro.campaign import batches
+
+    jobs, reference = _single_context_jobs()
+    order = data.draw(st.permutations(jobs))
+    clears = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    batches._CONTEXT_CACHE.clear()
+    warm = False
+    for job, clear in zip(order, clears, strict=True):
+        if clear:
+            batches._CONTEXT_CACHE.clear()
+            warm = False
+        result, hit = _in_worker(job)
+        assert hit == warm
+        assert result.samples == reference[job.job_id].samples
+        warm = True
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_worker_counts_are_bit_identical(tiny_workload, workers):
+    """Through the real pool: one warm worker serving every job, a worker
+    per context, and more workers than contexts all reproduce the serial
+    samples, with one dispatch per job."""
+    jobs = _grid_jobs(tiny_workload)
+    serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
+    executor = ParallelExecutor(max_workers=workers)
+    parallel = {r.job_id: r.samples for r in executor.execute(jobs)}
+    assert parallel == serial
+    assert executor.last_dispatch_stats["jobs_dispatched"] == len(jobs)
+
+
+# ----------------------------------------------------------------------
+# Faults stay per job
+# ----------------------------------------------------------------------
+def test_failing_job_raises_its_own_exception_and_charges_only_itself(
+    tiny_workload,
+):
+    """A failing job raises its original exception out of the worker entry
+    point, so the pool charges exactly that job; its neighbours arrive
+    untouched and the retried job reproduces the serial samples."""
     jobs, reference = _single_context_jobs()
     plan = FaultPlan(fail_jobs=frozenset({jobs[1].job_id}))
-    result = run_batch(_batch_of(jobs[:3]), plan)
-    assert result.completed == 1
-    assert result.failed_index == 1
-    assert isinstance(result.failure_exception(), FaultInjectedError)
-    (folded,) = result.split()
-    assert folded.samples == reference[jobs[0].job_id].samples
+    with pytest.raises(FaultInjectedError):
+        _in_worker(jobs[1], attempt=1, plan=plan)
+    retried, _ = _in_worker(jobs[1], attempt=2, plan=plan)
+    assert retried.samples == reference[jobs[1].job_id].samples
+
+    grid = _grid_jobs(tiny_workload)
+    culprit = grid[1].job_id
+    serial = {r.job_id: r.samples for r in SerialExecutor().execute(grid)}
+    executor = ParallelExecutor(
+        max_workers=2,
+        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+        fault_plan=FaultPlan(fail_jobs=frozenset({culprit})),
+    )
+    assert {r.job_id: r.samples for r in executor.execute(grid)} == serial
+    summary = executor.last_resilience
+    assert summary.retries == 1
+    assert [event.job_id for event in summary.events] == [culprit]
+    assert summary.events[0].kind == "exception"
 
 
 # ----------------------------------------------------------------------
-# Resume across chunk boundaries
+# Resume after a kill
 # ----------------------------------------------------------------------
 class _AbortAfter(NullProgress):
-    """Kills the campaign after ``limit`` persisted jobs — mid-chunk, since
-    results stream per job while chunks hold two."""
+    """Kills the campaign after ``limit`` persisted jobs, with others in flight."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -187,21 +202,21 @@ class _AbortAfter(NullProgress):
     def advance(self, label: str = "") -> None:
         self.seen += 1
         if self.seen >= self.limit:
-            raise KeyboardInterrupt("injected mid-chunk kill")
+            raise KeyboardInterrupt("injected mid-campaign kill")
 
 
-def test_resume_after_mid_chunk_kill_is_duplicate_free_and_identical(
+def test_resume_after_mid_campaign_kill_is_duplicate_free_and_identical(
     tiny_workload, tmp_path
 ):
-    """ISSUE acceptance: kill a chunked campaign partway, resume from the
-    store, and the final store holds exactly one record per job with samples
-    bit-identical to an uninterrupted serial run."""
+    """Kill a pooled campaign partway, resume from the store, and the final
+    store holds exactly one record per job with samples bit-identical to an
+    uninterrupted serial run."""
     jobs = _grid_jobs(tiny_workload)
     serial = Campaign(executor=SerialExecutor()).run(jobs)
 
     store_path = tmp_path / "store.jsonl"
     interrupted = Campaign(
-        executor=ParallelExecutor(max_workers=2, chunk_jobs=2),
+        executor=ParallelExecutor(max_workers=2),
         store=ArtifactStore(store_path),
         progress=_AbortAfter(3),
     )
@@ -211,7 +226,7 @@ def test_resume_after_mid_chunk_kill_is_duplicate_free_and_identical(
     assert 0 < len(partial) < len(jobs)  # died with work left to do
 
     resumed = Campaign(
-        executor=ParallelExecutor(max_workers=2, chunk_jobs=2),
+        executor=ParallelExecutor(max_workers=2),
         store=ArtifactStore(store_path),
         resume=True,
     ).run(jobs)

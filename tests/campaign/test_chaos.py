@@ -130,23 +130,23 @@ def test_recovered_pool_is_bit_identical_to_serial(fault_seed):
 # Zero-cost when disabled
 # ----------------------------------------------------------------------
 def test_default_dispatch_runs_the_plain_run_job(monkeypatch):
-    """Structural guard: without a fault plan the batch worker loop runs
+    """Structural guard: without a fault plan the worker entry point runs
     ``run_job`` itself and never consults the fault wrapper — production
     dispatch carries no fault branch."""
     import repro.campaign.faults as faults_mod
-    from repro.campaign.batches import JobContext, batch_jobs, pickle_context, run_batch
+    from repro.campaign.batches import JobContext, pickle_context, run_job_in_worker
 
     jobs, reference = _jobs_and_reference()
-    key, blob = pickle_context(JobContext.from_job(jobs[0]))
-    batch = batch_jobs([(jobs[0], 1)], key, blob)
+    job = jobs[0]
+    key, blob = pickle_context(JobContext.from_job(job))
+    row = (key, blob, job.job_id, job.label, job.run_start, job.num_runs, 1)
 
     def forbidden(*args, **kwargs):  # pragma: no cover - the guard must hold
         raise AssertionError("fault wrapper used on the production path")
 
     monkeypatch.setattr(faults_mod, "run_job_with_faults", forbidden)
-    result = run_batch(batch, None)
-    (folded,) = result.split()
-    assert folded.samples == reference[jobs[0].job_id]
+    result, _ = run_job_in_worker(*row, None)
+    assert result.samples == reference[job.job_id]
 
     # And with a plan configured, the wrapper *is* the per-job entry point.
     plan = FaultPlan(fail_jobs=frozenset({jobs[0].job_id}))
@@ -157,8 +157,8 @@ def test_default_dispatch_runs_the_plain_run_job(monkeypatch):
         return run_job(job)
 
     monkeypatch.setattr(faults_mod, "run_job_with_faults", recording)
-    run_batch(batch, plan)
-    assert calls == [(jobs[0].job_id, 1, plan)]
+    run_job_in_worker(*row, plan)
+    assert calls == [(job.job_id, 1, plan)]
 
 
 def test_serial_default_path_is_the_bare_run_job_loop(monkeypatch):

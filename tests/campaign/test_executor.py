@@ -49,6 +49,23 @@ def test_parallel_executor_handles_empty_job_list():
     assert list(ParallelExecutor(max_workers=2).execute([])) == []
 
 
+def test_dispatch_stats_are_per_instance_and_reset_each_execute(tiny_workload):
+    """Dispatch accounting belongs to one executor and one execute() call:
+    no other instance sees it, and the next call starts from empty."""
+    jobs = _jobs(tiny_workload)
+    pooled = ParallelExecutor(max_workers=2)
+    list(pooled.execute(jobs))
+    assert pooled.last_dispatch_stats["jobs_dispatched"] == len(jobs)
+    assert ParallelExecutor(max_workers=2).last_dispatch_stats == {}
+    serial = SerialExecutor()
+    serial.last_dispatch_stats["stale"] = 1
+    list(serial.execute(jobs[:1]))
+    assert serial.last_dispatch_stats == {}
+    assert SerialExecutor().last_dispatch_stats == {}
+    list(pooled.execute([]))
+    assert pooled.last_dispatch_stats == {}
+
+
 def test_create_executor_maps_jobs_flag():
     assert isinstance(create_executor(None), SerialExecutor)
     assert isinstance(create_executor(1), SerialExecutor)
@@ -161,7 +178,12 @@ def test_hung_job_is_killed_and_retried(tiny_workload):
     results = {r.job_id for r in executor.execute(jobs)}
     assert results == {j.job_id for j in jobs}  # the retry ran clean
     summary = executor.last_resilience
-    assert summary.timeouts >= 1
+    # Only the hung job is charged; the jobs in flight beside it are
+    # requeued at their attempt, not retried.
+    assert summary.timeouts == 1
+    assert summary.retries == 1
+    assert [event.job_id for event in summary.events] == [hung]
+    assert summary.events[0].kind == "timeout"
     assert summary.pool_rebuilds >= 1
 
 

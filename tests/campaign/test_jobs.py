@@ -55,10 +55,10 @@ def test_job_id_depends_on_workload_and_config(tiny_workload, quiet_workload):
 
 def test_seed_block_jobs_cover_the_run_range(tiny_workload):
     jobs = seed_block_jobs(
-        "tiny", "isolation", seed=1, num_runs=7, block_size=3,
+        "tiny", "isolation", seed=1, num_runs=7,
         workload=tiny_workload, config=rp_config(), max_cycles=200_000,
     )
-    assert [(j.run_start, j.num_runs) for j in jobs] == [(0, 3), (3, 3), (6, 1)]
+    assert [(j.run_start, j.num_runs) for j in jobs] == [(i, 1) for i in range(7)]
     covered = [index for j in jobs for index in j.run_indices]
     assert covered == list(range(7))
     assert len({j.job_id for j in jobs}) == len(jobs)
@@ -92,4 +92,4 @@ def test_invalid_job_parameters_are_rejected(tiny_workload):
     with pytest.raises(ConfigurationError):
         _job(tiny_workload, run_start=-1)
     with pytest.raises(ConfigurationError):
-        seed_block_jobs("x", "isolation", seed=0, num_runs=5, block_size=0)
+        seed_block_jobs("x", "isolation", seed=0, num_runs=0)

@@ -76,10 +76,9 @@ def test_reporter_survives_a_closed_stream():
     progress.finish()
 
 
-def test_reporter_streams_per_job_lines_from_chunked_batches(tiny_workload):
-    """Batched dispatch must not coarsen progress: with multi-job chunks on
-    the wire, the reporter still sees one advance per job as batch results
-    stream back, not one per chunk."""
+def test_reporter_streams_per_job_lines_from_the_pool(tiny_workload):
+    """Pooled dispatch must not coarsen progress: the reporter sees one
+    advance per job as results stream back from the workers."""
     from repro.campaign.campaign import Campaign
     from repro.campaign.executor import ParallelExecutor
     from repro.campaign.jobs import seed_block_jobs
@@ -92,7 +91,7 @@ def test_reporter_streams_per_job_lines_from_chunked_batches(tiny_workload):
     stream = io.StringIO()
     progress = ProgressReporter(stream=stream, min_interval=0.0, prefix="test")
     Campaign(
-        executor=ParallelExecutor(max_workers=2, chunk_jobs=3),
+        executor=ParallelExecutor(max_workers=2),
         progress=progress,
     ).run(jobs)
 
@@ -109,8 +108,8 @@ def test_reporter_emits_dispatch_counters_with_the_profile():
     profiler = CampaignProfiler()
     profiler.start(jobs=4, workers=2)
     profiler.add("dispatch", 0.5)
-    profiler.count("batches", 2)
-    profiler.count("cache_hit")
+    profiler.count("cache_hit", 2)
+    profiler.count("cache_miss")
     profiler.finish()
 
     stream = io.StringIO()
@@ -118,4 +117,4 @@ def test_reporter_emits_dispatch_counters_with_the_profile():
     progress.report_profile(profiler)
     out = stream.getvalue()
     assert "[test] profile:" in out
-    assert "[test] dispatch: batches 2, cache_hit 1" in out
+    assert "[test] dispatch: cache_hit 2, cache_miss 1" in out

@@ -107,9 +107,10 @@ class TestCampaignProfiler:
         assert profiler.events["dispatch"] > 0
         assert profiler.events["simulate"] > 0
         assert profiler.events["result"] == len(jobs)
-        # Counter coverage: every batch is either a worker context-cache hit
-        # or a miss, and the first batch a worker sees must miss.
+        # Counter coverage: every dispatched job is either a worker
+        # context-cache hit or a miss, and the first job a worker sees must
+        # miss.
         hits = profiler.counters.get("cache_hit", 0)
         misses = profiler.counters.get("cache_miss", 0)
-        assert hits + misses == profiler.counters["batches"]
+        assert hits + misses == profiler.events["dispatch"] == len(jobs)
         assert misses >= 1
