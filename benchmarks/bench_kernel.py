@@ -19,7 +19,7 @@ must stay fast), run directly or by the CI ``bench`` job::
     python benchmarks/bench_kernel.py --quick      # CI-sized workloads
 
 Reading the numbers: ``speedup_vs_stepping`` isolates what due-only
-dispatch over columnar traces buys over stepping; and
+dispatch buys over stepping (every mode walks the same trace columns); and
 ``speedup_batch_vs_fast_forward`` isolates what the batch interpreter buys
 on top of that (large on low-contention/L1-resident runs, where whole hit
 stretches collapse into single events; ~neutral on memory-latency-bound

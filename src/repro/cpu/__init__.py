@@ -2,24 +2,11 @@
 
 from .core_model import CoreModel, CoreState
 from .counters import CoreCounters
-from .requests import MemoryAccess, TraceItem
-from .trace import (
-    GeneratorTrace,
-    InfiniteTrace,
-    ListTrace,
-    MaterializedTrace,
-    WorkloadTrace,
-)
+from .trace import MaterializedTrace
 
 __all__ = [
     "CoreModel",
     "CoreState",
     "CoreCounters",
-    "MemoryAccess",
-    "TraceItem",
-    "WorkloadTrace",
-    "ListTrace",
-    "GeneratorTrace",
-    "InfiniteTrace",
     "MaterializedTrace",
 ]

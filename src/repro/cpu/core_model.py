@@ -12,25 +12,15 @@ task is stalled waiting for it — the relevant abstraction of such a core is a
   because the core is in-order and blocking (no MSHRs, one outstanding
   request), which is also what makes requests non-split on the bus.
 
-The core walks a :class:`~repro.cpu.trace.WorkloadTrace` and accumulates
-:class:`~repro.cpu.counters.CoreCounters`.  Two consumption paths exist:
+The core walks a :class:`~repro.cpu.trace.MaterializedTrace` with a plain
+integer cursor over its pre-computed ``(gap, address, kind)`` columns and
+accumulates :class:`~repro.cpu.counters.CoreCounters`.  Each item is loaded
+into scalar pending fields (``_pending_address``, ``_pending_kind``) that the
+rest of the state machine reads.  Every kernel mode walks the same columns,
+and :meth:`CoreModel.reset` rewinds the cursor, so a reset core replays its
+pre-drawn sequence.
 
-* the generic item-at-a-time path calls ``trace.next_item()`` per item;
-* when the trace is columnar (:class:`~repro.cpu.trace.MaterializedTrace`),
-  the core instead walks the pre-computed ``(gap, address, kind)`` columns
-  with a plain integer cursor — no generator resumption and no
-  ``TraceItem``/``MemoryAccess`` allocation per item.
-
-Both paths normalise each item into the same scalar pending fields
-(``_pending_address``, ``_pending_kind``), so within a run the downstream
-state machine — and therefore every cache access, RNG draw and counter — is
-bit-identical between them (enforced by the columnar equivalence test
-matrix).  The paths differ only on :meth:`CoreModel.reset` reuse of the same
-core across runs: a materialised trace replays its pre-drawn sequence, while
-a lazy generator trace draws a fresh one (see
-:class:`~repro.cpu.trace.MaterializedTrace`).
-
-On top of the columnar path sits the **batch interpreter** (on in
+On top of the cursor sits the **batch interpreter** (on in
 ``KernelMode.PRODUCTION``): whenever the trace cursor advances, the core scans
 the maximal upcoming stretch of items that provably never touch the bus —
 pure-compute gaps and reads that hit in the L1, decided against per-run
@@ -42,7 +32,8 @@ stretch end as its :meth:`next_event` wake so the kernel can jump it in
 one fast-forward.  Because a read hit changes no residency, draws no RNG and
 needs no bus, the executed events (the boundary bus access, every grant,
 every draw) land on exactly the cycles plain stepping produces — batch runs
-are bit-identical to stepped runs (enforced by the same equivalence matrix).
+are bit-identical to stepped runs (enforced by the columnar equivalence
+matrix).
 The one observable difference is cosmetic: during a batched stretch
 :attr:`CoreModel.state` reads ``COMPUTING`` where stepping would alternate
 ``COMPUTING``/``L1_ACCESS``; nothing on the platform consumes that
@@ -64,11 +55,10 @@ from .counters import CoreCounters
 from .trace import (
     ACCESS_BY_KIND,
     KIND_ATOMIC,
-    KIND_BY_ACCESS,
     KIND_NONE,
     KIND_READ,
     KIND_WRITE,
-    WorkloadTrace,
+    MaterializedTrace,
 )
 
 __all__ = ["CoreState", "CoreModel"]
@@ -107,7 +97,7 @@ class CoreModel(Component):
         self,
         name: str,
         core_id: int,
-        trace: WorkloadTrace,
+        trace: MaterializedTrace,
         l1_data: L1Cache,
         bus: SharedBus,
         l1_instruction: L1Cache | None = None,
@@ -123,8 +113,8 @@ class CoreModel(Component):
         The default of 0 keeps the fully blocking behaviour.
 
         ``mode`` enables the bulk execution of bus-free trace stretches (see
-        the module docstring) in ``KernelMode.PRODUCTION``.  It requires the
-        columnar trace path and is bit-identical to per-cycle stepping.
+        the module docstring) in ``KernelMode.PRODUCTION``; it is
+        bit-identical to per-cycle stepping.
         """
         super().__init__(name)
         if store_buffer_entries < 0:
@@ -140,17 +130,14 @@ class CoreModel(Component):
         self._compute_remaining = 0
         self._l1_remaining = 0
         #: Scalar description of the current item's memory access: an address
-        #: plus a kind code (KIND_NONE when the item is pure compute).  Both
-        #: trace paths fill these, so the rest of the state machine never
-        #: touches TraceItem/MemoryAccess objects.
+        #: plus a kind code (KIND_NONE when the item is pure compute).
         self._pending_address = 0
         self._pending_kind = KIND_NONE
-        #: Columnar fast path: when the trace is materialised, the cursor
-        #: indexes its (gap, address, kind) columns directly.
-        self._columnar = bool(getattr(trace, "columnar", False))
-        if self._columnar:
-            self._gaps, self._addresses, self._kinds = trace.columns()
-            self._trace_len = len(self._gaps)
+        #: The cursor indexes the trace's (gap, address, kind) columns.
+        self._gaps = trace.compute_gaps
+        self._addresses = trace.addresses
+        self._kinds = trace.kinds
+        self._trace_len = len(trace)
         self._cursor = 0
         #: Batch interpreter state: pre-computed per-item placement columns
         #: plus pre-bound cache probe/commit hooks, and the count of cycles
@@ -159,7 +146,7 @@ class CoreModel(Component):
         #: :attr:`obs` stat group — outside CoreCounters so result snapshots
         #: stay comparable across batch-on/off runs, and registrable in a
         #: campaign-level metrics registry.
-        self._batch = self._columnar and mode is KernelMode.PRODUCTION
+        self._batch = mode is KernelMode.PRODUCTION
         self._batch_remaining = 0
         self.obs = StatGroup(f"{name}.obs")
         self._c_batched_items = self.obs.counter("batched_items")
@@ -367,39 +354,26 @@ class CoreModel(Component):
 
         With the batch interpreter enabled, first try to swallow a whole
         bus-free stretch; the single-item load below then only ever sees
-        items that (may) need the bus, plus everything on the lazy path.
+        items that (may) need the bus.
         """
         self._wake_dirty = True
-        if self._columnar:
-            cursor = self._cursor
-            if cursor >= self._trace_len:
-                self._finish()
+        cursor = self._cursor
+        if cursor >= self._trace_len:
+            self._finish()
+            return
+        if self._batch:
+            # Cheap viability precheck: writes and atomics always go to the
+            # bus, so the scan cannot start there — skip its fixed setup cost
+            # entirely on miss/store-bound trace regions.
+            kind = self._kinds[cursor]
+            if (kind == KIND_READ or kind == KIND_NONE) and self._try_enter_batch(
+                first_tick
+            ):
                 return
-            if self._batch:
-                # Cheap viability precheck: writes and atomics always go to
-                # the bus, so the scan cannot start there — skip its fixed
-                # setup cost entirely on miss/store-bound trace regions.
-                kind = self._kinds[cursor]
-                if (kind == KIND_READ or kind == KIND_NONE) and self._try_enter_batch(
-                    first_tick
-                ):
-                    return
-            self._cursor = cursor + 1
-            self._compute_remaining = self._gaps[cursor]
-            self._pending_address = self._addresses[cursor]
-            self._pending_kind = self._kinds[cursor]
-        else:
-            item = self.trace.next_item()
-            if item is None:
-                self._finish()
-                return
-            self._compute_remaining = item.compute_cycles
-            access = item.access
-            if access is None:
-                self._pending_kind = KIND_NONE
-            else:
-                self._pending_address = access.address
-                self._pending_kind = KIND_BY_ACCESS[access.access]
+        self._cursor = cursor + 1
+        self._compute_remaining = self._gaps[cursor]
+        self._pending_address = self._addresses[cursor]
+        self._pending_kind = self._kinds[cursor]
         self._state = CoreState.COMPUTING
 
     def _try_enter_batch(self, first_tick: bool) -> bool:
@@ -530,7 +504,7 @@ class CoreModel(Component):
 
     def _begin_access(self) -> None:
         self._wake_dirty = True
-        if getattr(self, "_finishing", False):
+        if self._finishing:
             # Trace already exhausted; we are only waiting for stores to drain.
             if not self._store_buffer and not self._store_in_flight:
                 self._finishing = False
@@ -696,7 +670,6 @@ class CoreModel(Component):
         if self._state is CoreState.FINISHED and self.on_finish is not None:
             self.on_finish(-1)
         self.counters = CoreCounters(core_id=self.core_id)
-        self.trace.reset()
         self.l1_data.reset()
         if self.l1_instruction is not None:
             self.l1_instruction.reset()

@@ -62,8 +62,8 @@ class SystemResult:
     extra: dict[str, object] = field(default_factory=dict)
     #: Execution-strategy observability (batch interpreter counters, skipped
     #: cycles): kept apart from :attr:`extra` because these legitimately
-    #: differ between bit-identical execution modes (lazy vs columnar,
-    #: stepped vs fast-forwarded) and must not enter result comparisons.
+    #: differ between bit-identical execution modes (stepped vs
+    #: fast-forwarded vs batched) and must not enter result comparisons.
     observability: dict[str, int] = field(default_factory=dict)
 
     def execution_cycles(self, core_id: int) -> int:
@@ -115,14 +115,11 @@ class MulticoreSystem:
 
         ``mode`` selects how the kernel executes it
         (:class:`~repro.sim.config.KernelMode`); every mode produces
-        bit-identical results.  Outside ``KernelMode.STEPPING`` each task's
-        trace is pre-computed into parallel ``(gap, address, kind)`` arrays
-        that the core consumes with a cursor.  Each run builds a fresh system
-        (the campaign/scenario protocol), so traces are materialised once per
-        run; resetting and re-running the *same* system replays the
-        materialised sequence rather than redrawing it — use
-        ``KernelMode.STEPPING`` if fresh draws across in-place resets are
-        needed.
+        bit-identical results.  Each task's trace is drawn once, into parallel
+        ``(gap, address, kind)`` columns that the core consumes with a cursor;
+        resetting and re-running the *same* system replays that sequence.
+        Each run builds a fresh system (the campaign/scenario protocol), so
+        every run draws its own traces.
 
         ``obs`` opts into instrumentation
         (:class:`~repro.sim.config.ObservabilityConfig`): a timeline recorder
@@ -233,10 +230,7 @@ class MulticoreSystem:
         spec = workload.with_updates(
             base_address=workload.base_address + core_id * 0x0100_0000
         )
-        trace = spec.build_trace(
-            streams.stream(f"workload.core{core_id}"),
-            materialize=self.kernel.mode is not KernelMode.STEPPING,
-        )
+        trace = spec.build_trace(streams.stream(f"workload.core{core_id}"))
         core = CoreModel(
             name=f"core{core_id}",
             core_id=core_id,

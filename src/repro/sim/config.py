@@ -265,11 +265,11 @@ class KernelMode(str, Enum):
     it cannot change what a run computes.
     """
 
-    #: The reference oracle: every component ticks on every cycle, traces are
-    #: drawn item by item, and no component computes or pushes a wake.
+    #: The reference oracle: every component ticks on every cycle and no
+    #: component computes or pushes a wake.
     STEPPING = "stepping"
-    #: Due-only dispatch over columnar traces, without the cores' batch
-    #: interpreter: the fault localiser between stepping and production.
+    #: Due-only dispatch, without the cores' batch interpreter: the fault
+    #: localiser between stepping and production.
     FAST_FORWARD = "fast_forward"
     #: Due-only dispatch plus the batch interpreter (the default).
     PRODUCTION = "production"

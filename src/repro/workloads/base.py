@@ -18,19 +18,10 @@ fixed; the cache placements and arbitration random choices vary per run).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
-from ..bus.transaction import AccessType
-from ..cpu.requests import MemoryAccess, TraceItem
-from ..cpu.trace import (
-    KIND_BY_ACCESS,
-    KIND_NONE,
-    GeneratorTrace,
-    MaterializedTrace,
-    WorkloadTrace,
-)
+from ..cpu.trace import KIND_ATOMIC, KIND_NONE, KIND_READ, KIND_WRITE, MaterializedTrace
 from ..sim.errors import WorkloadError
 
 __all__ = ["AddressPattern", "WorkloadSpec"]
@@ -109,30 +100,13 @@ class WorkloadSpec:
     # ------------------------------------------------------------------
     # Trace generation
     # ------------------------------------------------------------------
-    def generate_items(self, rng: np.random.Generator) -> Iterator[TraceItem]:
-        """Yield the trace items of one run of this workload."""
-        pointer_state = 0
-        for index in range(self.num_accesses):
-            gap = self._draw_gap(rng)
-            address, pointer_state = self._draw_address(rng, index, pointer_state)
-            access_type = self._draw_access_type(rng)
-            yield TraceItem(
-                compute_cycles=gap,
-                access=MemoryAccess(address=address, access=access_type),
-            )
-        if self.tail_compute_cycles:
-            yield TraceItem(compute_cycles=self.tail_compute_cycles, access=None)
-
     def generate_columns(
         self, rng: np.random.Generator
     ) -> tuple[list[int], list[int], list[int]]:
         """Generate one run's trace as ``(gaps, addresses, kinds)`` columns.
 
-        The draw helpers are invoked per item in exactly the order
-        :meth:`generate_items` uses (gap, address, access type), so the RNG
-        stream is consumed identically and the columns encode the same
-        sequence the lazy trace would have produced — only without building a
-        ``TraceItem``/``MemoryAccess`` pair per item.
+        Each access draws its gap, then its address, then its access kind,
+        so the sequence is a pure function of the RNG stream.
         """
         gaps: list[int] = []
         addresses: list[int] = []
@@ -142,31 +116,21 @@ class WorkloadSpec:
             gaps.append(self._draw_gap(rng))
             address, pointer_state = self._draw_address(rng, index, pointer_state)
             addresses.append(address)
-            kinds.append(KIND_BY_ACCESS[self._draw_access_type(rng)])
+            kinds.append(self._draw_kind(rng))
         if self.tail_compute_cycles:
             gaps.append(self.tail_compute_cycles)
             addresses.append(0)
             kinds.append(KIND_NONE)
         return gaps, addresses, kinds
 
-    def materialize_trace(self, rng: np.random.Generator) -> MaterializedTrace:
-        """Build one run's trace in columnar form (see :meth:`generate_columns`)."""
-        gaps, addresses, kinds = self.generate_columns(rng)
-        return MaterializedTrace.from_columns(gaps, addresses, kinds, name=self.name)
+    def build_trace(self, rng: np.random.Generator) -> MaterializedTrace:
+        """Draw one run's trace from ``rng`` (see :meth:`generate_columns`).
 
-    def build_trace(
-        self, rng: np.random.Generator, *, materialize: bool = False
-    ) -> WorkloadTrace:
-        """Build a replayable trace bound to ``rng``.
-
-        With ``materialize=True`` the whole run is drawn up front into a
-        :class:`~repro.cpu.trace.MaterializedTrace` (bit-identical items; the
-        workload stream is private to the trace, so eager drawing changes no
-        other component's randomness).  The default stays lazy.
+        The workload stream is private to the trace, so drawing the whole run
+        up front changes no other component's randomness.
         """
-        if materialize:
-            return self.materialize_trace(rng)
-        return GeneratorTrace(lambda: self.generate_items(rng), name=self.name)
+        gaps, addresses, kinds = self.generate_columns(rng)
+        return MaterializedTrace(gaps, addresses, kinds, name=self.name)
 
     # ------------------------------------------------------------------
     # Draw helpers
@@ -207,13 +171,13 @@ class WorkloadSpec:
             raise WorkloadError(f"unknown pattern {self.pattern!r}")
         return self.base_address + offset, pointer_state
 
-    def _draw_access_type(self, rng: np.random.Generator) -> AccessType:
+    def _draw_kind(self, rng: np.random.Generator) -> int:
         draw = rng.random()
         if draw < self.atomic_fraction:
-            return AccessType.ATOMIC
+            return KIND_ATOMIC
         if draw < self.atomic_fraction + self.write_fraction:
-            return AccessType.WRITE
-        return AccessType.READ
+            return KIND_WRITE
+        return KIND_READ
 
     def with_updates(self, **kwargs: object) -> "WorkloadSpec":
         """Return a copy of the spec with fields replaced."""

@@ -25,9 +25,6 @@ in full; their parameters follow the same characterisation source.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..cpu.trace import WorkloadTrace
 from ..sim.errors import WorkloadError
 from .base import AddressPattern, WorkloadSpec
 
@@ -35,7 +32,6 @@ __all__ = [
     "EEMBC_AUTOBENCH",
     "FIGURE1_BENCHMARKS",
     "eembc_workload",
-    "eembc_trace",
     "available_benchmarks",
 ]
 
@@ -259,14 +255,3 @@ def eembc_workload(name: str) -> WorkloadSpec:
             f"unknown EEMBC benchmark {name!r}; available: {available_benchmarks()}"
         ) from exc
 
-
-def eembc_trace(
-    name: str, rng: np.random.Generator, *, materialize: bool = True
-) -> WorkloadTrace:
-    """Build one run's trace of the EEMBC benchmark called ``name``.
-
-    Convenience for analysis tools and benchmarks that want a ready trace
-    rather than a spec; ``materialize=True`` (the default) returns the
-    columnar :class:`~repro.cpu.trace.MaterializedTrace` form.
-    """
-    return eembc_workload(name).build_trace(rng, materialize=materialize)

@@ -10,13 +10,30 @@ import pytest
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.bus.bus import SharedBus
 from repro.bus.ports import FixedLatencySlave
-from repro.bus.transaction import AccessType
 from repro.cache.l1 import build_l1_cache
 from repro.cpu.core_model import CoreModel, CoreState
-from repro.cpu.requests import MemoryAccess, TraceItem
-from repro.cpu.trace import ListTrace
+from repro.cpu.trace import KIND_ATOMIC, KIND_NONE, KIND_READ, KIND_WRITE, MaterializedTrace
 from repro.sim.config import CacheGeometry
 from repro.sim.kernel import Kernel
+
+
+def compute(gap):
+    """A pure-compute ``(gap, address, kind)`` item."""
+    return (gap, 0, KIND_NONE)
+
+
+def access(address, kind=KIND_READ, gap=0):
+    """``gap`` compute cycles, then one access of ``kind`` at ``address``."""
+    return (gap, address, kind)
+
+
+def as_trace(items):
+    """The columnar trace of a list of ``(gap, address, kind)`` items."""
+    return MaterializedTrace(
+        [gap for gap, _, _ in items],
+        [address for _, address, _ in items],
+        [kind for _, _, kind in items],
+    )
 
 
 def build_system(items, bus_latency=4, num_masters=1):
@@ -34,7 +51,7 @@ def build_system(items, bus_latency=4, num_masters=1):
         random_caches=False,
         rng=np.random.default_rng(0),
     )
-    core = CoreModel("core0", 0, ListTrace(items), l1, bus)
+    core = CoreModel("core0", 0, as_trace(items), l1, bus)
     kernel.register(core)
     kernel.register(bus)
     return kernel, core, bus
@@ -48,7 +65,7 @@ def run_to_completion(kernel, core, max_cycles=10_000):
 
 
 def test_pure_compute_trace_finishes_without_bus_traffic():
-    items = [TraceItem(compute_cycles=10), TraceItem(compute_cycles=5)]
+    items = [compute(10), compute(5)]
     kernel, core, bus = build_system(items)
     run_to_completion(kernel, core)
     assert core.counters.bus_requests == 0
@@ -57,10 +74,7 @@ def test_pure_compute_trace_finishes_without_bus_traffic():
 
 
 def test_read_miss_generates_one_bus_request_and_hit_does_not():
-    items = [
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x100)),
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x100)),
-    ]
+    items = [access(0x100), access(0x100)]
     kernel, core, bus = build_system(items)
     run_to_completion(kernel, core)
     assert core.counters.accesses == 2
@@ -69,27 +83,21 @@ def test_read_miss_generates_one_bus_request_and_hit_does_not():
 
 
 def test_write_through_store_always_goes_to_bus():
-    items = [
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x80, access=AccessType.WRITE)),
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x80, access=AccessType.WRITE)),
-    ]
+    items = [access(0x80, KIND_WRITE), access(0x80, KIND_WRITE)]
     kernel, core, bus = build_system(items)
     run_to_completion(kernel, core)
     assert core.counters.bus_requests == 2
 
 
 def test_atomic_access_always_goes_to_bus():
-    items = [
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x40)),
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x40, access=AccessType.ATOMIC)),
-    ]
+    items = [access(0x40), access(0x40, KIND_ATOMIC)]
     kernel, core, bus = build_system(items)
     run_to_completion(kernel, core)
     assert core.counters.bus_requests == 2
 
 
 def test_core_blocks_while_request_in_flight():
-    items = [TraceItem(compute_cycles=0, access=MemoryAccess(address=0x100))]
+    items = [access(0x100)]
     kernel, core, bus = build_system(items, bus_latency=10)
     kernel.step(3)  # L1 lookup done, request issued, waiting
     assert core.state is CoreState.WAITING_BUS
@@ -102,7 +110,7 @@ def test_core_blocks_while_request_in_flight():
 def test_execution_time_accounts_for_bus_latency():
     """One isolated miss costs: 1 cycle L1 + the bus hold time (grant is
     immediate on an idle bus) + 1 completion cycle."""
-    items = [TraceItem(compute_cycles=0, access=MemoryAccess(address=0x100))]
+    items = [access(0x100)]
     kernel, core, bus = build_system(items, bus_latency=8)
     run_to_completion(kernel, core)
     assert core.counters.execution_cycles == pytest.approx(1 + 8 + 1, abs=1)
@@ -111,10 +119,7 @@ def test_execution_time_accounts_for_bus_latency():
 
 
 def test_counters_latency_distribution_recorded():
-    items = [
-        TraceItem(compute_cycles=2, access=MemoryAccess(address=0x100)),
-        TraceItem(compute_cycles=2, access=MemoryAccess(address=0x900)),
-    ]
+    items = [access(0x100, gap=2), access(0x900, gap=2)]
     kernel, core, bus = build_system(items, bus_latency=6)
     run_to_completion(kernel, core)
     assert len(core.counters.request_latencies) == 2
@@ -122,24 +127,46 @@ def test_counters_latency_distribution_recorded():
 
 
 def test_items_completed_counts_every_trace_item():
-    items = [
-        TraceItem(compute_cycles=1),
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x100)),
-        TraceItem(compute_cycles=3),
-    ]
+    items = [compute(1), access(0x100), compute(3)]
     kernel, core, bus = build_system(items)
     run_to_completion(kernel, core)
     assert core.counters.items_completed == 3
 
 
 def test_reset_restores_power_on_state():
-    items = [TraceItem(compute_cycles=0, access=MemoryAccess(address=0x100))]
+    items = [access(0x100)]
     kernel, core, bus = build_system(items)
     run_to_completion(kernel, core)
     core.reset()
     assert core.state is CoreState.COMPUTING
     assert core.counters.bus_requests == 0
     assert not core.finished
+
+
+def test_reset_replays_the_same_trace():
+    items = [compute(2), access(0x100, gap=1), access(0x900, KIND_WRITE), compute(3)]
+    kernel, core, bus = build_system(items)
+    run_to_completion(kernel, core)
+    first = core.counters.as_dict()
+    kernel.reset()
+    run_to_completion(kernel, core)
+    assert core.counters.as_dict() == first
+    assert core.counters.items_completed == len(items)
+
+
+def test_reset_mid_run_rewinds_the_cursor():
+    """A reset part-way through a run restarts the trace at its first item."""
+    items = [compute(2), access(0x100, gap=1), access(0x900, KIND_WRITE), compute(3)]
+    kernel, core, bus = build_system(items)
+    run_to_completion(kernel, core)
+    fresh = core.counters.as_dict()
+
+    kernel, core, bus = build_system(items)
+    kernel.step(5)
+    assert core.counters.items_completed >= 1 and not core.finished
+    kernel.reset()
+    run_to_completion(kernel, core)
+    assert core.counters.as_dict() == fresh
 
 
 def test_empty_trace_finishes_immediately():

@@ -13,11 +13,9 @@ import pytest
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.bus.bus import SharedBus
 from repro.bus.ports import FixedLatencySlave
-from repro.bus.transaction import AccessType
 from repro.cache.l1 import build_l1_cache
 from repro.cpu.core_model import CoreModel
-from repro.cpu.requests import MemoryAccess, TraceItem
-from repro.cpu.trace import ListTrace
+from repro.cpu.trace import KIND_NONE, KIND_READ, KIND_WRITE, MaterializedTrace
 from repro.platform.presets import cba_config, rp_config
 from repro.platform.scenarios import run_isolation
 from repro.sim.config import CacheGeometry
@@ -40,7 +38,7 @@ def build_system(items, store_buffer_entries, bus_latency=6):
         rng=np.random.default_rng(0),
     )
     core = CoreModel(
-        "core0", 0, ListTrace(items), l1, bus,
+        "core0", 0, as_trace(items), l1, bus,
         store_buffer_entries=store_buffer_entries,
     )
     kernel.register(core)
@@ -49,11 +47,17 @@ def build_system(items, store_buffer_entries, bus_latency=6):
     return kernel, core, bus
 
 
-def store_item(address, gap=0):
-    return TraceItem(
-        compute_cycles=gap,
-        access=MemoryAccess(address=address, access=AccessType.WRITE),
+def as_trace(items):
+    """The columnar trace of a list of ``(gap, address, kind)`` items."""
+    return MaterializedTrace(
+        [gap for gap, _, _ in items],
+        [address for _, address, _ in items],
+        [kind for _, _, kind in items],
     )
+
+
+def store_item(address, gap=0):
+    return (gap, address, KIND_WRITE)
 
 
 def run(kernel, core, max_cycles=20_000):
@@ -70,7 +74,7 @@ def test_negative_buffer_size_rejected():
 def test_buffered_stores_do_not_block_the_pipeline():
     """With a buffer, a store plus trailing computation overlaps the bus
     transaction, so the run is shorter than in the blocking configuration."""
-    items = [store_item(0x100), TraceItem(compute_cycles=30)]
+    items = [store_item(0x100), (30, 0, KIND_NONE)]
     kernel_b, core_b, _ = build_system(items, store_buffer_entries=2)
     run(kernel_b, core_b)
     kernel_a, core_a, _ = build_system(items, store_buffer_entries=0)
@@ -109,7 +113,7 @@ def test_full_buffer_stalls_the_core():
 def test_demand_read_waits_for_the_port_then_completes():
     items = [
         store_item(0x100),
-        TraceItem(compute_cycles=0, access=MemoryAccess(address=0x900)),
+        (0, 0x900, KIND_READ),
     ]
     kernel, core, bus = build_system(items, store_buffer_entries=2, bus_latency=15)
     run(kernel, core, max_cycles=50_000)

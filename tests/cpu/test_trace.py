@@ -1,107 +1,18 @@
-"""Tests for the workload trace containers."""
+"""Tests for the columnar workload trace."""
 
-import numpy as np
 import pytest
 
 from repro.bus.transaction import AccessType
-from repro.cpu.requests import MemoryAccess, TraceItem
+from repro.cache.placement import RandomPlacement
 from repro.cpu.trace import (
+    ACCESS_BY_KIND,
     KIND_ATOMIC,
     KIND_NONE,
     KIND_READ,
     KIND_WRITE,
-    GeneratorTrace,
-    InfiniteTrace,
-    ListTrace,
     MaterializedTrace,
 )
 from repro.sim.errors import WorkloadError
-
-
-def items(n):
-    return [TraceItem(compute_cycles=i, access=MemoryAccess(address=i * 32)) for i in range(n)]
-
-
-class TestListTrace:
-    def test_yields_items_in_order_then_none(self):
-        trace = ListTrace(items(3))
-        got = [trace.next_item() for _ in range(4)]
-        assert [item.compute_cycles for item in got[:3]] == [0, 1, 2]
-        assert got[3] is None
-
-    def test_reset_rewinds(self):
-        trace = ListTrace(items(2))
-        trace.next_item()
-        trace.reset()
-        assert trace.next_item().compute_cycles == 0
-        assert trace.remaining == 1
-
-    def test_len_and_finite(self):
-        trace = ListTrace(items(5))
-        assert len(trace) == 5
-        assert trace.finite
-
-
-class TestGeneratorTrace:
-    def test_consumes_factory_output(self):
-        trace = GeneratorTrace(lambda: iter(items(2)))
-        assert trace.next_item() is not None
-        assert trace.next_item() is not None
-        assert trace.next_item() is None
-
-    def test_reset_restarts_the_factory(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return iter(items(1))
-
-        trace = GeneratorTrace(factory)
-        trace.next_item()
-        trace.reset()
-        assert trace.next_item() is not None
-        assert len(calls) == 2
-
-
-class TestLazyFactoryInvocation:
-    """The factory must not run at construction time (satellite fix): side
-    effects fire on first use, and a reset() issued before first use must not
-    generate the sequence twice."""
-
-    def test_construction_does_not_invoke_the_factory(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return iter(items(2))
-
-        GeneratorTrace(factory)
-        InfiniteTrace(factory)
-        assert calls == []
-
-    def test_reset_before_first_use_generates_once(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return iter(items(2))
-
-        trace = GeneratorTrace(factory)
-        trace.reset()
-        assert trace.next_item() is not None
-        assert len(calls) == 1
-
-    def test_infinite_reset_before_first_use_generates_once(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return iter(items(2))
-
-        trace = InfiniteTrace(factory)
-        trace.reset()
-        assert trace.next_item() is not None
-        assert len(calls) == 1
 
 
 class TestMaterializedTrace:
@@ -113,104 +24,46 @@ class TestMaterializedTrace:
             name="columnar",
         )
 
-    def test_columns_are_readonly_numpy_arrays(self):
+    def test_columns_are_adopted_as_python_lists(self):
         trace = self.make()
-        assert trace.columnar
-        assert trace.compute_gaps.dtype == np.int64
-        assert trace.addresses.dtype == np.int64
-        assert trace.kinds.dtype == np.int8
-        for column in (trace.compute_gaps, trace.addresses, trace.kinds):
-            assert not column.flags.writeable
         assert len(trace) == 4
+        assert trace.compute_gaps == [3, 0, 5, 2]
+        assert trace.addresses == [0x100, 0x200, 0x300, 0]
+        assert trace.kinds == [KIND_READ, KIND_WRITE, KIND_ATOMIC, KIND_NONE]
 
-    def test_next_item_adapter_rebuilds_items(self):
+    def test_empty_trace_is_valid(self):
+        trace = MaterializedTrace([], [], [])
+        assert len(trace) == 0
+
+    def test_access_by_kind_maps_each_code(self):
+        assert ACCESS_BY_KIND[KIND_READ] is AccessType.READ
+        assert ACCESS_BY_KIND[KIND_WRITE] is AccessType.WRITE
+        assert ACCESS_BY_KIND[KIND_ATOMIC] is AccessType.ATOMIC
+        assert ACCESS_BY_KIND[KIND_NONE] is None
+        assert len(ACCESS_BY_KIND) == KIND_NONE + 1
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([1, 2], [0x100], [KIND_READ]),
+            ([1], [0x100], [17]),
+            ([-1], [0x100], [KIND_READ]),
+            ([1], [0x100], [257]),
+            ([1], [0x100], [-1]),
+        ],
+        ids=["lengths", "kind-17", "negative-gap", "kind-257", "kind-minus-1"],
+    )
+    def test_mismatched_columns_rejected(self, columns):
+        with pytest.raises(WorkloadError):
+            MaterializedTrace(*columns)
+
+    def test_placement_columns_match_the_scalar_mapping(self):
+        placement = RandomPlacement(num_sets=16, line_bytes=32, seed=99)
         trace = self.make()
-        first = trace.next_item()
-        assert first == TraceItem(
-            compute_cycles=3, access=MemoryAccess(address=0x100, access=AccessType.READ)
-        )
-        second = trace.next_item()
-        assert second.access.access is AccessType.WRITE
-        third = trace.next_item()
-        assert third.access.access is AccessType.ATOMIC
-        tail = trace.next_item()
-        assert tail == TraceItem(compute_cycles=2, access=None)
-        assert trace.next_item() is None
+        sets, tags = trace.placement_columns(placement)
+        assert sets == [placement.set_index(a) for a in trace.addresses]
+        assert tags == [placement.tag(a) for a in trace.addresses]
 
-    def test_reset_rewinds_the_cursor(self):
-        trace = self.make()
-        trace.next_item()
-        trace.next_item()
-        assert trace.remaining == 2
-        trace.reset()
-        assert trace.remaining == 4
-        assert trace.next_item().compute_cycles == 3
-
-    def test_mismatched_columns_rejected(self):
-        with pytest.raises(WorkloadError):
-            MaterializedTrace([1, 2], [0x100], [KIND_READ])
-        with pytest.raises(WorkloadError):
-            MaterializedTrace([1], [0x100], [17])
-        with pytest.raises(WorkloadError):
-            MaterializedTrace([-1], [0x100], [KIND_READ])
-
-    def test_materialize_of_a_list_trace_round_trips(self):
-        source = ListTrace(items(5), name="src")
-        materialized = source.materialize()
-        assert len(materialized) == 5
-        materialized_again = materialized.materialize()
-        assert materialized_again is materialized
-        replay = ListTrace(items(5))
-        for _ in range(5):
-            assert materialized_again.next_item() == replay.next_item()
-
-    def test_reset_replays_the_same_sequence_unlike_a_lazy_trace(self):
-        """Documented semantic difference: a materialised trace replays its
-        pre-drawn columns on reset, while a GeneratorTrace bound to an RNG
-        draws a fresh sequence (fresh systems per run keep campaign runs
-        independent either way)."""
-        rng = np.random.default_rng(7)
-
-        def factory():
-            return iter(
-                [TraceItem(compute_cycles=int(rng.integers(0, 1000)))]
-            )
-
-        lazy = GeneratorTrace(factory)
-        first = lazy.next_item().compute_cycles
-        lazy.reset()
-        second = lazy.next_item().compute_cycles
-        assert first != second  # fresh draws on reset
-
-        materialized = self.make()
-        before = [materialized.next_item() for _ in range(4)]
-        materialized.reset()
-        after = [materialized.next_item() for _ in range(4)]
-        assert before == after  # identical replay
-
-    def test_materialize_unbounded_requires_max_items(self):
-        trace = InfiniteTrace(lambda: iter(items(3)))
-        with pytest.raises(WorkloadError):
-            trace.materialize()
-        prefix = trace.materialize(max_items=7)
-        assert len(prefix) == 7
-        assert prefix.finite
-
-
-class TestInfiniteTrace:
-    def test_repeats_forever(self):
-        trace = InfiniteTrace(lambda: iter(items(2)))
-        got = [trace.next_item() for _ in range(7)]
-        assert all(item is not None for item in got)
-        assert not trace.finite
-
-    def test_empty_factory_raises(self):
-        trace = InfiniteTrace(lambda: iter([]))
-        with pytest.raises(WorkloadError):
-            trace.next_item()
-
-    def test_reset_restarts(self):
-        trace = InfiniteTrace(lambda: iter(items(3)))
-        trace.next_item()
-        trace.reset()
-        assert trace.next_item().compute_cycles == 0
+    def test_placement_columns_of_an_empty_trace_are_empty(self):
+        placement = RandomPlacement(num_sets=16, line_bytes=32, seed=99)
+        assert MaterializedTrace([], [], []).placement_columns(placement) == ([], [])

@@ -1,23 +1,23 @@
 """Columnar trace and batch interpreter equivalence matrix.
 
-Outside stepping, each task's trace is pre-materialised into ``(gap,
-address, kind)`` arrays consumed by the core's cursor, and in production the
-batch interpreter executes whole bus-free stretches at once.  Both promise a
-run *bit-identical* to stepping's item-at-a-time run: same RNG draws, same
-cache outcomes, same grant/completion cycles, same counters, same pWCET
-inputs.  Every row runs in all three kernel modes (stepping, fast-forward,
-production) across every arbitration policy, CBA on and off, and the
-scenarios that exercise every consumption state (greedy contention, the
-Table I WCET-estimation mode, multiprogram runs with store buffers,
-truncated runs, long L1-resident stretches).
+Every kernel mode walks each task's ``(gap, address, kind)`` trace columns
+with the core's cursor, and in production the batch interpreter executes
+whole bus-free stretches at once.  Both due-only modes promise a run
+*bit-identical* to stepping's: same RNG draws, same cache outcomes, same
+grant/completion cycles, same counters, same pWCET inputs.  Every row runs
+in all three kernel modes (stepping, fast-forward, production) across every
+arbitration policy, CBA on and off, and the scenarios that exercise every
+consumption state (greedy contention, the Table I WCET-estimation mode,
+multiprogram runs with store buffers, truncated runs, long L1-resident
+stretches).  The trace-accounting rows check that the cursor consumes every
+item exactly once in each mode.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.cpu.trace import MaterializedTrace
+from repro.cpu.trace import KIND_NONE
 from repro.platform.scenarios import (
     run_isolation,
     run_max_contention,
@@ -94,7 +94,7 @@ def varied_workload() -> WorkloadSpec:
 
 @pytest.mark.parametrize("use_cba", [False, True], ids=["plain", "cba"])
 @pytest.mark.parametrize("arbitration", ARBITERS)
-def test_max_contention_identical_with_and_without_materialization(
+def test_max_contention_identical_across_modes(
     arbitration: str, use_cba: bool, varied_workload: WorkloadSpec, modes_agree
 ):
     """Greedy contention across the full policy/CBA matrix, with a workload
@@ -109,12 +109,12 @@ def test_max_contention_identical_with_and_without_materialization(
 
 @pytest.mark.parametrize("use_cba", [True, False], ids=["cba", "plain"])
 @pytest.mark.parametrize("arbitration", ["random_permutations", "tdma", "round_robin"])
-def test_wcet_estimation_identical_with_and_without_materialization(
+def test_wcet_estimation_identical_across_modes(
     arbitration: str, use_cba: bool, varied_workload: WorkloadSpec, modes_agree
 ):
     """The Table I analysis-mode scenario: the contenders observe the TuA's
-    request line, which the cursor path and the batch interpreter must
-    toggle on exactly the same cycles as the item-at-a-time path."""
+    request line, which due-only dispatch and the batch interpreter must
+    toggle on exactly the same cycles as stepping."""
     config = _config(arbitration, use_cba)
     modes_agree(
         lambda mode: run_wcet_estimation(
@@ -315,21 +315,29 @@ def test_due_dispatch_is_not_vacuous(varied_workload: WorkloadSpec):
     assert off.kernel.cycles_skipped == 0
 
 
-def test_materialization_is_not_vacuous(varied_workload: WorkloadSpec):
-    """Outside stepping the run must actually use a materialised trace (and
-    stepping must not), so the matrix cannot pass by comparing identical
-    paths."""
-    config = _config("random_permutations", use_cba=False)
-    columnar = MulticoreSystem(config, seed=1, run_index=0, mode=KernelMode.FAST_FORWARD)
-    lazy = MulticoreSystem(config, seed=1, run_index=0, mode=KernelMode.STEPPING)
-    columnar_core = columnar.add_task(0, varied_workload)
-    lazy_core = lazy.add_task(0, varied_workload)
-    assert isinstance(columnar_core.trace, MaterializedTrace)
-    assert not isinstance(lazy_core.trace, MaterializedTrace)
-    # The columnar trace holds the whole run pre-computed as parallel arrays.
-    trace = columnar_core.trace
-    assert len(trace) == varied_workload.num_accesses + 1  # + compute tail
-    assert trace.compute_gaps.dtype == np.int64
-    assert trace.addresses.dtype == np.int64
-    assert trace.kinds.dtype == np.int8
-    assert not trace.compute_gaps.flags.writeable
+@pytest.mark.parametrize("contenders", [0, 3], ids=["isolation", "greedy3"])
+@pytest.mark.parametrize("store_buffer_entries", [0, 4], ids=["blocking", "buffered"])
+@pytest.mark.parametrize("mode", list(KernelMode), ids=lambda mode: mode.value)
+def test_cursor_consumes_every_trace_item_once(
+    mode: KernelMode,
+    store_buffer_entries: int,
+    contenders: int,
+    varied_workload: WorkloadSpec,
+):
+    """A finished core has walked its whole trace exactly once: an item the
+    cursor (or a batch stretch) skipped or repeated would break the item,
+    compute-cycle or access count."""
+    config = _config(
+        "round_robin", use_cba=False, store_buffer_entries=store_buffer_entries
+    )
+    system = MulticoreSystem(config, seed=23, run_index=0, mode=mode)
+    core = system.add_task(0, varied_workload)
+    for core_id in range(1, 1 + contenders):
+        system.add_greedy_contender(core_id)
+    assert not system.run(max_cycles=MAX_CYCLES).truncated
+    trace = core.trace
+    counters = core.counters
+    assert core.finished
+    assert counters.items_completed == len(trace)
+    assert counters.compute_cycles == sum(trace.compute_gaps)
+    assert counters.accesses == sum(kind != KIND_NONE for kind in trace.kinds)

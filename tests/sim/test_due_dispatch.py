@@ -369,6 +369,6 @@ def test_run_ending_in_a_store_drain_stops_on_the_stepped_cycle(monkeypatch):
         rerun = system.run()
         assert system._all_tasks_finished() and not rerun.truncated
         reruns[name] = rerun.snapshot(0)
-    # Materialised traces replay their sequence after a reset; stepping's
-    # lazy traces draw a fresh one, so only the two due-only modes compare.
-    assert reruns["fast_forward"] == reruns["dispatched"]
+    # A reset replays each trace's pre-drawn sequence in every mode.
+    for mode in ("fast_forward", "dispatched"):
+        assert reruns[mode] == reruns["stepped"], mode

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bus.transaction import AccessType
+from repro.cpu.trace import KIND_ATOMIC, KIND_NONE, KIND_READ, KIND_WRITE, MaterializedTrace
 from repro.sim.errors import WorkloadError
 from repro.workloads.base import AddressPattern, WorkloadSpec
 
 
 def collect(spec, seed=0):
-    return list(spec.generate_items(np.random.default_rng(seed)))
+    """One run's trace as ``(gap, address, kind)`` items."""
+    return list(zip(*spec.generate_columns(np.random.default_rng(seed)), strict=True))
+
+
+def accesses(spec, seed=0):
+    """The memory-access items of one run (the pure-compute tail dropped)."""
+    return [item for item in collect(spec, seed) if item[2] != KIND_NONE]
 
 
 class TestValidation:
@@ -40,46 +46,42 @@ class TestValidation:
 class TestGeneration:
     def test_generates_requested_number_of_accesses(self):
         spec = WorkloadSpec(name="w", num_accesses=50)
-        items = collect(spec)
-        assert sum(1 for item in items if item.access is not None) == 50
+        assert len(accesses(spec)) == 50
 
     def test_tail_compute_item_appended(self):
         spec = WorkloadSpec(name="w", num_accesses=5, tail_compute_cycles=99)
-        items = collect(spec)
-        assert items[-1].access is None
-        assert items[-1].compute_cycles == 99
+        assert collect(spec)[-1] == (99, 0, KIND_NONE)
 
     def test_addresses_stay_within_working_set(self):
         spec = WorkloadSpec(
             name="w", num_accesses=200, working_set_bytes=4096,
             pattern=AddressPattern.RANDOM, base_address=0x1000_0000,
         )
-        for item in collect(spec):
-            offset = item.access.address - 0x1000_0000
-            assert 0 <= offset < 4096
+        for _, address, _ in collect(spec):
+            assert 0 <= address - 0x1000_0000 < 4096
 
     def test_zero_gap_produces_back_to_back_accesses(self):
         spec = WorkloadSpec(name="w", num_accesses=20, mean_compute_gap=0.0)
-        assert all(item.compute_cycles == 0 for item in collect(spec))
+        assert all(gap == 0 for gap, _, _ in collect(spec))
 
     def test_constant_gap_when_variability_zero(self):
         spec = WorkloadSpec(name="w", num_accesses=20, mean_compute_gap=7.0, gap_variability=0.0)
-        assert all(item.compute_cycles == 7 for item in collect(spec))
+        assert all(gap == 7 for gap, _, _ in collect(spec))
 
     def test_mean_gap_approximately_respected(self):
         spec = WorkloadSpec(
             name="w", num_accesses=3000, mean_compute_gap=10.0, gap_variability=0.8
         )
-        gaps = [item.compute_cycles for item in collect(spec) if item.access is not None]
+        gaps = [gap for gap, _, _ in accesses(spec)]
         assert np.mean(gaps) == pytest.approx(10.0, rel=0.25)
 
     def test_access_mix_follows_fractions(self):
         spec = WorkloadSpec(
             name="w", num_accesses=4000, write_fraction=0.3, atomic_fraction=0.1
         )
-        items = [item for item in collect(spec) if item.access is not None]
-        writes = sum(item.access.access is AccessType.WRITE for item in items)
-        atomics = sum(item.access.access is AccessType.ATOMIC for item in items)
+        items = accesses(spec)
+        writes = sum(kind == KIND_WRITE for _, _, kind in items)
+        atomics = sum(kind == KIND_ATOMIC for _, _, kind in items)
         assert writes / len(items) == pytest.approx(0.3, abs=0.05)
         assert atomics / len(items) == pytest.approx(0.1, abs=0.03)
 
@@ -92,17 +94,15 @@ class TestGeneration:
             hot_fraction=0.8,
             hot_region_bytes=1024,
         )
-        items = [item for item in collect(spec) if item.access is not None]
-        in_hot = sum(
-            item.access.address - spec.base_address < 1024 for item in items
-        )
+        items = accesses(spec)
+        in_hot = sum(address - spec.base_address < 1024 for _, address, _ in items)
         assert in_hot / len(items) > 0.7
 
     def test_generation_is_deterministic_given_the_rng_seed(self):
         spec = WorkloadSpec(name="w", num_accesses=100, gap_variability=0.9)
-        first = [(i.compute_cycles, i.access.address) for i in collect(spec, seed=4)]
-        second = [(i.compute_cycles, i.access.address) for i in collect(spec, seed=4)]
-        third = [(i.compute_cycles, i.access.address) for i in collect(spec, seed=5)]
+        first = collect(spec, seed=4)
+        second = collect(spec, seed=4)
+        third = collect(spec, seed=5)
         assert first == second
         assert first != third
 
@@ -111,74 +111,64 @@ class TestGeneration:
             name="w", num_accesses=500, pattern=AddressPattern.POINTER_CHASE,
             working_set_bytes=2048, hot_fraction=0.0,
         )
-        addresses = {item.access.address for item in collect(spec) if item.access}
+        addresses = {address for _, address, _ in accesses(spec)}
         assert len(addresses) > 50  # walks many distinct locations
 
-    def test_build_trace_is_replayable(self):
-        spec = WorkloadSpec(name="w", num_accesses=10)
+    def test_build_trace_holds_the_generated_columns(self):
+        spec = WorkloadSpec(name="w", num_accesses=10, tail_compute_cycles=5)
         trace = spec.build_trace(np.random.default_rng(0))
-        first_pass = [trace.next_item() for _ in range(11)]
-        trace.reset()
-        second_pass = [trace.next_item() for _ in range(11)]
-        assert first_pass[-1] is None and second_pass[-1] is None
+        assert isinstance(trace, MaterializedTrace)
+        assert trace.name == "w"
+        assert len(trace) == 11
+        columns = spec.generate_columns(np.random.default_rng(0))
+        assert (trace.compute_gaps, trace.addresses, trace.kinds) == columns
+
+    def test_build_trace_is_replayable(self):
+        spec = WorkloadSpec(name="w", num_accesses=10, gap_variability=0.9)
+        first = spec.build_trace(np.random.default_rng(3))
+        second = spec.build_trace(np.random.default_rng(3))
+        assert (first.compute_gaps, first.addresses, first.kinds) == (
+            second.compute_gaps, second.addresses, second.kinds,
+        )
+
+    def test_generate_columns_returns_python_int_lists(self):
+        """The core's cursor indexes plain lists; numpy scalars would box on
+        every read and skip the trace's range checks on Python ints."""
+        spec = WorkloadSpec(name="w", num_accesses=20, write_fraction=0.5, tail_compute_cycles=4)
+        for column in spec.generate_columns(np.random.default_rng(0)):
+            assert type(column) is list
+            assert all(type(value) is int for value in column)
+
+    def test_generate_columns_pins_the_draw_order(self):
+        """Each access draws gap, then address, then kind from one stream.
+
+        The expected run was recorded from the item-at-a-time generator this
+        one replaced; a change to the draw order changes every seeded result.
+        """
+        spec = WorkloadSpec(
+            name="w", num_accesses=10, mean_compute_gap=6.0, gap_variability=0.5,
+            write_fraction=0.3, atomic_fraction=0.25, hot_fraction=0.4,
+            pattern=AddressPattern.POINTER_CHASE, tail_compute_cycles=12,
+        )
+        assert collect(spec, seed=42) == [
+            (11, 0x1000_1039, KIND_READ),
+            (3, 0x1000_021B, KIND_READ),
+            (13, 0x1000_03E7, KIND_WRITE),
+            (3, 0x1000_1681, KIND_READ),
+            (4, 0x1000_132A, KIND_ATOMIC),
+            (3, 0x1000_036E, KIND_READ),
+            (7, 0x1000_034F, KIND_READ),
+            (7, 0x1000_0522, KIND_ATOMIC),
+            (4, 0x1000_022F, KIND_READ),
+            (4, 0x1000_1BBC, KIND_WRITE),
+            (12, 0, KIND_NONE),
+        ]
 
     def test_with_updates_returns_modified_copy(self):
         spec = WorkloadSpec(name="w", num_accesses=10)
         bigger = spec.with_updates(num_accesses=99)
         assert bigger.num_accesses == 99
         assert spec.num_accesses == 10
-
-
-class TestColumnarGeneration:
-    def spec(self) -> WorkloadSpec:
-        return WorkloadSpec(
-            name="w",
-            num_accesses=300,
-            mean_compute_gap=6.0,
-            gap_variability=0.5,
-            write_fraction=0.3,
-            atomic_fraction=0.1,
-            hot_fraction=0.4,
-            pattern=AddressPattern.STRIDED,
-            tail_compute_cycles=12,
-        )
-
-    def test_generate_columns_is_bit_identical_to_generate_items(self):
-        """The columnar generator must consume the RNG stream in exactly the
-        item-at-a-time order, so both paths encode the same run."""
-        from repro.cpu.trace import KIND_BY_ACCESS, KIND_NONE
-
-        spec = self.spec()
-        items = list(spec.generate_items(np.random.default_rng(42)))
-        gaps, addresses, kinds = spec.generate_columns(np.random.default_rng(42))
-        assert len(items) == len(gaps) == len(addresses) == len(kinds)
-        for item, gap, address, kind in zip(items, gaps, addresses, kinds, strict=True):
-            assert item.compute_cycles == gap
-            if item.access is None:
-                assert kind == KIND_NONE
-            else:
-                assert item.access.address == address
-                assert KIND_BY_ACCESS[item.access.access] == kind
-
-    def test_materialize_trace_equals_materializing_the_lazy_trace(self):
-        spec = self.spec()
-        direct = spec.materialize_trace(np.random.default_rng(9))
-        walked = spec.build_trace(np.random.default_rng(9)).materialize()
-        assert np.array_equal(direct.compute_gaps, walked.compute_gaps)
-        assert np.array_equal(direct.addresses, walked.addresses)
-        assert np.array_equal(direct.kinds, walked.kinds)
-
-    def test_build_trace_materialize_flag(self):
-        from repro.cpu.trace import MaterializedTrace
-
-        spec = self.spec()
-        assert isinstance(
-            spec.build_trace(np.random.default_rng(0), materialize=True),
-            MaterializedTrace,
-        )
-        assert not isinstance(
-            spec.build_trace(np.random.default_rng(0)), MaterializedTrace
-        )
 
 
 @given(
@@ -197,10 +187,8 @@ def test_property_every_generated_item_is_well_formed(num, hot, writes, pattern)
         pattern=pattern,
         working_set_bytes=8192,
     )
-    items = list(spec.generate_items(np.random.default_rng(0)))
-    accesses = [item for item in items if item.access is not None]
-    assert len(accesses) == num
-    for item in items:
-        assert item.compute_cycles >= 0
-        if item.access is not None:
-            assert item.access.address >= spec.base_address
+    items = accesses(spec)
+    assert len(items) == num
+    for gap, address, _ in items:
+        assert gap >= 0
+        assert address >= spec.base_address

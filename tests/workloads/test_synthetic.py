@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.cpu.trace import KIND_NONE
 from repro.workloads.synthetic import (
     bus_hog_workload,
     cpu_bound_workload,
@@ -52,5 +53,5 @@ def test_all_profiles_generate_valid_traces():
         short_request_workload(num_accesses=50),
         mixed_workload(num_accesses=50),
     ):
-        items = list(spec.generate_items(rng))
-        assert sum(1 for item in items if item.access is not None) == 50
+        _, _, kinds = spec.generate_columns(rng)
+        assert sum(1 for kind in kinds if kind != KIND_NONE) == 50
