@@ -41,17 +41,16 @@ __all__ = ["SharedBus"]
 
 
 class SharedBus(Component):
-    """Cycle-accurate model of a non-split shared bus."""
+    """Cycle-accurate model of a non-split shared bus.
 
-    #: The bus pushes its wake into the kernel's event queue at the end of
-    #: every tick: the release cycle while a transaction holds the bus, the
-    #: arbiter's next grant opportunity while idle with pending requests
-    #: (TDMA slot boundaries, CBA credit-replenish targets), nothing while
-    #: idle and empty (only a master's submission — an executed tick by
-    #: construction — can change anything).  Re-assertions of an unchanged
-    #: wake are deduplicated by the queue, so the steady state costs no heap
-    #: churn.
-    event_driven = True
+    Event-queue protocol: the bus pushes its wake at the end of every tick —
+    the release cycle while a transaction holds the bus, the arbiter's next
+    grant opportunity while idle with pending requests (TDMA slot
+    boundaries, CBA credit-replenish targets), nothing while idle and empty
+    (only a master's submission — an executed tick by construction — can
+    change anything).  The bus caches the pushed wake, so re-asserting an
+    unchanged one costs a comparison, not a call into the queue.
+    """
 
     def __init__(
         self,

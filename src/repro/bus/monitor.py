@@ -54,12 +54,10 @@ class BusMonitor(Component):
     """Per-master occupancy of a bus, in fixed-length windows and in total.
 
     Registering the monitor with a kernel is allowed and changes nothing: it
-    is event-driven with no wake and no hooks.  Its view starts at the bus
-    cycle of its last :meth:`reset` (cycle 0 for a fresh bus), and windows
-    are aligned to that cycle.
+    has no hooks, and its wake is ``None`` from registration on, so it is
+    never due.  Its view starts at the bus cycle of its last :meth:`reset`
+    (cycle 0 for a fresh bus), and windows are aligned to that cycle.
     """
-
-    event_driven = True  # repro-lint: allow[CON001]
 
     def __init__(self, name: str, bus: SharedBus, window_cycles: int = 1000) -> None:
         super().__init__(name)
@@ -70,6 +68,7 @@ class BusMonitor(Component):
         self._origin = 0
         self.reset()
 
+    # repro-lint: allow[CON001]
     def next_event(self, now: int) -> int | None:
         """The monitor never needs a wake: it is derived from the bus."""
         return None

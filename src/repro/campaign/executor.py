@@ -29,10 +29,10 @@ in-process serial path; a configured
 exceptions with seeded backoff and quarantines poison jobs after their
 attempt budget; a per-job wall-clock budget (``job_timeout``) is each
 future's deadline, and an expired future charges exactly its own job.  With
-no policy/plan/profiler configured the serial path is exactly the
-pre-resilience one, and a parallel failure still propagates the original
-exception on first sight (after cancelling the other in-flight futures so an
-aborting campaign never blocks on unrelated jobs).
+no policy or plan configured a job failure propagates the original
+exception on first sight, serially and in parallel (after cancelling the
+other in-flight futures so an aborting campaign never blocks on unrelated
+jobs).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from ..obs.profiler import CampaignProfiler
 from ..sim.errors import ConfigurationError
 from .batches import JobContext, pickle_context, run_job_in_worker, warm_up_worker
-from .jobs import CampaignJob, JobResult, run_job
+from .jobs import CampaignJob, JobResult
 from .resilience import (
     DEFAULT_MAX_POOL_REBUILDS,
     JobTimeoutError,
@@ -117,11 +117,6 @@ class SerialExecutor(Executor):
         summary = ResilienceSummary()
         self.last_resilience = summary
         self.last_dispatch_stats = {}
-        if profiler is None and self.retry_policy is None and self.fault_plan is None:
-            # The seed hot path, byte-for-byte: nothing but run_job calls.
-            for job in jobs:
-                yield run_job(job)
-            return
         for job in jobs:
             started = perf_counter()
             result = execute_with_retries(

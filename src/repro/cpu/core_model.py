@@ -91,8 +91,6 @@ class CoreModel(Component):
     drift from it.
     """
 
-    event_driven = True
-
     def __init__(
         self,
         name: str,
@@ -220,7 +218,7 @@ class CoreModel(Component):
         if self._wake_dirty:
             self._wake_dirty = False
             if self._wake_push:
-                self._reschedule_wake()
+                self._push_wake(self.now + 1)
 
     def _tick_cycle(self) -> None:
         if self._state is CoreState.FINISHED:
@@ -275,18 +273,6 @@ class CoreModel(Component):
     # ------------------------------------------------------------------
     # Fast-forward support
     # ------------------------------------------------------------------
-    def _reschedule_wake(self) -> None:
-        """Push the wake :meth:`next_event` gives for the next cycle.
-
-        Deriving every push from one function means the state machine's
-        transitions cannot push inconsistent wakes.
-        """
-        wake = self.next_event(self.now + 1)
-        if wake is None:
-            self._wake_cancel(self._wake_slot)
-        else:
-            self._wake_schedule(self._wake_slot, wake)
-
     def next_event(self, now: int) -> int | None:
         """The core's wake (see :meth:`Component.next_event`).
 
@@ -641,7 +627,7 @@ class CoreModel(Component):
         if self._wake_dirty:
             self._wake_dirty = False
             if self._wake_push:
-                self._reschedule_wake()
+                self._push_wake(self.now + 1)
 
     def _complete_buffered_store(self, request: BusRequest) -> None:
         """A background store drained; free the port and unblock stalls."""
@@ -664,7 +650,7 @@ class CoreModel(Component):
         if self._wake_dirty:
             self._wake_dirty = False
             if self._wake_push:
-                self._reschedule_wake()
+                self._push_wake(self.now + 1)
 
     def reset(self) -> None:
         if self._state is CoreState.FINISHED and self.on_finish is not None:

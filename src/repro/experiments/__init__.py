@@ -11,7 +11,7 @@ from .hcba_sweep import HCBASweepPoint, HCBASweepResult, run_hcba_sweep
 from .illustrative import IllustrativeResult, run_illustrative_example
 from .mbpta_experiment import MBPTAExperimentResult, run_mbpta_experiment
 from .overheads import OverheadResult, run_overheads
-from .runner import RepeatedRuns, repeat_scenario, scale_workload
+from .runner import RepeatedRuns, scale_workload
 from .table1 import Table1Result, run_table1
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "HCBASweepResult",
     "HCBASweepPoint",
     "RepeatedRuns",
-    "repeat_scenario",
     "scale_workload",
 ]

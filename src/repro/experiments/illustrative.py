@@ -15,8 +15,9 @@ The experiment reproduces both numbers two ways:
   round-robin (request-fair) against CBA (cycle-fair).
 
 Because the example fixes the request durations explicitly (6 and 28 cycles),
-the simulation drives the bus with purpose-built master agents and a
-per-master fixed-latency slave instead of the full cache hierarchy.
+the simulation drives the bus with a purpose-built TuA master, greedy
+contenders and a per-master fixed-latency slave (it ignores address and
+access type) instead of the full cache hierarchy.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from ..core.cba import CreditBasedArbiter
 from ..sim.component import Component
 from ..sim.config import CBAParameters
 from ..sim.kernel import Kernel
+from ..workloads.contender import GreedyContender
 
 __all__ = ["IllustrativeResult", "campaign_runner", "run_illustrative_example"]
 
@@ -54,7 +56,12 @@ class _FixedDurationSlave:
 
 
 class _PeriodicRequester(Component):
-    """The TuA of the example: a fixed number of requests, a fixed compute gap."""
+    """The TuA of the example: a fixed number of requests, a fixed compute gap.
+
+    Event-queue protocol: its only self-scheduled event is the submit at the
+    end of a compute gap, so it cancels its wake when a request goes out and
+    pushes ``cycle + 1 + compute_gap`` when the completion arrives.
+    """
 
     def __init__(
         self,
@@ -93,6 +100,18 @@ class _PeriodicRequester(Component):
         )
         self.bus.submit(request)
         self._waiting = True
+        self.cancel_wake()
+
+    def next_event(self, now: int) -> int | None:
+        """The submit at the end of the compute gap; ``None`` while waiting
+        for the bus or finished."""
+        if self.finished or self._waiting:
+            return None
+        return now + self._compute_remaining
+
+    def fast_forward(self, start: int, cycles: int) -> None:
+        if not (self.finished or self._waiting):
+            self._compute_remaining -= cycles
 
     def on_grant(self, request: BusRequest, cycle: int) -> None:
         """Bus master protocol: nothing to do at grant time."""
@@ -104,46 +123,13 @@ class _PeriodicRequester(Component):
             self.finish_cycle = cycle
         else:
             self._compute_remaining = self.compute_gap
+        if self._wake_push:
+            self._push_wake(cycle + 1)
 
     def reset(self) -> None:
         self.requests_completed = 0
         self.finish_cycle = None
         self._compute_remaining = self.compute_gap
-        self._waiting = False
-
-
-class _StreamingRequester(Component):
-    """A streaming contender: always keeps one request pending."""
-
-    def __init__(self, name: str, core_id: int, bus: SharedBus) -> None:
-        super().__init__(name)
-        self.core_id = core_id
-        self.bus = bus
-        self.requests_completed = 0
-        self._waiting = False
-        bus.connect_master(core_id, self)
-
-    def tick(self) -> None:
-        if self._waiting or self.bus.has_pending(self.core_id):
-            return
-        request = BusRequest(
-            master_id=self.core_id,
-            address=0x5000_0000 + self.core_id * 0x0100_0000 + self.requests_completed * 64,
-            access=AccessType.READ,
-            issue_cycle=self.now,
-        )
-        self.bus.submit(request)
-        self._waiting = True
-
-    def on_grant(self, request: BusRequest, cycle: int) -> None:
-        """Bus master protocol: nothing to do at grant time."""
-
-    def on_complete(self, request: BusRequest, cycle: int) -> None:
-        self.requests_completed += 1
-        self._waiting = False
-
-    def reset(self) -> None:
-        self.requests_completed = 0
         self._waiting = False
 
 
@@ -233,7 +219,7 @@ def _simulate(
     contenders = []
     if with_contenders:
         contenders = [
-            _StreamingRequester(f"contender{core}", core, bus)
+            GreedyContender(f"contender{core}", core, bus)
             for core in range(1, num_cores)
         ]
     kernel.register(tua)

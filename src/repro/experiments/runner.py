@@ -1,25 +1,21 @@
 """Shared experiment utilities.
 
-Every experiment repeats randomised runs and averages the task-under-analysis
-execution time; this module centralises that loop so the figure/table modules
-stay declarative.
+Every experiment repeats randomised runs (as campaign jobs) and averages the
+task-under-analysis execution time; this module holds the record those
+samples land in and the workload scaling the quick runs use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..analysis.metrics import MeanWithConfidence, mean_with_confidence
-from ..platform.scenarios import ScenarioResult
-from ..sim.config import PlatformConfig
 from ..workloads.base import WorkloadSpec
 
-__all__ = ["RepeatedRuns", "repeat_scenario", "runs_from_samples", "scale_workload"]
-
-ScenarioRunner = Callable[..., ScenarioResult]
+__all__ = ["RepeatedRuns", "runs_from_samples", "scale_workload"]
 
 
 @dataclass(frozen=True)
@@ -45,38 +41,6 @@ class RepeatedRuns:
     @property
     def min_cycles(self) -> float:
         return float(self.samples.min())
-
-
-def repeat_scenario(
-    scenario: ScenarioRunner,
-    workload: WorkloadSpec,
-    config: PlatformConfig,
-    num_runs: int,
-    seed: int = 0,
-    label: str = "",
-    **scenario_kwargs: object,
-) -> RepeatedRuns:
-    """Run ``scenario`` ``num_runs`` times with fresh per-run randomisation.
-
-    The run index feeds the random-stream derivation, so every run sees fresh
-    cache placements, replacement choices and arbitration randomness — the
-    same protocol as the paper's 1,000-run averages on the randomised FPGA
-    platform.
-    """
-    if num_runs <= 0:
-        raise ValueError("num_runs must be positive")
-    samples = np.empty(num_runs, dtype=np.float64)
-    for run_index in range(num_runs):
-        result = scenario(
-            workload, config, seed=seed, run_index=run_index, **scenario_kwargs
-        )
-        samples[run_index] = float(result.tua_cycles)
-    samples.setflags(write=False)
-    return RepeatedRuns(
-        label=label or f"{workload.name}/{config.arbitration}",
-        samples=samples,
-        stats=mean_with_confidence(samples),
-    )
 
 
 def runs_from_samples(label: str, samples: Sequence[float] | np.ndarray) -> RepeatedRuns:

@@ -10,11 +10,11 @@ trusted against:
 * **hash/ordering stability** (``ORD``) — canonical (sorted) JSON encodings
   and no unordered ``set``/filesystem iteration feeding stores or draws;
 * **hot-path discipline** (``HOT``) — no per-cycle allocation, formatting or
-  repeated deep attribute chains inside ``tick``/``post_tick``/
-  ``fast_forward``/``next_event`` bodies;
-* **component contracts** (``CON``) — event-driven components push wakes,
-  ``fast_forward`` overrides come with ``next_event``, value classes carry
-  ``__slots__``;
+  repeated deep attribute chains inside ``tick``/``fast_forward``/
+  ``next_event`` bodies;
+* **component contracts** (``CON``) — components overriding ``next_event``
+  push wakes, ``fast_forward`` overrides come with ``next_event``, value
+  classes carry ``__slots__``;
 * **fork/resource safety** (``RES``) — ``SharedMemory`` segments are closed
   and unlinked on all paths, ``flock`` acquisitions are paired with releases,
   ``os._exit`` stays confined to the fault injector.

@@ -30,7 +30,7 @@ __all__ = ["LintConfig", "load_config", "parse_minimal_toml"]
 FAMILIES = ("determinism", "ordering", "hotpath", "contracts", "resources")
 
 #: The hot-path method names whose bodies the HOT rules inspect.
-HOT_METHODS = ("tick", "post_tick", "fast_forward", "next_event")
+HOT_METHODS = ("tick", "fast_forward", "next_event")
 
 
 @dataclass

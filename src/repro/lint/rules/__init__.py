@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from .base import Rule
 from .contracts import (
-    EventDrivenWakeRule,
     FastForwardClockRule,
     FastForwardHintRule,
+    NextEventWakeRule,
     SlottedValueClassRule,
 )
 from .determinism import (
@@ -39,7 +39,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     UnorderedIterationRule,
     FilesystemOrderRule,
     HotPathRule,
-    EventDrivenWakeRule,
+    NextEventWakeRule,
     FastForwardHintRule,
     FastForwardClockRule,
     SlottedValueClassRule,

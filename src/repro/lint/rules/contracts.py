@@ -1,13 +1,13 @@
 """Component-contract rules (``CON``).
 
-The kernel's scheduling contracts are easy to half-implement: an
-``event_driven`` component that never pushes a wake silently never runs
-again under due-only dispatch; a ``fast_forward`` override
-without a matching ``next_event`` breaks the "only skip promised cycles"
-invariant; a ``fast_forward`` that reads the clock replays the wrong cycles,
-because the kernel catches components up lazily; an unslotted value class
-silently grows a ``__dict__`` per cache line / bus request and melts the
-allocation budget.  These rules encode the contracts structurally.
+The kernel's scheduling contracts are easy to half-implement: a component
+that overrides ``next_event`` but never pushes a wake silently never runs
+again under due-only dispatch once its seeded wake is spent; a
+``fast_forward`` override without a matching ``next_event`` breaks the
+"only skip promised cycles" invariant; a ``fast_forward`` that reads the
+clock replays the wrong cycles, because the kernel catches components up
+lazily; an unslotted value class silently grows a ``__dict__`` per cache
+line / bus request and melts the allocation budget.  These rules encode the contracts structurally.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from ..context import FileContext
 from .base import Rule
 
 __all__ = [
-    "EventDrivenWakeRule",
+    "NextEventWakeRule",
     "FastForwardClockRule",
     "FastForwardHintRule",
     "SlottedValueClassRule",
 ]
 
-_WAKE_CALLS = frozenset({"schedule_wake", "_wake_schedule"})
+_WAKE_CALLS = frozenset({"schedule_wake", "_wake_schedule", "_push_wake"})
 #: ``self`` attributes that read the current cycle.
 _CLOCK_READS = frozenset({"now", "clock", "_clock"})
 
@@ -37,39 +37,19 @@ def _class_methods(node: ast.ClassDef) -> dict[str, ast.AST]:
     }
 
 
-def _assigns_true(node: ast.ClassDef, name: str) -> ast.stmt | None:
-    """The class-body statement assigning ``name = True``, if any."""
-    for stmt in node.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == name
-                and isinstance(value, ast.Constant)
-                and value.value is True
-            ):
-                return stmt
-    return None
-
-
-class EventDrivenWakeRule(Rule):
+class NextEventWakeRule(Rule):
     id = "CON001"
     family = "contracts"
     description = (
-        "a class declaring event_driven = True must push wakes "
-        "(schedule_wake/_wake_schedule) somewhere in its body"
+        "a subclass overriding next_event must push wakes "
+        "(schedule_wake/_wake_schedule/_push_wake) somewhere in its body"
     )
     interests = (ast.ClassDef,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
         assert isinstance(node, ast.ClassDef)
-        marker = _assigns_true(node, "event_driven")
-        if marker is None:
+        marker = _class_methods(node).get("next_event")
+        if marker is None or not node.bases:
             return
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
@@ -80,10 +60,11 @@ class EventDrivenWakeRule(Rule):
         self.report(
             ctx,
             marker,
-            f"class {node.name} declares event_driven = True but never calls "
-            f"schedule_wake/_wake_schedule: under due-only dispatch it "
-            f"would sleep forever — push wakes at its state transitions (a "
-            f"pure observer that genuinely never wakes may pragma this)",
+            f"class {node.name} overrides next_event() but never calls "
+            f"schedule_wake/_wake_schedule/_push_wake: under due-only "
+            f"dispatch it sleeps forever once its seeded wake is spent — push "
+            f"wakes at its state transitions (a pure observer that genuinely "
+            f"never wakes may pragma this)",
         )
 
 

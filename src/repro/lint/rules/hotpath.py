@@ -1,8 +1,8 @@
 """Hot-path discipline rules (``HOT``).
 
-``tick``/``post_tick``/``fast_forward``/``next_event`` bodies run up to once
-per simulated cycle across millions of cycles; the performance PRs hand-
-removed every avoidable allocation and attribute re-lookup from them.  These
+``tick``/``fast_forward``/``next_event`` bodies run up to once per
+simulated cycle across millions of cycles; the performance PRs hand-removed
+every avoidable allocation and attribute re-lookup from them.  These
 rules keep regressions out: no collection displays or comprehensions, no
 string formatting, no lambdas/nested defs, and no repeated multi-hop
 ``self.a.b`` chains (bind them to a local once instead).
@@ -67,7 +67,7 @@ class HotPathRule(Rule):
 
     id = "HOT"  # reports under the specific ids below
     family = "hotpath"
-    description = "hot-path discipline inside tick/post_tick/fast_forward/next_event"
+    description = "hot-path discipline inside tick/fast_forward/next_event"
     interests = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     ALLOC_ID = "HOT001"

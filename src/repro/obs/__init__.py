@@ -10,8 +10,8 @@ Submodules
 ----------
 * :mod:`repro.obs.registry` — labelled counters/gauges/samples/histograms;
 * :mod:`repro.obs.exporters` — JSONL and Prometheus-text metric exports;
-* :mod:`repro.obs.timeline` — ring-buffered recording and Chrome
-  trace-event / Perfetto export;
+* :mod:`repro.obs.timeline` — Chrome trace-event / Perfetto export of
+  recorded trace events;
 * :mod:`repro.obs.profiler` — per-component kernel and per-phase campaign
   wall-clock attribution;
 * :mod:`repro.obs.report` — text renderers for the ``repro obs`` commands;
@@ -28,13 +28,12 @@ from .exporters import (
 )
 from .profiler import CampaignProfiler, KernelProfiler
 from .registry import MetricsRegistry, label_key, registries_merged
-from .timeline import TimelineRecorder, chrome_trace, write_chrome_trace
+from .timeline import chrome_trace, write_chrome_trace
 
 __all__ = [
     "MetricsRegistry",
     "label_key",
     "registries_merged",
-    "TimelineRecorder",
     "chrome_trace",
     "write_chrome_trace",
     "KernelProfiler",

@@ -40,7 +40,7 @@ class _HookProxy:
     name for debugging.
     """
 
-    __slots__ = ("fast_forward", "name", "post_tick", "tick")
+    __slots__ = ("fast_forward", "name", "tick")
 
     def __init__(self, name: str, hook: str, timed: Callable[..., object]) -> None:
         self.name = name
@@ -53,7 +53,7 @@ class _HookProxy:
 class KernelProfiler:
     """Accumulates wall-clock seconds per (component, hook) pair."""
 
-    HOOKS = ("tick", "post_tick", "fast_forward")
+    HOOKS = ("tick", "fast_forward")
 
     def __init__(self) -> None:
         self._seconds: dict[tuple[str, str], float] = {}

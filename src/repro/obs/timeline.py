@@ -1,10 +1,4 @@
-"""Timeline tracing: ring-buffered recording and Chrome trace-event export.
-
-:class:`TimelineRecorder` is a drop-in :class:`~repro.sim.trace.TraceRecorder`
-backed by a :class:`collections.deque` ring buffer, so a bounded-memory
-recording of an arbitrarily long run keeps the *most recent* ``capacity``
-events in O(1) per event (the list-backed recorder pays an O(n) slice-delete
-when it overflows).
+"""Timeline export: Chrome trace-event JSON from recorded trace events.
 
 :func:`chrome_trace` converts recorded :class:`~repro.sim.trace.TraceEvent`
 sequences into the Chrome trace-event JSON format (the ``traceEvents`` array
@@ -25,54 +19,12 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections import deque
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from ..sim.trace import TraceEvent, TraceRecorder
+from ..sim.trace import TraceEvent
 
-__all__ = ["TimelineRecorder", "chrome_trace", "write_chrome_trace"]
-
-
-class TimelineRecorder(TraceRecorder):
-    """A trace recorder whose storage is a bounded ring buffer."""
-
-    def __init__(self, kinds: Iterable[str] | None = None, capacity: int | None = None):
-        # The ring must exist before the base initialiser assigns
-        # ``self.events`` (routed through the property setter below).
-        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
-        #: Events dropped off the head of the ring (observability: a summary
-        #: can say "showing the last N of M events").
-        self.dropped = 0
-        super().__init__(kinds=kinds, capacity=capacity)
-
-    @property
-    def events(self) -> list[TraceEvent]:  # type: ignore[override]
-        """The retained events, oldest first (a fresh list)."""
-        return list(self._ring)
-
-    @events.setter
-    def events(self, values: Iterable[TraceEvent]) -> None:
-        self._ring.clear()
-        self._ring.extend(values)
-
-    def record(self, cycle: int, source: str, kind: str, **payload: object) -> None:
-        """Record one event (no-op when disabled or filtered out)."""
-        if not self.enabled:
-            return
-        if self._kinds is not None and kind not in self._kinds:
-            return
-        ring = self._ring
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
-            self.dropped += 1
-        ring.append(TraceEvent(cycle=cycle, source=source, kind=kind, payload=payload))
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
+__all__ = ["chrome_trace", "write_chrome_trace"]
 
 
 def _plain(value: object) -> object:

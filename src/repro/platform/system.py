@@ -29,7 +29,6 @@ from ..memory.controller import MemoryController
 from ..memory.dram import DRAM, BankedDRAM
 from ..obs.profiler import KernelProfiler
 from ..obs.registry import MetricsRegistry
-from ..obs.timeline import TimelineRecorder
 from ..sim.config import KernelMode, ObservabilityConfig, PlatformConfig
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Kernel
@@ -122,9 +121,10 @@ class MulticoreSystem:
         every run draws its own traces.
 
         ``obs`` opts into instrumentation
-        (:class:`~repro.sim.config.ObservabilityConfig`): a timeline recorder
-        becomes the kernel's trace (unless an explicit ``trace`` was passed,
-        which wins), and kernel profiling is enabled at :meth:`finalize`.
+        (:class:`~repro.sim.config.ObservabilityConfig`): a timeline
+        :class:`~repro.sim.trace.TraceRecorder` becomes the kernel's trace
+        (unless an explicit ``trace`` was passed, which wins), and kernel
+        profiling is enabled at :meth:`finalize`.
         ``None`` (the default) changes nothing anywhere on the hot path.
         """
         self.config = config
@@ -132,7 +132,7 @@ class MulticoreSystem:
         self.obs = obs
         self.profiler: KernelProfiler | None = None
         if trace is None and obs is not None and obs.timeline:
-            trace = TimelineRecorder(
+            trace = TraceRecorder(
                 kinds=obs.timeline_kinds, capacity=obs.timeline_capacity
             )
         self.kernel = Kernel(

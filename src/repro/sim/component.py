@@ -1,32 +1,22 @@
 """Component base class for the cycle-driven kernel.
 
 Every hardware block in the simulated platform (core, cache, bus, arbiter,
-memory controller, DRAM) derives from :class:`Component`.  The kernel calls
-each component twice per cycle:
+memory controller, DRAM) derives from :class:`Component`.  The stepped
+reference calls each component's :meth:`Component.tick` once per cycle, in
+registration order, so a component sees what the components before it did
+in the same cycle.
 
-* :meth:`Component.tick` — the *evaluate* phase.  Components read the state
-  published by other components during the previous cycle and compute their
-  new outputs.  Components are ticked in registration order.
-* :meth:`Component.post_tick` — the *commit* phase.  Components latch new
-  state so that the next cycle's evaluate phase sees a consistent snapshot.
-
-This two-phase scheme mirrors how synchronous RTL behaves (combinational
-evaluation followed by the clock edge) and removes ordering sensitivity
-between components within a cycle for state that is latched in
-:meth:`post_tick`.
-
-That is the stepped reference.  Due-only dispatch
-(:meth:`~repro.sim.kernel.Kernel.run` outside ``KernelMode.STEPPING``)
-leaves out every tick a component promised is uniform bookkeeping — it ticks
-a component at the wake the component pushed with
-:meth:`Component.schedule_wake` and catches the cycles in between up lazily
-through :meth:`Component.fast_forward`.  A component that calls into another
+Due-only dispatch (:meth:`~repro.sim.kernel.Kernel.run` outside
+``KernelMode.STEPPING``) leaves out every tick a component promised is
+uniform bookkeeping — it ticks a component at the wake the component pushed
+with :meth:`Component.schedule_wake` and catches the cycles in between up
+lazily through :meth:`Component.fast_forward`.  A component that calls into another
 component therefore touches it first (:meth:`~repro.sim.kernel.Kernel.touch`,
 pre-bound as ``_touch``), so the callee's lagging cycles are accounted with
 the state they had before the call changes it; one that changes state an
 observer samples syncs the observer first (``Kernel.sync``, ``_sync``).
-A component that is not :attr:`Component.event_driven` makes the kernel step
-every cycle.
+A component that pushes no wake keeps the default :meth:`Component.next_event`
+(the current cycle) and is due on every cycle.
 """
 
 from __future__ import annotations
@@ -47,14 +37,6 @@ def _unbound_touch(component: "Component") -> None:
 
 class Component:
     """Base class for everything that is ticked by the kernel."""
-
-    #: Whether this component *pushes* its wake into the kernel's event queue
-    #: (:meth:`schedule_wake`/:meth:`cancel_wake` at state transitions).  A
-    #: kernel holding any component that does not is stepped cycle by cycle.
-    #: Event-driven components must keep :meth:`next_event` implemented and
-    #: consistent with what they push: the kernel reads it to seed the heap
-    #: entry at registration and reset.
-    event_driven: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -122,10 +104,7 @@ class Component:
     # Per-cycle hooks
     # ------------------------------------------------------------------
     def tick(self) -> None:
-        """Evaluate phase — override in subclasses.  Default: do nothing."""
-
-    def post_tick(self) -> None:
-        """Commit phase — override in subclasses.  Default: do nothing."""
+        """One cycle of behaviour — override in subclasses.  Default: do nothing."""
 
     # ------------------------------------------------------------------
     # Fast-forward (event-aware skipping) hooks
@@ -151,12 +130,26 @@ class Component:
         if kernel is not None:
             kernel.cancel_wake(self)
 
+    def _push_wake(self, cycle: int) -> None:
+        """Push the wake :meth:`next_event` gives for ``cycle``.
+
+        Deriving every push from one function means a state machine's
+        transitions cannot push inconsistent wakes.  Only valid while
+        :attr:`_wake_push` is True.
+        """
+        wake = self.next_event(cycle)
+        if wake is None:
+            self._wake_cancel(self._wake_slot)
+        else:
+            self._wake_schedule(self._wake_slot, wake)
+
     def next_event(self, now: int) -> int | None:
         """Wake: the first cycle at which ticking this component matters.
 
         The kernel reads it at registration and reset to seed the
-        component's wake; event-driven components also derive what they push
-        from it.  The contract:
+        component's wake, and components that push wakes derive what they
+        push from it.  A component that overrides it must push its wakes at
+        its state transitions (``repro lint`` rule CON001).  The contract:
 
         * return an ``int`` cycle ``c >= now`` — "as long as no *other*
           component calls into me, my :meth:`tick` at every cycle before
@@ -180,14 +173,14 @@ class Component:
         was not ticked in.
 
         Implementations must leave the component in exactly the state that
-        :meth:`tick`/:meth:`post_tick` at cycles ``start`` to ``start +
-        cycles - 1`` would have produced; the kernel only leaves out ticks
-        the component promised, via its wake, are uniform bookkeeping.  The
-        catch-up is lazy: it runs right before the component's next tick,
-        before another component calls into it, or at the end of the run —
-        long after the clock moved past ``start``.  Take the cycles from the
-        arguments and never read :attr:`now` or :attr:`clock` here (``repro
-        lint`` rule CON004).  Default: nothing to account.
+        :meth:`tick` at cycles ``start`` to ``start + cycles - 1`` would have
+        produced; the kernel only leaves out ticks the component promised,
+        via its wake, are uniform bookkeeping.  The catch-up is lazy: it runs
+        right before the component's next tick, before another component
+        calls into it, or at the end of the run — long after the clock moved
+        past ``start``.  Take the cycles from the arguments and never read
+        :attr:`now` or :attr:`clock` here (``repro lint`` rule CON004).
+        Default: nothing to account.
         """
 
     def reset(self) -> None:

@@ -6,26 +6,25 @@ simulated platform by exactly one cycle, and is the reference every other
 execution mode must reproduce bit for bit:
 
 1. every component's :meth:`~repro.sim.component.Component.tick` runs
-   (evaluate phase, registration order);
-2. every component's :meth:`~repro.sim.component.Component.post_tick` runs
-   (commit phase, registration order);
-3. the clock advances.
+   (registration order);
+2. the clock advances.
 
 :meth:`Kernel.run` executes until a stop condition (cycle limit or a
 registered completion predicate) is met.  Its :class:`~repro.sim.config.KernelMode`
-picks one of two loops:
+alone picks one of two loops:
 
-* **stepping** — the loop above on every cycle.  ``KernelMode.STEPPING``
-  always takes it (the oracle: no component computes or pushes a wake), and
-  so does any kernel holding a component that is not ``event_driven`` or
-  that overrides ``post_tick``;
+* **stepping** — the loop above on every cycle, taken by
+  ``KernelMode.STEPPING`` only (the oracle: no component computes or pushes
+  a wake);
 * **due-only dispatch** — every component *pushes* its wake, the first
   cycle at which its tick can do more than the uniform per-cycle accounting
   that :meth:`~repro.sim.component.Component.fast_forward` replays in bulk,
   into a binary heap (:class:`EventQueue`) via :meth:`Kernel.schedule_wake`
   at the state transitions where the wake changes (a bus grant, a request
   completion, a trace item boundary); superseded wakes are invalidated
-  lazily through per-slot generation counters.
+  lazily through per-slot generation counters.  A component that pushes
+  nothing keeps the wake its default ``next_event`` seeds — the current
+  cycle — and is therefore due on every cycle.
 
 Due-only dispatch reaches the states of stepping with far fewer calls:
 
@@ -202,11 +201,7 @@ class Kernel:
         self._components: list[Component] = []
         self._by_name: dict[str, Component] = {}
         self._tickers: list[Component] = []
-        self._post_tickers: list[Component] = []
         self._fast_forwarders: list[Component] = []
-        #: Set once a registered component cannot be dispatched due-only
-        #: (it is not ``event_driven`` or overrides ``post_tick``).
-        self._must_step = False
         self._stop_conditions: list[Callable[[], bool]] = []
         self.finished = False
         self.stop_condition_fired = False
@@ -257,17 +252,12 @@ class Kernel:
         self._by_name[component.name] = component
         # Components that keep the base class's no-op hooks are excluded from
         # the per-cycle loops entirely; this is the single hottest loop in the
-        # simulator, and no built-in component overrides post_tick.
+        # simulator.
         if type(component).tick is not Component.tick:
             self._tickers.append(component)
-        if type(component).post_tick is not Component.post_tick:
-            self._post_tickers.append(component)
-            self._must_step = True
         if type(component).fast_forward is not Component.fast_forward:
             self._fast_forwarders.append(component)
-        if not component.event_driven:
-            self._must_step = True
-        elif self._wake_push:
+        if self._wake_push:
             # Seed the component's heap entry from its current state so the
             # first scheduling decision sees a valid wake even before its
             # first tick had a chance to push one.
@@ -275,7 +265,7 @@ class Kernel:
         return component
 
     def _prime_wake(self, component: Component) -> None:
-        """Seed an event-driven component's heap entry from its wake."""
+        """Seed a component's heap entry from its wake."""
         wake = component.next_event(self.clock.cycle)
         if wake is None:
             self._events.cancel(component._wake_slot)
@@ -297,7 +287,6 @@ class Kernel:
             raise SchedulingError("profiling is already enabled on this kernel")
         self.profiler = profiler
         self._tickers = [profiler.proxy(c, "tick") for c in self._tickers]
-        self._post_tickers = [profiler.proxy(c, "post_tick") for c in self._post_tickers]
         self._fast_forwarders = [
             profiler.proxy(c, "fast_forward") for c in self._fast_forwarders
         ]
@@ -451,13 +440,10 @@ class Kernel:
         if self.finished:
             raise SchedulingError("cannot step a kernel that has already finished")
         tickers = self._tickers
-        post_tickers = self._post_tickers
         clock = self.clock
         for _ in range(cycles):
             for component in tickers:
                 component.tick()
-            for component in post_tickers:
-                component.post_tick()
             clock.advance()
         return clock.cycle
 
@@ -494,10 +480,10 @@ class Kernel:
         skipped_before = self.cycles_skipped
         limit = start + max_cycles
         self._run_limit = limit
-        if self._wake_push and not self._must_step:
-            stop_fired = self._run_due(limit)
-        else:
+        if self.mode is KernelMode.STEPPING:
             stop_fired = self._run_stepping(limit)
+        else:
+            stop_fired = self._run_due(limit)
         if not stop_fired:
             # The loop ran out of cycle budget; a stop condition may still
             # hold at the boundary (e.g. the last step finished the work).
@@ -606,7 +592,6 @@ class Kernel:
         condition fired."""
         clock = self.clock
         tickers = self._tickers
-        post_tickers = self._post_tickers
         should_stop = self._should_stop
         while clock._cycle < limit:
             if should_stop():
@@ -615,8 +600,6 @@ class Kernel:
             # is measurable on this path.
             for component in tickers:
                 component.tick()
-            for component in post_tickers:
-                component.post_tick()
             clock.advance()
         return False
 
@@ -639,8 +622,7 @@ class Kernel:
             # Re-seed the heap from the components' power-on wakes, exactly
             # as registration did.
             for component in self._components:
-                if component.event_driven:
-                    self._prime_wake(component)
+                self._prime_wake(component)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -9,6 +9,7 @@ the per-cycle signal behaviour of Table I.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -38,7 +39,12 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` objects with optional kind filtering."""
+    """Collects :class:`TraceEvent` objects with optional kind filtering.
+
+    Storage is a :class:`collections.deque`: with a ``capacity`` it is a ring
+    that keeps the most recent events in O(1) per event, so a bounded
+    recording of an arbitrarily long run costs bounded memory.
+    """
 
     def __init__(self, kinds: Iterable[str] | None = None, capacity: int | None = None):
         """Create a recorder.
@@ -51,9 +57,16 @@ class TraceRecorder:
             If given, only the most recent ``capacity`` events are kept.
         """
         self._kinds = set(kinds) if kinds is not None else None
-        self._capacity = capacity
-        self.events: list[TraceEvent] = []
+        self._ring: deque[TraceEvent] = deque(maxlen=capacity)
+        #: Events dropped off the head of a bounded ring (observability: a
+        #: summary can say "showing the last N of M events").
+        self.dropped = 0
         self.enabled = True
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The retained events, oldest first (a fresh list)."""
+        return list(self._ring)
 
     def record(self, cycle: int, source: str, kind: str, **payload: object) -> None:
         """Record one event (no-op when disabled or filtered out)."""
@@ -61,9 +74,10 @@ class TraceRecorder:
             return
         if self._kinds is not None and kind not in self._kinds:
             return
-        self.events.append(TraceEvent(cycle=cycle, source=source, kind=kind, payload=payload))
-        if self._capacity is not None and len(self.events) > self._capacity:
-            del self.events[: len(self.events) - self._capacity]
+        ring = self._ring
+        if len(ring) == ring.maxlen:
+            self.dropped += 1
+        ring.append(TraceEvent(cycle=cycle, source=source, kind=kind, payload=payload))
 
     def filter(
         self,
@@ -73,7 +87,7 @@ class TraceRecorder:
     ) -> list[TraceEvent]:
         """Return events matching all given criteria."""
         out = []
-        for event in self.events:
+        for event in self._ring:
             if kind is not None and event.kind != kind:
                 continue
             if source is not None and event.source != source:
@@ -84,10 +98,11 @@ class TraceRecorder:
         return out
 
     def clear(self) -> None:
-        self.events.clear()
+        self._ring.clear()
+        self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._ring)
 
 
 class NullTraceRecorder(TraceRecorder):

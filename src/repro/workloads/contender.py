@@ -42,8 +42,6 @@ class GreedyContender(Component):
     out and schedules the next cycle when the completion callback arrives.
     """
 
-    event_driven = True
-
     def __init__(
         self,
         name: str,
@@ -131,8 +129,6 @@ class WCETModeContender(Component):
         trivially true and the contender competes whenever the TuA requests.
     """
 
-    event_driven = True
-
     def __init__(
         self,
         name: str,
@@ -171,15 +167,7 @@ class WCETModeContender(Component):
         ):
             self._issue()
         if self._wake_push:
-            self._reschedule_wake(now + 1)
-
-    def _reschedule_wake(self, cycle: int) -> None:
-        """Push the wake :meth:`next_event` gives for ``cycle``."""
-        wake = self.next_event(cycle)
-        if wake is None:
-            self._wake_cancel(self._wake_slot)
-        else:
-            self._wake_schedule(self._wake_slot, wake)
+            self._push_wake(now + 1)
 
     def next_event(self, now: int) -> int | None:
         """The first cycle from ``now`` at which a tick sets COMP or issues.
@@ -211,7 +199,7 @@ class WCETModeContender(Component):
         if self.tua_request_ready():
             kernel.wake(self)
         elif self._wake_push:
-            self._reschedule_wake(self.now + 1)
+            self._push_wake(self.now + 1)
 
     def _issue(self) -> None:
         request = BusRequest(
@@ -228,13 +216,13 @@ class WCETModeContender(Component):
         """Bus master protocol: the grant clears the compete bit (Table I)."""
         self.gate.on_granted()
         if self._wake_push:
-            self._reschedule_wake(cycle + 1)
+            self._push_wake(cycle + 1)
 
     def on_complete(self, request: BusRequest, cycle: int) -> None:
         self.requests_completed += 1
         self._in_flight = False
         if self._wake_push:
-            self._reschedule_wake(cycle + 1)
+            self._push_wake(cycle + 1)
 
     def reset(self) -> None:
         self.gate.reset()

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.campaign import Campaign, aggregate_by_label
-from repro.campaign.executor import ParallelExecutor, SerialExecutor
+from repro.campaign.executor import ParallelExecutor
 from repro.campaign.faults import FaultPlan, run_chaos
 from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.resilience import RetryPolicy
@@ -159,23 +159,6 @@ def test_default_dispatch_runs_the_plain_run_job(monkeypatch):
     monkeypatch.setattr(faults_mod, "run_job_with_faults", recording)
     run_job_in_worker(*row, plan)
     assert calls == [(job.job_id, 1, plan)]
-
-
-def test_serial_default_path_is_the_bare_run_job_loop(monkeypatch):
-    """With no profiler, policy or plan the serial executor never consults
-    the resilience driver at all."""
-    jobs, reference = _jobs_and_reference()
-
-    def forbidden(*args, **kwargs):  # pragma: no cover - the guard must hold
-        raise AssertionError("resilience driver used on the hot path")
-
-    monkeypatch.setattr(
-        "repro.campaign.executor.execute_with_retries", forbidden
-    )
-    executor = SerialExecutor()
-    results = {result.job_id: result.samples for result in executor.execute(jobs)}
-    assert results == reference
-    assert executor.last_resilience.clean
 
 
 def test_clean_runs_report_clean_resilience(tmp_path):

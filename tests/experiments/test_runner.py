@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import repeat_scenario, scale_workload
-from repro.platform.scenarios import run_isolation
+from repro.experiments.runner import scale_workload
 
 
 def test_scale_workload_shrinks_but_keeps_a_floor(tiny_workload):
@@ -18,18 +17,3 @@ def test_scale_workload_identity_and_validation(tiny_workload):
     assert scale_workload(tiny_workload, 2.0) is tiny_workload
     with pytest.raises(ValueError):
         scale_workload(tiny_workload, 0.0)
-
-
-def test_repeat_scenario_collects_one_sample_per_run(rp_platform, quiet_workload):
-    runs = repeat_scenario(
-        run_isolation, quiet_workload, rp_platform, num_runs=3, seed=2, label="demo"
-    )
-    assert len(runs.samples) == 3
-    assert runs.label == "demo"
-    assert runs.min_cycles <= runs.mean_cycles <= runs.max_cycles
-    assert runs.stats.count == 3
-
-
-def test_repeat_scenario_requires_positive_run_count(rp_platform, quiet_workload):
-    with pytest.raises(ValueError):
-        repeat_scenario(run_isolation, quiet_workload, rp_platform, num_runs=0)

@@ -3,42 +3,71 @@
 from __future__ import annotations
 
 
-class TestEventDrivenWake:
-    def test_event_driven_without_wake_flagged(self, harness):
+class TestNextEventWake:
+    def test_next_event_without_wake_flagged(self, harness):
         source = """
-            class Sleeper:
-                event_driven = True
-
+            class Sleeper(Component):
                 def tick(self):
                     self.count = self.count + 1
+
+                def next_event(self, now):
+                    return None
         """
         assert harness.rule_ids(source) == ["CON001"]
 
-    def test_event_driven_with_schedule_wake_ok(self, harness):
+    def test_indirect_subclass_flagged(self, harness):
         source = """
-            class Waker:
-                event_driven = True
+            class QuietBus(SharedBus):
+                def next_event(self, now):
+                    return now + 10
+        """
+        assert harness.rule_ids(source) == ["CON001"]
 
+    def test_next_event_with_schedule_wake_ok(self, harness):
+        source = """
+            class Waker(Component):
                 def start(self):
                     self.schedule_wake(self.clock.cycle + 4)
+
+                def next_event(self, now):
+                    return now + 4
         """
         assert harness.rule_ids(source) == []
 
-    def test_event_driven_with_private_wake_helper_ok(self, harness):
+    def test_next_event_with_private_wake_helper_ok(self, harness):
         source = """
-            class Waker:
-                event_driven = True
-
+            class Waker(Component):
                 def start(self):
                     self._wake_schedule(4)
+
+                def next_event(self, now):
+                    return 4
         """
         assert harness.rule_ids(source) == []
 
-    def test_poll_component_not_flagged(self, harness):
+    def test_next_event_with_push_wake_ok(self, harness):
         source = """
-            class Poller:
-                event_driven = False
+            class Waker(Component):
+                def on_complete(self, request, cycle):
+                    self._push_wake(cycle + 1)
 
+                def next_event(self, now):
+                    return None
+        """
+        assert harness.rule_ids(source) == []
+
+    def test_pure_observer_pragma_silences(self, harness):
+        source = """
+            class Observer(Component):
+                # repro-lint: allow[CON001]
+                def next_event(self, now):
+                    return None
+        """
+        assert harness.rule_ids(source) == []
+
+    def test_component_with_default_next_event_not_flagged(self, harness):
+        source = """
+            class Poller(Component):
                 def tick(self):
                     pass
         """

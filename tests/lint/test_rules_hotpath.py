@@ -14,7 +14,7 @@ class TestAllocations:
         assert harness.rule_ids(hot("tick", "pending = []")) == ["HOT001"]
 
     def test_dict_display_flagged(self, harness):
-        assert harness.rule_ids(hot("post_tick", "state = {}")) == ["HOT001"]
+        assert harness.rule_ids(hot("tick", "state = {}")) == ["HOT001"]
 
     def test_comprehension_flagged(self, harness):
         source = hot("tick", "ids = [m.id for m in self.masters]")

@@ -55,7 +55,7 @@ def test_default_system_keeps_the_seed_hot_loop(tiny_workload):
     assert isinstance(kernel.trace, NullTraceRecorder)
     assert not kernel.trace.enabled
     assert system.profiler is None
-    for hooks in (kernel._tickers, kernel._post_tickers, kernel._fast_forwarders):
+    for hooks in (kernel._tickers, kernel._fast_forwarders):
         assert not any(isinstance(component, _HookProxy) for component in hooks)
 
 

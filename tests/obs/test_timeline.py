@@ -1,49 +1,11 @@
-"""Tests for the ring-buffered timeline recorder and Chrome trace export."""
+"""Tests for the Chrome trace export of recorded timelines."""
 
 import json
 
-from repro.obs.timeline import TimelineRecorder, chrome_trace, write_chrome_trace
+from repro.obs.timeline import chrome_trace, write_chrome_trace
 from repro.platform.system import MulticoreSystem
 from repro.sim.config import ObservabilityConfig
 from repro.sim.trace import TraceEvent
-
-
-class TestTimelineRecorder:
-    def test_unbounded_keeps_everything(self):
-        recorder = TimelineRecorder()
-        for cycle in range(100):
-            recorder.record(cycle, "bus", "bus.grant")
-        assert len(recorder) == 100
-        assert recorder.dropped == 0
-
-    def test_ring_keeps_most_recent_and_counts_drops(self):
-        recorder = TimelineRecorder(capacity=10)
-        for cycle in range(25):
-            recorder.record(cycle, "bus", "bus.grant")
-        assert len(recorder) == 10
-        assert recorder.dropped == 15
-        assert [event.cycle for event in recorder.events] == list(range(15, 25))
-
-    def test_kind_filter(self):
-        recorder = TimelineRecorder(kinds=["bus.grant"])
-        recorder.record(1, "bus", "bus.grant")
-        recorder.record(2, "bus", "bus.request")
-        assert [event.kind for event in recorder.events] == ["bus.grant"]
-
-    def test_disabled_recorder_drops_silently(self):
-        recorder = TimelineRecorder(capacity=5)
-        recorder.enabled = False
-        recorder.record(1, "bus", "bus.grant")
-        assert len(recorder) == 0
-        assert recorder.dropped == 0
-
-    def test_clear_resets_ring_and_drop_count(self):
-        recorder = TimelineRecorder(capacity=2)
-        for cycle in range(5):
-            recorder.record(cycle, "bus", "bus.grant")
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.dropped == 0
 
 
 class TestChromeTrace:

@@ -42,8 +42,6 @@ class Ledger(Component):
     closed form from its ``start`` argument.  An action raises the level of
     every peer by ``push``, touching the peer first."""
 
-    event_driven = True
-
     def __init__(self, name: str, period: int, phase: int, push: int) -> None:
         super().__init__(name)
         self.period = period

@@ -3,7 +3,7 @@
 Components push their wakes into the queue, with lazy generation-based
 invalidation.  These tests pin the contracts the platform relies on: wakes
 persist until superseded, staleness biases toward execution (never toward
-skipping), a component that does not push forces stepping, and the
+skipping), a component that does not push is due on every cycle, and the
 ``run_horizon``/truncation/resumption behaviour of ``run`` is identical in
 every mode.
 """
@@ -18,8 +18,6 @@ from repro.sim.kernel import EventQueue, Kernel
 
 class PeriodicPusher(Component):
     """Acts every ``period`` cycles, pushing its next wake from each action."""
-
-    event_driven = True
 
     def __init__(self, name: str, period: int) -> None:
         super().__init__(name)
@@ -49,10 +47,15 @@ class PeriodicPusher(Component):
         self.fast_forwarded = 0
 
 
-class PolledWorker(PeriodicPusher):
-    """The same periodic behaviour without pushed wakes."""
+class PolledWorker(Component):
+    """The same periodic behaviour without pushed wakes: the default
+    ``next_event`` and no ``fast_forward``."""
 
-    event_driven = False
+    def __init__(self, name: str, period: int) -> None:
+        super().__init__(name)
+        self.period = period
+        self.action_cycles: list[int] = []
+        self.idle_cycles_seen = 0
 
     def tick(self) -> None:
         if self.now % self.period == 0:
@@ -63,8 +66,6 @@ class PolledWorker(PeriodicPusher):
 
 class OneShot(Component):
     """Schedules a single wake at a fixed cycle and records its ticks."""
-
-    event_driven = True
 
     def __init__(self, name: str, wake: int) -> None:
         super().__init__(name)
@@ -179,18 +180,22 @@ def test_pushed_wakes_jump_between_events():
     assert kernel.cycles_skipped == worker.fast_forwarded == 1000 - 10
 
 
-def test_component_without_pushed_wakes_forces_stepping():
-    """A component that is not ``event_driven`` has no wake to dispatch on,
-    so the kernel steps every cycle and both components act on their
-    cycles."""
-    kernel = Kernel()
+@pytest.mark.parametrize("mode", [KernelMode.FAST_FORWARD, KernelMode.PRODUCTION])
+def test_component_without_pushed_wakes_is_due_every_cycle(mode):
+    """A component that pushes nothing keeps the wake its default
+    ``next_event`` seeds, and a stale wake re-arms at the next cycle: due-only
+    dispatch ticks it on every cycle, so nothing is skipped, while the pusher
+    still ticks only on its own wakes."""
+    kernel = Kernel(mode=mode)
     pusher = kernel.register(PeriodicPusher("push", period=100))
     polled = kernel.register(PolledWorker("poll", period=60))
     kernel.run(max_cycles=600)
-    assert pusher.action_cycles == list(range(0, 600, 100))
-    assert polled.action_cycles == list(range(0, 600, 60))
     assert kernel.cycles_skipped == 0
+    assert polled.action_cycles == list(range(0, 600, 60))
     assert polled.idle_cycles_seen == 600 - 10
+    assert pusher.action_cycles == list(range(0, 600, 100))
+    assert pusher.idle_cycles_seen == 0
+    assert pusher.fast_forwarded == 600 - 6
 
 
 def test_stepping_and_due_only_modes_execute_identically():
@@ -256,8 +261,6 @@ def test_stale_wake_degrades_to_stepping_never_to_skipping():
     bookkeeping; a tick too few would change behaviour)."""
 
     class Stale(Component):
-        event_driven = True
-
         def __init__(self) -> None:
             super().__init__("stale")
             self.ticks = 0

@@ -8,8 +8,6 @@ from repro.sim.kernel import Kernel
 class PeriodicWorker(Component):
     """Acts every ``period`` cycles, sleeps (with a pushed wake) in between."""
 
-    event_driven = True
-
     def __init__(self, name: str, period: int) -> None:
         super().__init__(name)
         self.period = period
@@ -36,8 +34,6 @@ class PeriodicWorker(Component):
 class Sleeper(Component):
     """A component with no self-scheduled events at all."""
 
-    event_driven = True
-
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.ticks = 0
@@ -50,7 +46,8 @@ class Sleeper(Component):
 
 
 class DefaultHinter(Component):
-    """Overrides tick but does not push wakes (not ``event_driven``)."""
+    """Overrides tick but pushes no wakes: the default ``next_event`` keeps
+    it due on every cycle."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)

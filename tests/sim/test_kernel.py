@@ -10,24 +10,19 @@ from repro.sim.kernel import Kernel
 
 
 class TickCounter(Component):
-    """Counts its tick/post_tick invocations and the cycles it saw."""
+    """Counts its tick invocations and the cycles it saw."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.ticks = 0
-        self.post_ticks = 0
         self.seen_cycles: list[int] = []
 
     def tick(self) -> None:
         self.ticks += 1
         self.seen_cycles.append(self.now)
 
-    def post_tick(self) -> None:
-        self.post_ticks += 1
-
     def reset(self) -> None:
         self.ticks = 0
-        self.post_ticks = 0
         self.seen_cycles = []
 
 
@@ -46,7 +41,6 @@ def test_step_ticks_every_component_once_per_cycle():
     kernel.register_all([a, b])
     kernel.step(3)
     assert a.ticks == b.ticks == 3
-    assert a.post_ticks == b.post_ticks == 3
     assert kernel.clock.cycle == 3
     assert a.seen_cycles == [0, 1, 2]
 

@@ -29,6 +29,40 @@ def test_capacity_keeps_most_recent():
     assert [e.cycle for e in recorder.events] == [7, 8, 9]
 
 
+def test_unbounded_keeps_everything():
+    recorder = TraceRecorder()
+    for cycle in range(100):
+        recorder.record(cycle, "bus", "bus.grant")
+    assert len(recorder) == 100
+    assert recorder.dropped == 0
+
+
+def test_ring_keeps_most_recent_and_counts_drops():
+    recorder = TraceRecorder(capacity=10)
+    for cycle in range(25):
+        recorder.record(cycle, "bus", "bus.grant")
+    assert len(recorder) == 10
+    assert recorder.dropped == 15
+    assert [event.cycle for event in recorder.events] == list(range(15, 25))
+
+
+def test_disabled_recorder_drops_without_counting():
+    recorder = TraceRecorder(capacity=5)
+    recorder.enabled = False
+    recorder.record(1, "bus", "bus.grant")
+    assert len(recorder) == 0
+    assert recorder.dropped == 0
+
+
+def test_clear_resets_ring_and_drop_count():
+    recorder = TraceRecorder(capacity=2)
+    for cycle in range(5):
+        recorder.record(cycle, "bus", "bus.grant")
+    recorder.clear()
+    assert len(recorder) == 0
+    assert recorder.dropped == 0
+
+
 def test_filter_by_kind_source_and_predicate():
     recorder = TraceRecorder()
     recorder.record(1, "bus", "bus.grant", master=0)

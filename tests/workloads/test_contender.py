@@ -104,8 +104,6 @@ class RequestLine(Component):
     ``edges`` (``(cycle, level)`` pairs), switched in its own tick, and each
     edge notifies the observers as a core does."""
 
-    event_driven = True
-
     def __init__(self, name: str, edges: list[tuple[int, bool]]) -> None:
         super().__init__(name)
         self.edges = edges
