@@ -70,14 +70,13 @@ def build_jobs(runs_per_label: int, access_scale: float, seed: int) -> list:
     return jobs
 
 
-def time_campaign(jobs, executor) -> tuple[float, dict, dict]:
+def time_campaign(jobs, executor) -> tuple[float, dict]:
     campaign = Campaign(executor=executor)
     start = time.perf_counter()
     results = campaign.run(jobs)
     elapsed = time.perf_counter() - start
     aggregated = aggregate_by_label(jobs, results)
-    stats = dict(getattr(executor, "last_dispatch_stats", {}) or {})
-    return elapsed, {label: agg.samples for label, agg in aggregated.items()}, stats
+    return elapsed, {label: agg.samples for label, agg in aggregated.items()}
 
 
 def time_mbpta_post(samples: np.ndarray, block_size: int = 20) -> dict:
@@ -158,8 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     jobs = build_jobs(args.runs, args.access_scale, seed=7)
     print(f"campaign grid: {len(GRID)} labels x {args.runs} runs = {len(jobs)} jobs")
 
-    serial_s, serial_samples, _ = time_campaign(jobs, SerialExecutor())
-    pool_s, pool_samples, dispatch_stats = time_campaign(
+    serial_s, serial_samples = time_campaign(jobs, SerialExecutor())
+    pool_s, pool_samples = time_campaign(
         jobs, ParallelExecutor(max_workers=args.jobs)
     )
 
@@ -173,13 +172,6 @@ def main(argv: list[str] | None = None) -> int:
         f"campaign wall time: serial {serial_s:6.2f}s  "
         f"pool({args.jobs}) {pool_s:6.2f}s  -> {serial_s / pool_s:4.2f}x"
     )
-    if dispatch_stats:
-        print(
-            f"pool dispatch: {dispatch_stats.get('jobs_dispatched', 0)} jobs over "
-            f"{dispatch_stats.get('contexts', 0)} contexts, "
-            f"context cache {dispatch_stats.get('context_cache_hits', 0)} hits / "
-            f"{dispatch_stats.get('context_cache_misses', 0)} misses"
-        )
 
     # MBPTA post-processing of a 1,000-sample campaign.  The sample vector
     # stands in for a paper-scale (1,000 runs per configuration) campaign;
@@ -223,7 +215,6 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "speedup_pool_vs_serial": round(serial_s / pool_s, 3),
             "bit_identical": True,
-            "dispatch": dispatch_stats,
         },
         "mbpta_post_1000_samples": mbpta_1000,
         "mbpta_post_campaign_samples": mbpta_campaign,

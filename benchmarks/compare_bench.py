@@ -179,15 +179,6 @@ def diff_campaign_baseline(
         f"mbpta total {baseline.get('mbpta_post_1000_samples', {}).get('total_ms')}ms "
         f"-> {current.get('mbpta_post_1000_samples', {}).get('total_ms')}ms"
     )
-    dispatch = now.get("dispatch") or {}
-    if dispatch:
-        print(
-            "campaign pool dispatch: "
-            f"{dispatch.get('jobs_dispatched', 0)} jobs over "
-            f"{dispatch.get('contexts', 0)} contexts, "
-            f"context cache {dispatch.get('context_cache_hits', 0)} hits / "
-            f"{dispatch.get('context_cache_misses', 0)} misses"
-        )
     speedup_now = now.get("speedup_pool_vs_serial")
     speedup_then = then.get("speedup_pool_vs_serial")
     if speedup_now is None or speedup_then is None:

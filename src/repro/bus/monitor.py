@@ -8,15 +8,14 @@ burdening the bus model itself.
 The monitor is a view: the bus appends every holder change to its
 :attr:`~repro.bus.bus.SharedBus.holder_log`, and the monitor derives its
 windows and totals from that log and the bus's ``cycles_total`` counter when
-they are read.  It never ticks, so it costs nothing while the simulation
-runs.
+they are read.  It is not a kernel component and never ticks, so it costs
+nothing while the simulation runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.component import Component
 from .bus import SharedBus
 
 __all__ = ["BandwidthWindow", "BusMonitor"]
@@ -50,28 +49,22 @@ class BandwidthWindow:
         return sum(self.busy_cycles_per_master) / self.length
 
 
-class BusMonitor(Component):
+class BusMonitor:
     """Per-master occupancy of a bus, in fixed-length windows and in total.
 
-    Registering the monitor with a kernel is allowed and changes nothing: it
-    has no hooks, and its wake is ``None`` from registration on, so it is
-    never due.  Its view starts at the bus cycle of its last :meth:`reset`
-    (cycle 0 for a fresh bus), and windows are aligned to that cycle.
+    A plain view over the bus, not a kernel component.  Its view starts at
+    the bus cycle of its last :meth:`reset` (cycle 0 for a fresh bus), and
+    windows are aligned to that cycle.
     """
 
     def __init__(self, name: str, bus: SharedBus, window_cycles: int = 1000) -> None:
-        super().__init__(name)
         if window_cycles <= 0:
             raise ValueError("window length must be positive")
+        self.name = name
         self.bus = bus
         self.window_cycles = window_cycles
         self._origin = 0
         self.reset()
-
-    # repro-lint: allow[CON001]
-    def next_event(self, now: int) -> int | None:
-        """The monitor never needs a wake: it is derived from the bus."""
-        return None
 
     def reset(self) -> None:
         """Start the view at the bus's current cycle."""

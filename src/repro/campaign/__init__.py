@@ -38,7 +38,6 @@ from .jobs import (
     CampaignJob,
     JobResult,
     RunOutcome,
-    register_scenario,
     resolve_scenario,
     run_job,
     seed_block_jobs,
@@ -68,7 +67,6 @@ __all__ = [
     "SerialExecutor",
     "aggregate_by_label",
     "create_executor",
-    "register_scenario",
     "resolve_scenario",
     "run_chaos",
     "run_job",

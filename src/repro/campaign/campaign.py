@@ -211,11 +211,7 @@ class Campaign:
         )
         if self.metrics_path is not None:
             write_metrics(
-                self._metrics_registry(
-                    results,
-                    self.last_report,
-                    dispatch_stats=getattr(self.executor, "last_dispatch_stats", None),
-                ),
+                self._metrics_registry(results, self.last_report),
                 self.metrics_path,
             )
         return results
@@ -224,15 +220,12 @@ class Campaign:
     def _metrics_registry(
         results: Mapping[str, JobResult],
         report: "CampaignReport | None" = None,
-        dispatch_stats: Mapping[str, int] | None = None,
     ) -> MetricsRegistry:
         """Fold every job result into a labelled campaign-level registry.
 
         Job counters, run samples and every per-run side-metric (including
         the cores' batch-interpreter counters) become one series per
-        ``(label, scenario)`` pair, mergeable across campaigns.  The parallel
-        executor's dispatch accounting (jobs dispatched, contexts, worker
-        cache hits/misses) rides along as ``campaign.dispatch.*`` counters.
+        ``(label, scenario)`` pair, mergeable across campaigns.
         """
         registry = MetricsRegistry()
         for result in results.values():
@@ -265,8 +258,6 @@ class Campaign:
             registry.counter("campaign.quarantined_store_lines").increment(
                 report.quarantined_store_lines
             )
-        for name, value in (dispatch_stats or {}).items():
-            registry.counter(f"campaign.dispatch.{name}").increment(value)
         return registry
 
 

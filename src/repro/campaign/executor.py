@@ -11,12 +11,13 @@ backends are interchangeable — :class:`ParallelExecutor` produces samples
 bit-identical to :class:`SerialExecutor`, merely out of order.  Orchestration
 code must therefore key results by :attr:`job_id`, never by arrival order.
 
-Dispatch contract: the parallel backend submits *one future per job* to a
-pool of persistent warm workers.  Jobs that share a context (workload +
-platform config + scenario knobs, :mod:`repro.campaign.batches`) share one
-blob pickled once per campaign; each worker unpickles a context once and
-caches it, and returns ``(JobResult, cache_hit)`` per job, so the store,
-resume protocol and progress reporting see the plain per-job stream.
+Dispatch contract: the parallel backend submits *one future per job*, and
+the future carries the pickled job itself.  Workers run the same entry point
+as :class:`SerialExecutor` — :func:`~repro.campaign.jobs.run_job`, or
+:func:`~repro.campaign.faults.run_job_with_faults` under a fault plan — and
+return its :class:`JobResult`, so the store, resume protocol and progress
+reporting see the plain per-job stream.  A job's cached :attr:`job_id`
+travels in its pickle, so workers never re-hash it.
 
 Resilience contract: job purity also makes *re*-execution free of side
 effects, which is what lets :class:`ParallelExecutor` survive worker death.
@@ -51,8 +52,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..obs.profiler import CampaignProfiler
 from ..sim.errors import ConfigurationError
-from .batches import JobContext, pickle_context, run_job_in_worker, warm_up_worker
-from .jobs import CampaignJob, JobResult
+from .faults import CRASH, FaultPlan, run_job_with_faults
+from .jobs import CampaignJob, JobResult, run_job
 from .resilience import (
     DEFAULT_MAX_POOL_REBUILDS,
     JobTimeoutError,
@@ -63,10 +64,14 @@ from .resilience import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .faults import FaultPlan
     from .progress import NullProgress
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "create_executor"]
+
+
+def warm_up_worker() -> None:
+    """No-op task: submitting one per worker makes the pool spawn them all,
+    so a profiled campaign can time the spawn on its own."""
 
 
 class Executor(ABC):
@@ -83,15 +88,12 @@ class Executor(ABC):
     #: Optional per-job wall-clock budget in seconds (parallel backend only).
     job_timeout: float | None = None
     #: Optional fault-injection plan — chaos testing only, never production.
-    fault_plan: "FaultPlan | None" = None
+    fault_plan: FaultPlan | None = None
     #: Optional progress reporter for retry/degrade lines (attached by the
     #: orchestrator; duck-typed to :class:`~repro.campaign.progress.NullProgress`).
     reporter: "NullProgress | None" = None
     #: Resilience accounting of the most recent :meth:`execute` call.
     last_resilience: ResilienceSummary | None = None
-    #: Dispatch accounting of the most recent :meth:`execute` call (jobs
-    #: dispatched, contexts, worker cache hits); empty for in-process backends.
-    last_dispatch_stats: dict[str, int]
 
     @abstractmethod
     def execute(self, jobs: Sequence[CampaignJob]) -> Iterator[JobResult]:
@@ -106,17 +108,15 @@ class SerialExecutor(Executor):
     def __init__(
         self,
         retry_policy: RetryPolicy | None = None,
-        fault_plan: "FaultPlan | None" = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
-        self.last_dispatch_stats = {}
 
     def execute(self, jobs: Sequence[CampaignJob]) -> Iterator[JobResult]:
         profiler = self.profiler
         summary = ResilienceSummary()
         self.last_resilience = summary
-        self.last_dispatch_stats = {}
         for job in jobs:
             started = perf_counter()
             result = execute_with_retries(
@@ -146,9 +146,9 @@ class ParallelExecutor(Executor):
     """Fan jobs out over a persistent process pool, one future per job.
 
     Simulation runs are pure CPU-bound Python, so processes (not threads) are
-    the right unit.  ``max_in_flight`` bounds the number of submitted-but-
-    unfinished futures so million-job campaigns do not materialise their
-    whole frontier in memory at once.  With a ``job_timeout`` at most one
+    the right unit.  At most ``max(4 * workers, 16)`` futures are submitted
+    but unfinished at once, so million-job campaigns do not materialise
+    their whole frontier in memory.  With a ``job_timeout`` at most one
     future per worker is in flight, so a job's deadline measures its own run
     and never its wait in the pool's queue.
 
@@ -165,28 +165,24 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         max_workers: int,
-        max_in_flight: int | None = None,
         retry_policy: RetryPolicy | None = None,
         job_timeout: float | None = None,
-        fault_plan: "FaultPlan | None" = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
         if max_workers <= 0:
             raise ConfigurationError("max_workers must be positive")
         if job_timeout is not None and job_timeout <= 0:
             raise ConfigurationError("job_timeout must be positive")
         self.workers = max_workers
-        self.max_in_flight = max_in_flight or max(4 * max_workers, 16)
         self.retry_policy = retry_policy
         self.job_timeout = job_timeout
         self.fault_plan = fault_plan
         #: Futures cancelled while unwinding the most recent execute() call.
         self.last_cancelled = 0
-        self.last_dispatch_stats = {}
 
     # ------------------------------------------------------------------
     def execute(self, jobs: Sequence[CampaignJob]) -> Iterator[JobResult]:
         self.last_resilience = ResilienceSummary()
-        self.last_dispatch_stats = {}
         if not jobs:
             return
         yield from self._execute_core(list(jobs), self.last_resilience)
@@ -210,8 +206,6 @@ class ParallelExecutor(Executor):
         """
         if self.fault_plan is None:
             return attempt + 1
-        from .faults import CRASH
-
         if self.fault_plan.decide(job.job_id, attempt) == CRASH:
             return attempt + 1
         return attempt
@@ -244,34 +238,13 @@ class ParallelExecutor(Executor):
         plan = self.fault_plan
         self.last_cancelled = 0
 
-        # Pickle each distinct context once; the same bytes blob rides along
-        # with every job that shares it.
-        packed: dict[JobContext, tuple[str, bytes]] = {}
-        context_of: dict[str, tuple[str, bytes]] = {}
-        for job in jobs:
-            context = JobContext.from_job(job)
-            try:
-                entry = packed.get(context)
-            except TypeError:  # unhashable option value: pickled on its own
-                entry = pickle_context(context)
-            else:
-                if entry is None:
-                    entry = packed[context] = pickle_context(context)
-            context_of[job.job_id] = entry
-        stats = self.last_dispatch_stats = {
-            "jobs_dispatched": 0,
-            "contexts": len({key for key, _ in context_of.values()}),
-            "context_cache_hits": 0,
-            "context_cache_misses": 0,
-        }
-
         #: ``(job, attempt)`` pairs awaiting dispatch.
         pending: deque[tuple[CampaignJob, int]] = deque((job, 1) for job in jobs)
         #: (ready_at, job, attempt) parked for a backoff delay.
         delayed: list[tuple[float, CampaignJob, int]] = []
         #: future -> (job, attempt, deadline).
         in_flight: dict[Future, tuple[CampaignJob, int, float | None]] = {}
-        limit = self.workers if self.job_timeout is not None else self.max_in_flight
+        limit = self.workers if self.job_timeout is not None else max(4 * self.workers, 16)
         consecutive_pool_failures = 0
 
         spawn_started = perf_counter()
@@ -288,12 +261,13 @@ class ParallelExecutor(Executor):
             try:
                 while pending and len(in_flight) < limit:
                     job, attempt = pending.popleft()
-                    key, blob = context_of[job.job_id]
                     try:
-                        future = pool.submit(
-                            run_job_in_worker, key, blob, job.job_id, job.label,
-                            job.run_start, job.num_runs, attempt, plan,
-                        )
+                        if plan is None:
+                            future = pool.submit(run_job, job)
+                        else:
+                            future = pool.submit(
+                                run_job_with_faults, job, attempt, plan
+                            )
                     except BrokenProcessPool:
                         pending.appendleft((job, attempt))
                         return True
@@ -304,7 +278,6 @@ class ParallelExecutor(Executor):
                     in_flight[future] = (job, attempt, deadline)
                     submitted += 1
             finally:
-                stats["jobs_dispatched"] += submitted
                 if profiler is not None and submitted:
                     profiler.add(
                         "dispatch", perf_counter() - submit_started, count=submitted
@@ -418,7 +391,7 @@ class ParallelExecutor(Executor):
                     job, attempt, _ = in_flight.pop(future)
                     result_started = perf_counter() if profiler is not None else 0.0
                     try:
-                        result, cache_hit = future.result()
+                        result = future.result()
                     except BrokenProcessPool:
                         pool_broken = True
                         charge_crash(job, attempt)
@@ -432,10 +405,6 @@ class ParallelExecutor(Executor):
                     consecutive_pool_failures = 0
                     if profiler is not None:
                         profiler.add("result", perf_counter() - result_started)
-                        profiler.count("cache_hit" if cache_hit else "cache_miss")
-                    stats[
-                        "context_cache_hits" if cache_hit else "context_cache_misses"
-                    ] += 1
                     yield result
 
                 if pool_broken:

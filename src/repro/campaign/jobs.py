@@ -41,7 +41,6 @@ __all__ = [
     "JobResult",
     "RunOutcome",
     "SCENARIO_RUNNERS",
-    "register_scenario",
     "resolve_scenario",
     "run_job",
     "seed_block_jobs",
@@ -62,16 +61,6 @@ SCENARIO_RUNNERS: dict[str, str | Callable] = {
     "table1": "repro.experiments.table1:campaign_runner",
     "overheads": "repro.experiments.overheads:campaign_runner",
 }
-
-
-def register_scenario(name: str, runner: str | Callable) -> None:
-    """Register (or override) a scenario runner under ``name``.
-
-    ``runner`` is either a callable ``(job, run_index) -> RunOutcome`` or a
-    ``"module:callable"`` string resolved on first use (the string form is
-    what worker processes need, since they import rather than inherit state).
-    """
-    SCENARIO_RUNNERS[name] = runner
 
 
 def resolve_scenario(name: str) -> Callable:

@@ -124,11 +124,6 @@ class ProgressReporter(NullProgress):
             f"[{self.prefix}] profile: wall {profiler.wall_seconds:.2f}s, "
             f"{profiler.coverage:.0%} attributed ({phases})"
         )
-        if profiler.counters:
-            counters = ", ".join(
-                f"{name} {value}" for name, value in sorted(profiler.counters.items())
-            )
-            self._emit(f"[{self.prefix}] dispatch: {counters}")
 
     def finish(self) -> None:
         if not self._total:

@@ -98,7 +98,6 @@ class CoreModel(Component):
         trace: MaterializedTrace,
         l1_data: L1Cache,
         bus: SharedBus,
-        l1_instruction: L1Cache | None = None,
         store_buffer_entries: int = 0,
         mode: KernelMode = KernelMode.PRODUCTION,
     ) -> None:
@@ -120,7 +119,6 @@ class CoreModel(Component):
         self.core_id = core_id
         self.trace = trace
         self.l1_data = l1_data
-        self.l1_instruction = l1_instruction
         self.bus = bus
         self.store_buffer_entries = store_buffer_entries
         self.counters = CoreCounters(core_id=core_id)
@@ -657,8 +655,6 @@ class CoreModel(Component):
             self.on_finish(-1)
         self.counters = CoreCounters(core_id=self.core_id)
         self.l1_data.reset()
-        if self.l1_instruction is not None:
-            self.l1_instruction.reset()
         self._state = CoreState.COMPUTING
         self._compute_remaining = 0
         self._l1_remaining = 0

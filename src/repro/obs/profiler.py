@@ -10,12 +10,10 @@ Two independent profilers cover the two performance mysteries on the roadmap:
   like the no-op tick-hook filtering.
 * :class:`CampaignProfiler` attributes campaign wall-clock across the five
   pool phases — ``spawn`` (worker process startup/shutdown), ``dispatch``
-  (submitting one future per job to the pool), ``simulate`` (waiting for
-  results), ``result`` (collecting each finished job's result) and
-  ``store`` (artifact-store writes).  Alongside the timed phases it keeps
-  named :attr:`~CampaignProfiler.counters` (``cache_hit``/``cache_miss``:
-  whether a worker already held the job's context) so cache behaviour lands
-  in the same JSON artifact.
+  (submitting each pickled job to the pool as one future; its event count
+  is the number of jobs dispatched), ``simulate`` (waiting for results),
+  ``result`` (collecting each finished job's result) and ``store``
+  (artifact-store writes).
 
 Both render to plain dictionaries (JSON artifacts) consumed by
 :mod:`repro.obs.report` and the ``repro obs profile`` command.
@@ -140,8 +138,7 @@ class CampaignProfiler:
     def __init__(self, output_path: str | Path | None = None) -> None:
         self.seconds = {phase: 0.0 for phase in self.PHASES}
         self.events = {phase: 0 for phase in self.PHASES}
-        #: Named event counters with no wall-clock of their own (worker
-        #: context-cache hits/misses) — accumulated via :meth:`count`.
+        #: Always empty; kept because external readers still look it up.
         self.counters: dict[str, int] = {}
         #: End-to-end wall-clock of the campaign dispatch loops profiled so
         #: far (measured by the orchestrator *around* the executor, so
@@ -159,10 +156,6 @@ class CampaignProfiler:
         """Charge ``seconds`` of wall-clock to ``phase``."""
         self.seconds[phase] += seconds
         self.events[phase] += count
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump the named event counter by ``n``."""
-        self.counters[name] = self.counters.get(name, 0) + n
 
     @contextmanager
     def phase(self, phase: str) -> Iterator[None]:
@@ -214,7 +207,6 @@ class CampaignProfiler:
                 phase: {"seconds": self.seconds[phase], "events": self.events[phase]}
                 for phase in self.PHASES
             },
-            "counters": dict(sorted(self.counters.items())),
         }
 
     def write(self, path: str | Path) -> Path:

@@ -132,9 +132,7 @@ class MulticoreSystem:
         self.obs = obs
         self.profiler: KernelProfiler | None = None
         if trace is None and obs is not None and obs.timeline:
-            trace = TraceRecorder(
-                kinds=obs.timeline_kinds, capacity=obs.timeline_capacity
-            )
+            trace = TraceRecorder(capacity=obs.timeline_capacity)
         self.kernel = Kernel(
             seed=seed,
             run_index=run_index,
@@ -309,7 +307,6 @@ class MulticoreSystem:
             if tua is not None:
                 tua.request_observers.append(contender.on_tua_line)
         self.kernel.register(self.bus)
-        self.kernel.register(self.monitor)
         self._num_tasks = len(self.cores)
         self._finished_tasks = sum(core.finished for core in self.cores.values())
         for core in self.cores.values():

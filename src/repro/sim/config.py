@@ -291,16 +291,12 @@ class ObservabilityConfig:
     #: Bound the timeline to the most recent N events (ring buffer);
     #: ``None`` keeps every event.
     timeline_capacity: int | None = None
-    #: Restrict recording to these event kinds (``None`` records all).
-    timeline_kinds: tuple[str, ...] | None = None
     #: Attribute ``Kernel.run`` wall-clock to component hooks.
     profile_kernel: bool = False
 
     def __post_init__(self) -> None:
         if self.timeline_capacity is not None and self.timeline_capacity <= 0:
             raise ConfigurationError("timeline_capacity must be positive")
-        if self.timeline_kinds is not None and not self.timeline:
-            raise ConfigurationError("timeline_kinds requires timeline=True")
         if self.timeline_capacity is not None and not self.timeline:
             raise ConfigurationError("timeline_capacity requires timeline=True")
 

@@ -233,7 +233,7 @@ class Kernel:
         """Register ``component`` in the next slot.
 
         Slots are ticked in registration order; the platform builder
-        registers them in pipeline order (cores, contenders, bus, monitor) so
+        registers them in pipeline order (cores, contenders, bus) so
         that requests issued in a cycle can be observed by the arbiter in the
         same cycle, matching the single-cycle arbitration of the paper.
         """

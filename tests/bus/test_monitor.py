@@ -21,7 +21,6 @@ def make_monitored_bus(window=10, latency=4):
     )
     monitor = BusMonitor("monitor", bus, window_cycles=window)
     kernel.register(bus)
-    kernel.register(monitor)
     return kernel, bus, monitor
 
 
@@ -96,3 +95,20 @@ def test_view_matches_per_cycle_sampling(latency):
     ] == windows
     assert monitor.total_busy_per_master == [held.count(0), held.count(1)]
     assert monitor.total_cycles_observed == len(held)
+
+
+def test_unregistered_monitor_restarts_with_its_bus_on_kernel_reset():
+    """The monitor is a view, not a kernel component: a kernel reset resets
+    the bus it reads, so its windows and totals restart at cycle 0 without
+    the monitor being reset itself."""
+    kernel, bus, monitor = make_monitored_bus(window=5)
+    assert monitor not in kernel.components
+    bus.submit(BusRequest(master_id=0, address=0, issue_cycle=0))
+    kernel.step(10)
+    assert monitor.total_busy_per_master == [4, 0]
+    kernel.reset()
+    assert monitor.windows == []
+    assert monitor.total_cycles_observed == 0
+    bus.submit(BusRequest(master_id=1, address=0, issue_cycle=0))
+    kernel.step(5)
+    assert [w.busy_cycles_per_master for w in monitor.windows] == [(0, 4)]

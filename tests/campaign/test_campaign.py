@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.campaign.campaign import Campaign, aggregate_by_label
-from repro.campaign.executor import SerialExecutor
+from repro.campaign.executor import ParallelExecutor, SerialExecutor
 from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.store import ArtifactStore
 from repro.experiments.figure1 import run_figure1
@@ -186,6 +188,29 @@ def test_resilience_counters_reach_the_metrics_registry(tiny_workload):
     assert series["campaign.job_timeouts"] == 2
     assert series["campaign.degradations"] == 1
     assert series["campaign.quarantined_store_lines"] == 4
+
+
+def test_metrics_file_has_the_same_series_for_every_backend(
+    tiny_workload, tmp_path
+):
+    """The metrics file describes the jobs, never the transport: a serial
+    and a pooled campaign write the same series with the same counters."""
+    jobs = _jobs(tiny_workload)
+
+    def snapshot(executor, name):
+        path = tmp_path / name
+        Campaign(executor=executor, metrics_path=path).run(jobs)
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    serial = snapshot(SerialExecutor(), "serial.jsonl")
+    pooled = snapshot(ParallelExecutor(max_workers=2), "pooled.jsonl")
+    assert [(row["name"], row["labels"]) for row in pooled] == [
+        (row["name"], row["labels"]) for row in serial
+    ]
+    counters = [row for row in serial if row["type"] == "counter"]
+    assert counters
+    assert [row for row in pooled if row["type"] == "counter"] == counters
+    assert not any(row["name"].startswith("campaign.dispatch") for row in pooled)
 
 
 def test_store_lock_is_held_for_the_whole_run(tiny_workload, tmp_path):

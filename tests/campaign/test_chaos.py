@@ -7,7 +7,7 @@ Two complementary checks, mirroring ``tests/obs/test_overhead.py``:
   complete, the corruption quarantined, and every sample bit-identical to a
   clean serial run;
 * **zero-cost** — with no retry policy, fault plan or timeout configured,
-  dispatch submits the plain ``run_job`` (production paths never branch on
+  the pool is handed the plain ``run_job`` (production paths never branch on
   faults) and store records differ from the pre-resilience encoding only by
   the mandated ``schema``/``crc`` fields.
 """
@@ -15,13 +15,14 @@ Two complementary checks, mirroring ``tests/obs/test_overhead.py``:
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.campaign import Campaign, aggregate_by_label
 from repro.campaign.executor import ParallelExecutor
-from repro.campaign.faults import FaultPlan, run_chaos
+from repro.campaign.faults import FaultPlan, run_chaos, run_job_with_faults
 from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.resilience import RetryPolicy
 from repro.campaign.store import ArtifactStore
@@ -129,36 +130,57 @@ def test_recovered_pool_is_bit_identical_to_serial(fault_seed):
 # ----------------------------------------------------------------------
 # Zero-cost when disabled
 # ----------------------------------------------------------------------
-def test_default_dispatch_runs_the_plain_run_job(monkeypatch):
-    """Structural guard: without a fault plan the worker entry point runs
-    ``run_job`` itself and never consults the fault wrapper — production
-    dispatch carries no fault branch."""
-    import repro.campaign.faults as faults_mod
-    from repro.campaign.batches import JobContext, pickle_context, run_job_in_worker
+class _RecordingPool:
+    """In-process stand-in for the process pool: runs each submitted call at
+    once and records what the executor submitted."""
 
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def submit(self, fn, *args):
+        self.calls.append((fn, *args))
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _RecordingExecutor(ParallelExecutor):
+    def _build_pool(self):
+        self.pool = _RecordingPool()
+        return self.pool
+
+
+def test_default_dispatch_runs_the_plain_run_job():
+    """Structural guard: without a fault plan the pool is handed ``run_job``
+    and the job itself — production dispatch carries no fault branch."""
     jobs, reference = _jobs_and_reference()
-    job = jobs[0]
-    key, blob = pickle_context(JobContext.from_job(job))
-    row = (key, blob, job.job_id, job.label, job.run_start, job.num_runs, 1)
+    executor = _RecordingExecutor(max_workers=2)
+    results = {r.job_id: r.samples for r in executor.execute(jobs)}
+    assert results == reference
+    assert executor.pool.calls == [(run_job, job) for job in jobs]
 
-    def forbidden(*args, **kwargs):  # pragma: no cover - the guard must hold
-        raise AssertionError("fault wrapper used on the production path")
-
-    monkeypatch.setattr(faults_mod, "run_job_with_faults", forbidden)
-    result, _ = run_job_in_worker(*row, None)
-    assert result.samples == reference[job.job_id]
-
-    # And with a plan configured, the wrapper *is* the per-job entry point.
+    # And with a plan configured, the fault wrapper *is* the per-job entry
+    # point, called with the job, its attempt and the plan.
     plan = FaultPlan(fail_jobs=frozenset({jobs[0].job_id}))
-    calls = []
-
-    def recording(job, attempt, plan_arg, **kwargs):
-        calls.append((job.job_id, attempt, plan_arg))
-        return run_job(job)
-
-    monkeypatch.setattr(faults_mod, "run_job_with_faults", recording)
-    run_job_in_worker(*row, plan)
-    assert calls == [(job.job_id, 1, plan)]
+    executor = _RecordingExecutor(
+        max_workers=2,
+        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
+        fault_plan=plan,
+    )
+    results = {r.job_id: r.samples for r in executor.execute(jobs)}
+    assert results == reference
+    calls = executor.pool.calls
+    assert {call[0] for call in calls} == {run_job_with_faults}
+    assert sorted((job.job_id, attempt) for _, job, attempt, _ in calls) == sorted(
+        [(job.job_id, 1) for job in jobs] + [(jobs[0].job_id, 2)]
+    )
+    assert all(call[3] is plan for call in calls)
 
 
 def test_clean_runs_report_clean_resilience(tmp_path):

@@ -104,13 +104,6 @@ class TestCampaignProfiler:
         assert profiler.wall_seconds > 0.0
         assert profiler.coverage >= 0.90
         assert profiler.events["spawn"] == 2  # two warmed workers
-        assert profiler.events["dispatch"] > 0
         assert profiler.events["simulate"] > 0
         assert profiler.events["result"] == len(jobs)
-        # Counter coverage: every dispatched job is either a worker
-        # context-cache hit or a miss, and the first job a worker sees must
-        # miss.
-        hits = profiler.counters.get("cache_hit", 0)
-        misses = profiler.counters.get("cache_miss", 0)
-        assert hits + misses == profiler.events["dispatch"] == len(jobs)
-        assert misses >= 1
+        assert profiler.events["dispatch"] == len(jobs)  # one future per job
