@@ -26,7 +26,9 @@ Two kinds of check, chosen for robustness across machines:
   a same-process ratio) dropping below the committed baseline by more than
   the factor — unless the current machine has fewer CPUs than the baseline
   machine, in which case the speedup delta is informational.  Everything
-  else is printed as an informational delta.
+  else is printed as an informational delta, among them the MBPTA cold
+  start (``mbpta_cold_start_ms``: a fresh interpreter's import plus one
+  analysis), shown as ``n/a`` where a report predates it.
 
 Usage (what the CI bench job runs)::
 
@@ -172,12 +174,17 @@ def diff_campaign_baseline(
     failures: list[str] = []
     now = current.get("campaign", {})
     then = baseline.get("campaign", {})
+    cold_then, cold_now = (
+        f"{report['mbpta_cold_start_ms']}ms" if "mbpta_cold_start_ms" in report else "n/a"
+        for report in (baseline, current)
+    )
     print(
         "\ncampaign vs committed baseline: "
         f"serial {then.get('wall_s_serial')}s -> {now.get('wall_s_serial')}s, "
         f"pool {then.get('wall_s_pool')}s -> {now.get('wall_s_pool')}s, "
         f"mbpta total {baseline.get('mbpta_post_1000_samples', {}).get('total_ms')}ms "
-        f"-> {current.get('mbpta_post_1000_samples', {}).get('total_ms')}ms"
+        f"-> {current.get('mbpta_post_1000_samples', {}).get('total_ms')}ms, "
+        f"mbpta cold start {cold_then} -> {cold_now}"
     )
     speedup_now = now.get("speedup_pool_vs_serial")
     speedup_then = then.get("speedup_pool_vs_serial")

@@ -15,9 +15,8 @@ trusted against:
 * **component contracts** (``CON``) — components overriding ``next_event``
   push wakes, ``fast_forward`` overrides come with ``next_event``, value
   classes carry ``__slots__``;
-* **fork/resource safety** (``RES``) — ``SharedMemory`` segments are closed
-  and unlinked on all paths, ``flock`` acquisitions are paired with releases,
-  ``os._exit`` stays confined to the fault injector.
+* **fork/resource safety** (``RES``) — ``flock`` acquisitions are paired
+  with releases, ``os._exit`` stays confined to the fault injector.
 
 The engine parses every file once and dispatches AST nodes to all registered
 rules in a single pass.  Findings can be suppressed in place with a

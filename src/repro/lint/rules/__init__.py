@@ -24,7 +24,7 @@ from .determinism import (
 )
 from .hotpath import HotPathRule
 from .ordering import FilesystemOrderRule, JsonSortKeysRule, UnorderedIterationRule
-from .resources import FlockPairRule, OsExitRule, SharedMemoryCleanupRule
+from .resources import FlockPairRule, OsExitRule
 
 __all__ = ["ALL_RULES", "Rule", "make_rules", "rule_ids"]
 
@@ -43,7 +43,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FastForwardHintRule,
     FastForwardClockRule,
     SlottedValueClassRule,
-    SharedMemoryCleanupRule,
     FlockPairRule,
     OsExitRule,
 )

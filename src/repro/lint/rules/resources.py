@@ -2,10 +2,9 @@
 
 Campaign workers fork, crash (sometimes on purpose — the chaos harness) and
 get killed on timeouts; resources that survive a dead process must therefore
-be cleaned up on *every* path.  A leaked ``SharedMemory`` segment fills
-``/dev/shm`` across campaign runs, an unreleased ``flock`` deadlocks the
-next campaign, and a stray ``os._exit`` skips every ``finally`` in the
-process — which is exactly why only the fault injector may call it.
+be cleaned up on *every* path.  An unreleased ``flock`` deadlocks the next
+campaign, and a stray ``os._exit`` skips every ``finally`` in the process —
+which is exactly why only the fault injector may call it.
 """
 
 from __future__ import annotations
@@ -15,86 +14,7 @@ import ast
 from ..context import FileContext
 from .base import Rule
 
-__all__ = ["SharedMemoryCleanupRule", "FlockPairRule", "OsExitRule"]
-
-
-def _cleanup_profile(func: ast.AST) -> tuple[bool, bool, bool]:
-    """Scan a function for (close_called, unlink_called, cleanup_on_error).
-
-    ``cleanup_on_error`` is True when a ``.close()`` or ``.unlink()`` call
-    sits inside a ``finally`` block or an ``except`` handler — the static
-    approximation of "released on all paths, including failures".
-    """
-    close_called = unlink_called = cleanup_on_error = False
-
-    def is_cleanup(node: ast.AST) -> str:
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("close", "unlink")
-        ):
-            return node.func.attr
-        return ""
-
-    for node in ast.walk(func):
-        kind = is_cleanup(node)
-        if kind == "close":
-            close_called = True
-        elif kind == "unlink":
-            unlink_called = True
-        if isinstance(node, ast.Try):
-            for handler in node.handlers:
-                for sub in ast.walk(handler):
-                    if is_cleanup(sub):
-                        cleanup_on_error = True
-            for stmt in node.finalbody:
-                for sub in ast.walk(stmt):
-                    if is_cleanup(sub):
-                        cleanup_on_error = True
-    return close_called, unlink_called, cleanup_on_error
-
-
-class SharedMemoryCleanupRule(Rule):
-    id = "RES001"
-    family = "resources"
-    description = (
-        "every SharedMemory(...) must be close()d — and unlink()ed by its "
-        "owner — on all paths, including failures (cleanup in finally/except)"
-    )
-    interests = (ast.Call,)
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> None:
-        assert isinstance(node, ast.Call)
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name != "SharedMemory":
-            return
-        enclosing = ctx.function_stack[-1] if ctx.function_stack else None
-        if enclosing is None:
-            self.report(
-                ctx,
-                node,
-                "SharedMemory created at module level: nothing scopes its "
-                "cleanup — create segments inside a function that closes and "
-                "unlinks them on all paths",
-            )
-            return
-        close_called, unlink_called, cleanup_on_error = _cleanup_profile(enclosing)
-        problems: list[str] = []
-        if not close_called:
-            problems.append("never close()d")
-        if not unlink_called:
-            problems.append("never unlink()ed")
-        if not cleanup_on_error:
-            problems.append("no close()/unlink() in a finally/except (error paths leak)")
-        if problems:
-            self.report(
-                ctx,
-                node,
-                f"SharedMemory segment {', '.join(problems)} in this function; "
-                f"a leaked segment outlives the process and fills /dev/shm "
-                f"across campaign runs",
-            )
+__all__ = ["FlockPairRule", "OsExitRule"]
 
 
 class FlockPairRule(Rule):

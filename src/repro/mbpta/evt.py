@@ -54,14 +54,22 @@ def block_maxima(samples, block_size: int = 10) -> np.ndarray:
 
 
 def goodness_of_fit(samples, fit: GumbelFit, alpha: float = 0.05) -> TestResult:
-    """One-sample KS test of ``samples`` against the fitted Gumbel."""
-    data = np.asarray(samples, dtype=np.float64)
-    # scipy is imported on use: it is most of what `import repro` costs.
-    from scipy import stats
+    """One-sample KS test of ``samples`` against the fitted Gumbel.
 
-    statistic, p_value = stats.kstest(
-        data, "gumbel_r", args=(fit.location, fit.scale)
-    )
+    The statistic and the exact p-value are the float operations of
+    SciPy's ``kstest(samples, "gumbel_r", args=(location, scale))``.
+    """
+    # The KS distribution needs scipy.special, which is imported on use:
+    # the simulator alone never loads SciPy.
+    from .ks_distribution import kstwo_sf
+
+    data = np.sort(np.asarray(samples, dtype=np.float64))
+    n = data.size
+    cdf = fit.cdf(data)
+    d_plus = float(np.max(np.arange(1.0, n + 1) / n - cdf))
+    d_minus = float(np.max(cdf - np.arange(0.0, n) / n))
+    statistic = d_plus if d_plus > d_minus else d_minus
+    p_value = kstwo_sf(statistic, n)
     return TestResult(
         name="ks_goodness_of_fit",
         statistic=float(statistic),

@@ -11,8 +11,9 @@ Two estimators are provided:
 * method of moments — closed form, robust, used as the initial guess;
 * maximum likelihood — a Newton–Raphson solve of the Gumbel profile
   likelihood whose per-iteration work is fully vectorised over the sample
-  array (falling back to :func:`scipy.stats.gumbel_r.fit` and then to
-  moments if the solve does not converge).
+  array.  Only when the solve does not converge does it fall back to
+  :func:`scipy.stats.gumbel_r.fit`, and then to moments; that fallback is the
+  one place the MBPTA pipeline loads SciPy's statistics package.
 
 The fitted model exposes the CDF, quantiles and exceedance probabilities the
 pWCET curve needs; each accepts either a scalar or a numpy array, so a whole
@@ -191,7 +192,8 @@ def fit_gumbel_mle(samples) -> GumbelFit:
     guess = fit_gumbel_moments(data)
     solved = _solve_mle_scale(data, guess.scale)
     if solved is None:
-        # scipy is imported on use: it is most of what `import repro` costs.
+        # Imported on use: loading SciPy's statistics package takes about a
+        # second, and the Newton solve above almost never needs it.
         from scipy import stats
 
         try:

@@ -68,15 +68,26 @@ def ks_identical_distribution_test(samples, alpha: float = 0.05) -> TestResult:
     """Two-sample KS test between the first and second half of the sample.
 
     If the observations are identically distributed over time, the two halves
-    come from the same distribution and the test should not reject.
+    come from the same distribution and the test should not reject.  The
+    statistic and p-value are the float operations of
+    SciPy's ``ks_2samp(first, second, method="asymp")``.
     """
     data = _as_array(samples)
     half = data.size // 2
     first, second = data[:half], data[half:]
-    # scipy is imported on use: it is most of what `import repro` costs.
-    from scipy import stats
+    # The KS distribution needs scipy.special, which is imported on use:
+    # the simulator alone never loads SciPy.
+    from .ks_distribution import kstwo_sf
 
-    statistic, p_value = stats.ks_2samp(first, second, method="asymp")
+    sorted_first, sorted_second = np.sort(first), np.sort(second)
+    pooled = np.concatenate([sorted_first, sorted_second])
+    cdf_first = np.searchsorted(sorted_first, pooled, side="right") / first.size
+    cdf_second = np.searchsorted(sorted_second, pooled, side="right") / second.size
+    differences = cdf_first - cdf_second
+    below = float(np.clip(-differences.min(), 0, 1))
+    above = float(differences.max())
+    statistic = below if below > above else above
+    p_value = kstwo_sf(statistic, round(first.size * second.size / data.size))
     return TestResult(
         name="ks_identical_distribution",
         statistic=float(statistic),
@@ -119,9 +130,9 @@ def runs_test(samples, alpha: float = 0.05) -> TestResult:
     if variance <= 0:
         raise AnalysisError("runs test variance is not positive")
     z = (runs - expected) / np.sqrt(variance)
-    from scipy import stats
+    from scipy.special import ndtr
 
-    p_value = 2 * stats.norm.sf(abs(z))
+    p_value = 2 * ndtr(-abs(z))
     return TestResult(
         name="runs_test",
         statistic=float(z),
@@ -189,9 +200,9 @@ def ljung_box_test(samples, lags: int = 10, alpha: float = 0.05) -> TestResult:
     autocorrelations = autocovariances[1:] / denominator
     weights = 1.0 / (n - np.arange(1, lags + 1, dtype=np.float64))
     q = float(n * (n + 2) * np.dot(np.square(autocorrelations), weights))
-    from scipy import stats
+    from scipy.special import chdtrc
 
-    p_value = float(stats.chi2.sf(q, df=lags))
+    p_value = float(chdtrc(lags, q))
     return TestResult(
         name="ljung_box",
         statistic=float(q),

@@ -13,12 +13,18 @@ reads directly in cycles.  Three families of visual objects are produced:
   (``cba.drain`` / ``cba.refill`` payloads carry the scaled balances);
 * **instants** (``"ph": "i"``) for everything else, on the emitting
   component's track.
+
+The exported events are in cycle order (a stable sort, so same-cycle events
+keep their recording order), after the process and track names.  Recording
+order is not cycle order: CBA records the ``cba.refill`` events of past
+cycles only when the arbiter next syncs its trace.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -63,9 +69,9 @@ def chrome_trace(
 ) -> dict[str, object]:
     """Convert trace events into a Chrome trace-event JSON document."""
     trace_events: list[dict[str, object]] = [
-        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-         "args": {"name": process_name}},
+        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": process_name}},
     ]
+    records: list[dict[str, object]] = []
     tids: dict[str, int] = {}
 
     def tid_for(track: str) -> int:
@@ -74,8 +80,7 @@ def chrome_trace(
             tid = len(tids) + 1
             tids[track] = tid
             trace_events.append(
-                {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                 "args": {"name": track}}
+                {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": track}}
             )
         return tid
 
@@ -88,7 +93,7 @@ def chrome_trace(
             track = event.source
             if kind == "bus.grant":
                 track = f"{event.source}/master{payload.get('master', '?')}"
-            trace_events.append(
+            records.append(
                 {
                     "name": kind,
                     "cat": category,
@@ -104,7 +109,7 @@ def chrome_trace(
         if kind in _BALANCE_KINDS and "balances" in payload:
             balances = payload["balances"]
             if isinstance(balances, (list, tuple)):
-                trace_events.append(
+                records.append(
                     {
                         "name": "cba.budgets",
                         "cat": "cba",
@@ -115,7 +120,7 @@ def chrome_trace(
                         "args": {f"core{i}": int(b) for i, b in enumerate(balances)},
                     }
                 )
-        trace_events.append(
+        records.append(
             {
                 "name": kind,
                 "cat": category,
@@ -127,6 +132,8 @@ def chrome_trace(
                 "args": _plain_args(payload),
             }
         )
+    records.sort(key=itemgetter("ts"))
+    trace_events.extend(records)
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

@@ -3,57 +3,6 @@
 from __future__ import annotations
 
 
-class TestSharedMemoryCleanup:
-    def test_leak_on_all_paths_flagged(self, harness):
-        source = """
-            from multiprocessing import shared_memory
-
-            def export(nbytes):
-                segment = shared_memory.SharedMemory(create=True, size=nbytes)
-                return segment.name
-        """
-        assert harness.rule_ids(source) == ["RES001"]
-
-    def test_cleanup_in_finally_ok(self, harness):
-        source = """
-            from multiprocessing import shared_memory
-
-            def adopt(name):
-                segment = shared_memory.SharedMemory(name=name)
-                try:
-                    return bytes(segment.buf)
-                finally:
-                    segment.close()
-                    segment.unlink()
-        """
-        assert harness.rule_ids(source) == []
-
-    def test_cleanup_in_except_ok(self, harness):
-        source = """
-            from multiprocessing import shared_memory
-
-            def export(data):
-                segment = shared_memory.SharedMemory(create=True, size=len(data))
-                try:
-                    segment.buf[: len(data)] = data
-                except BaseException:
-                    segment.close()
-                    segment.unlink()
-                    raise
-                segment.close()
-                return segment.name
-        """
-        assert harness.rule_ids(source) == []
-
-    def test_module_level_creation_flagged(self, harness):
-        source = """
-            from multiprocessing import shared_memory
-
-            SEGMENT = shared_memory.SharedMemory(create=True, size=64)
-        """
-        assert harness.rule_ids(source) == ["RES001"]
-
-
 class TestFlockPairing:
     def test_acquire_without_release_flagged(self, harness):
         source = """

@@ -72,3 +72,30 @@ def test_as_dict_round_trip(gumbel_sample):
     fit = fit_gumbel_moments(gumbel_sample)
     data = fit.as_dict()
     assert set(data) == {"location", "scale", "method", "sample_size"}
+
+
+def test_mle_falls_back_to_scipy_when_newton_fails(monkeypatch, gumbel_sample):
+    from scipy import stats
+
+    import repro.mbpta.gumbel as gumbel
+
+    monkeypatch.setattr(gumbel, "_solve_mle_scale", lambda data, initial_scale: None)
+    guess = fit_gumbel_moments(gumbel_sample)
+    location, scale = stats.gumbel_r.fit(gumbel_sample, loc=guess.location, scale=guess.scale)
+    fit = fit_gumbel_mle(gumbel_sample)
+    assert fit.method == "mle"
+    assert (fit.location, fit.scale) == (location, scale)
+    assert fit.sample_size == gumbel_sample.size
+
+
+def test_mle_falls_back_to_moments_when_scipy_fails(monkeypatch, gumbel_sample):
+    from scipy import stats
+
+    import repro.mbpta.gumbel as gumbel
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("optimizer did not converge")
+
+    monkeypatch.setattr(gumbel, "_solve_mle_scale", lambda data, initial_scale: None)
+    monkeypatch.setattr(stats.gumbel_r, "fit", fail)
+    assert fit_gumbel_mle(gumbel_sample) == fit_gumbel_moments(gumbel_sample)

@@ -1,6 +1,7 @@
 """Tests for the Chrome trace export of recorded timelines."""
 
 import json
+from collections import Counter
 
 from repro.obs.timeline import chrome_trace, write_chrome_trace
 from repro.platform.system import MulticoreSystem
@@ -50,6 +51,27 @@ class TestChromeTrace:
         assert len(instants) == 1
         assert instants[0]["args"] == {"master": 2}
 
+    def test_late_recorded_events_are_exported_in_cycle_order(self):
+        events = [
+            TraceEvent(10, "bus", "bus.request", {"master": 0}),
+            TraceEvent(30, "bus", "bus.request", {"master": 1}),
+            TraceEvent(20, "cba", "cba.refill", {"eligible": [0], "balances": [1, 2]}),
+            TraceEvent(30, "cba", "cba.refill", {"eligible": [1], "balances": [2, 1]}),
+        ]
+        document = chrome_trace(events)
+        records = [e for e in document["traceEvents"] if e["ph"] != "M"]
+        assert [(e["name"], e["ts"]) for e in records] == [
+            ("bus.request", 10),
+            ("cba.budgets", 20),
+            ("cba.refill", 20),
+            ("bus.request", 30),
+            ("cba.budgets", 30),
+            ("cba.refill", 30),
+        ]
+        # Tracks are still numbered in recording order.
+        tracks = {e["args"]["name"]: e["tid"] for e in document["traceEvents"] if e["ph"] == "M"}
+        assert tracks == {"repro-sim": 0, "bus": 1, "cba": 2}
+
     def test_payloads_are_forced_to_plain_json_types(self):
         document = chrome_trace(
             [TraceEvent(1, "bus", "bus.request", {"pending": (1, 2), "who": object()})]
@@ -87,6 +109,24 @@ class TestContentionRecording:
         kinds = {event.kind for event in system.kernel.trace.events}
         assert "cba.drain" in kinds
         assert "cba.refill" in kinds
+
+    def test_cba_export_is_in_cycle_order_and_keeps_every_event(self, cba_platform, tiny_workload):
+        obs = ObservabilityConfig(timeline=True)
+        system = self.run_system(cba_platform, tiny_workload, obs)
+        events = system.kernel.trace.events
+        cycles = [event.cycle for event in events]
+        # The recorder keeps CBA's late refill events where they were recorded.
+        assert any(later < earlier for earlier, later in zip(cycles, cycles[1:]))
+
+        records = [e for e in chrome_trace(events)["traceEvents"] if e["ph"] != "M"]
+        stamps = [record["ts"] for record in records]
+        assert stamps == sorted(stamps)
+        exported = Counter(
+            (record["name"], record["ts"]) for record in records if record["ph"] != "C"
+        )
+        assert exported == Counter((event.kind, event.cycle) for event in events)
+        budgets = Counter(record["ts"] for record in records if record["ph"] == "C")
+        assert budgets == Counter(event.cycle for event in events if "balances" in event.payload)
 
     def test_ring_mode_bounds_the_recording(self, rp_platform, tiny_workload):
         obs = ObservabilityConfig(timeline=True, timeline_capacity=50)

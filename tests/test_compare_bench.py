@@ -55,7 +55,8 @@ def campaign_report(bit_identical: bool = True, total_ms: float = 5.0) -> dict:
 
 
 def run_gate(tmp_path: Path, kernel_current: dict, kernel_baseline: dict | None = None,
-             campaign_current: dict | None = None) -> subprocess.CompletedProcess:
+             campaign_current: dict | None = None,
+             campaign_baseline: dict | None = None) -> subprocess.CompletedProcess:
     args = [sys.executable, str(COMPARE)]
     current = tmp_path / "kernel_current.json"
     current.write_text(json.dumps(kernel_current))
@@ -68,6 +69,10 @@ def run_gate(tmp_path: Path, kernel_current: dict, kernel_baseline: dict | None 
         campaign = tmp_path / "campaign_current.json"
         campaign.write_text(json.dumps(campaign_current))
         args += ["--campaign-current", str(campaign)]
+    if campaign_baseline is not None:
+        baseline = tmp_path / "campaign_baseline.json"
+        baseline.write_text(json.dumps(campaign_baseline))
+        args += ["--campaign-baseline", str(baseline)]
     return subprocess.run(args, capture_output=True, text=True, cwd=REPO_ROOT)
 
 
@@ -189,3 +194,14 @@ def test_campaign_mbpta_budget_failure_fails(tmp_path):
     )
     assert result.returncode == 1
     assert "MBPTA post-processing" in result.stdout
+
+
+def test_mbpta_cold_start_is_printed_and_not_gated(tmp_path):
+    current = campaign_report()
+    current["mbpta_cold_start_ms"] = 5_000.0
+    result = run_gate(
+        tmp_path, kernel_report(), campaign_current=current,
+        campaign_baseline=campaign_report(),
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "mbpta cold start n/a -> 5000.0ms" in result.stdout
