@@ -18,6 +18,12 @@ must stay fast), run directly or by the CI ``bench`` job::
     python benchmarks/bench_kernel.py --output BENCH_kernel.json
     python benchmarks/bench_kernel.py --quick      # CI-sized workloads
 
+The report also carries an ungated ``setup`` block with the per-run fixed
+cost every measured run pays before it simulates: the median time of one
+4-core CBA platform build, the median time of ``build_trace`` per Figure 1
+benchmark at paper scale, and the gen-0 garbage-collector passes of one
+production CBA max-contention run of each of those benchmarks.
+
 Reading the numbers: ``speedup_vs_stepping`` isolates what due-only
 dispatch buys over stepping (every mode walks the same trace columns); and
 ``speedup_batch_vs_fast_forward`` isolates what the batch interpreter buys
@@ -29,7 +35,12 @@ runs, where every access goes to the bus anyway).
 from __future__ import annotations
 
 import argparse
+import gc
+import statistics
+import time
 from pathlib import Path
+
+import numpy as np
 
 from common import BenchScenario, bootstrap_src, report_header, time_best, write_report
 
@@ -42,8 +53,11 @@ from repro.platform.scenarios import (  # noqa: E402  (path bootstrap above)
     run_multiprogram,
     run_wcet_estimation,
 )
+from repro.platform.presets import cba_config  # noqa: E402
+from repro.platform.system import MulticoreSystem  # noqa: E402
 from repro.sim.config import CBAParameters, KernelMode, PlatformConfig  # noqa: E402
 from repro.workloads.base import WorkloadSpec  # noqa: E402
+from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload  # noqa: E402
 from repro.workloads.synthetic import streaming_workload  # noqa: E402
 
 MAX_CYCLES = 20_000_000
@@ -180,6 +194,39 @@ def bench_scenario(scenario: BenchScenario, repeats: int) -> dict:
     }
 
 
+def median_ms(fn, samples: int) -> float:
+    """Median wall time of ``fn(sample)`` over ``samples`` calls, in ms."""
+    times = []
+    for sample in range(samples):
+        start = time.perf_counter()
+        fn(sample)
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1e3, 4)
+
+
+def bench_setup(samples: int) -> dict:
+    """Per-run set-up cost (informational, not gated by compare_bench)."""
+    config = cba_config(4)
+    platform_build_ms = median_ms(lambda _: MulticoreSystem(config), samples)
+    trace_build_ms = {}
+    gc_gen0 = {}
+    for name in FIGURE1_BENCHMARKS:
+        workload = eembc_workload(name)
+        trace_build_ms[name] = median_ms(
+            lambda seed, w=workload: w.build_trace(np.random.default_rng(seed)), samples
+        )
+        before = gc.get_stats()[0]["collections"]
+        run_max_contention(
+            workload, config, seed=7, max_cycles=MAX_CYCLES, mode=KernelMode.PRODUCTION
+        )
+        gc_gen0[name] = gc.get_stats()[0]["collections"] - before
+    return {
+        "platform_build_ms": platform_build_ms,
+        "trace_build_ms": trace_build_ms,
+        "gc_gen0_per_production_run": gc_gen0,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -219,6 +266,15 @@ def main(argv: list[str] | None = None) -> int:
             f"{entry['speedup_batch_vs_fast_forward']:5.2f}x"
         )
 
+    setup = bench_setup(samples=5 * args.repeats)
+    print(
+        f"\nper-run set-up: platform build {setup['platform_build_ms']:.3f} ms; "
+        + ", ".join(
+            f"{name} trace {ms:.2f} ms / {setup['gc_gen0_per_production_run'][name]} gen-0 GC"
+            for name, ms in setup["trace_build_ms"].items()
+        )
+    )
+
     speedups = [entry["speedup_vs_stepping"] for entry in results.values()]
     batch_speedups = [e["speedup_batch_vs_fast_forward"] for e in tracked.values()]
     report = report_header("kernel_fast_forward")
@@ -227,6 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             "accesses": args.accesses,
             "repeats": args.repeats,
             "scenarios": results,
+            "setup": setup,
             "summary": {
                 "min_speedup_vs_stepping": min(speedups),
                 "max_speedup_vs_stepping": max(speedups),

@@ -28,7 +28,9 @@ Two kinds of check, chosen for robustness across machines:
   machine, in which case the speedup delta is informational.  Everything
   else is printed as an informational delta, among them the MBPTA cold
   start (``mbpta_cold_start_ms``: a fresh interpreter's import plus one
-  analysis), shown as ``n/a`` where a report predates it.
+  analysis) and the kernel report's per-run ``setup`` block (platform
+  build, trace build per Figure 1 benchmark, gen-0 GC passes per
+  production run), each shown as ``n/a`` where a report predates it.
 
 Usage (what the CI bench job runs)::
 
@@ -143,6 +145,32 @@ def check_kernel_baseline(
     return failures
 
 
+def print_setup(current: dict[str, Any], baseline: dict[str, Any] | None) -> None:
+    """Print the kernel reports' per-run ``setup`` blocks side by side.
+
+    Informational only: the block holds absolute, machine-dependent times.
+    """
+    now = current.get("setup", {})
+    then = (baseline or {}).get("setup", {})
+    rows = [("platform build", "platform_build_ms", None, "ms")]
+    for section, label, unit in (
+        ("trace_build_ms", "trace build", "ms"),
+        ("gc_gen0_per_production_run", "gen-0 GC per production run", ""),
+    ):
+        names = sorted(set(now.get(section, {})) | set(then.get(section, {})))
+        rows += [(f"{label} {name}", section, name, unit) for name in names]
+
+    def show(block: dict[str, Any], key: str, name: str | None, unit: str) -> str:
+        value = block.get(key)
+        if name is not None:
+            value = (value or {}).get(name)
+        return "n/a" if value is None else f"{value}{unit}"
+
+    print("\nper-run set-up vs committed baseline (informational):")
+    for label, key, name, unit in rows:
+        print(f"  {label:40s} {show(then, key, name, unit)} -> {show(now, key, name, unit)}")
+
+
 def check_campaign_current(report: dict[str, Any]) -> list[str]:
     """Same-process gates on a fresh campaign report."""
     failures = []
@@ -230,10 +258,11 @@ def main(argv: list[str] | None = None) -> int:
 
     kernel_current = load_report(args.kernel_current)
     failures += check_kernel_current(kernel_current, args.factor)
+    kernel_baseline = None
     if args.kernel_baseline is not None and args.kernel_baseline.exists():
-        failures += check_kernel_baseline(
-            kernel_current, load_report(args.kernel_baseline), args.factor
-        )
+        kernel_baseline = load_report(args.kernel_baseline)
+        failures += check_kernel_baseline(kernel_current, kernel_baseline, args.factor)
+    print_setup(kernel_current, kernel_baseline)
 
     if args.campaign_current is not None:
         campaign_current = load_report(args.campaign_current)

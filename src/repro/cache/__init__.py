@@ -2,7 +2,7 @@
 partitioned shared L2, with the random placement/replacement policies the
 paper's MBPTA-compliant platform uses."""
 
-from .block import AccessResult, CacheLine
+from .block import AccessResult
 from .cache import SetAssociativeCache
 from .l1 import L1AccessOutcome, L1Cache, build_l1_cache
 from .l2 import L2BusSlave, PartitionedL2, build_l2
@@ -11,7 +11,6 @@ from .replacement import LRUReplacement, RandomReplacement, ReplacementPolicy
 
 __all__ = [
     "AccessResult",
-    "CacheLine",
     "SetAssociativeCache",
     "L1Cache",
     "L1AccessOutcome",

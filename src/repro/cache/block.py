@@ -1,42 +1,18 @@
-"""Cache line (block) bookkeeping."""
+"""The per-access cache outcome value."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-__all__ = ["CacheLine", "AccessResult"]
-
-
-@dataclass(slots=True)
-class CacheLine:
-    """State of one cache line within a set.
-
-    ``slots=True``: simulations allocate tens of thousands of lines and touch
-    them on every access, so the dict-free layout measurably trims both
-    memory and attribute-access time.
-    """
-
-    tag: int = 0
-    valid: bool = False
-    dirty: bool = False
-    #: Insertion / last-touch timestamp used by LRU replacement.
-    last_used: int = 0
-
-    def fill(self, tag: int, cycle: int, dirty: bool = False) -> None:
-        """Install a new block in this line."""
-        self.tag = tag
-        self.valid = True
-        self.dirty = dirty
-        self.last_used = cycle
-
-    def invalidate(self) -> None:
-        self.valid = False
-        self.dirty = False
+__all__ = ["AccessResult"]
 
 
-@dataclass(frozen=True, slots=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one cache access.
+
+    A named tuple rather than a frozen dataclass: one is built on every
+    cache access, and a frozen dataclass's ``__init__`` (one
+    ``object.__setattr__`` per field) costs about 2.5x a tuple's.
 
     Attributes
     ----------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..sim.config import CacheGeometry
 from ..sim.errors import ConfigurationError
 from ..sim.stats import StatGroup
-from .block import AccessResult, CacheLine
+from .block import AccessResult
 from .placement import PlacementPolicy
 from .replacement import ReplacementPolicy
 
@@ -55,10 +55,17 @@ class SetAssociativeCache:
         self.replacement = replacement
         self.write_back = write_back
         self.write_allocate = write_back if write_allocate is None else write_allocate
-        self._sets: list[list[CacheLine]] = [
-            [CacheLine() for _ in range(geometry.associativity)]
-            for _ in range(geometry.num_sets)
-        ]
+        # Flat line state, indexed ``set_index * associativity + way`` so the
+        # ways of one set are one slice: the resident block's tag (-1 marks an
+        # invalid line; tags are block addresses, never negative), its dirty
+        # bit and its last-touch cycle (read by LRU replacement).  Three flat
+        # containers instead of one object per line keep construction and
+        # the garbage collector's work independent of the number of lines.
+        self._assoc = geometry.associativity
+        num_lines = geometry.num_lines
+        self._tags = [-1] * num_lines
+        self._dirty = bytearray(num_lines)
+        self._last_used = [0] * num_lines
         self.stats = StatGroup(name=f"{name}.stats")
         # Every access increments one of these; bind them once instead of
         # doing a string-keyed lookup per access.
@@ -72,22 +79,32 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Lookup helpers
     # ------------------------------------------------------------------
-    def _find_way(self, set_index: int, tag: int) -> int | None:
-        for way, line in enumerate(self._sets[set_index]):
-            if line.valid and line.tag == tag:
-                return way
-        return None
+    def _find_line(self, address: int) -> int | None:
+        """Flat index of the line holding ``address``, or ``None``."""
+        base = self.placement.set_index(address) * self._assoc
+        ways = self._tags[base : base + self._assoc]
+        tag = self.placement.tag(address)
+        return base + ways.index(tag) if tag in ways else None
 
     def contains(self, address: int) -> bool:
         """True when the block holding ``address`` is resident."""
-        set_index = self.placement.set_index(address)
-        return self._find_way(set_index, self.placement.tag(address)) is not None
+        return self._find_line(address) is not None
 
     def is_dirty(self, address: int) -> bool:
         """True when the block holding ``address`` is resident and dirty."""
-        set_index = self.placement.set_index(address)
-        way = self._find_way(set_index, self.placement.tag(address))
-        return way is not None and self._sets[set_index][way].dirty
+        index = self._find_line(address)
+        return index is not None and self._dirty[index] == 1
+
+    def line_states(self) -> list[tuple[bool, int, bool, int]]:
+        """Snapshot of every line as ``(valid, tag, dirty, last_used)``.
+
+        Lines are listed set by set, way by way; an invalid line reports
+        tag -1.  Read-only: the list is built on each call.
+        """
+        return [
+            (tag != -1, tag, dirty == 1, last_used)
+            for tag, dirty, last_used in zip(self._tags, self._dirty, self._last_used)
+        ]
 
     # ------------------------------------------------------------------
     # Batch read-hit fast path
@@ -107,17 +124,19 @@ class SetAssociativeCache:
         back ``None`` leaves the miss to be performed (and counted) by the
         ordinary :meth:`access` path at its cycle-accurate time.
         """
-        return self._find_way(set_index, tag)
+        base = set_index * self._assoc
+        ways = self._tags[base : base + self._assoc]
+        return ways.index(tag) if tag in ways else None
 
     def commit_read_hit(self, set_index: int, way: int, cycle: int) -> None:
         """Apply the side effects of a read hit found via :meth:`read_hit_way`.
 
-        Mirrors the read-hit branch of :meth:`access` exactly: the replacement
-        policy sees the touch (at the cycle the hit would have completed in
-        cycle-accurate stepping, so LRU state stays bit-identical) and the hit
-        counter advances.
+        Mirrors the read-hit branch of :meth:`access` exactly: the line's
+        last-touch stamp is the cycle the hit would have completed in
+        cycle-accurate stepping (so LRU state stays bit-identical) and the
+        hit counter advances.
         """
-        self.replacement.on_access(self._sets[set_index], way, cycle)
+        self._last_used[set_index * self._assoc + way] = cycle
         self._c_read_hits.value += 1
 
     def count_read_hits(self, count: int) -> None:
@@ -137,72 +156,65 @@ class SetAssociativeCache:
         """
         set_index = self.placement.set_index(address)
         tag = self.placement.tag(address)
-        ways = self._sets[set_index]
-        way = self._find_way(set_index, tag)
+        assoc = self._assoc
+        base = set_index * assoc
+        tags = self._tags
+        ways = tags[base : base + assoc]
 
-        if way is not None:
-            self.replacement.on_access(ways, way, cycle)
+        if tag in ways:
+            index = base + ways.index(tag)
+            self._last_used[index] = cycle
             if is_write:
                 if self.write_back:
-                    ways[way].dirty = True
+                    self._dirty[index] = 1
                 self._c_write_hits.value += 1
             else:
                 self._c_read_hits.value += 1
-            return AccessResult(hit=True, set_index=set_index)
+            return AccessResult(True, False, None, set_index)
 
         # Miss path.
         if is_write:
             self._c_write_misses.value += 1
+            if not self.write_allocate:
+                # Write miss in a no-write-allocate cache: the write is
+                # forwarded to the next level without installing the line.
+                return AccessResult(False, False, None, set_index)
         else:
             self._c_read_misses.value += 1
 
-        allocate = self.write_allocate or not is_write
-        if not allocate:
-            # Write miss in a no-write-allocate cache: the write is forwarded
-            # to the next level without installing the line.
-            return AccessResult(hit=False, set_index=set_index)
-
-        victim_way = self._choose_victim(set_index, cycle)
-        victim = ways[victim_way]
-        writeback = victim.valid and victim.dirty and self.write_back
-        evicted_tag = victim.tag if victim.valid else None
-        if writeback:
-            self._c_writebacks.value += 1
-        if victim.valid:
+        # Fill the lowest invalid way first; evict only from a full set.
+        if -1 in ways:
+            index = base + ways.index(-1)
+            writeback = False
+            evicted_tag = None
+        else:
+            index = base + self.replacement.select_victim(self._last_used, base, assoc)
+            # Lines only turn dirty in a write-back cache.
+            writeback = self._dirty[index] == 1
+            evicted_tag = tags[index]
+            if writeback:
+                self._c_writebacks.value += 1
             self._c_evictions.value += 1
-        victim.fill(tag, cycle, dirty=is_write and self.write_back)
-        self.replacement.on_access(ways, victim_way, cycle)
-        return AccessResult(
-            hit=False,
-            writeback=writeback,
-            evicted_tag=evicted_tag,
-            set_index=set_index,
-        )
-
-    def _choose_victim(self, set_index: int, cycle: int) -> int:
-        ways = self._sets[set_index]
-        for way, line in enumerate(ways):
-            if not line.valid:
-                return way
-        return self.replacement.select_victim(ways, cycle)
+        tags[index] = tag
+        self._dirty[index] = is_write and self.write_back
+        self._last_used[index] = cycle
+        return AccessResult(False, writeback, evicted_tag, set_index)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def flush(self) -> int:
         """Invalidate every line; returns how many dirty lines were dropped."""
-        dirty = 0
-        for ways in self._sets:
-            for line in ways:
-                if line.valid and line.dirty:
-                    dirty += 1
-                line.invalidate()
-        return dirty
+        dropped = self._dirty.count(1)
+        num_lines = len(self._tags)
+        self._tags[:] = [-1] * num_lines
+        self._dirty[:] = bytes(num_lines)
+        return dropped
 
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""
-        valid = sum(line.valid for ways in self._sets for line in ways)
-        return valid / self.geometry.num_lines
+        num_lines = len(self._tags)
+        return (num_lines - self._tags.count(-1)) / num_lines
 
     # ------------------------------------------------------------------
     # Statistics
@@ -225,8 +237,6 @@ class SetAssociativeCache:
         return self.misses / self.accesses
 
     def reset(self) -> None:
-        for ways in self._sets:
-            for line in ways:
-                line.invalidate()
-                line.last_used = 0
+        self.flush()
+        self._last_used[:] = [0] * len(self._last_used)
         self.stats.reset()

@@ -24,9 +24,12 @@ from .replacement import LRUReplacement, RandomReplacement
 __all__ = ["L1AccessOutcome", "L1Cache", "build_l1_cache"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class L1AccessOutcome:
     """What the core must do after an L1 access.
+
+    Each :class:`L1Cache` builds its three possible outcomes once and
+    returns one of them per access.
 
     Attributes
     ----------
@@ -58,17 +61,19 @@ class L1Cache:
         self.cache = cache
         self.hit_latency = hit_latency
         self.write_through = write_through
+        self._hit = L1AccessOutcome(hit=True, needs_bus=False, latency=hit_latency)
+        self._store_hit = L1AccessOutcome(hit=True, needs_bus=True, latency=hit_latency)
+        self._miss = L1AccessOutcome(hit=False, needs_bus=True, latency=hit_latency)
 
     def access(self, address: int, is_write: bool, cycle: int) -> L1AccessOutcome:
         """Access the L1 and report whether the bus is needed."""
-        result = self.cache.access(address, is_write, cycle)
+        if not self.cache.access(address, is_write, cycle).hit:
+            return self._miss
         if is_write and self.write_through:
             # Write-through: the store always goes to the L2 regardless of
             # hit/miss; a hit only avoids refetching the line later.
-            return L1AccessOutcome(hit=result.hit, needs_bus=True, latency=self.hit_latency)
-        if result.hit:
-            return L1AccessOutcome(hit=True, needs_bus=False, latency=self.hit_latency)
-        return L1AccessOutcome(hit=False, needs_bus=True, latency=self.hit_latency)
+            return self._store_hit
+        return self._hit
 
     @property
     def placement(self):

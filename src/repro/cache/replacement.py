@@ -3,6 +3,10 @@
 The paper's caches use *random replacement* (again for MBPTA compliance);
 LRU is provided as the conventional alternative for comparison experiments
 and tests.
+
+A policy reads the cache's flat line state: ``last_used`` holds one
+last-touch cycle per line, indexed ``set_index * associativity + way``, so
+the ways of one set are the slice ``last_used[base:base + assoc]``.
 """
 
 from __future__ import annotations
@@ -11,39 +15,35 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .block import CacheLine
-
 __all__ = ["ReplacementPolicy", "LRUReplacement", "RandomReplacement"]
 
 
 class ReplacementPolicy(ABC):
     """Chooses the victim way within a set when a fill needs space."""
 
-    #: Whether the policy ever *reads* the access history it is notified of
-    #: (``last_used`` stamps).  LRU does; random replacement accepts the
-    #: notifications but never looks at them, so bulk paths (the batch
-    #: interpreter's read-hit commit) may skip the per-line stamping loop
-    #: entirely without changing any observable behaviour.
+    #: Whether the policy ever *reads* the access history the cache keeps
+    #: (``last_used`` stamps).  LRU does; random replacement never looks at
+    #: it, so bulk paths (the batch interpreter's read-hit commit) may skip
+    #: the per-hit stamping entirely without changing any observable
+    #: behaviour.
     uses_access_history: bool = True
 
     @abstractmethod
-    def select_victim(self, ways: list[CacheLine], cycle: int) -> int:
-        """Return the index of the way to evict.
+    def select_victim(self, last_used: list[int], base: int, assoc: int) -> int:
+        """Return the way (``0 <= way < assoc``) to evict from the set whose
+        lines start at flat index ``base``.
 
         Called only when every way in the set is valid; invalid ways are
         filled first by the cache itself.
         """
 
-    def on_access(self, ways: list[CacheLine], way: int, cycle: int) -> None:
-        """Notification that ``way`` was touched at ``cycle`` (hit or fill)."""
-        ways[way].last_used = cycle
-
 
 class LRUReplacement(ReplacementPolicy):
-    """Evict the least recently used way."""
+    """Evict the least recently used way (the lowest way on a tie)."""
 
-    def select_victim(self, ways: list[CacheLine], cycle: int) -> int:
-        return min(range(len(ways)), key=lambda i: ways[i].last_used)
+    def select_victim(self, last_used: list[int], base: int, assoc: int) -> int:
+        stamps = last_used[base : base + assoc]
+        return stamps.index(min(stamps))
 
 
 class RandomReplacement(ReplacementPolicy):
@@ -54,5 +54,5 @@ class RandomReplacement(ReplacementPolicy):
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
 
-    def select_victim(self, ways: list[CacheLine], cycle: int) -> int:
-        return int(self._rng.integers(0, len(ways)))
+    def select_victim(self, last_used: list[int], base: int, assoc: int) -> int:
+        return int(self._rng.integers(0, assoc))

@@ -17,6 +17,7 @@ fixed; the cache placements and arbitration random choices vary per run).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,16 +108,82 @@ class WorkloadSpec:
 
         Each access draws its gap, then its address, then its access kind,
         so the sequence is a pure function of the RNG stream.
+
+        The draws are the ones ``rng.geometric``, ``rng.random`` and
+        ``rng.integers(0, n)`` would make, taken from the same PCG64 words
+        (see :class:`_RawWords` and :func:`_word_cut`): the columns, the
+        stream's final state and every later draw are exactly those of
+        calling the three methods per access.  Only the geometric gap stays
+        a numpy call, because its ziggurat path consumes a variable number
+        of words.
         """
+        words = _RawWords(rng, self.name)
+        raw = words.raw
+        below = words.below
         gaps: list[int] = []
         addresses: list[int] = []
         kinds: list[int] = []
+        append_gap = gaps.append
+        append_address = addresses.append
+        append_kind = kinds.append
+
+        # Gap: a constant component blended with a geometric one, so the
+        # mean stays at mean_compute_gap while the variability knob controls
+        # how bursty the request stream is.
+        geometric = None
+        if self.mean_compute_gap == 0:
+            fixed_gap = 0
+        elif self.gap_variability == 0:
+            fixed_gap = int(round(self.mean_compute_gap))
+        else:
+            constant = (1.0 - self.gap_variability) * self.mean_compute_gap
+            random_mean = self.gap_variability * self.mean_compute_gap
+            fixed_gap = round(constant)
+            if random_mean > 0:
+                geometric = rng.geometric
+                p = 1.0 / (random_mean + 1.0)
+
+        base = self.base_address
+        span = self.working_set_bytes
+        hot_fraction = self.hot_fraction
+        hot_cut = _word_cut(hot_fraction)
+        hot_bytes = self.hot_region_bytes
+        pattern = self.pattern
+        linear = pattern in (AddressPattern.SEQUENTIAL, AddressPattern.STRIDED)
+        step = self.stride_bytes * (4 if pattern == AddressPattern.STRIDED else 1)
+        random_offsets = pattern == AddressPattern.RANDOM
+        atomic_cut = _word_cut(self.atomic_fraction)
+        atomic_or_write_cut = _word_cut(self.atomic_fraction + self.write_fraction)
         pointer_state = 0
         for index in range(self.num_accesses):
-            gaps.append(self._draw_gap(rng))
-            address, pointer_state = self._draw_address(rng, index, pointer_state)
-            addresses.append(address)
-            kinds.append(self._draw_kind(rng))
+            if geometric is None:
+                append_gap(fixed_gap)
+            else:
+                # Both terms are non-negative and round() of a float is
+                # an int, so no clamp or int() is needed.
+                append_gap(round(constant + (geometric(p) - 1)))
+            if hot_fraction and raw() < hot_cut:
+                offset = below(hot_bytes)
+            elif linear:
+                offset = (index * step) % span
+            elif random_offsets:
+                offset = below(span)
+            else:
+                # A linear congruential walk over the working set: each
+                # access depends on the previous one, touching cache lines
+                # in a hard-to-prefetch, low-locality order (table lookup
+                # behaviour).
+                pointer_state = (pointer_state * 1103515245 + 12345 + index) % span
+                offset = pointer_state
+            append_address(base + offset)
+            word = raw()
+            if word < atomic_cut:
+                append_kind(KIND_ATOMIC)
+            elif word < atomic_or_write_cut:
+                append_kind(KIND_WRITE)
+            else:
+                append_kind(KIND_READ)
+        words.store_buffer()
         if self.tail_compute_cycles:
             gaps.append(self.tail_compute_cycles)
             addresses.append(0)
@@ -132,55 +199,93 @@ class WorkloadSpec:
         gaps, addresses, kinds = self.generate_columns(rng)
         return MaterializedTrace(gaps, addresses, kinds, name=self.name)
 
-    # ------------------------------------------------------------------
-    # Draw helpers
-    # ------------------------------------------------------------------
-    def _draw_gap(self, rng: np.random.Generator) -> int:
-        if self.mean_compute_gap == 0:
-            return 0
-        if self.gap_variability == 0:
-            return int(round(self.mean_compute_gap))
-        # Blend a constant component with a geometric component so the mean
-        # stays at mean_compute_gap while the variability knob controls how
-        # bursty the request stream is.
-        constant = (1.0 - self.gap_variability) * self.mean_compute_gap
-        random_mean = self.gap_variability * self.mean_compute_gap
-        random_part = rng.geometric(1.0 / (random_mean + 1.0)) - 1 if random_mean > 0 else 0
-        return max(0, int(round(constant + random_part)))
-
-    def _draw_address(
-        self, rng: np.random.Generator, index: int, pointer_state: int
-    ) -> tuple[int, int]:
-        span = self.working_set_bytes
-        if self.hot_fraction and rng.random() < self.hot_fraction:
-            offset = int(rng.integers(0, max(1, self.hot_region_bytes)))
-            return self.base_address + offset, pointer_state
-        if self.pattern == AddressPattern.SEQUENTIAL:
-            offset = (index * self.stride_bytes) % span
-        elif self.pattern == AddressPattern.STRIDED:
-            offset = (index * self.stride_bytes * 4) % span
-        elif self.pattern == AddressPattern.RANDOM:
-            offset = int(rng.integers(0, span))
-        elif self.pattern == AddressPattern.POINTER_CHASE:
-            # A linear congruential walk over the working set: each access
-            # depends on the previous one, touching cache lines in a
-            # hard-to-prefetch, low-locality order (table lookup behaviour).
-            pointer_state = (pointer_state * 1103515245 + 12345 + index) % span
-            offset = pointer_state
-        else:  # pragma: no cover - guarded by __post_init__
-            raise WorkloadError(f"unknown pattern {self.pattern!r}")
-        return self.base_address + offset, pointer_state
-
-    def _draw_kind(self, rng: np.random.Generator) -> int:
-        draw = rng.random()
-        if draw < self.atomic_fraction:
-            return KIND_ATOMIC
-        if draw < self.atomic_fraction + self.write_fraction:
-            return KIND_WRITE
-        return KIND_READ
-
     def with_updates(self, **kwargs: object) -> "WorkloadSpec":
         """Return a copy of the spec with fields replaced."""
         from dataclasses import replace
 
         return replace(self, **kwargs)
+
+
+_UINT32_MASK = 0xFFFF_FFFF
+_TWO_POW_32 = 1 << 32
+
+
+def _word_cut(fraction: float) -> int:
+    """The bound ``cut`` with ``word < cut`` exactly when numpy's ``random()``
+    drawn from ``word`` is below ``fraction``.
+
+    ``random()`` is ``(word >> 11) * 2**-53`` (numpy's ``next_double``), and
+    both the product and ``fraction * 2**53`` are exact, so for the integer
+    ``k = word >> 11``: ``k * 2**-53 < fraction`` iff
+    ``k < ceil(fraction * 2**53)`` iff ``word < ceil(fraction * 2**53) << 11``.
+    """
+    return math.ceil(fraction * 2.0**53) << 11
+
+
+class _RawWords:
+    """numpy's scalar ``random()`` and ``integers(0, n)`` on raw PCG64 words.
+
+    One ``bit_generator.random_raw()`` call (:attr:`raw`) costs well under a
+    ``Generator.random()`` call and a fraction of ``Generator.integers``,
+    which dispatches on dtype and bounds each time.  The arithmetic here is
+    numpy's own, so the words consumed and the values drawn are identical:
+
+    * ``random()`` is one word compared against a :func:`_word_cut`.
+    * ``below(n)`` is ``integers(0, n)`` for an int64 result: no draw for
+      ``n == 1``; Lemire's multiply-and-reject on 32-bit half-words up to
+      ``n == 2**32``; and the numpy call itself above ``2**32`` (64-bit
+      words, which leave the half-word buffer alone).
+    * 32-bit half-words come from PCG64's buffer: a word yields its low half
+      and keeps the high half (``has_uint32``/``uinteger``) for the next
+      32-bit draw, while 64-bit draws bypass the buffer.  The buffer is read
+      from ``bit_generator.state`` on entry and written back by
+      :meth:`store_buffer` if it changed.
+    """
+
+    __slots__ = ("_rng", "_bit_generator", "raw", "_entry", "has_half", "half")
+
+    def __init__(self, rng: np.random.Generator, name: str) -> None:
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            raise WorkloadError(
+                f"{name}: traces are drawn from PCG64 streams, "
+                f"got {type(bit_generator).__name__}"
+            )
+        self._rng = rng
+        self._bit_generator = bit_generator
+        self.raw = bit_generator.random_raw
+        state = bit_generator.state
+        self._entry = (state["has_uint32"], state["uinteger"])
+        self.has_half, self.half = self._entry
+
+    def _next_uint32(self) -> int:
+        if self.has_half:
+            self.has_half = 0
+            return self.half
+        word = self.raw()
+        self.has_half = 1
+        self.half = word >> 32
+        return word & _UINT32_MASK
+
+    def below(self, n: int) -> int:
+        """``Generator.integers(0, n)`` for ``n >= 1``, from the same words."""
+        if n == 1:
+            return 0
+        if n > _TWO_POW_32:
+            return int(self._rng.integers(0, n))
+        # For n == 2**32 this is the bare half-word, numpy's special case:
+        # the low product half is 0 and so is the threshold.
+        product = self._next_uint32() * n
+        if product & _UINT32_MASK < n:
+            threshold = (_TWO_POW_32 - n) % n
+            while product & _UINT32_MASK < threshold:
+                product = self._next_uint32() * n
+        return product >> 32
+
+    def store_buffer(self) -> None:
+        """Write the half-word buffer back into the bit generator."""
+        if (self.has_half, self.half) != self._entry:
+            state = self._bit_generator.state
+            state["has_uint32"] = self.has_half
+            state["uinteger"] = self.half
+            self._bit_generator.state = state

@@ -78,10 +78,7 @@ def state_of(kernel, core):
         core.counters.as_dict(),
         core.counters.request_latencies,
         (cache.hits, cache.misses),
-        [
-            [(line.valid, line.tag, line.dirty, line.last_used) for line in ways]
-            for ways in cache._sets
-        ],
+        cache.line_states(),
     )
 
 
@@ -161,16 +158,14 @@ def test_lru_timestamps_match_exactly():
     )
     (k_plain, plain), (k_batch, batched) = run_both(columns, lru=True)
     plain_lines = [
-        (line.tag, line.last_used)
-        for ways in plain.l1_data.cache._sets
-        for line in ways
-        if line.valid
+        (tag, last_used)
+        for valid, tag, _, last_used in plain.l1_data.cache.line_states()
+        if valid
     ]
     batch_lines = [
-        (line.tag, line.last_used)
-        for ways in batched.l1_data.cache._sets
-        for line in ways
-        if line.valid
+        (tag, last_used)
+        for valid, tag, _, last_used in batched.l1_data.cache.line_states()
+        if valid
     ]
     assert plain_lines == batch_lines
 

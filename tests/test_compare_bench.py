@@ -205,3 +205,20 @@ def test_mbpta_cold_start_is_printed_and_not_gated(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "mbpta cold start n/a -> 5000.0ms" in result.stdout
+
+
+def test_setup_block_is_printed_and_not_gated(tmp_path):
+    current = kernel_report()
+    current["setup"] = {
+        "platform_build_ms": 99.0,
+        "trace_build_ms": {"canrdr": 4.5},
+        "gc_gen0_per_production_run": {"canrdr": 3},
+    }
+    result = run_gate(tmp_path, current, kernel_baseline=kernel_report())
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert any("platform build" in line and "n/a -> 99.0ms" in line for line in lines)
+    assert any("trace build canrdr" in line and "n/a -> 4.5ms" in line for line in lines)
+    assert any(
+        "gen-0 GC per production run canrdr" in line and "n/a -> 3" in line for line in lines
+    )
