@@ -21,8 +21,11 @@ must stay fast), run directly or by the CI ``bench`` job::
 The report also carries an ungated ``setup`` block with the per-run fixed
 cost every measured run pays before it simulates: the median time of one
 4-core CBA platform build, the median time of ``build_trace`` per Figure 1
-benchmark at paper scale, and the gen-0 garbage-collector passes of one
-production CBA max-contention run of each of those benchmarks.
+benchmark at paper scale, the gen-0 garbage-collector passes of one
+production CBA max-contention run of each of those benchmarks, and the
+objects a ``gc.collect()`` finds after such a run with the collector
+disabled during it (``cyclic_objects_per_run``: 0 when a finished platform
+is freed by reference counting).
 
 Reading the numbers: ``speedup_vs_stepping`` isolates what due-only
 dispatch buys over stepping (every mode walks the same trace columns); and
@@ -210,6 +213,7 @@ def bench_setup(samples: int) -> dict:
     platform_build_ms = median_ms(lambda _: MulticoreSystem(config), samples)
     trace_build_ms = {}
     gc_gen0 = {}
+    cyclic = {}
     for name in FIGURE1_BENCHMARKS:
         workload = eembc_workload(name)
         trace_build_ms[name] = median_ms(
@@ -220,11 +224,28 @@ def bench_setup(samples: int) -> dict:
             workload, config, seed=7, max_cycles=MAX_CYCLES, mode=KernelMode.PRODUCTION
         )
         gc_gen0[name] = gc.get_stats()[0]["collections"] - before
+        cyclic[name] = cyclic_objects_per_run(workload, config)
     return {
         "platform_build_ms": platform_build_ms,
         "trace_build_ms": trace_build_ms,
         "gc_gen0_per_production_run": gc_gen0,
+        "cyclic_objects_per_run": cyclic,
     }
+
+
+def cyclic_objects_per_run(workload, config) -> int:
+    """Objects only a garbage-collector pass frees after one finished
+    production max-contention run (0: the platform died by reference
+    counting)."""
+    gc.collect()
+    gc.disable()
+    try:
+        run_max_contention(
+            workload, config, seed=7, max_cycles=MAX_CYCLES, mode=KernelMode.PRODUCTION
+        )
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -271,6 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         f"\nper-run set-up: platform build {setup['platform_build_ms']:.3f} ms; "
         + ", ".join(
             f"{name} trace {ms:.2f} ms / {setup['gc_gen0_per_production_run'][name]} gen-0 GC"
+            f" / {setup['cyclic_objects_per_run'][name]} cyclic objects"
             for name, ms in setup["trace_build_ms"].items()
         )
     )

@@ -24,12 +24,13 @@ from repro.workloads.synthetic import short_request_workload, streaming_workload
 
 
 def run_once(config, window_cycles: int, seed: int):
-    system = MulticoreSystem(config, seed=seed, label=config.arbitration)
-    system.monitor.window_cycles = window_cycles
-    system.add_task(0, short_request_workload(num_accesses=400, mean_compute_gap=6.0))
-    for core in range(1, 4):
-        system.add_task(core, streaming_workload(num_accesses=600))
-    result = system.run(max_cycles=2_000_000)
+    with MulticoreSystem(config, seed=seed, label=config.arbitration) as system:
+        system.monitor.window_cycles = window_cycles
+        system.add_task(0, short_request_workload(num_accesses=400, mean_compute_gap=6.0))
+        for core in range(1, 4):
+            system.add_task(core, streaming_workload(num_accesses=600))
+        result = system.run(max_cycles=2_000_000)
+    # A closed system stays readable: its monitor still reads the bus.
     return system, result
 
 

@@ -145,6 +145,12 @@ class SharedBus(Component):
         self._masters[master_id] = port
         self._grant_hooks[master_id] = getattr(port, "on_grant", None)
 
+    def disconnect_masters(self) -> None:
+        """Detach every master port, so no bus-to-master edge outlives the
+        platform (called when it is closed)."""
+        self._masters = [None] * self.num_masters
+        self._grant_hooks = [None] * self.num_masters
+
     # ------------------------------------------------------------------
     # Master-side API
     # ------------------------------------------------------------------

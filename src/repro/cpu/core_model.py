@@ -168,7 +168,7 @@ class CoreModel(Component):
         #: a reset takes it out again, so an owner can count finished cores
         #: instead of polling them.
         self.on_finish: Callable[[int], None] | None = None
-        #: Called whenever :attr:`has_request_ready` rises or falls, so its
+        #: Called whenever :meth:`request_ready` rises or falls, so its
         #: observers (the WCET-mode contenders) need not poll it.
         self.request_observers: list[Callable[[], None]] = []
         bus.connect_master(core_id, self)
@@ -184,13 +184,12 @@ class CoreModel(Component):
     def finished(self) -> bool:
         return self._state is CoreState.FINISHED
 
-    @property
-    def has_request_ready(self) -> bool:
+    def request_ready(self) -> bool:
         """True while this core has a bus request issued but not completed.
 
         This is the signal (``REQ1`` for the task under analysis) that the
-        WCET-estimation-mode contenders observe; :attr:`request_observers`
-        are called each time it changes.
+        WCET-estimation-mode contenders observe, each through this bound
+        method; :attr:`request_observers` are called each time it changes.
         """
         return self._state is CoreState.WAITING_BUS
 

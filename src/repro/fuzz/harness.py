@@ -81,7 +81,8 @@ class InvariantViolation:
 # Scenario execution
 # ----------------------------------------------------------------------
 def build_system(scenario: FuzzScenario, mode: KernelMode) -> MulticoreSystem:
-    """Assemble the scenario's platform in the given kernel mode."""
+    """Assemble the scenario's platform in the given kernel mode; the caller
+    owns it and closes it."""
     system = MulticoreSystem(
         scenario.config,
         seed=scenario.seed,
@@ -121,10 +122,10 @@ def run_mode(
     perturb: PerturbHook | None = None,
 ) -> SystemResult:
     """Run the scenario in one kernel mode and return the system result."""
-    system = build_system(scenario, mode)
-    if perturb is not None:
-        perturb(system, mode.value)
-    return system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
+    with build_system(scenario, mode) as system:
+        if perturb is not None:
+            perturb(system, mode.value)
+        return system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
 
 
 def _diff_keys(reference: dict[str, object], candidate: dict[str, object]) -> list[str]:

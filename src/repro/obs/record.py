@@ -54,23 +54,21 @@ def record_contention(
         cba=CBAParameters(num_cores=cores),
     )
     obs = ObservabilityConfig(timeline=True, timeline_capacity=ring, profile_kernel=True)
-    system = MulticoreSystem(
-        config, seed=seed, label=f"{arbitration}-con", obs=obs
-    )
-    system.add_task(0, workload)
-    for core in range(1, cores):
-        system.add_greedy_contender(core)
-    result = system.run(max_cycles=max_cycles)
+    with MulticoreSystem(config, seed=seed, label=f"{arbitration}-con", obs=obs) as system:
+        system.add_task(0, workload)
+        for core in range(1, cores):
+            system.add_greedy_contender(core)
+        result = system.run(max_cycles=max_cycles)
+        events = system.kernel.trace.events
+        profiler = system.profiler
+        registry = system.collect_metrics()
 
-    events = system.kernel.trace.events
     timeline_path = write_chrome_trace(
         events, out / "timeline.json", process_name=f"repro-sim {benchmark}"
     )
     profile_path = out / "kernel_profile.json"
-    profiler = system.profiler
     if profiler is not None:
         profiler.write(profile_path)
-    registry = system.collect_metrics()
     jsonl_path = write_jsonl(registry, out / "metrics.jsonl")
     prom_path = write_prometheus(registry, out / "metrics.prom")
 

@@ -76,15 +76,15 @@ def run_isolation(
     before the core has recovered a full budget waits, which is the isolation
     overhead the paper quantifies at ~3% on average.
     """
-    system = MulticoreSystem(
+    with MulticoreSystem(
         config,
         seed=seed,
         run_index=run_index,
         label=f"{config.arbitration}-iso",
         mode=mode,
-    )
-    system.add_task(tua_core, workload)
-    result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
+    ) as system:
+        system.add_task(tua_core, workload)
+        result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
     return ScenarioResult(
         scenario=Scenario.ISOLATION,
         tua_core=tua_core,
@@ -105,18 +105,18 @@ def run_max_contention(
     mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Run ``workload`` against greedy maximum-length contenders (``*-CON``)."""
-    system = MulticoreSystem(
+    with MulticoreSystem(
         config,
         seed=seed,
         run_index=run_index,
         label=f"{config.arbitration}-con",
         mode=mode,
-    )
-    system.add_task(tua_core, workload)
-    for core in range(config.num_cores):
-        if core != tua_core:
-            system.add_greedy_contender(core)
-    result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
+    ) as system:
+        system.add_task(tua_core, workload)
+        for core in range(config.num_cores):
+            if core != tua_core:
+                system.add_greedy_contender(core)
+        result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
     return ScenarioResult(
         scenario=Scenario.MAX_CONTENTION,
         tua_core=tua_core,
@@ -143,19 +143,19 @@ def run_wcet_estimation(
     compete only when their budget is full and the TuA has a request ready,
     hold the bus for ``MaxL`` when granted).
     """
-    system = MulticoreSystem(
+    with MulticoreSystem(
         config,
         seed=seed,
         run_index=run_index,
         label=f"{config.arbitration}-wcet",
         mode=mode,
-    )
-    system.add_task(tua_core, workload)
-    for core in range(config.num_cores):
-        if core != tua_core:
-            system.add_wcet_contender(core, tua_core=tua_core)
-    system.set_tua_initial_budget(tua_core, 0)
-    result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
+    ) as system:
+        system.add_task(tua_core, workload)
+        for core in range(config.num_cores):
+            if core != tua_core:
+                system.add_wcet_contender(core, tua_core=tua_core)
+        system.set_tua_initial_budget(tua_core, 0)
+        result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
     return ScenarioResult(
         scenario=Scenario.WCET_ESTIMATION,
         tua_core=tua_core,
@@ -198,18 +198,18 @@ def run_mixed_criticality(
         contender_spec = synthetic_workload(best_effort)
     else:
         contender_spec = best_effort
-    system = MulticoreSystem(
+    with MulticoreSystem(
         config,
         seed=seed,
         run_index=run_index,
         label=f"{config.arbitration}-mixed",
         mode=mode,
-    )
-    system.add_task(tua_core, workload)
-    for core in range(config.num_cores):
-        if core != tua_core:
-            system.add_task(core, contender_spec)
-    result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
+    ) as system:
+        system.add_task(tua_core, workload)
+        for core in range(config.num_cores):
+            if core != tua_core:
+                system.add_task(core, contender_spec)
+        result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
     return ScenarioResult(
         scenario=Scenario.MIXED_CRITICALITY,
         tua_core=tua_core,
@@ -230,16 +230,16 @@ def run_multiprogram(
     mode: KernelMode = KernelMode.PRODUCTION,
 ) -> ScenarioResult:
     """Consolidate several real tasks (one per core) and run them together."""
-    system = MulticoreSystem(
+    with MulticoreSystem(
         config,
         seed=seed,
         run_index=run_index,
         label=f"{config.arbitration}-multi",
         mode=mode,
-    )
-    for core_id, workload in workloads.items():
-        system.add_task(core_id, workload)
-    result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
+    ) as system:
+        for core_id, workload in workloads.items():
+            system.add_task(core_id, workload)
+        result = system.run(max_cycles=max_cycles, allow_truncation=allow_truncation)
     tua_cycles = result.execution_cycles(tua_core) if tua_core in workloads else 0
     return ScenarioResult(
         scenario=Scenario.MULTIPROGRAM,

@@ -5,7 +5,7 @@ contains: trace-driven cores with private L1 caches, the shared non-split bus
 with its arbiter (optionally wrapped by CBA), the partitioned write-back L2,
 the memory controller and the DRAM.  Experiments create a system from a
 :class:`~repro.sim.config.PlatformConfig`, place workloads and contenders on
-cores, run it, and read back a :class:`SystemResult`.  A system runs in one
+cores, run it, read back a :class:`SystemResult`, and close it.  A system runs in one
 :class:`~repro.sim.config.KernelMode`; every mode produces the same
 :meth:`SystemResult.snapshot`, and only :attr:`SystemResult.observability`
 (batched items, skipped cycles) tells them apart.
@@ -37,6 +37,11 @@ from ..workloads.base import WorkloadSpec
 from ..workloads.contender import GreedyContender, WCETModeContender
 
 __all__ = ["MulticoreSystem", "SystemResult"]
+
+
+def _no_tua_request() -> bool:
+    """The request line of a task under analysis that was never placed."""
+    return False
 
 
 @dataclass
@@ -98,7 +103,16 @@ class SystemResult:
 
 
 class MulticoreSystem:
-    """Builder and runner for one simulated multicore platform instance."""
+    """Builder and runner for one simulated multicore platform instance.
+
+    The code that builds a system owns it and closes it when done, usually
+    with ``with MulticoreSystem(...) as system:``.  :meth:`close` cuts the
+    back-edges the run wiring creates (kernel to components, bus to
+    masters, cores to the system and to their observers), so the platform
+    is freed by reference counting as soon as its owner drops it, instead
+    of waiting for a garbage-collector pass.  Its state stays readable
+    after the close; only :meth:`run` and :meth:`reset` refuse.
+    """
 
     def __init__(
         self,
@@ -263,15 +277,12 @@ class MulticoreSystem:
         if tua_core == core_id:
             raise ConfigurationError("the contender cannot observe itself as the TuA")
 
-        def tua_request_ready() -> bool:
-            tua = self.cores.get(tua_core)
-            return tua is not None and tua.has_request_ready
-
+        # finalize() binds the TuA core's request line once it is placed.
         contender = WCETModeContender(
             name=f"wcet_contender{core_id}",
             core_id=core_id,
             bus=self.bus,
-            tua_request_ready=tua_request_ready,
+            tua_request_ready=_no_tua_request,
             cba=self.cba,
             address=0x7000_0000 + core_id * 0x0100_0000,
         )
@@ -305,6 +316,7 @@ class MulticoreSystem:
         for tua_core, contender in self._tua_observers:
             tua = self.cores.get(tua_core)
             if tua is not None:
+                contender.tua_request_ready = tua.request_ready
                 tua.request_observers.append(contender.on_tua_line)
         self.kernel.register(self.bus)
         self._num_tasks = len(self.cores)
@@ -339,6 +351,7 @@ class MulticoreSystem:
         truncation and keep going pass ``allow_truncation=True`` and check
         :attr:`SystemResult.truncated`.
         """
+        self._check_open()
         self.finalize()
         self.kernel.run(max_cycles=max_cycles)
         if self.cba is not None and self.kernel.trace.enabled:
@@ -349,6 +362,42 @@ class MulticoreSystem:
                 "increase max_cycles or shrink the workload"
             )
         return self._collect_result()
+
+    def reset(self) -> None:
+        """Reset the clock and every registered component (``Kernel.reset``).
+
+        The cores replay their pre-drawn traces on the next :meth:`run`;
+        state outside the components (the L2, the arbiter, the CBA credit
+        bank) carries over from the finished run.
+        """
+        self._check_open()
+        self.kernel.reset()
+
+    # ------------------------------------------------------------------
+    # Lifetime
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Cut every reference cycle through the platform; idempotent.
+
+        Call it (or leave the ``with`` block) once :meth:`run` has returned
+        and its result was read.  Afterwards :meth:`run` and :meth:`reset`
+        raise :class:`~repro.sim.errors.ConfigurationError`.
+        """
+        self.kernel.close()
+        self.bus.disconnect_masters()
+        for core in self.cores.values():
+            core.on_finish = None
+            core.request_observers.clear()
+
+    def _check_open(self) -> None:
+        if self.kernel.closed:
+            raise ConfigurationError("the system was closed")
+
+    def __enter__(self) -> MulticoreSystem:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _collect_result(self) -> SystemResult:
         num_cores = self.config.num_cores

@@ -32,7 +32,7 @@ __all__ = ["Component"]
 
 
 def _unbound_touch(component: "Component") -> None:
-    """``Component._touch``/``_sync`` before ``bind``: no run to catch up with."""
+    """``Component._touch``/``_sync`` outside ``bind``: no run to catch up with."""
 
 
 class Component:
@@ -71,6 +71,20 @@ class Component:
         self._wake_push = kernel._wake_push
         self._touch = kernel.touch
         self._sync = kernel.sync
+
+    def unbind(self) -> None:
+        """Detach this component from its kernel: the inverse of :meth:`bind`.
+
+        Called by ``Kernel.close``, so a finished platform holds no
+        component-to-kernel edge.  The clock stays, so :attr:`now` still
+        reads the cycle the run ended at.
+        """
+        self._kernel = None
+        self._wake_push = False
+        self._wake_schedule = None
+        self._wake_cancel = None
+        self._touch = _unbound_touch
+        self._sync = _unbound_touch
 
     @property
     def kernel(self) -> "Kernel":

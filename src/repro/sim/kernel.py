@@ -205,6 +205,8 @@ class Kernel:
         self._stop_conditions: list[Callable[[], bool]] = []
         self.finished = False
         self.stop_condition_fired = False
+        #: Set by :meth:`close`: the kernel holds no component and cannot run.
+        self.closed = False
         #: Cycle bound of the :meth:`run` in progress (``start + max_cycles``),
         #: ``None`` outside a run.  See :meth:`run_horizon`.
         self._run_limit: int | None = None
@@ -214,17 +216,22 @@ class Kernel:
         #: Wall-clock profiler installed by :meth:`enable_profiling`
         #: (``None`` keeps the uninstrumented hot loop — the default).
         self.profiler: RunProfiler | None = None
-        # Due-only dispatch state, indexed by slot and rebuilt by _run_due:
-        # each slot's fast_forward hook (None for the base no-op), the first
-        # cycle it has not accounted for yet, and the last cycle it was queued
-        # as due.  _due holds the slots still to tick in the executed cycle
-        # under way; touch() is a no-op unless _dispatching.
+        # Due-only dispatch state, indexed by slot, built by _run_due and
+        # dropped when the run ends: each slot's fast_forward hook (None for
+        # the base no-op), the first cycle it has not accounted for yet, and
+        # the last cycle it was queued as due.  _due holds the slots still to
+        # tick in the executed cycle under way; touch() is a no-op unless
+        # _dispatching.
+        self._drop_run_tables()
+        self._current_slot = -1
+        self._dispatching = False
+
+    def _drop_run_tables(self) -> None:
+        """Forget the due-only dispatch tables (they hold component hooks)."""
         self._slot_catch_ups: list[Callable[[int, int], None] | None] = []
         self._synced: list[int] = []
         self._due_marks: list[int] = []
         self._due: list[int] = []
-        self._current_slot = -1
-        self._dispatching = False
 
     # ------------------------------------------------------------------
     # Registration
@@ -469,6 +476,8 @@ class Kernel:
         :attr:`stop_condition_fired`; :attr:`truncated` is the complementary
         view.
         """
+        if self.closed:
+            raise SchedulingError("cannot run a closed kernel")
         if self.finished:
             raise SchedulingError("cannot run a kernel that has already finished")
         profiler = self.profiler
@@ -585,6 +594,7 @@ class Kernel:
             self._current_slot = -1
         for slot in range(len(components)):
             self._catch_up(slot, now)
+        self._drop_run_tables()
         return stop_fired
 
     def _run_stepping(self, limit: int) -> bool:
@@ -610,6 +620,8 @@ class Kernel:
 
     def reset(self) -> None:
         """Reset the clock and every component to its power-on state."""
+        if self.closed:
+            raise SchedulingError("cannot reset a closed kernel")
         self.clock.reset()
         self.finished = False
         self.stop_condition_fired = False
@@ -623,6 +635,24 @@ class Kernel:
             # as registration did.
             for component in self._components:
                 self._prime_wake(component)
+
+    def close(self) -> None:
+        """Release every registered component; the kernel cannot run again.
+
+        Unbinds each component and drops every table that points at one
+        (the component and hook lists, the stop conditions, the dispatch
+        tables), so no reference cycle runs through the kernel and a
+        finished platform is freed by reference counting.  Idempotent.
+        """
+        for component in self._components:
+            component.unbind()
+        self._components = []
+        self._by_name = {}
+        self._tickers = []
+        self._fast_forwarders = []
+        self._stop_conditions = []
+        self._drop_run_tables()
+        self.closed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

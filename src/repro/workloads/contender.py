@@ -121,8 +121,9 @@ class WCETModeContender(Component):
     tua_request_ready:
         Callable returning whether the task under analysis currently has a
         request ready (``REQ1``).  Whoever switches that line must call
-        :meth:`on_tua_line` (the platform registers it as a request
-        observer of the task under analysis's core).
+        :meth:`on_tua_line` (the platform binds the task under analysis's
+        ``CoreModel.request_ready`` here and registers :meth:`on_tua_line`
+        as that core's request observer).
     cba:
         The CBA arbiter, when present, so the contender can observe its own
         budget (``BUDGi == full``).  Without CBA the budget condition is

@@ -101,7 +101,7 @@ def test_core_blocks_while_request_in_flight():
     kernel, core, bus = build_system(items, bus_latency=10)
     kernel.step(3)  # L1 lookup done, request issued, waiting
     assert core.state is CoreState.WAITING_BUS
-    assert core.has_request_ready
+    assert core.request_ready()
     kernel.add_stop_condition(lambda: core.finished)
     kernel.run(max_cycles=100)
     assert core.finished

@@ -213,6 +213,7 @@ def test_setup_block_is_printed_and_not_gated(tmp_path):
         "platform_build_ms": 99.0,
         "trace_build_ms": {"canrdr": 4.5},
         "gc_gen0_per_production_run": {"canrdr": 3},
+        "cyclic_objects_per_run": {"canrdr": 0},
     }
     result = run_gate(tmp_path, current, kernel_baseline=kernel_report())
     assert result.returncode == 0, result.stdout + result.stderr
@@ -221,4 +222,20 @@ def test_setup_block_is_printed_and_not_gated(tmp_path):
     assert any("trace build canrdr" in line and "n/a -> 4.5ms" in line for line in lines)
     assert any(
         "gen-0 GC per production run canrdr" in line and "n/a -> 3" in line for line in lines
+    )
+    assert any(
+        "cyclic objects per run canrdr" in line and "n/a -> 0" in line for line in lines
+    )
+
+
+def test_cyclic_objects_read_n_a_where_a_report_lacks_them(tmp_path):
+    baseline = kernel_report()
+    baseline["setup"] = {"cyclic_objects_per_run": {"matrix": 254}}
+    current = kernel_report()
+    current["setup"] = {"platform_build_ms": 0.3}
+    result = run_gate(tmp_path, current, kernel_baseline=baseline)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert any(
+        "cyclic objects per run matrix" in line and "254 -> n/a" in line
+        for line in result.stdout.splitlines()
     )
