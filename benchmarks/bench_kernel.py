@@ -25,7 +25,10 @@ benchmark at paper scale, the gen-0 garbage-collector passes of one
 production CBA max-contention run of each of those benchmarks, and the
 objects a ``gc.collect()`` finds after such a run with the collector
 disabled during it (``cyclic_objects_per_run``: 0 when a finished platform
-is freed by reference counting).
+is freed by reference counting), and the core ticks per bus request of the
+task under analysis in a seed-1 production run of each
+(``core_ticks_per_bus_request``: the kernel events its core costs per
+bus-bound trace item).
 
 Reading the numbers: ``speedup_vs_stepping`` isolates what due-only
 dispatch buys over stepping (every mode walks the same trace columns); and
@@ -49,7 +52,8 @@ from common import BenchScenario, bootstrap_src, report_header, time_best, write
 
 bootstrap_src()
 
-from repro.platform.scenarios import (  # noqa: E402  (path bootstrap above)
+from repro.cpu.core_model import CoreModel  # noqa: E402  (path bootstrap above)
+from repro.platform.scenarios import (  # noqa: E402
     ScenarioResult,
     run_isolation,
     run_max_contention,
@@ -214,6 +218,7 @@ def bench_setup(samples: int) -> dict:
     trace_build_ms = {}
     gc_gen0 = {}
     cyclic = {}
+    core_ticks = {}
     for name in FIGURE1_BENCHMARKS:
         workload = eembc_workload(name)
         trace_build_ms[name] = median_ms(
@@ -225,11 +230,13 @@ def bench_setup(samples: int) -> dict:
         )
         gc_gen0[name] = gc.get_stats()[0]["collections"] - before
         cyclic[name] = cyclic_objects_per_run(workload, config)
+        core_ticks[name] = core_ticks_per_bus_request(workload, config)
     return {
         "platform_build_ms": platform_build_ms,
         "trace_build_ms": trace_build_ms,
         "gc_gen0_per_production_run": gc_gen0,
         "cyclic_objects_per_run": cyclic,
+        "core_ticks_per_bus_request": core_ticks,
     }
 
 
@@ -246,6 +253,27 @@ def cyclic_objects_per_run(workload, config) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+def core_ticks_per_bus_request(workload, config) -> float:
+    """``CoreModel.tick`` calls per bus request of the task under analysis
+    in one seed-1 production max-contention run."""
+    ticks = 0
+    tick = CoreModel.tick
+
+    def counting_tick(core: CoreModel) -> None:
+        nonlocal ticks
+        ticks += 1
+        tick(core)
+
+    CoreModel.tick = counting_tick
+    try:
+        result = run_max_contention(
+            workload, config, seed=1, max_cycles=MAX_CYCLES, mode=KernelMode.PRODUCTION
+        )
+    finally:
+        CoreModel.tick = tick
+    return round(ticks / result.system.core_counters[result.tua_core].bus_requests, 3)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -293,6 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         + ", ".join(
             f"{name} trace {ms:.2f} ms / {setup['gc_gen0_per_production_run'][name]} gen-0 GC"
             f" / {setup['cyclic_objects_per_run'][name]} cyclic objects"
+            f" / {setup['core_ticks_per_bus_request'][name]} core ticks per bus request"
             for name, ms in setup["trace_build_ms"].items()
         )
     )

@@ -29,9 +29,9 @@ Two kinds of check, chosen for robustness across machines:
   else is printed as an informational delta, among them the MBPTA cold
   start (``mbpta_cold_start_ms``: a fresh interpreter's import plus one
   analysis) and the kernel report's per-run ``setup`` block (platform
-  build, trace build per Figure 1 benchmark, gen-0 GC passes and cyclic
-  objects per production run), each shown as ``n/a`` where a report
-  predates it.
+  build, trace build per Figure 1 benchmark, gen-0 GC passes, cyclic
+  objects and core ticks per bus request per production run), each shown
+  as ``n/a`` where a report predates it.
 
 Usage (what the CI bench job runs)::
 
@@ -158,6 +158,7 @@ def print_setup(current: dict[str, Any], baseline: dict[str, Any] | None) -> Non
         ("trace_build_ms", "trace build", "ms"),
         ("gc_gen0_per_production_run", "gen-0 GC per production run", ""),
         ("cyclic_objects_per_run", "cyclic objects per run", ""),
+        ("core_ticks_per_bus_request", "core ticks per bus request", ""),
     ):
         names = sorted(set(now.get(section, {})) | set(then.get(section, {})))
         rows += [(f"{label} {name}", section, name, unit) for name in names]

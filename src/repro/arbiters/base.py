@@ -117,14 +117,13 @@ class Arbiter(ABC):
     # Helpers
     # ------------------------------------------------------------------
     def _validate_requestors(self, requestors: Sequence[int]) -> list[int]:
-        """Check requestor indices and return them as a list."""
-        out = []
-        for master in requestors:
-            if not 0 <= master < self.num_masters:
-                raise ArbitrationError(
-                    f"requestor {master} out of range for {self.num_masters} masters"
-                )
-            out.append(master)
+        """Check requestor indices and return them as a new list."""
+        out = list(requestors)
+        if out and (min(out) < 0 or max(out) >= self.num_masters):
+            master = next(m for m in out if not 0 <= m < self.num_masters)
+            raise ArbitrationError(
+                f"requestor {master} out of range for {self.num_masters} masters"
+            )
         return out
 
     def _validate_choice(self, choice: int | None, requestors: Sequence[int]) -> int | None:

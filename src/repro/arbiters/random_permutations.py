@@ -37,17 +37,19 @@ class RandomPermutationsArbiter(Arbiter):
         self._window = self._rng.permutation(self.num_masters).tolist()
 
     def arbitrate(self, requestors: Sequence[int], cycle: int) -> int | None:
-        pending = set(self._validate_requestors(requestors))
+        pending = self._validate_requestors(requestors)
         if not pending:
             return None
         # Walk the current permutation; if no remaining entry is pending,
         # draw a new permutation (possibly repeatedly, though with at least
         # one pending master a fresh full permutation always contains it).
+        # The first pending entry is the grant: a pending master by
+        # construction, so it needs no further check.
         for _ in range(2):
             while self._window:
                 candidate = self._window[0]
                 if candidate in pending:
-                    return self._validate_choice(candidate, list(pending))
+                    return candidate
                 # Masters without a pending request lose their turn in this
                 # permutation (the slot is not wasted; arbitration moves on).
                 self._window.pop(0)

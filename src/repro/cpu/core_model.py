@@ -34,10 +34,23 @@ needs no bus, the executed events (the boundary bus access, every grant,
 every draw) land on exactly the cycles plain stepping produces — batch runs
 are bit-identical to stepped runs (enforced by the columnar equivalence
 matrix).
-The one observable difference is cosmetic: during a batched stretch
-:attr:`CoreModel.state` reads ``COMPUTING`` where stepping would alternate
-``COMPUTING``/``L1_ACCESS``; nothing on the platform consumes that
-distinction (contenders watch ``WAITING_BUS`` only).
+
+Under due-only dispatch (every mode but ``KernelMode.STEPPING``) the core
+also **folds** the fixed transitions in front of a bus-bound item into one
+event.  Nothing outside an in-order, blocking core can act between the end
+of an item's compute gap and its bus request, so the core wakes once per
+such item, at the access's final L1 cycle, and :meth:`CoreModel.fast_forward`
+replays what it skipped exactly: the compute cycles, the begin-access cycle
+(``COMPUTING`` to ``L1_ACCESS``) and the leading L1 cycles (fold 1), and,
+after a batched stretch that stopped at a bus-bound item, the load of that
+boundary item at the stretch end (fold 2).  A catch-up that stops anywhere
+inside that window leaves the state stepping leaves there.
+
+The one observable difference is cosmetic: during a batched stretch, and
+during a fold until the core is caught up, :attr:`CoreModel.state` reads
+``COMPUTING`` where stepping would read ``L1_ACCESS`` (or alternate the
+two); nothing on the platform consumes that distinction (contenders watch
+``WAITING_BUS`` only).
 """
 
 from __future__ import annotations
@@ -89,6 +102,13 @@ class CoreModel(Component):
     callbacks, which run outside the core's own tick) re-derive the wake from
     :meth:`next_event` exactly once per dirty tick, so push sites cannot
     drift from it.
+
+    The wake of a bus-bound item is its access's final L1 cycle: the
+    compute end, the begin-access cycle and a batched stretch's end in front
+    of it are folded into that one event and replayed by
+    :meth:`fast_forward` (see the module docstring).  While a fold lags,
+    :attr:`state` reads ``COMPUTING`` where stepping reads ``L1_ACCESS``;
+    nothing on the platform reads that difference.
     """
 
     def __init__(
@@ -144,6 +164,12 @@ class CoreModel(Component):
         #: campaign-level metrics registry.
         self._batch = mode is KernelMode.PRODUCTION
         self._batch_remaining = 0
+        #: Cycles from the stretch end to the final L1 cycle of its boundary
+        #: item when that item is bound for the bus (fold 2), else 0: a
+        #: stretch cut by the run horizon or ending the trace ends in a real
+        #: transition.  Read only while ``_batch_remaining`` is non-zero.
+        self._batch_tail = 0
+        self._l1_latency = l1_data.hit_latency
         self.obs = StatGroup(f"{name}.obs")
         self._c_batched_items = self.obs.counter("batched_items")
         self._c_batch_stretches = self.obs.counter("batch_stretches")
@@ -285,7 +311,9 @@ class CoreModel(Component):
         if self._batch_remaining:
             # The stretch end is the wake: only the tick that loads the
             # boundary item does anything (store buffer is empty mid-stretch).
-            return now + self._batch_remaining - 1
+            # Past a bus-bound boundary item that load is a fixed transition,
+            # folded into the item's own wake (fold 2).
+            return now + self._batch_remaining - 1 + self._batch_tail
         if (
             self._store_buffer
             and not self._store_in_flight
@@ -298,9 +326,11 @@ class CoreModel(Component):
                 # Trace exhausted; ticks merely poll until the draining store
                 # completes (a bus event), touching no counter meanwhile.
                 return None if self._store_in_flight else now
-            if self._compute_remaining > 0:
-                return now + self._compute_remaining
-            return now
+            if self._pending_kind != KIND_NONE:
+                # Fold 1: the compute end only begins the access; wake on its
+                # final L1 cycle, which probes the L1 and may go to the bus.
+                return now + self._compute_remaining + self._l1_latency
+            return now + self._compute_remaining
         if state is CoreState.L1_ACCESS:
             # The L1 pipeline only *does* something on its final cycle; the
             # preceding ones are uniform latency accounting.
@@ -309,12 +339,20 @@ class CoreModel(Component):
         return None
 
     def fast_forward(self, start: int, cycles: int) -> None:
-        """Replay the uniform per-cycle accounting of ``cycles`` skipped ticks."""
-        if self._batch_remaining:
+        """Replay ``cycles`` skipped ticks: their uniform accounting and the
+        fixed transitions a fold skipped, in stepping's order."""
+        remaining = self._batch_remaining
+        if remaining:
             # Counters were advanced at stretch entry; skipped ticks would
             # only have counted down.
-            self._batch_remaining -= cycles
-            return
+            if cycles < remaining:
+                self._batch_remaining = remaining - cycles
+                return
+            # Fold 2: the last countdown tick loads the bus-bound boundary
+            # item (the load's re-scan would stop at once, as at entry).
+            self._batch_remaining = 0
+            self._load_item(self._cursor)
+            cycles -= remaining
         state = self._state
         counters = self.counters
         if state is CoreState.WAITING_BUS or state is CoreState.WAITING_PORT:
@@ -323,8 +361,19 @@ class CoreModel(Component):
             counters.store_stall_cycles += cycles
         elif state is CoreState.COMPUTING:
             if not self._finishing and self._started:
-                self._compute_remaining -= cycles
-                counters.compute_cycles += cycles
+                compute = self._compute_remaining
+                if cycles <= compute:
+                    self._compute_remaining = compute - cycles
+                    counters.compute_cycles += cycles
+                    return
+                # Fold 1: the compute end begins the access (counting
+                # nothing), and the L1 cycles follow.
+                counters.compute_cycles += compute
+                self._compute_remaining = 0
+                self._state = CoreState.L1_ACCESS
+                l1_cycles = cycles - compute - 1
+                self._l1_remaining = self._l1_latency - l1_cycles
+                counters.l1_cycles += l1_cycles
         elif state is CoreState.L1_ACCESS:
             self._l1_remaining -= cycles
             counters.l1_cycles += cycles
@@ -353,6 +402,10 @@ class CoreModel(Component):
                 first_tick
             ):
                 return
+        self._load_item(cursor)
+
+    def _load_item(self, cursor: int) -> None:
+        """Make the trace item at ``cursor`` the current one."""
         self._cursor = cursor + 1
         self._compute_remaining = self._gaps[cursor]
         self._pending_address = self._addresses[cursor]
@@ -377,6 +430,10 @@ class CoreModel(Component):
         down ``_batch_remaining`` cycles; the tick in which the count hits
         zero loads the boundary item — the same cycle in which stepping would
         have loaded it.
+
+        A stretch that stops at a read miss, a write or an atomic inside the
+        trace records that item's compute gap, begin-access cycle and L1
+        latency as :attr:`_batch_tail`, so the wake skips the boundary load.
 
         ``first_tick`` marks the call from the core's very first tick, which
         (unlike every other call site) executes the first countdown cycle
@@ -407,7 +464,7 @@ class CoreModel(Component):
         probe = self._l1_probe
         commit = self._l1_commit
         cheap = self._hits_cheap
-        latency = self.l1_data.hit_latency
+        latency = self._l1_latency
         read_kind = KIND_READ
         none_kind = KIND_NONE
         base = self.now - 1 if first_tick else self.now
@@ -415,6 +472,7 @@ class CoreModel(Component):
         bounded = False
         cycles = 0
         reads = 0
+        tail = 0
         cursor = self._cursor
         end = self._trace_len
         j = cursor
@@ -423,12 +481,14 @@ class CoreModel(Component):
             if kind == read_kind:
                 set_index = sets[j]
                 way = probe(set_index, tags[j])
-                if way is None:
-                    break
                 cost = gaps[j] + 1 + latency
+                if way is None:
+                    tail = cost
+                    break
             elif kind == none_kind:
                 cost = gaps[j] + 1
             else:  # writes and atomics always go to the bus
+                tail = gaps[j] + 1 + latency
                 break
             if not bounded:
                 horizon = kernel.run_horizon()
@@ -452,14 +512,16 @@ class CoreModel(Component):
             return False
         if cheap and reads:
             self._count_hits(reads)
-        self._commit_batch(cursor, j, cycles, reads)
+        self._commit_batch(cursor, j, cycles, reads, tail)
         return True
 
-    def _commit_batch(self, cursor: int, end: int, cycles: int, reads: int) -> None:
+    def _commit_batch(
+        self, cursor: int, end: int, cycles: int, reads: int, tail: int
+    ) -> None:
         """Advance counters/cursor for a swallowed stretch and start the
         countdown."""
         items = end - cursor
-        latency = self.l1_data.hit_latency
+        latency = self._l1_latency
         counters = self.counters
         counters.items_completed += items
         counters.compute_cycles += cycles - items - latency * reads
@@ -481,6 +543,7 @@ class CoreModel(Component):
             )
         self._cursor = end
         self._batch_remaining = cycles
+        self._batch_tail = tail
         self._pending_kind = KIND_NONE
         self._compute_remaining = 0
         self._state = CoreState.COMPUTING
@@ -499,7 +562,7 @@ class CoreModel(Component):
             self._advance_trace()
             return
         self._state = CoreState.L1_ACCESS
-        self._l1_remaining = self.l1_data.hit_latency
+        self._l1_remaining = self._l1_latency
 
     def _finish_l1_access(self) -> None:
         self._wake_dirty = True
@@ -661,6 +724,7 @@ class CoreModel(Component):
         self._pending_kind = KIND_NONE
         self._cursor = 0
         self._batch_remaining = 0
+        self._batch_tail = 0
         self.obs.reset()
         self._store_buffer = []
         self._store_in_flight = False

@@ -213,6 +213,12 @@ class MulticoreSystem:
         self.contenders: dict[int, GreedyContender | WCETModeContender] = {}
         #: ``(observed core, contender)`` of every WCET-mode contender.
         self._tua_observers: list[tuple[int, WCETModeContender]] = []
+        #: Initial CBA budgets set with :meth:`set_tua_initial_budget`, which
+        #: :meth:`reset` sets again after the credit bank's own reset.
+        self._initial_budgets: dict[int, int] = {}
+        #: Every random stream's state at :meth:`finalize` (every stream
+        #: exists by then), which :meth:`reset` rewinds to.
+        self._stream_states: dict[str, dict] = {}
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -299,6 +305,7 @@ class MulticoreSystem:
         """
         if self.cba is not None:
             self.cba.set_initial_budget(core_id, budget)
+            self._initial_budgets[core_id] = budget
 
     # ------------------------------------------------------------------
     # Execution
@@ -329,6 +336,7 @@ class MulticoreSystem:
         if self.obs is not None and self.obs.profile_kernel:
             self.profiler = KernelProfiler()
             self.kernel.enable_profiling(self.profiler)
+        self._stream_states = self.kernel.streams.states()
         self._finalized = True
 
     def _count_finished(self, delta: int) -> None:
@@ -364,14 +372,25 @@ class MulticoreSystem:
         return self._collect_result()
 
     def reset(self) -> None:
-        """Reset the clock and every registered component (``Kernel.reset``).
+        """Return the platform to its state at :meth:`finalize`, so the next
+        :meth:`run` replays the first one exactly.
 
-        The cores replay their pre-drawn traces on the next :meth:`run`;
-        state outside the components (the L2, the arbiter, the CBA credit
-        bank) carries over from the finished run.
+        Resets the clock and every registered component (``Kernel.reset``:
+        the cores with their L1s and pre-drawn traces, the contenders, the
+        bus with its arbiter and CBA credit bank, whose initial budgets are
+        set again), the L2 slave (the L2 contents, the memory controller,
+        the DRAM rows and their stats) and the bus monitor, and rewinds
+        every random stream (arbitration, L1/L2 replacement) to where it
+        stood at :meth:`finalize`.
         """
         self._check_open()
         self.kernel.reset()
+        self.l2_slave.reset()
+        self.monitor.reset()
+        if self.cba is not None:
+            for core_id, budget in self._initial_budgets.items():
+                self.cba.set_initial_budget(core_id, budget)
+        self.kernel.streams.rewind(self._stream_states)
 
     # ------------------------------------------------------------------
     # Lifetime

@@ -167,8 +167,12 @@ class Component:
 
         * return an ``int`` cycle ``c >= now`` — "as long as no *other*
           component calls into me, my :meth:`tick` at every cycle before
-          ``c`` is a no-op apart from the uniform per-cycle accounting
-          replayed by :meth:`fast_forward`; wake me at ``c``";
+          ``c`` is a no-op apart from the per-cycle accounting and the
+          fixed transitions replayed by :meth:`fast_forward`; wake me at
+          ``c``".  A skipped tick may be a fixed transition of the
+          component's own state — one no other component reads or
+          influences, such as a core moving from its compute gap to its
+          L1 access — as long as :meth:`fast_forward` replays it exactly;
         * return ``None`` — "I have no self-scheduled activity at all; only
           another component calling into me can affect me" (skippable
           without bound).
@@ -188,8 +192,10 @@ class Component:
 
         Implementations must leave the component in exactly the state that
         :meth:`tick` at cycles ``start`` to ``start + cycles - 1`` would have
-        produced; the kernel only leaves out ticks the component promised,
-        via its wake, are uniform bookkeeping.  The catch-up is lazy: it runs
+        produced, replaying in order any fixed transition those ticks would
+        have made, wherever in the window the catch-up stops; the kernel
+        only leaves out ticks the component promised, via its wake, are
+        bookkeeping or such transitions.  The catch-up is lazy: it runs
         right before the component's next tick, before another component
         calls into it, or at the end of the run — long after the clock moved
         past ``start``.  Take the cycles from the arguments and never read

@@ -78,6 +78,20 @@ class RandomStreams:
             self._cache[name] = np.random.default_rng(child_seed)
         return self._cache[name]
 
+    def states(self) -> dict[str, dict]:
+        """The bit-generator state of every stream created so far."""
+        return {name: gen.bit_generator.state for name, gen in self._cache.items()}
+
+    def rewind(self, states: dict[str, dict]) -> None:
+        """Put each stream named in ``states`` (from :meth:`states`) back to
+        that state.
+
+        The generator objects stay the same, so components holding a stream
+        draw the rewound sequence.
+        """
+        for name, state in states.items():
+            self._cache[name].bit_generator.state = state
+
     def spawn(self, run_index: int) -> "RandomStreams":
         """Return a new :class:`RandomStreams` for another run of the same seed."""
         return RandomStreams(seed=self.seed, run_index=run_index)

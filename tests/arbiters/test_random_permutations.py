@@ -1,8 +1,10 @@
 """Tests for random-permutations arbitration."""
 
 import numpy as np
+import pytest
 
 from repro.arbiters.random_permutations import RandomPermutationsArbiter
+from repro.sim.errors import ArbitrationError
 
 
 def saturated_grants(arbiter, rounds, num_masters):
@@ -24,6 +26,13 @@ def test_only_requestors_granted(rng):
 
 def test_no_requestors_returns_none(rng):
     assert RandomPermutationsArbiter(4, rng).arbitrate([], 0) is None
+
+
+@pytest.mark.parametrize("requestors", [[1, 7, -1], [-1, 7], [0, 4]])
+def test_out_of_range_requestor_names_the_first_bad_master(rng, requestors):
+    first_bad = next(m for m in requestors if not 0 <= m < 4)
+    with pytest.raises(ArbitrationError, match=f"requestor {first_bad} out of range"):
+        RandomPermutationsArbiter(4, rng).arbitrate(requestors, 0)
 
 
 def test_under_saturation_each_window_grants_each_master_once(rng):

@@ -1,5 +1,7 @@
 """Tests for deterministic named random streams."""
 
+import numpy as np
+
 from repro.sim.rng import RandomStreams, derive_seed
 
 
@@ -73,3 +75,15 @@ def test_choice_empty_options_rejected():
 
     with pytest.raises(ValueError):
         RandomStreams(seed=1).choice("c", [])
+
+
+def test_rewind_replays_every_stream_from_its_saved_state():
+    streams = RandomStreams(seed=3)
+    arbiter, cache = streams.stream("arbiter"), streams.stream("l2")
+    arbiter.random()
+    cache.integers(0, 7, dtype=np.uint32)  # leaves a buffered half-word
+    saved = streams.states()
+    first = (arbiter.permutation(4).tolist(), cache.integers(0, 7, size=5).tolist())
+    streams.rewind(saved)
+    assert streams.stream("arbiter") is arbiter
+    assert (arbiter.permutation(4).tolist(), cache.integers(0, 7, size=5).tolist()) == first

@@ -239,3 +239,16 @@ def test_cyclic_objects_read_n_a_where_a_report_lacks_them(tmp_path):
         "cyclic objects per run matrix" in line and "254 -> n/a" in line
         for line in result.stdout.splitlines()
     )
+
+
+def test_core_ticks_per_bus_request_read_n_a_where_a_report_lacks_them(tmp_path):
+    baseline = kernel_report()
+    baseline["setup"] = {"platform_build_ms": 0.3}
+    current = kernel_report()
+    current["setup"] = {"core_ticks_per_bus_request": {"matrix": 1.012}}
+    result = run_gate(tmp_path, current, kernel_baseline=baseline)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert any(
+        "core ticks per bus request matrix" in line and "n/a -> 1.012" in line
+        for line in result.stdout.splitlines()
+    )
