@@ -1,7 +1,7 @@
 """Shared plumbing for the benchmark harnesses and the CI bench gate.
 
 ``bench_kernel.py`` and ``bench_campaign.py`` used to duplicate the src/
-path bootstrap, the best-of timing loop, the report header and the report
+path bootstrap, the timing loop, the report header and the report
 I/O; ``compare_bench.py`` (the CI regression gate) needs the same report
 schema knowledge.  All of it lives here once.
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -63,16 +64,23 @@ def report_header(benchmark: str) -> dict[str, Any]:
     }
 
 
-def time_best(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """Best-of-``repeats`` wall time of ``fn`` plus its last result."""
-    best = float("inf")
-    result: Any = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
+def time_interleaved(
+    fns: dict[str, Callable[[], Any]], rounds: int
+) -> dict[str, tuple[float, Any]]:
+    """Median wall time of each of ``fns`` over ``rounds`` interleaved
+    rounds (every function once per round, in order), plus its last result.
+
+    Interleaving spreads a slow spell of the host over every function
+    instead of one, and the median ignores a spell that hits one round.
+    """
+    times: dict[str, list[float]] = {name: [] for name in fns}
+    results: dict[str, Any] = {}
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            start = time.perf_counter()
+            results[name] = fn()
+            times[name].append(time.perf_counter() - start)
+    return {name: (statistics.median(times[name]), results[name]) for name in fns}
 
 
 def write_report(path: Path, report: dict[str, Any]) -> None:

@@ -58,6 +58,15 @@ class Arbiter(ABC):
         the owner's slot).
         """
 
+    def _arbitrate_valid(self, pending: list[int], cycle: int) -> int | None:
+        """:meth:`arbitrate` among ``pending``, a non-empty list of in-range
+        masters that a wrapping policy (CBA) has already validated.
+
+        Policies on the hot path override it to skip the second validation;
+        the default is the public entry.
+        """
+        return self.arbitrate(pending, cycle)
+
     def on_grant(self, master_id: int, duration: int, cycle: int) -> None:
         """Notification that ``master_id`` was granted for ``duration`` cycles.
 

@@ -21,8 +21,21 @@ from .base import Arbiter
 __all__ = ["RandomPermutationsArbiter"]
 
 
+#: Largest number of windows drawn at once (the block doubles from 1 up to
+#: this, so a short run over-draws little).
+MAX_BLOCK = 64
+
+
 class RandomPermutationsArbiter(Arbiter):
-    """Grant masters following successive random permutations."""
+    """Grant masters following successive random permutations.
+
+    Windows are drawn in blocks: one ``rng.permuted`` call over ``k`` rows
+    of ``0..N-1`` yields exactly the permutations, and leaves exactly the
+    generator state, of ``k`` successive ``rng.permutation(N)`` calls, at a
+    fraction of the cost per window.  The draws beyond the last window a run
+    uses are never observed, because only this arbiter draws from its
+    stream; :meth:`reset` drops them, and the platform rewinds the stream.
+    """
 
     policy_name = "random_permutations"
 
@@ -30,29 +43,45 @@ class RandomPermutationsArbiter(Arbiter):
         super().__init__(num_masters)
         self._rng = rng
         self._window: list[int] = []
+        #: Drawn windows not yet used, the next one last.
+        self._drawn: list[list[int]] = []
+        self._block = 1
 
     def _refill_window(self) -> None:
-        # tolist() converts to plain ints in C — same draw, same values,
-        # measurably cheaper than a Python-level comprehension per window.
-        self._window = self._rng.permutation(self.num_masters).tolist()
+        drawn = self._drawn
+        if not drawn:
+            block = self._block
+            # tolist() converts to plain ints in C.
+            drawn = self._rng.permuted(
+                np.tile(np.arange(self.num_masters), (block, 1)), axis=1
+            ).tolist()
+            drawn.reverse()
+            self._drawn = drawn
+            if block < MAX_BLOCK:
+                self._block = block * 2
+        self._window = drawn.pop()
 
     def arbitrate(self, requestors: Sequence[int], cycle: int) -> int | None:
         pending = self._validate_requestors(requestors)
         if not pending:
             return None
+        return self._arbitrate_valid(pending, cycle)
+
+    def _arbitrate_valid(self, pending: list[int], cycle: int) -> int | None:
         # Walk the current permutation; if no remaining entry is pending,
         # draw a new permutation (possibly repeatedly, though with at least
         # one pending master a fresh full permutation always contains it).
         # The first pending entry is the grant: a pending master by
         # construction, so it needs no further check.
         for _ in range(2):
-            while self._window:
-                candidate = self._window[0]
+            window = self._window
+            while window:
+                candidate = window[0]
                 if candidate in pending:
                     return candidate
                 # Masters without a pending request lose their turn in this
                 # permutation (the slot is not wasted; arbitration moves on).
-                self._window.pop(0)
+                window.pop(0)
             self._refill_window()
         raise AssertionError("unreachable: fresh permutation must contain a pending master")
 
@@ -67,3 +96,5 @@ class RandomPermutationsArbiter(Arbiter):
     def reset(self) -> None:
         super().reset()
         self._window = []
+        self._drawn = []
+        self._block = 1

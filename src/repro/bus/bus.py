@@ -12,12 +12,22 @@ The bus drives the arbiter through the hooks defined by
 :class:`repro.arbiters.Arbiter`, which is also how the credit-based
 arbitration of the paper plugs in (it *is* an arbiter wrapping another one).
 
-All bus work happens at state transitions — a submit, a grant, a release.
-Between a grant and its release a tick only counts an occupied cycle, which
-:meth:`SharedBus.fast_forward` replays in bulk.  The sorted requestor list
-changes at submit and grant, and the holder changes are appended to
-:attr:`SharedBus.holder_log`, from which the
-:class:`~repro.bus.monitor.BusMonitor` derives its windows when read.
+All bus work happens at state transitions — a submit, the admission of a
+posted request, a grant, a release.  Between a grant and its release a tick
+only counts an occupied cycle, which :meth:`SharedBus.fast_forward` replays
+in bulk.  The sorted requestor list changes at submit, admission and grant,
+and the holder changes are appended to :attr:`SharedBus.holder_log`, from
+which the :class:`~repro.bus.monitor.BusMonitor` derives its windows when
+read.
+
+A master that re-issues the cycle after each completion (the greedy
+contender) may :meth:`~SharedBus.post` its next request from the completion
+callback instead of waking for it.  The bus *admits* a posted request — the
+same state change as a submit, stamped with the request's issue cycle —
+before anything can observe it: at the start of its tick for issue cycles up
+to the current one, in a catch-up over the cycles it replays, and in a
+submit for issue cycles before the submit's (or in its cycle, when the
+poster ticks before the submitter, which is stepping's order).
 """
 
 from __future__ import annotations
@@ -44,12 +54,15 @@ class SharedBus(Component):
     """Cycle-accurate model of a non-split shared bus.
 
     Event-queue protocol: the bus pushes its wake at the end of every tick —
-    the release cycle while a transaction holds the bus, the arbiter's next
-    grant opportunity while idle with pending requests (TDMA slot
-    boundaries, CBA credit-replenish targets), nothing while idle and empty
-    (only a master's submission — an executed tick by construction — can
-    change anything).  The bus caches the pushed wake, so re-asserting an
-    unchanged one costs a comparison, not a call into the queue.
+    the release cycle while a transaction holds the bus; while idle, the
+    earlier of the arbiter's next grant opportunity for the pending requests
+    (TDMA slot boundaries, CBA credit-replenish targets) and the first
+    posted request's issue cycle; nothing while idle and empty (only a
+    master's submission — an executed tick by construction — can change
+    anything).  A held bus needs no wake for a posted request: nothing can
+    grant it before the release, so admitting it then is not observable.
+    The bus caches the pushed wake, so re-asserting an unchanged one costs a
+    comparison, not a call into the queue.
     """
 
     def __init__(
@@ -91,8 +104,12 @@ class SharedBus(Component):
         #: then neither touches nor calls it at grant).
         self._grant_hooks: list[Callable[[BusRequest, int], None] | None] = [None] * num_masters
         self._pending: list[BusRequest | None] = [None] * num_masters
-        #: Masters with a pending request, sorted; updated at submit and grant.
+        #: Masters with a pending request, sorted; updated at submit,
+        #: admission and grant.
         self._requestors: list[int] = []
+        #: Posted requests not yet admitted, in issue order (one completion
+        #: per cycle posts at most one, so issue cycles strictly increase).
+        self._posted: list[BusRequest] = []
         self._holder: int | None = None
         self._active_request: BusRequest | None = None
         self._release_cycle = 0
@@ -161,12 +178,7 @@ class SharedBus(Component):
         same master is still pending or in flight is a protocol violation.
         """
         master = request.master_id
-        if not 0 <= master < self.num_masters:
-            raise ProtocolError(f"request from unknown master {master}")
-        if self._pending[master] is not None or self._holder == master:
-            raise ProtocolError(
-                f"master {master} already has an outstanding bus request"
-            )
+        self._check_outstanding(master)
         now = self.now
         if self._holder is not None and self._release_cycle > now:
             # The bus is held past this cycle, so its tick now could only
@@ -176,6 +188,48 @@ class SharedBus(Component):
             # Account the bus's lagging cycles with the old pending set, and
             # make it due now so it can arbitrate in this very cycle.
             self._touch(self)
+        posted = self._posted
+        if posted and posted[0].issue_cycle <= now:
+            # Requests posted for earlier cycles were asserted before this
+            # one; one posted for this cycle was too if its master ticks
+            # first.
+            self._admit_posted(now)
+            if (
+                posted
+                and posted[0].issue_cycle == now
+                and self._slot_of(posted[0].master_id) < self._slot_of(master)
+            ):
+                self._admit_posted(now + 1)
+        self._admit(request, now)
+
+    def post(self, request: BusRequest) -> None:
+        """Assert ``request`` from its ``issue_cycle`` on, without the master
+        waking for it.
+
+        For a master that re-issues in the cycle after a completion: it
+        calls this from its ``on_complete`` (inside the bus's tick), with
+        ``issue_cycle`` set to that next cycle, and the bus admits the
+        request exactly as the master's submit in that cycle would have.
+        The master must tick before the bus, as every master submitting to
+        it must under due-only dispatch (the platform registers the bus
+        last).  Under ``KernelMode.STEPPING`` masters submit instead.
+        """
+        self._check_outstanding(request.master_id)
+        self._posted.append(request)
+
+    def _check_outstanding(self, master: int) -> None:
+        if not 0 <= master < self.num_masters:
+            raise ProtocolError(f"request from unknown master {master}")
+        if self._pending[master] is not None or self._holder == master:
+            raise ProtocolError(f"master {master} already has an outstanding bus request")
+
+    def _slot_of(self, master: int) -> int:
+        """The kernel slot of ``master``'s port: the order it ticks in."""
+        return getattr(self._masters[master], "_wake_slot", -1)
+
+    def _admit(self, request: BusRequest, cycle: int) -> None:
+        """Make ``request`` pending, as its master's submit at ``cycle``."""
+        master = request.master_id
         self._pending[master] = request
         insort(self._requestors, master)
         self.arbiter.on_request(master, request.issue_cycle)
@@ -183,13 +237,20 @@ class SharedBus(Component):
         trace = self._trace
         if trace.enabled:
             trace.record(
-                now,
+                cycle,
                 self.name,
                 "bus.request",
                 master=master,
                 request_id=request.request_id,
                 pending=len(self._requestors),
             )
+
+    def _admit_posted(self, before: int) -> None:
+        """Admit the posted requests issued before cycle ``before``."""
+        posted = self._posted
+        while posted and posted[0].issue_cycle < before:
+            request = posted.pop(0)
+            self._admit(request, request.issue_cycle)
 
     def has_pending(self, master_id: int) -> bool:
         """True when ``master_id`` has a request waiting for the bus."""
@@ -215,6 +276,9 @@ class SharedBus(Component):
     # ------------------------------------------------------------------
     def tick(self) -> None:
         cycle = self._clock._cycle
+        posted = self._posted
+        if posted and posted[0].issue_cycle <= cycle:
+            self._admit_posted(cycle + 1)
         if self._holder is not None and cycle >= self._release_cycle:
             self._complete(cycle)
         if self._holder is None and self._requestors:
@@ -231,30 +295,21 @@ class SharedBus(Component):
             self._c_cycles_idle.value += 1
         if self._wake_push:
             # After the whole cycle's bus activity is in: push the wake
-            # next_event gives for cycle + 1.  The steady
-            # states — holding with the release cycle already pushed,
-            # idle-empty with nothing pushed — skip the call entirely.
+            # next_event gives for cycle + 1.  The steady states — holding
+            # with the release cycle already pushed, idle-empty with
+            # nothing pushed — cost a comparison.
             if self._holder is not None:
-                if self._wake_target != self._release_cycle:
-                    self._reschedule_wake(cycle + 1)
-            elif self._requestors or self._wake_target is not None:
-                self._reschedule_wake(cycle + 1)
-
-    def _reschedule_wake(self, next_cycle: int) -> None:
-        """Event-queue push mirroring :meth:`next_event` at ``next_cycle``."""
-        if self._holder is not None:
-            wake = self._release_cycle
-        elif self._requestors:
-            wake = self.arbiter.next_grant_opportunity(self._requestors, next_cycle)
-        else:
-            wake = None
-        if wake == self._wake_target:
-            return
-        self._wake_target = wake
-        if wake is None:
-            self._wake_cancel(self._wake_slot)
-        else:
-            self._wake_schedule(self._wake_slot, wake)
+                wake = self._release_cycle
+            elif self._requestors or posted:
+                wake = self.next_event(cycle + 1)
+            else:
+                wake = None
+            if wake != self._wake_target:
+                self._wake_target = wake
+                if wake is None:
+                    self._wake_cancel(self._wake_slot)
+                else:
+                    self._wake_schedule(self._wake_slot, wake)
 
     def _complete(self, cycle: int) -> None:
         request = self._active_request
@@ -266,8 +321,10 @@ class SharedBus(Component):
         self._holder = None
         self._active_request = None
         self._c_completed.value += 1
-        self._sample_total_latency(request.total_latency)
-        self._sample_wait_cycles(request.wait_cycles)
+        issue = request.issue_cycle
+        wait = request.grant_cycle - issue
+        self._sample_total_latency(cycle - issue)
+        self._sample_wait_cycles(wait)
         trace = self._trace
         if trace.enabled:
             trace.record(
@@ -277,7 +334,7 @@ class SharedBus(Component):
                 master=holder,
                 request_id=request.request_id,
                 duration=request.duration,
-                wait=request.wait_cycles,
+                wait=wait,
             )
         port = self._masters[holder]
         if port is not None:
@@ -333,23 +390,34 @@ class SharedBus(Component):
     # Fast-forward support
     # ------------------------------------------------------------------
     def next_event(self, now: int) -> int | None:
-        """Wake: completion of the transaction in flight, or the
-        arbiter's next chance to grant a waiting request.
+        """Wake: completion of the transaction in flight, or the earlier of
+        the arbiter's next chance to grant a waiting request and the first
+        posted request's admission.
 
         While a transaction holds the (non-split) bus nothing can happen
         until its release cycle; while idle with pending requests the arbiter
-        bounds the next grant (TDMA slot boundaries, CBA budget refills);
-        while idle and empty only a master's submission — a core-side event
-        covered by the cores' own hints — can change anything.
+        bounds the next grant (TDMA slot boundaries, CBA budget refills), and
+        a posted request is admitted at its issue cycle, so no skipped idle
+        stretch spans an admission; while idle and empty only a master's
+        submission — a core-side event covered by the cores' own hints — can
+        change anything.
         """
         if self._holder is not None:
             return self._release_cycle
-        if not self._requestors:
-            return None
-        return self.arbiter.next_grant_opportunity(self._requestors, now)
+        wake = None
+        if self._requestors:
+            wake = self.arbiter.next_grant_opportunity(self._requestors, now)
+        if self._posted:
+            issue = self._posted[0].issue_cycle
+            if wake is None or issue < wake:
+                wake = issue
+        return wake
 
     def fast_forward(self, start: int, cycles: int) -> None:
         """Bulk-account ``cycles`` skipped cycles of constant bus state."""
+        if self._posted:
+            # Only a held bus skips a posted request's issue cycle.
+            self._admit_posted(start + cycles)
         self._c_cycles_total.value += cycles
         if self._holder is not None:
             self._c_cycles_busy.value += cycles
@@ -396,6 +464,7 @@ class SharedBus(Component):
     def reset(self) -> None:
         self._pending = [None] * self.num_masters
         self._requestors = []
+        self._posted = []
         self.holder_log = array("q")
         self._holder = None
         self._active_request = None

@@ -10,7 +10,6 @@ duration is recorded on the request when the slave resolves it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = ["AccessType", "BusRequest"]
@@ -34,7 +33,6 @@ class AccessType(str, Enum):
         return self is AccessType.ATOMIC
 
 
-@dataclass(slots=True)
 class BusRequest:
     """One bus transaction from request to completion.
 
@@ -42,23 +40,45 @@ class BusRequest:
     ``issue_cycle`` when the master asserts its request line, ``grant_cycle``
     when the arbiter grants the bus, ``complete_cycle`` when the (non-split)
     transaction releases the bus.  One of these is allocated per memory
-    access of every core, hence ``slots=True``; ad-hoc data belongs in
-    :attr:`annotations`, not in new attributes.
+    access of every core, hence a plain slotted record with an explicit
+    constructor; ad-hoc data belongs in :attr:`annotations`, not in new
+    attributes.
     """
 
-    master_id: int
-    address: int
-    access: AccessType = AccessType.READ
-    issue_cycle: int = 0
-    #: Unique, monotonically increasing identifier (useful for tracing/tests).
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    grant_cycle: int | None = None
-    complete_cycle: int | None = None
-    #: Number of cycles the bus is held, resolved by the slave at grant time.
-    duration: int | None = None
-    #: Free-form annotations added by the memory hierarchy (hit/miss, dirty
-    #: eviction, ...), used by statistics and tests.
-    annotations: dict[str, object] = field(default_factory=dict)
+    __slots__ = (
+        "master_id",
+        "address",
+        "access",
+        "issue_cycle",
+        "request_id",
+        "grant_cycle",
+        "complete_cycle",
+        "duration",
+        "annotations",
+    )
+
+    def __init__(
+        self,
+        master_id: int,
+        address: int,
+        access: AccessType = AccessType.READ,
+        issue_cycle: int = 0,
+    ) -> None:
+        self.master_id = master_id
+        self.address = address
+        self.access = access
+        self.issue_cycle = issue_cycle
+        #: Unique, monotonically increasing identifier (useful for
+        #: tracing/tests).
+        self.request_id: int = next(_request_ids)
+        self.grant_cycle: int | None = None
+        self.complete_cycle: int | None = None
+        #: Number of cycles the bus is held, resolved by the slave at grant
+        #: time.
+        self.duration: int | None = None
+        #: Free-form annotations added by the memory hierarchy (hit/miss,
+        #: dirty eviction, ...), used by statistics and tests.
+        self.annotations: dict[str, object] = {}
 
     @property
     def granted(self) -> bool:

@@ -155,6 +155,9 @@ class L2BusSlave:
         self._duration_by_class = {
             kind: latency_table.duration(kind) for kind in TransactionClass
         }
+        #: The ``transaction_class`` annotation of each class, read once
+        #: here rather than through the enum's ``value`` per transaction.
+        self._class_names = {kind: kind.value for kind in TransactionClass}
 
     def classify(self, request: BusRequest, cycle: int) -> TransactionClass:
         """Serve ``request`` functionally and classify its timing behaviour."""
@@ -165,11 +168,10 @@ class L2BusSlave:
             self.memory.access(read=False)
             return TransactionClass.ATOMIC
 
-        result = self.l2.access(
-            request.master_id, request.address, request.access.is_write, cycle
-        )
+        is_write = request.access is AccessType.WRITE
+        result = self.l2.access(request.master_id, request.address, is_write, cycle)
         if result.hit:
-            if request.access.is_write:
+            if is_write:
                 return TransactionClass.L2_HIT_WRITE
             return TransactionClass.L2_HIT_READ
         # L2 miss: one memory access for the fetch, plus one more when a
@@ -187,9 +189,10 @@ class L2BusSlave:
             latency = self.memory.transaction(((address, True), (address, False)))
             return TransactionClass.ATOMIC, latency + self._bus_overhead
 
-        result = self.l2.access(request.master_id, address, request.access.is_write, cycle)
+        is_write = request.access is AccessType.WRITE
+        result = self.l2.access(request.master_id, address, is_write, cycle)
         if result.hit:
-            if request.access.is_write:
+            if is_write:
                 kind = TransactionClass.L2_HIT_WRITE
             else:
                 kind = TransactionClass.L2_HIT_READ
@@ -212,7 +215,7 @@ class L2BusSlave:
         else:
             kind = self.classify(request, cycle)
             duration = self._duration_by_class[kind]
-        request.annotate(transaction_class=kind.value)
+        request.annotations["transaction_class"] = self._class_names[kind]
         self._c_by_class[kind].value += 1
         self._c_requests.value += 1
         self._sample_duration(duration)

@@ -104,7 +104,8 @@ class CreditBasedArbiter(Arbiter):
             if trace is not None and trace.enabled:
                 trace.record(cycle, "cba", "cba.blocked", pending=list(pending))
             return None
-        choice = self.base.arbitrate(eligible, cycle)
+        # ``eligible`` is a subset of the validated requestors.
+        choice = self.base._arbitrate_valid(eligible, cycle)
         return self._validate_choice(choice, eligible)
 
     def on_grant(self, master_id: int, duration: int, cycle: int) -> None:

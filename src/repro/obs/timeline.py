@@ -17,7 +17,9 @@ reads directly in cycles.  Three families of visual objects are produced:
 The exported events are in cycle order (a stable sort, so same-cycle events
 keep their recording order), after the process and track names.  Recording
 order is not cycle order: CBA records the ``cba.refill`` events of past
-cycles only when the arbiter next syncs its trace.
+cycles only when the arbiter next syncs its trace, and the bus records the
+``bus.request`` of a request a greedy contender posted when it admits it,
+stamped with the request's issue cycle.
 """
 
 from __future__ import annotations

@@ -37,9 +37,13 @@ __all__ = ["GreedyContender", "WCETModeContender"]
 class GreedyContender(Component):
     """A contender that always keeps one maximum-length request pending.
 
-    Event-queue protocol: the contender's only self-scheduled event is the
-    re-issue after a completion, so it cancels its wake when a request goes
-    out and schedules the next cycle when the completion callback arrives.
+    Event-queue protocol: the contender ticks once, at its first wake, to
+    issue its first request, and then has no wake.  Each completion hands
+    the bus the next request, stamped with the following cycle, through
+    :meth:`~repro.bus.bus.SharedBus.post`; the bus admits it exactly as this
+    contender's submit in that cycle would have.  Under
+    ``KernelMode.STEPPING`` the contender instead issues from its tick on
+    the cycle after each completion.
     """
 
     def __init__(
@@ -56,45 +60,41 @@ class GreedyContender(Component):
         self.requests_issued = 0
         self.requests_completed = 0
         self._in_flight = False
-        # Probed once per tick and once per wake; pre-binding spares the
-        # method lookups on the hot path (same idiom as the bus counters).
-        self._bus_has_pending = bus.has_pending
         bus.connect_master(core_id, self)
 
     def tick(self) -> None:
-        if self._in_flight or self._bus_has_pending(self.core_id):
+        if self._in_flight:
             return
-        self._issue()
+        self.bus.submit(self._next_request(self.now))
+        if self._wake_push:
+            self._push_wake(self.now + 1)
 
     def next_event(self, now: int) -> int | None:
-        """Issue as soon as the previous request completes (a bus event)."""
-        if self._in_flight or self._bus_has_pending(self.core_id):
-            return None
-        return now
+        """Issue at once while no request is outstanding; otherwise nothing
+        until the completion, which issues the next one."""
+        return None if self._in_flight else now
 
-    def _issue(self) -> None:
+    def _next_request(self, cycle: int) -> BusRequest:
         request = BusRequest(
             master_id=self.core_id,
             # Distinct addresses defeat any caching in the slave: every
             # contender request walks the full memory path.
             address=self.address + self.requests_issued * 4096,
             access=AccessType.ATOMIC,
-            issue_cycle=self.now,
+            issue_cycle=cycle,
         )
-        self.bus.submit(request)
         self.requests_issued += 1
         self._in_flight = True
-        # Nothing self-scheduled until the completion callback (a bus event).
-        if self._wake_push:
-            self._wake_cancel(self._wake_slot)
+        return request
 
     def on_complete(self, request: BusRequest, cycle: int) -> None:
         self.requests_completed += 1
-        self._in_flight = False
-        # Re-issue on the next tick (the bus completes during its own tick
-        # at ``cycle``; the contender's next chance to act is cycle + 1).
+        # The bus completes during its own tick at ``cycle``; the contender's
+        # next chance to issue is cycle + 1.
         if self._wake_push:
-            self._wake_schedule(self._wake_slot, cycle + 1)
+            self.bus.post(self._next_request(cycle + 1))
+        else:
+            self._in_flight = False
 
     def reset(self) -> None:
         self.requests_issued = 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arbiters.random_permutations import RandomPermutationsArbiter
+from repro.arbiters.random_permutations import MAX_BLOCK, RandomPermutationsArbiter
 from repro.sim.errors import ArbitrationError
 
 
@@ -75,3 +75,33 @@ def test_reset_clears_permutation_window(rng):
     assert arbiter.grants_per_master == [0, 0, 0, 0]
     order = saturated_grants(arbiter, 4, 4)
     assert sorted(order) == [0, 1, 2, 3]
+
+
+#: Every block size the arbiter draws, in order, then the capped size again.
+BLOCK_SIZES = [1 << k for k in range(MAX_BLOCK.bit_length())] + [MAX_BLOCK]
+
+
+@pytest.mark.parametrize("num_masters", [2, 3, 4, 8, 16])
+def test_block_drawn_windows_equal_per_call_permutations(num_masters):
+    """The windows are exactly those of one ``rng.permutation(N)`` call per
+    window, and a used-up block leaves the generator exactly where those
+    calls would, for every block size."""
+    assert BLOCK_SIZES[:2] == [1, 2] and BLOCK_SIZES[-2:] == [MAX_BLOCK, MAX_BLOCK]
+    for seed in range(100):
+        arbiter = RandomPermutationsArbiter(num_masters, np.random.default_rng(seed))
+        reference = np.random.default_rng(seed)
+        for block in BLOCK_SIZES:
+            for _ in range(block):
+                arbiter._refill_window()
+                assert arbiter._window == reference.permutation(num_masters).tolist()
+            assert not arbiter._drawn
+            assert arbiter._rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_reset_drops_the_drawn_block():
+    arbiter = RandomPermutationsArbiter(4, np.random.default_rng(9))
+    first = saturated_grants(arbiter, 40, 4)
+    assert arbiter._drawn  # stopped inside a block
+    arbiter.reset()
+    arbiter._rng = np.random.default_rng(9)
+    assert saturated_grants(arbiter, 40, 4) == first

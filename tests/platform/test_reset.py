@@ -74,6 +74,19 @@ def test_reset_and_rerun_replays_the_first_run(name, mode):
     assert second == first
 
 
+@pytest.mark.parametrize("mode", list(KernelMode), ids=lambda mode: mode.value)
+def test_reset_inside_a_drawn_block_of_windows_replays_the_first_run(mode):
+    """The random-permutations arbiter draws its windows in blocks; a reset
+    that finds one half used drops it, the stream rewinds, and the rerun
+    draws the same windows again."""
+    with _build("rp", mode) as system:
+        first = system.run()
+        assert system.base_arbiter._drawn
+        system.reset()
+        second = system.run()
+    assert second == first
+
+
 def test_reset_before_the_first_run_changes_nothing():
     with _build("cba", KernelMode.PRODUCTION) as system:
         system.reset()
