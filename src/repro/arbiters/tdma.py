@@ -79,20 +79,6 @@ class TDMAArbiter(Arbiter):
         """Offset of ``cycle`` within its slot (0 = slot start)."""
         return cycle % self.slot_cycles
 
-    def next_slot_start(self, master_id: int, cycle: int) -> int:
-        """First cycle ≥ ``cycle`` that starts a slot owned by ``master_id``."""
-        if master_id not in self.schedule:
-            raise ArbitrationError(f"master {master_id} never appears in the TDMA schedule")
-        probe = cycle
-        # Jump to the next slot boundary unless we are exactly on one.
-        if probe % self.slot_cycles:
-            probe += self.slot_cycles - (probe % self.slot_cycles)
-        for _ in range(len(self.schedule) + 1):
-            if self.slot_owner(probe) == master_id:
-                return probe
-            probe += self.slot_cycles
-        raise ArbitrationError("unreachable: schedule scan failed")  # pragma: no cover
-
     def next_grant_opportunity(self, requestors: Sequence[int], cycle: int) -> int | None:
         """First cycle ``>= cycle`` at which a pending master's slot allows a grant.
 

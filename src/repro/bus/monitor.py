@@ -137,11 +137,3 @@ class BusMonitor:
     @property
     def total_cycles_observed(self) -> int:
         return max(0, self._end() - self._origin)
-
-    def overall_shares(self) -> list[float]:
-        """Per-master share of all observed busy cycles."""
-        totals = self.total_busy_per_master
-        busy = sum(totals)
-        if not busy:
-            return [0.0] * self.bus.num_masters
-        return [c / busy for c in totals]

@@ -8,15 +8,13 @@ executes such campaigns at scale:
   stable content-hash IDs and a scenario-runner registry;
 * :mod:`~repro.campaign.executor` — pluggable backends
   (:class:`SerialExecutor`, process-pool :class:`ParallelExecutor`) with
-  bit-identical results across backends;
+  bit-identical results across backends, immediate bounded retries,
+  per-job timeouts, worker-crash recovery and poison-job quarantine
+  (:class:`JobFailure`);
 * :mod:`~repro.campaign.store` — a JSON-lines :class:`ArtifactStore` keyed by
   job ID, enabling resumable campaigns and cross-experiment reuse;
 * :mod:`~repro.campaign.campaign` — the :class:`Campaign` orchestrator;
-* :mod:`~repro.campaign.progress` — throttled progress/ETA reporting;
-* :mod:`~repro.campaign.resilience` — retry policies with seeded backoff,
-  structured :class:`JobFailure` records and poison-job quarantine;
-* :mod:`~repro.campaign.faults` — deterministic fault injection
-  (:class:`FaultPlan`) and the ``repro campaign chaos`` harness.
+* :mod:`~repro.campaign.progress` — throttled progress/ETA reporting.
 
 Typical use::
 
@@ -32,8 +30,14 @@ Typical use::
 """
 
 from .campaign import AggregatedRuns, Campaign, CampaignReport, aggregate_by_label
-from .executor import Executor, ParallelExecutor, SerialExecutor, create_executor
-from .faults import ChaosReport, FaultInjectedError, FaultPlan, run_chaos
+from .executor import (
+    Executor,
+    JobFailure,
+    ParallelExecutor,
+    ResilienceSummary,
+    SerialExecutor,
+    create_executor,
+)
 from .jobs import (
     CampaignJob,
     JobResult,
@@ -43,7 +47,6 @@ from .jobs import (
     seed_block_jobs,
 )
 from .progress import NullProgress, ProgressReporter
-from .resilience import JobFailure, ResilienceSummary, RetryPolicy
 from .store import ArtifactStore
 
 __all__ = [
@@ -52,23 +55,18 @@ __all__ = [
     "Campaign",
     "CampaignJob",
     "CampaignReport",
-    "ChaosReport",
     "Executor",
-    "FaultInjectedError",
-    "FaultPlan",
     "JobFailure",
     "JobResult",
     "NullProgress",
     "ParallelExecutor",
     "ProgressReporter",
     "ResilienceSummary",
-    "RetryPolicy",
     "RunOutcome",
     "SerialExecutor",
     "aggregate_by_label",
     "create_executor",
     "resolve_scenario",
-    "run_chaos",
     "run_job",
     "seed_block_jobs",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,14 +24,10 @@ from ..obs.exporters import write_metrics
 from ..obs.profiler import CampaignProfiler
 from ..obs.registry import MetricsRegistry
 from ..sim.errors import ConfigurationError
-from .executor import Executor, SerialExecutor
+from .executor import Executor, JobFailure, ResilienceSummary, SerialExecutor
 from .jobs import CampaignJob, JobResult
 from .progress import NullProgress
-from .resilience import JobFailure, ResilienceSummary, RetryPolicy
 from .store import ArtifactStore
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .faults import FaultPlan
 
 __all__ = ["AggregatedRuns", "Campaign", "CampaignReport", "aggregate_by_label"]
 
@@ -117,9 +113,6 @@ class Campaign:
         progress: NullProgress | None = None,
         profiler: CampaignProfiler | None = None,
         metrics_path: str | Path | None = None,
-        retry_policy: RetryPolicy | None = None,
-        job_timeout: float | None = None,
-        fault_plan: "FaultPlan | None" = None,
     ) -> None:
         if resume and store is None:
             raise ConfigurationError("resuming requires an artifact store")
@@ -132,14 +125,6 @@ class Campaign:
         self.profiler = profiler
         if profiler is not None:
             self.executor.profiler = profiler
-        # Resilience knobs are attached to the executor (which owns dispatch);
-        # passing them here merely saves callers from configuring both.
-        if retry_policy is not None:
-            self.executor.retry_policy = retry_policy
-        if job_timeout is not None:
-            self.executor.job_timeout = job_timeout
-        if fault_plan is not None:
-            self.executor.fault_plan = fault_plan
         self.executor.reporter = self.progress
         #: When set, a labelled metrics registry built from every job result
         #: is exported here after each :meth:`run` (.prom/.txt for Prometheus

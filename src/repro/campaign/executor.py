@@ -13,8 +13,7 @@ code must therefore key results by :attr:`job_id`, never by arrival order.
 
 Dispatch contract: the parallel backend submits *one future per job*, and
 the future carries the pickled job itself.  Workers run the same entry point
-as :class:`SerialExecutor` — :func:`~repro.campaign.jobs.run_job`, or
-:func:`~repro.campaign.faults.run_job_with_faults` under a fault plan — and
+as :class:`SerialExecutor` — :func:`~repro.campaign.jobs.run_job` — and
 return its :class:`JobResult`, so the store, resume protocol and progress
 reporting see the plain per-job stream.  A job's cached :attr:`job_id`
 travels in its pickle, so workers never re-hash it.
@@ -22,56 +21,94 @@ travels in its pickle, so workers never re-hash it.
 Resilience contract: job purity also makes *re*-execution free of side
 effects, which is what lets :class:`ParallelExecutor` survive worker death.
 A :class:`~concurrent.futures.process.BrokenProcessPool` is absorbed by
-rebuilding the pool and resubmitting the lost jobs (a broken pool loses
-every in-flight job, so under a fault plan only the known culprits are
-charged an attempt); repeated pool failures degrade execution to the
-in-process serial path; a configured
-:class:`~repro.campaign.resilience.RetryPolicy` retries transient job
-exceptions with seeded backoff and quarantines poison jobs after their
-attempt budget; a per-job wall-clock budget (``job_timeout``) is each
-future's deadline, and an expired future charges exactly its own job.  With
-no policy or plan configured a job failure propagates the original
-exception on first sight, serially and in parallel (after cancelling the
-other in-flight futures so an aborting campaign never blocks on unrelated
-jobs).
+rebuilding the pool and resubmitting the lost jobs (a broken pool does not
+say which job killed it, so every lost job is charged an attempt); more than
+:data:`MAX_POOL_REBUILDS` consecutive pool failures degrade execution to the
+in-process serial path.  With ``retries`` > 0 a failed attempt is
+resubmitted at once, and a poison job is quarantined after ``retries + 1``
+attempts; a per-job wall-clock budget (``job_timeout``) is each future's
+deadline, and an expired future charges exactly its own job.  With
+``retries`` = 0 a job failure propagates the original exception on first
+sight, serially and in parallel (after cancelling the other in-flight
+futures so an aborting campaign never blocks on unrelated jobs).
 """
 
 from __future__ import annotations
 
-# repro-lint: allow-file[DET001] — timeouts, retry backoff, rate limiting and
-# profiling are wall-clock by nature here; job *results* derive only from
-# (seed, run_index) inside run_job, so host time never reaches the samples.
+# repro-lint: allow-file[DET001] — job deadlines and profiling are wall-clock
+# by nature here; job *results* derive only from (seed, run_index) inside
+# run_job, so host time never reaches the samples.
 
 import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from time import monotonic, perf_counter, sleep
+from dataclasses import dataclass, field
+from time import monotonic, perf_counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..obs.profiler import CampaignProfiler
-from ..sim.errors import ConfigurationError
-from .faults import CRASH, FaultPlan, run_job_with_faults
+from ..sim.errors import ConfigurationError, SimulationError
 from .jobs import CampaignJob, JobResult, run_job
-from .resilience import (
-    DEFAULT_MAX_POOL_REBUILDS,
-    JobTimeoutError,
-    ResilienceSummary,
-    RetryPolicy,
-    execute_with_retries,
-    job_failure,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from .progress import NullProgress
 
-__all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "create_executor"]
+__all__ = [
+    "Executor",
+    "JobFailure",
+    "JobTimeoutError",
+    "ParallelExecutor",
+    "ResilienceSummary",
+    "SerialExecutor",
+    "create_executor",
+]
+
+#: Consecutive process-pool failures tolerated before the parallel executor
+#: degrades to in-process serial execution.
+MAX_POOL_REBUILDS = 3
+
+
+class JobTimeoutError(SimulationError):
+    """Raised when a job exceeds its wall-clock budget and cannot be retried."""
+
+
+@dataclass(frozen=True)
+class JobFailure:
+    """A poison job, quarantined after failing its last attempt."""
+
+    job_id: str
+    label: str
+    scenario: str
+    attempt: int
+    #: ``"exception"`` | ``"timeout"`` | ``"worker_crash"``.
+    kind: str
+    message: str = ""
+
+
+@dataclass
+class ResilienceSummary:
+    """What one ``execute()`` call survived (mutable accumulator)."""
+
+    retries: int = 0
+    worker_crashes: int = 0
+    pool_rebuilds: int = 0
+    timeouts: int = 0
+    degraded: bool = False
+    #: Poison jobs quarantined after exhausting their attempts.
+    failures: list[JobFailure] = field(default_factory=list)
 
 
 def warm_up_worker() -> None:
     """No-op task: submitting one per worker makes the pool spawn them all,
     so a profiled campaign can time the spawn on its own."""
+
+
+def _check_retries(retries: int) -> int:
+    if retries < 0:
+        raise ConfigurationError("retries cannot be negative")
+    return retries
 
 
 class Executor(ABC):
@@ -83,12 +120,10 @@ class Executor(ABC):
     #: (:class:`~repro.campaign.campaign.Campaign`).  ``None`` keeps the
     #: execute loops exactly as shipped.
     profiler: CampaignProfiler | None = None
-    #: Optional retry policy; ``None`` keeps the fail-fast seed behaviour.
-    retry_policy: RetryPolicy | None = None
+    #: Extra attempts a failing job gets; 0 fails fast.
+    retries: int = 0
     #: Optional per-job wall-clock budget in seconds (parallel backend only).
     job_timeout: float | None = None
-    #: Optional fault-injection plan — chaos testing only, never production.
-    fault_plan: FaultPlan | None = None
     #: Optional progress reporter for retry/degrade lines (attached by the
     #: orchestrator; duck-typed to :class:`~repro.campaign.progress.NullProgress`).
     reporter: "NullProgress | None" = None
@@ -99,19 +134,61 @@ class Executor(ABC):
     def execute(self, jobs: Sequence[CampaignJob]) -> Iterator[JobResult]:
         """Run ``jobs`` and yield each :class:`JobResult` as it completes."""
 
+    def _retry_or_quarantine(
+        self,
+        job: CampaignJob,
+        attempt: int,
+        kind: str,
+        message: str,
+        summary: ResilienceSummary,
+    ) -> bool:
+        """Charge a failed attempt (``retries`` > 0): True when ``job`` runs
+        again as attempt + 1, False once it is quarantined as poison."""
+        if attempt <= self.retries:
+            summary.retries += 1
+            if self.reporter is not None:
+                self.reporter.retry(job.label, attempt + 1, self.retries + 1, kind)
+            return True
+        self._quarantine(job, attempt, kind, message, summary)
+        return False
+
+    def _quarantine(
+        self,
+        job: CampaignJob,
+        attempt: int,
+        kind: str,
+        message: str,
+        summary: ResilienceSummary,
+    ) -> None:
+        summary.failures.append(
+            JobFailure(job.job_id, job.label, job.scenario, attempt, kind, message)
+        )
+        if self.reporter is not None:
+            self.reporter.quarantine(job.label, attempt, kind)
+
+    def _run_in_process(
+        self, job: CampaignJob, attempt: int, summary: ResilienceSummary
+    ) -> JobResult | None:
+        """Run ``job`` here from ``attempt`` on; ``None`` once quarantined."""
+        while True:
+            try:
+                return run_job(job)
+            except Exception as exc:
+                if not self.retries:
+                    raise
+                message = f"{type(exc).__name__}: {exc}"
+                if not self._retry_or_quarantine(job, attempt, "exception", message, summary):
+                    return None
+                attempt += 1
+
 
 class SerialExecutor(Executor):
     """Run every job in-process, in order — the debuggable baseline."""
 
     workers = 1
 
-    def __init__(
-        self,
-        retry_policy: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-    ) -> None:
-        self.retry_policy = retry_policy
-        self.fault_plan = fault_plan
+    def __init__(self, retries: int = 0) -> None:
+        self.retries = _check_retries(retries)
 
     def execute(self, jobs: Sequence[CampaignJob]) -> Iterator[JobResult]:
         profiler = self.profiler
@@ -119,9 +196,7 @@ class SerialExecutor(Executor):
         self.last_resilience = summary
         for job in jobs:
             started = perf_counter()
-            result = execute_with_retries(
-                job, self.retry_policy, self.fault_plan, summary, self.reporter
-            )
+            result = self._run_in_process(job, 1, summary)
             if profiler is not None:
                 profiler.add("simulate", perf_counter() - started)
             if result is not None:
@@ -129,17 +204,6 @@ class SerialExecutor(Executor):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialExecutor()"
-
-
-def _promote_matured(
-    delayed: list[tuple[float, CampaignJob, int]],
-    pending: deque[tuple[CampaignJob, int]],
-) -> None:
-    """Move every job whose backoff delay has expired back to ``pending``."""
-    now = monotonic()
-    for entry in [entry for entry in delayed if entry[0] <= now]:
-        delayed.remove(entry)
-        pending.append((entry[1], entry[2]))
 
 
 class ParallelExecutor(Executor):
@@ -155,28 +219,25 @@ class ParallelExecutor(Executor):
     The dispatch loop survives worker death (pool rebuild + resubmission of
     the lost jobs), hung jobs (a job past its ``job_timeout`` deadline kills
     the pool's workers and is retried; the other in-flight jobs are requeued
-    at their current attempt), and transient job failures
-    (``retry_policy``); after ``max_pool_rebuilds`` consecutive pool failures
-    it degrades to running the remaining jobs serially in-process.  Because
-    jobs are pure, none of this changes a single sample — only whether they
-    arrive.
+    at their current attempt), and transient job failures (``retries``);
+    after :data:`MAX_POOL_REBUILDS` consecutive pool failures it degrades to
+    running the remaining jobs serially in-process.  Because jobs are pure,
+    none of this changes a single sample — only whether they arrive.
     """
 
     def __init__(
         self,
         max_workers: int,
-        retry_policy: RetryPolicy | None = None,
+        retries: int = 0,
         job_timeout: float | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if max_workers <= 0:
             raise ConfigurationError("max_workers must be positive")
         if job_timeout is not None and job_timeout <= 0:
             raise ConfigurationError("job_timeout must be positive")
         self.workers = max_workers
-        self.retry_policy = retry_policy
+        self.retries = _check_retries(retries)
         self.job_timeout = job_timeout
-        self.fault_plan = fault_plan
         #: Futures cancelled while unwinding the most recent execute() call.
         self.last_cancelled = 0
 
@@ -187,33 +248,8 @@ class ParallelExecutor(Executor):
             return
         yield from self._execute_core(list(jobs), self.last_resilience)
 
-    # ------------------------------------------------------------------
-    # Submission helpers
-    # ------------------------------------------------------------------
     def _build_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _crash_next_attempt(self, job: CampaignJob, attempt: int) -> int:
-        """The attempt a job lost to a pool break should resubmit as.
-
-        A broken pool does not say *which* job killed the worker, so without
-        further information every lost job is conservatively charged an
-        attempt (purity makes the resubmission bit-identical either way).
-        Under an injected fault plan the culprit is known exactly, so
-        innocent bystanders keep their attempt number — which keeps the
-        plan's per-attempt fault schedule (and the chaos accounting built on
-        it) deterministic regardless of dispatch timing.
-        """
-        if self.fault_plan is None:
-            return attempt + 1
-        if self.fault_plan.decide(job.job_id, attempt) == CRASH:
-            return attempt + 1
-        return attempt
-
-    def _max_pool_rebuilds(self) -> int:
-        if self.retry_policy is not None:
-            return self.retry_policy.max_pool_rebuilds
-        return DEFAULT_MAX_POOL_REBUILDS
 
     @staticmethod
     def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -233,18 +269,15 @@ class ParallelExecutor(Executor):
         self, jobs: list[CampaignJob], summary: ResilienceSummary
     ) -> Iterator[JobResult]:
         profiler = self.profiler
-        policy = self.retry_policy
         reporter = self.reporter
-        plan = self.fault_plan
+        job_timeout = self.job_timeout
         self.last_cancelled = 0
 
         #: ``(job, attempt)`` pairs awaiting dispatch.
         pending: deque[tuple[CampaignJob, int]] = deque((job, 1) for job in jobs)
-        #: (ready_at, job, attempt) parked for a backoff delay.
-        delayed: list[tuple[float, CampaignJob, int]] = []
         #: future -> (job, attempt, deadline).
         in_flight: dict[Future, tuple[CampaignJob, int, float | None]] = {}
-        limit = self.workers if self.job_timeout is not None else max(4 * self.workers, 16)
+        limit = self.workers if job_timeout is not None else max(4 * self.workers, 16)
         consecutive_pool_failures = 0
 
         spawn_started = perf_counter()
@@ -255,26 +288,17 @@ class ParallelExecutor(Executor):
 
         def refill() -> bool:
             """Top the pool up to its in-flight limit; True if it broke."""
-            _promote_matured(delayed, pending)
             submitted = 0
             submit_started = perf_counter() if profiler is not None else 0.0
             try:
                 while pending and len(in_flight) < limit:
                     job, attempt = pending.popleft()
                     try:
-                        if plan is None:
-                            future = pool.submit(run_job, job)
-                        else:
-                            future = pool.submit(
-                                run_job_with_faults, job, attempt, plan
-                            )
+                        future = pool.submit(run_job, job)
                     except BrokenProcessPool:
                         pending.appendleft((job, attempt))
                         return True
-                    deadline = (
-                        None if self.job_timeout is None
-                        else monotonic() + self.job_timeout
-                    )
+                    deadline = None if job_timeout is None else monotonic() + job_timeout
                     in_flight[future] = (job, attempt, deadline)
                     submitted += 1
             finally:
@@ -286,24 +310,12 @@ class ParallelExecutor(Executor):
 
         def charge_crash(job: CampaignJob, attempt: int) -> None:
             """One job lost to a pool break: requeue it or quarantine it."""
-            next_attempt = self._crash_next_attempt(job, attempt)
-            if (
-                next_attempt > attempt
-                and policy is not None
-                and not policy.should_retry(attempt)
-            ):
-                failure = job_failure(
-                    job,
-                    attempt,
-                    kind="worker_crash",
-                    message="worker process died repeatedly",
-                    fatal=True,
+            if self.retries and attempt > self.retries:
+                self._quarantine(
+                    job, attempt, "worker_crash", "worker process died repeatedly", summary
                 )
-                summary.record_quarantine(failure)
-                if reporter is not None:
-                    reporter.quarantine(job.label, attempt, "worker_crash")
-                return
-            pending.append((job, next_attempt))
+            else:
+                pending.append((job, attempt + 1))
 
         def rebuild_pool() -> ProcessPoolExecutor:
             summary.pool_rebuilds += 1
@@ -325,7 +337,7 @@ class ParallelExecutor(Executor):
             for job, attempt, _ in in_flight.values():
                 charge_crash(job, attempt)
             in_flight.clear()
-            if consecutive_pool_failures > self._max_pool_rebuilds():
+            if consecutive_pool_failures > MAX_POOL_REBUILDS:
                 summary.degraded = True
                 if reporter is not None:
                     reporter.degrade(consecutive_pool_failures)
@@ -333,29 +345,28 @@ class ParallelExecutor(Executor):
             return rebuild_pool()
 
         def poll_timeout() -> float | None:
-            """How long the wait may block: next deadline or backoff expiry."""
-            bounds = [d for _, _, d in in_flight.values() if d is not None]
-            bounds.extend(entry[0] for entry in delayed)
-            if not bounds:
+            """How long the wait may block: until the next job deadline."""
+            deadlines = [d for _, _, d in in_flight.values() if d is not None]
+            if not deadlines:
                 return None
-            return max(0.0, min(bounds) - monotonic())
+            return max(0.0, min(deadlines) - monotonic())
 
         try:
-            while pending or delayed or in_flight:
+            while pending or in_flight:
                 if summary.degraded:
                     # Serial endgame: the pool cannot be trusted any more.
-                    yield from self._serial_endgame(pending, delayed, summary)
+                    while pending:
+                        job, attempt = pending.popleft()
+                        started = perf_counter() if profiler is not None else 0.0
+                        result = self._run_in_process(job, attempt, summary)
+                        if profiler is not None:
+                            profiler.add("simulate", perf_counter() - started)
+                        if result is not None:
+                            yield result
                     return
 
                 if refill():  # submission hit a broken pool
                     pool = recover_pool() or pool
-                    continue
-
-                if not in_flight:
-                    # Everything left is parked on a backoff delay: sleep it
-                    # off instead of spinning on refill().
-                    ready_at = min(entry[0] for entry in delayed)
-                    sleep(max(0.0, ready_at - monotonic()))
                     continue
 
                 wait_started = perf_counter() if profiler is not None else 0.0
@@ -374,11 +385,16 @@ class ParallelExecutor(Executor):
                         if deadline is not None and deadline <= now
                     ]
                     if not expired:
-                        continue  # woke up for a backoff expiry, not a hang
+                        continue
                     self._abandon_pool(pool)
                     for future in expired:
                         job, attempt, _ = in_flight.pop(future)
-                        self._charge_timeout(job, attempt, pending, summary)
+                        summary.timeouts += 1
+                        message = f"job exceeded its {job_timeout:.3g}s budget"
+                        if not self.retries:
+                            raise JobTimeoutError(message)
+                        if self._retry_or_quarantine(job, attempt, "timeout", message, summary):
+                            pending.append((job, attempt + 1))
                     # The other in-flight jobs did not hang: they keep their
                     # attempt number.
                     pending.extend((job, attempt) for job, attempt, _ in in_flight.values())
@@ -398,9 +414,16 @@ class ParallelExecutor(Executor):
                         continue
                     except Exception as exc:
                         consecutive_pool_failures = 0
-                        self._note_exception(
-                            job, attempt, exc, pending, delayed, summary
-                        )
+                        if not self.retries:
+                            # Fail fast with the *original* exception (the
+                            # finally block cancels the other in-flight
+                            # futures).
+                            raise
+                        message = f"{type(exc).__name__}: {exc}"
+                        if self._retry_or_quarantine(
+                            job, attempt, "exception", message, summary
+                        ):
+                            pending.append((job, attempt + 1))
                         continue
                     consecutive_pool_failures = 0
                     if profiler is not None:
@@ -416,127 +439,24 @@ class ParallelExecutor(Executor):
             if profiler is not None:
                 profiler.add("spawn", perf_counter() - shutdown_started, count=0)
 
-    # ------------------------------------------------------------------
-    def _serial_endgame(
-        self,
-        pending: deque[tuple[CampaignJob, int]],
-        delayed: list[tuple[float, CampaignJob, int]],
-        summary: ResilienceSummary,
-    ) -> Iterator[JobResult]:
-        """Run what is left in-process once the pool has been given up on."""
-        profiler = self.profiler
-        while pending or delayed:
-            if not pending:
-                sleep(max(0.0, min(entry[0] for entry in delayed) - monotonic()))
-                _promote_matured(delayed, pending)
-                continue
-            job, attempt = pending.popleft()
-            started = perf_counter() if profiler is not None else 0.0
-            result = execute_with_retries(
-                job,
-                self.retry_policy,
-                self.fault_plan,
-                summary,
-                self.reporter,
-                first_attempt=attempt,
-            )
-            if profiler is not None:
-                profiler.add("simulate", perf_counter() - started)
-            if result is not None:
-                yield result
-
-    def _charge_timeout(
-        self,
-        job: CampaignJob,
-        attempt: int,
-        pending: deque[tuple[CampaignJob, int]],
-        summary: ResilienceSummary,
-    ) -> None:
-        """A job blew its deadline: retry it, quarantine it or abort."""
-        policy = self.retry_policy
-        summary.timeouts += 1
-        fatal = policy is None or not policy.should_retry(attempt)
-        failure = job_failure(
-            job,
-            attempt,
-            kind="timeout",
-            message=f"job exceeded its {self.job_timeout:.3g}s budget",
-            fatal=fatal,
-        )
-        if fatal:
-            summary.record_quarantine(failure)
-            if self.reporter is not None:
-                self.reporter.quarantine(job.label, attempt, "timeout")
-            if policy is None:
-                raise JobTimeoutError(failure.message)
-            return
-        summary.record_retry(failure)
-        if self.reporter is not None:
-            self.reporter.retry(
-                job.label, attempt + 1, policy.max_attempts, "timeout", 0.0
-            )
-        pending.append((job, attempt + 1))
-
-    def _note_exception(
-        self,
-        job: CampaignJob,
-        attempt: int,
-        exc: BaseException,
-        pending: deque[tuple[CampaignJob, int]],
-        delayed: list[tuple[float, CampaignJob, int]],
-        summary: ResilienceSummary,
-    ) -> None:
-        """A job raised in its worker: retry with backoff, quarantine or abort."""
-        policy = self.retry_policy
-        fatal = policy is None or not policy.should_retry(attempt)
-        failure = job_failure(
-            job,
-            attempt,
-            kind="exception",
-            message=f"{type(exc).__name__}: {exc}",
-            fatal=fatal,
-        )
-        if fatal:
-            summary.record_quarantine(failure)
-            if self.reporter is not None:
-                self.reporter.quarantine(job.label, attempt, "exception")
-            if policy is None:
-                # Pre-resilience contract: the first failure aborts the
-                # campaign with the *original* exception (the finally block
-                # cancels the other in-flight futures).
-                raise exc
-            return
-        summary.record_retry(failure)
-        delay = policy.delay(job.job_id, attempt)
-        if self.reporter is not None:
-            self.reporter.retry(
-                job.label, attempt + 1, policy.max_attempts, "exception", delay
-            )
-        if delay:
-            delayed.append((monotonic() + delay, job, attempt + 1))
-        else:
-            pending.append((job, attempt + 1))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(max_workers={self.workers})"
 
 
 def create_executor(
     jobs: int | None = None,
-    retry_policy: RetryPolicy | None = None,
+    retries: int = 0,
     job_timeout: float | None = None,
 ) -> Executor:
     """Build the executor for a ``--jobs N`` request.
 
     ``jobs=1`` (or ``None``) is serial; ``jobs=0`` means "one worker per
-    CPU"; anything above 1 is a process pool of that size.  ``retry_policy``
-    and ``job_timeout`` carry the ``--retries`` / ``--job-timeout`` flags.
+    CPU"; anything above 1 is a process pool of that size.  ``retries`` and
+    ``job_timeout`` carry the ``--retries`` / ``--job-timeout`` flags.
     """
     if jobs is None or jobs == 1:
-        return SerialExecutor(retry_policy=retry_policy)
+        return SerialExecutor(retries=retries)
     if jobs < 0:
         raise ConfigurationError("--jobs cannot be negative")
     workers = (os.cpu_count() or 1) if jobs == 0 else jobs
-    return ParallelExecutor(
-        max_workers=workers, retry_policy=retry_policy, job_timeout=job_timeout
-    )
+    return ParallelExecutor(max_workers=workers, retries=retries, job_timeout=job_timeout)

@@ -30,10 +30,8 @@ class NullProgress:
     def advance(self, label: str = "") -> None:
         """Record one completed job."""
 
-    def retry(
-        self, label: str, attempt: int, max_attempts: int, kind: str, delay: float
-    ) -> None:
-        """A job failed (``kind``) and will run attempt ``attempt`` after ``delay``."""
+    def retry(self, label: str, attempt: int, max_attempts: int, kind: str) -> None:
+        """A job failed (``kind``) and will run again as attempt ``attempt``."""
 
     def quarantine(self, label: str, attempt: int, kind: str) -> None:
         """A poison job exhausted its attempts and was quarantined."""
@@ -94,15 +92,9 @@ class ProgressReporter(NullProgress):
         self._last_report = now
         self._emit(self._format_line(now, label))
 
-    def retry(
-        self, label: str, attempt: int, max_attempts: int, kind: str, delay: float
-    ) -> None:
+    def retry(self, label: str, attempt: int, max_attempts: int, kind: str) -> None:
         # Failures are rare and load-bearing: report them unthrottled.
-        backoff = f", backoff {delay:.2f}s" if delay else ""
-        self._emit(
-            f"[{self.prefix}] retry {label}: {kind}, "
-            f"attempt {attempt}/{max_attempts}{backoff}"
-        )
+        self._emit(f"[{self.prefix}] retry {label}: {kind}, attempt {attempt}/{max_attempts}")
 
     def quarantine(self, label: str, attempt: int, kind: str) -> None:
         self._emit(

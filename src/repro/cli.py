@@ -15,7 +15,6 @@ Command                   Regenerates
 ``policy-sweep``          CBA over different base arbitration policies
 ``list-workloads``        the modelled EEMBC-like and synthetic workloads
 ``obs``                   observability: record/inspect traces, profiles, metrics
-``campaign``              campaign engine utilities (``chaos`` fault harness)
 ``fuzz``                  the property-based scenario fuzzer (run/replay/shrink)
 ``lint``                  the repository-contract static analyzer
 ========================  =====================================================
@@ -39,17 +38,12 @@ Every experiment command also accepts the campaign-engine flags:
   counters) as JSON to PATH;
 * ``--metrics PATH`` — export a labelled metrics registry built from every
   job result to PATH (JSONL, or Prometheus text for ``.prom``/``.txt``);
-* ``--retries N`` — retry failing jobs up to N extra times (seeded
-  exponential backoff; poison jobs are quarantined after the budget);
+* ``--retries N`` — retry failing jobs up to N extra times, each at once
+  (poison jobs are quarantined after the budget);
 * ``--job-timeout SECONDS`` — kill and retry jobs that hang past the budget
   (parallel execution only);
 * ``--strict-store`` — fail hard on any corrupt store line instead of
   quarantining it into the ``.quarantine`` sidecar.
-
-``repro campaign chaos`` runs the deterministic fault-injection harness: a
-scenario grid executed once cleanly and once under injected worker crashes,
-transient failures and store corruption, with the recovered samples checked
-bit-for-bit against the clean run.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ from .analysis.reporting import format_key_values, format_table
 from .campaign.campaign import Campaign
 from .campaign.executor import create_executor
 from .campaign.progress import NullProgress, ProgressReporter
-from .campaign.resilience import RetryPolicy
 from .campaign.store import ArtifactStore
 from .fuzz.cli import add_fuzz_arguments, run_from_args as _run_fuzz_args
 from .lint.cli import add_lint_arguments, run_from_args as _run_lint_args
@@ -142,13 +135,11 @@ def campaign_from_args(args: argparse.Namespace) -> Campaign:
     retries = getattr(args, "retries", 0)
     if retries < 0:
         raise ConfigurationError("--retries cannot be negative")
-    retry_policy = RetryPolicy(max_attempts=retries + 1) if retries else None
-    job_timeout = getattr(args, "job_timeout", None)
     return Campaign(
         executor=create_executor(
             args.jobs,
-            retry_policy=retry_policy,
-            job_timeout=job_timeout,
+            retries=retries,
+            job_timeout=getattr(args, "job_timeout", None),
         ),
         store=store,
         resume=args.resume,
@@ -256,42 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="render an exported metrics file (JSONL or Prometheus text)"
     )
     metrics.add_argument("path", help="metrics.jsonl / metrics.prom")
-
-    campaign = sub.add_parser(
-        "campaign", help="campaign engine utilities (chaos fault harness)"
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-    chaos = campaign_sub.add_parser(
-        "chaos",
-        help="run the deterministic fault-injection harness on a scenario grid",
-    )
-    chaos.add_argument("--workers", type=int, default=2,
-                       help="pool workers for the faulty campaign (default: 2)")
-    chaos.add_argument("--runs", type=int, default=4,
-                       help="runs per grid label (default: 4)")
-    chaos.add_argument("--seed", type=int, default=2017,
-                       help="simulation seed for the scenario grid")
-    chaos.add_argument("--fault-seed", type=int, default=2017,
-                       help="seed deriving which jobs crash/fail/hang")
-    chaos.add_argument("--seed-sweep", type=int, default=None, metavar="N",
-                       help="run the harness over N consecutive fault seeds "
-                            "starting at --fault-seed (exit 0 only if all pass)")
-    chaos.add_argument("--crashes", type=int, default=1,
-                       help="worker crashes to inject (default: 1)")
-    chaos.add_argument("--failures", type=int, default=1,
-                       help="transient job failures to inject (default: 1)")
-    chaos.add_argument("--hangs", type=int, default=0,
-                       help="job hangs to inject (needs --job-timeout)")
-    chaos.add_argument("--corrupt-lines", type=int, default=1,
-                       help="store lines to corrupt (default: 1)")
-    chaos.add_argument("--retries", type=int, default=2,
-                       help="extra attempts per job (default: 2)")
-    chaos.add_argument("--job-timeout", type=float, default=None,
-                       help="per-job wall-clock budget in seconds")
-    chaos.add_argument("--store", default=None, metavar="PATH",
-                       help="store path (default: a temporary file)")
-    chaos.add_argument("--quiet", action="store_true",
-                       help="suppress chaos progress output on stderr")
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -494,45 +449,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    # Only the chaos harness lives here for now; the subparser enforces it.
-    from .campaign.faults import run_chaos, run_chaos_sweep
-
-    knobs = dict(
-        seed=args.seed,
-        runs_per_label=args.runs,
-        workers=args.workers,
-        crashes=args.crashes,
-        failures=args.failures,
-        hangs=args.hangs,
-        corrupt_lines=args.corrupt_lines,
-        retries=args.retries,
-        job_timeout=args.job_timeout,
-        store_path=args.store,
-        quiet=args.quiet,
-    )
-    if args.seed_sweep is None:
-        report = run_chaos(fault_seed=args.fault_seed, **knobs)
-        print(format_key_values(report.summary(), title="campaign chaos harness"))
-        return 0 if report.passed else 1
-    reports = run_chaos_sweep(args.seed_sweep, fault_seed=args.fault_seed, **knobs)
-    for fault_seed, report in reports:
-        print(
-            format_key_values(
-                report.summary(),
-                title=f"campaign chaos harness (fault seed {fault_seed})",
-            )
-        )
-    failed = [seed for seed, report in reports if not report.passed]
-    verdict = (
-        f"chaos sweep: {len(reports) - len(failed)}/{len(reports)} seeds passed"
-    )
-    if failed:
-        verdict += f" (failed: {', '.join(map(str, failed))})"
-    print(verdict)
-    return 0 if not failed else 1
-
-
 _COMMANDS = {
     "illustrative": _cmd_illustrative,
     "table1": _cmd_table1,
@@ -543,7 +459,6 @@ _COMMANDS = {
     "policy-sweep": _cmd_policy_sweep,
     "list-workloads": _cmd_list_workloads,
     "obs": _cmd_obs,
-    "campaign": _cmd_campaign,
     "fuzz": _run_fuzz_args,
     "lint": _run_lint_args,
 }

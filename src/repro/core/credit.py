@@ -39,7 +39,6 @@ compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..sim.config import CBAParameters
 from ..sim.errors import BudgetError
@@ -438,14 +437,6 @@ class CreditBank:
     def balances(self, cycle: int) -> list[int]:
         """Scaled budgets of all cores at ``cycle``."""
         return [self._state(core, cycle)[0] for core in range(len(self.accounts))]
-
-    def cycles_until_any_eligible(self, core_ids: Iterable[int], cycle: int) -> int:
-        """Fewest cycles from ``cycle`` until one of ``core_ids`` is eligible
-        (0 when one already is), assuming none of them is granted meanwhile."""
-        return min(
-            0 if self.eligible(core, cycle) else self.eligible_from[core] - cycle
-            for core in core_ids
-        )
 
     def eligibility_changes(self, core: int) -> tuple[int, int]:
         """The cycles ``core``'s eligibility may flip after its anchor: the

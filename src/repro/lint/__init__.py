@@ -16,7 +16,7 @@ trusted against:
   push wakes, ``fast_forward`` overrides come with ``next_event``, value
   classes carry ``__slots__``;
 * **fork/resource safety** (``RES``) — ``flock`` acquisitions are paired
-  with releases, ``os._exit`` stays confined to the fault injector.
+  with releases, and no module calls ``os._exit``.
 
 The engine parses every file once and dispatches AST nodes to all registered
 rules in a single pass.  Findings can be suppressed in place with a

@@ -3,7 +3,7 @@
 Each rule *family* gets a path scope (directories or files, relative to the
 repository root) so e.g. determinism rules bite inside the simulator but not
 inside the observability exporters.  Rule-specific knobs (which modules hold
-value classes, where ``os._exit`` is legal) live under ``options``.
+value classes) live under ``options``.
 
 ``tomllib`` only exists on Python 3.11+; on 3.10 (still in the CI matrix) a
 minimal built-in parser covers the TOML subset this configuration actually
@@ -47,8 +47,6 @@ class LintConfig:
     scopes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Modules whose dataclasses must be slotted (CON003).
     value_class_modules: tuple[str, ...] = ()
-    #: Modules where ``os._exit`` is allowed (RES003).
-    os_exit_modules: tuple[str, ...] = ()
     #: Hot-path method names (HOT rules); overridable for tests.
     hot_methods: tuple[str, ...] = HOT_METHODS
 
@@ -63,9 +61,6 @@ class LintConfig:
 
     def is_value_class_module(self, relpath: str) -> bool:
         return any(_covers(prefix, relpath) for prefix in self.value_class_modules)
-
-    def allows_os_exit(self, relpath: str) -> bool:
-        return any(_covers(prefix, relpath) for prefix in self.os_exit_modules)
 
 
 def _covers(prefix: str, relpath: str) -> bool:
@@ -128,10 +123,6 @@ def _config_from_table(root: Path, source: Path, table: dict) -> LintConfig:
     if "value-class-modules" in options:
         config.value_class_modules = _string_tuple(
             source, "options.value-class-modules", options["value-class-modules"]
-        )
-    if "os-exit-modules" in options:
-        config.os_exit_modules = _string_tuple(
-            source, "options.os-exit-modules", options["os-exit-modules"]
         )
     return config
 

@@ -1,10 +1,9 @@
 """Fork/resource-safety rules (``RES``).
 
-Campaign workers fork, crash (sometimes on purpose — the chaos harness) and
-get killed on timeouts; resources that survive a dead process must therefore
-be cleaned up on *every* path.  An unreleased ``flock`` deadlocks the next
-campaign, and a stray ``os._exit`` skips every ``finally`` in the process —
-which is exactly why only the fault injector may call it.
+Campaign workers fork, crash and get killed on timeouts; resources that
+survive a dead process must therefore be cleaned up on *every* path.  An
+unreleased ``flock`` deadlocks the next campaign, and an ``os._exit`` skips
+every ``finally`` in the process, so no module under the scope may call it.
 """
 
 from __future__ import annotations
@@ -56,22 +55,16 @@ class FlockPairRule(Rule):
 class OsExitRule(Rule):
     id = "RES003"
     family = "resources"
-    description = (
-        "os._exit skips every finally/atexit in the process; only the fault "
-        "injector (configured os-exit-modules) may call it"
-    )
+    description = "os._exit skips every finally/atexit in the process"
     interests = (ast.Call,)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> None:
         assert isinstance(node, ast.Call)
         if ctx.call_name(node) != "os._exit":
             return
-        if ctx.config.allows_os_exit(ctx.relpath):
-            return
         self.report(
             ctx,
             node,
             "os._exit() terminates without running finally blocks, flushing "
-            "stores or releasing locks; deliberate crash semantics belong in "
-            "the fault injector only",
+            "stores or releasing locks",
         )

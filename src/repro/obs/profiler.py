@@ -97,13 +97,6 @@ class KernelProfiler:
         """Seconds spent inside component hooks (the rest is the scheduler)."""
         return sum(self._seconds.values())
 
-    def component_seconds(self) -> dict[str, float]:
-        """Total hook seconds per component, highest first."""
-        totals: dict[str, float] = {}
-        for (name, _hook), value in self._seconds.items():
-            totals[name] = totals.get(name, 0.0) + value
-        return dict(sorted(totals.items(), key=lambda item: -item[1]))
-
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable profile report."""
         components: dict[str, dict[str, object]] = {}

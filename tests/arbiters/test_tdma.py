@@ -38,21 +38,6 @@ def test_custom_schedule_with_repeated_owner():
     assert arbiter.slot_owner(12) == 2
 
 
-def test_next_slot_start():
-    arbiter = TDMAArbiter(4, slot_cycles=10)
-    assert arbiter.next_slot_start(0, 0) == 0
-    assert arbiter.next_slot_start(0, 1) == 40
-    assert arbiter.next_slot_start(2, 1) == 20
-    assert arbiter.next_slot_start(3, 35) == 70
-    assert arbiter.next_slot_start(3, 30) == 30
-
-
-def test_next_slot_start_unknown_master_rejected():
-    arbiter = TDMAArbiter(2, slot_cycles=4, schedule=[0, 0])
-    with pytest.raises(ArbitrationError):
-        arbiter.next_slot_start(1, 0)
-
-
 def test_invalid_construction_rejected():
     with pytest.raises(ArbitrationError):
         TDMAArbiter(2, slot_cycles=0)

@@ -36,7 +36,6 @@ def test_idle_bus_produces_idle_windows():
     assert len(monitor.windows) == 2
     assert monitor.windows[0].idle_cycles == 5
     assert monitor.windows[0].utilization == 0.0
-    assert monitor.overall_shares() == [0.0, 0.0]
 
 
 def test_busy_cycles_attributed_to_holder():
@@ -47,7 +46,6 @@ def test_busy_cycles_attributed_to_holder():
     assert window.busy_cycles_per_master == (0, 4)
     assert window.shares == (0.0, 1.0)
     assert window.utilization == pytest.approx(0.4)
-    assert monitor.overall_shares() == [0.0, 1.0]
 
 
 def test_windows_cover_consecutive_ranges():

@@ -146,18 +146,11 @@ def test_killed_campaign_with_torn_tail_resumes_only_missing_jobs(
     assert set(results) == {job.job_id for job in jobs}
 
 
-def test_report_carries_resilience_accounting(tiny_workload, tmp_path):
-    from repro.campaign.executor import ParallelExecutor
-    from repro.campaign.faults import FaultPlan
-    from repro.campaign.resilience import RetryPolicy
-
+def test_report_carries_resilience_accounting(tiny_workload, tmp_path, faults):
     jobs = _jobs(tiny_workload)
-    plan = FaultPlan(fail_jobs=frozenset({jobs[0].job_id}))
     campaign = Campaign(
-        executor=ParallelExecutor(max_workers=2),
+        executor=faults.Executor(2, {jobs[0].job_id: [faults.FAIL]}, retries=2),
         store=ArtifactStore(tmp_path / "store.jsonl"),
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        fault_plan=plan,
     )
     results = campaign.run(jobs)
     report = campaign.last_report

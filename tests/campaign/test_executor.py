@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import Future
+from time import monotonic
 
 import pytest
 
 from repro.campaign.campaign import Campaign
 from repro.campaign.executor import (
+    MAX_POOL_REBUILDS,
+    JobTimeoutError,
     ParallelExecutor,
     SerialExecutor,
     create_executor,
 )
-from repro.campaign.faults import FaultInjectedError, FaultPlan, run_job_with_faults
 from repro.campaign.jobs import JobResult, run_job, seed_block_jobs
 from repro.campaign.progress import NullProgress
-from repro.campaign.resilience import JobTimeoutError, RetryPolicy
 from repro.campaign.store import ArtifactStore
 from repro.platform.presets import cba_config, rp_config
 from repro.sim.errors import ConfigurationError
@@ -186,170 +187,165 @@ def test_create_executor_maps_jobs_flag():
 def test_create_executor_rejects_negative_counts():
     with pytest.raises(ConfigurationError):
         create_executor(-2)
-    with pytest.raises(ConfigurationError):
-        ParallelExecutor(max_workers=0)
-    with pytest.raises(ConfigurationError):
-        ParallelExecutor(max_workers=2, job_timeout=0.0)
+
+
+@pytest.mark.parametrize(
+    ("settings", "message"),
+    [
+        (dict(max_workers=0), "max_workers must be positive"),
+        (dict(max_workers=-3), "max_workers must be positive"),
+        (dict(max_workers=2, job_timeout=0.0), "job_timeout must be positive"),
+        (dict(max_workers=2, job_timeout=-1.0), "job_timeout must be positive"),
+        (dict(max_workers=2, retries=-1), "retries cannot be negative"),
+    ],
+)
+def test_parallel_executor_rejects_bad_settings(settings, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ParallelExecutor(**settings)
 
 
 def test_create_executor_threads_resilience_flags_through():
-    policy = RetryPolicy(max_attempts=4)
-    executor = create_executor(2, retry_policy=policy, job_timeout=5.0)
-    assert executor.retry_policy is policy
+    executor = create_executor(2, retries=3, job_timeout=5.0)
+    assert executor.retries == 3
     assert executor.job_timeout == 5.0
-    serial = create_executor(1, retry_policy=policy)
-    assert serial.retry_policy is policy
+    assert create_executor(1, retries=3).retries == 3
+    with pytest.raises(ConfigurationError):
+        create_executor(1, retries=-1)
 
 
 # ----------------------------------------------------------------------
 # Resilience: crashes, retries, timeouts, degradation
 # ----------------------------------------------------------------------
-def test_worker_crash_is_survived_bit_identically(tiny_workload):
-    """One injected worker death: the pool is rebuilt, the lost jobs are
-    resubmitted, and no sample changes."""
+@pytest.mark.parametrize(
+    ("fault", "expected"),
+    [
+        ("CRASH", dict(worker_crashes=1, pool_rebuilds=1, retries=0, timeouts=0)),
+        ("FAIL", dict(worker_crashes=0, pool_rebuilds=0, retries=1, timeouts=0)),
+        ("hang", dict(worker_crashes=0, pool_rebuilds=1, retries=1, timeouts=1)),
+        ("CRASH+FAIL", dict(worker_crashes=1, pool_rebuilds=1, retries=1, timeouts=0)),
+        ("FAIL+hang", dict(worker_crashes=0, pool_rebuilds=1, retries=2, timeouts=1)),
+    ],
+)
+def test_one_fault_is_survived_bit_identically(tiny_workload, faults, fault, expected):
+    """A worker crash rebuilds the pool and resubmits the lost jobs; a
+    failure or a hang past its deadline charges only its own job, which is
+    resubmitted at once.  No sample changes."""
     jobs = _jobs(tiny_workload)
     serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
-    plan = FaultPlan.for_jobs(jobs, seed=3, crashes=1, failures=0, corrupt_lines=0)
-    executor = ParallelExecutor(
-        max_workers=2,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        fault_plan=plan,
-    )
-    results = {r.job_id: r.samples for r in executor.execute(jobs)}
-    assert results == serial
+    calls = [faults.hang(0.5) if name == "hang" else getattr(faults, name)
+             for name in fault.split("+")]
+    executor = faults.Executor(2, {jobs[1].job_id: calls}, retries=2, job_timeout=0.5)
+    started = monotonic()
+    assert {r.job_id: r.samples for r in executor.execute(jobs)} == serial
+    assert monotonic() - started < 5.0
     summary = executor.last_resilience
-    assert summary.worker_crashes >= 1
-    assert summary.pool_rebuilds >= 1
+    counts = {name: getattr(summary, name) for name in expected}
+    assert counts == expected
     assert not summary.failures and not summary.degraded
 
 
-def test_transient_exception_is_retried_with_policy(tiny_workload):
+def test_each_execute_call_reports_its_own_resilience(tiny_workload, faults):
     jobs = _jobs(tiny_workload)
-    plan = FaultPlan.for_jobs(jobs, seed=3, crashes=0, failures=1, corrupt_lines=0)
-    executor = ParallelExecutor(
-        max_workers=2,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        fault_plan=plan,
-    )
-    results = list(executor.execute(jobs))
-    assert {r.job_id for r in results} == {j.job_id for j in jobs}
-    summary = executor.last_resilience
-    assert summary.retries == 1
-    assert summary.events[0].kind == "exception"
+    executor = faults.Executor(2, {jobs[0].job_id: [faults.FAIL]}, retries=1)
+    first = {r.job_id: r.samples for r in executor.execute(jobs)}
+    assert executor.last_resilience.retries == 1
+    assert {r.job_id: r.samples for r in executor.execute(jobs)} == first
+    assert executor.last_resilience.retries == 0
 
 
-def test_exception_without_policy_aborts_and_cancels_in_flight(tiny_workload):
-    """Satellite: the pre-resilience fail-fast contract now also cancels the
-    other in-flight futures so an aborting campaign never waits on them."""
+def test_exception_without_retries_aborts_and_cancels_in_flight(tiny_workload, faults):
+    """Fail fast with the original exception, after cancelling the other
+    in-flight futures so an aborting campaign never waits on them."""
     jobs = _jobs(tiny_workload)
-    # Fail the first-submitted job so plenty of futures are still queued.
-    plan = FaultPlan(fail_jobs=frozenset({jobs[0].job_id}))
-    executor = ParallelExecutor(max_workers=1, fault_plan=plan)
-    with pytest.raises(FaultInjectedError):
+    executor = faults.Executor(1, {jobs[0].job_id: [faults.FAIL]})
+    with pytest.raises(ZeroDivisionError):
         list(executor.execute(jobs))
     assert executor.last_cancelled >= 1
-    assert executor.last_resilience.failures[0].fatal
 
 
-def test_poison_crash_job_is_quarantined_not_fatal(tiny_workload):
+def test_poison_crash_job_is_quarantined_not_fatal(tiny_workload, faults):
     """A job that kills its worker on every attempt costs its own samples,
-    not the campaign."""
+    not the campaign.  One job in flight at a time: no bystanders."""
     jobs = _jobs(tiny_workload)
     poison = jobs[0].job_id
-    plan = FaultPlan(crash_jobs=frozenset({poison}), max_faulty_attempts=99)
-    executor = ParallelExecutor(
-        max_workers=2,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-        fault_plan=plan,
+    executor = faults.Executor(
+        1, {poison: [faults.CRASH] * 2}, retries=1, job_timeout=60.0
     )
-    results = {r.job_id for r in executor.execute(jobs)}
-    assert results == {j.job_id for j in jobs} - {poison}
-    summary = executor.last_resilience
-    assert summary.failures
-    assert summary.failures[0].job_id == poison
-    assert summary.failures[0].kind == "worker_crash"
-    assert summary.failures[0].fatal
+    assert {r.job_id for r in executor.execute(jobs)} == {j.job_id for j in jobs} - {poison}
+    (failure,) = executor.last_resilience.failures
+    assert (failure.job_id, failure.kind, failure.attempt) == (poison, "worker_crash", 2)
 
 
-def test_hung_job_is_killed_and_retried(tiny_workload):
+@pytest.mark.parametrize(("fault", "kind"), [("FAIL", "exception"), ("hang", "timeout")])
+def test_poison_failure_is_quarantined_after_its_last_attempt(
+    tiny_workload, faults, fault, kind
+):
+    """``retries + 1`` failed attempts, each retried at once and reported,
+    then quarantine; every other job still arrives bit-identically."""
     jobs = _jobs(tiny_workload)
-    hung = jobs[0].job_id
-    plan = FaultPlan(hang_jobs=frozenset({hung}), hang_seconds=60.0)
-    executor = ParallelExecutor(
-        max_workers=2,
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        job_timeout=0.5,
-        fault_plan=plan,
-    )
-    results = {r.job_id for r in executor.execute(jobs)}
-    assert results == {j.job_id for j in jobs}  # the retry ran clean
-    summary = executor.last_resilience
-    # Only the hung job is charged; the jobs in flight beside it are
-    # requeued at their attempt, not retried.
-    assert summary.timeouts == 1
-    assert summary.retries == 1
-    assert [event.job_id for event in summary.events] == [hung]
-    assert summary.events[0].kind == "timeout"
-    assert summary.pool_rebuilds >= 1
+    serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
+    poison = jobs[2]
+    call = faults.hang(0.5) if fault == "hang" else faults.FAIL
+    executor = faults.Executor(2, {poison.job_id: [call] * 3}, retries=2, job_timeout=0.5)
+    reported = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return lambda *args: reported.append((name, *args))
+
+    executor.reporter = Recorder()
+    started = monotonic()
+    results = {r.job_id: r.samples for r in executor.execute(jobs)}
+    assert monotonic() - started < 8.0
+    del serial[poison.job_id]
+    assert results == serial
+    (failure,) = executor.last_resilience.failures
+    assert (failure.job_id, failure.kind, failure.attempt) == (poison.job_id, kind, 3)
+    assert reported == [
+        ("retry", poison.label, 2, 3, kind),
+        ("retry", poison.label, 3, 3, kind),
+        ("quarantine", poison.label, 3, kind),
+    ]
 
 
-def test_hung_job_without_policy_raises_timeout_error(tiny_workload):
-    jobs = _jobs(tiny_workload)[:1]
-    plan = FaultPlan(
-        hang_jobs=frozenset({jobs[0].job_id}),
-        hang_seconds=60.0,
-        max_faulty_attempts=99,
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hung_job_without_retries_raises_timeout_error(tiny_workload, faults, workers):
+    jobs = _jobs(tiny_workload)[:workers]
+    executor = faults.Executor(
+        workers, {jobs[0].job_id: [faults.hang(0.3)]}, job_timeout=0.3
     )
-    executor = ParallelExecutor(max_workers=1, job_timeout=0.3, fault_plan=plan)
+    started = monotonic()
     with pytest.raises(JobTimeoutError):
         list(executor.execute(jobs))
+    assert monotonic() - started < 3.0
 
 
-def test_repeated_pool_failures_degrade_to_serial(tiny_workload):
-    """When the pool cannot be kept alive, the endgame runs in-process — and
-    still recovers the job once its faulty attempts are spent."""
+def test_repeated_pool_failures_degrade_to_serial(tiny_workload, faults):
+    """When the pool cannot be kept alive, the endgame runs in-process and
+    still recovers the job."""
     jobs = _jobs(tiny_workload)[:1]
     serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
-    plan = FaultPlan(crash_jobs=frozenset({jobs[0].job_id}), max_faulty_attempts=4)
-    executor = ParallelExecutor(
-        max_workers=1,
-        retry_policy=RetryPolicy(
-            max_attempts=10, base_delay=0.0, max_pool_rebuilds=1
-        ),
-        fault_plan=plan,
-    )
-    results = {r.job_id: r.samples for r in executor.execute(jobs)}
-    assert results == serial
+    crashes = MAX_POOL_REBUILDS + 1
+    executor = faults.Executor(1, {jobs[0].job_id: [faults.CRASH] * crashes}, retries=crashes)
+    assert {r.job_id: r.samples for r in executor.execute(jobs)} == serial
     summary = executor.last_resilience
     assert summary.degraded
-    assert summary.worker_crashes >= 2
+    assert summary.worker_crashes == crashes
     assert not summary.failures
 
 
-def test_failing_job_raises_its_own_exception_and_charges_only_itself(
-    tiny_workload,
-):
-    """A failing job raises its original exception out of the worker entry
-    point, so the pool charges exactly that job; its neighbours arrive
-    untouched and the retried job reproduces the serial samples."""
-    jobs = _jobs(tiny_workload)
-    culprit = jobs[1]
+def test_pool_survives_its_rebuild_budget(tiny_workload, faults):
+    """``MAX_POOL_REBUILDS`` consecutive crashes are each met by a rebuild;
+    only one more degrades to serial."""
+    jobs = _jobs(tiny_workload)[:1]
     serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
-    plan = FaultPlan(fail_jobs=frozenset({culprit.job_id}))
-    with pytest.raises(FaultInjectedError):
-        run_job_with_faults(culprit, 1, plan)
-    assert run_job_with_faults(culprit, 2, plan).samples == serial[culprit.job_id]
-
-    executor = ParallelExecutor(
-        max_workers=2,
-        retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0),
-        fault_plan=plan,
-    )
+    crashes = MAX_POOL_REBUILDS
+    executor = faults.Executor(1, {jobs[0].job_id: [faults.CRASH] * crashes}, retries=crashes)
     assert {r.job_id: r.samples for r in executor.execute(jobs)} == serial
     summary = executor.last_resilience
-    assert summary.retries == 1
-    assert [event.job_id for event in summary.events] == [culprit.job_id]
-    assert summary.events[0].kind == "exception"
+    assert not summary.degraded
+    assert summary.worker_crashes == summary.pool_rebuilds == crashes
+    assert not summary.failures
 
 
 # ----------------------------------------------------------------------

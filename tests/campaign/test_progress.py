@@ -45,7 +45,7 @@ def test_reporter_throttles_output():
 
 def test_null_progress_resilience_hooks_are_silent():
     progress = NullProgress()
-    progress.retry("a/b", 2, 3, "exception", 0.1)
+    progress.retry("a/b", 2, 3, "exception")
     progress.quarantine("a/b", 3, "timeout")
     progress.degrade(4)  # nothing to assert: must simply not fail or print
 
@@ -55,14 +55,14 @@ def test_reporter_emits_retry_quarantine_and_degrade_unthrottled():
     # A huge throttle interval: resilience lines must get through anyway.
     progress = ProgressReporter(stream=stream, min_interval=3600.0, prefix="test")
     progress.start(total=4)
-    progress.retry("a/b", 2, 3, "exception", 0.25)
-    progress.retry("a/b", 3, 3, "timeout", 0.0)
+    progress.retry("a/b", 2, 3, "exception")
+    progress.retry("a/b", 3, 3, "timeout")
     progress.quarantine("a/b", 3, "worker_crash")
     progress.degrade(4)
 
     out = stream.getvalue()
-    assert "retry a/b: exception, attempt 2/3, backoff 0.25s" in out
-    assert "retry a/b: timeout, attempt 3/3\n" in out  # no backoff suffix
+    assert "retry a/b: exception, attempt 2/3\n" in out
+    assert "retry a/b: timeout, attempt 3/3\n" in out
     assert "quarantined a/b after 3 attempts (worker_crash)" in out
     assert "degraded to serial execution after 4 consecutive worker-pool failures" in out
 

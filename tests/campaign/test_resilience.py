@@ -1,192 +1,161 @@
-"""Retry policies, failure records, and the in-process retry driver."""
+"""The in-process retry protocol (serial executor and degraded endgame).
+
+A failing scenario runner is registered in ``SCENARIO_RUNNERS`` for the
+test's duration; jobs run in-process, so nothing is pickled.  The degraded
+endgame is reached through the fault fixture's pool, whose crashing
+submissions never run the runner in a worker.
+"""
 
 from __future__ import annotations
 
+import json
+import time
+
 import pytest
 
-from repro.campaign.faults import FaultInjectedCrash, FaultInjectedError, FaultPlan
-from repro.campaign.jobs import run_job, seed_block_jobs
-from repro.campaign.resilience import (
-    JobFailure,
-    ResilienceSummary,
-    RetryPolicy,
-    derived_unit,
-    execute_with_retries,
-)
-from repro.platform.presets import rp_config
-from repro.sim.errors import ConfigurationError
+from repro.campaign.campaign import Campaign
+from repro.campaign.executor import MAX_POOL_REBUILDS, SerialExecutor
+from repro.campaign.jobs import SCENARIO_RUNNERS, RunOutcome, seed_block_jobs
+from repro.campaign.store import ArtifactStore
 
 
-def _job(workload):
-    (job,) = seed_block_jobs(
-        "tiny/RP", "max_contention", seed=7, num_runs=1,
-        workload=workload, config=rp_config(), max_cycles=300_000,
-    )
-    return job
+class Flaky(RuntimeError):
+    pass
 
 
-# ----------------------------------------------------------------------
-# derived_unit
-# ----------------------------------------------------------------------
-def test_derived_unit_is_deterministic_and_in_range():
-    draws = [derived_unit(7, "job", attempt) for attempt in range(50)]
-    assert draws == [derived_unit(7, "job", attempt) for attempt in range(50)]
-    assert all(0.0 <= draw < 1.0 for draw in draws)
-    assert len(set(draws)) == 50  # parts actually vary the draw
+def _register(monkeypatch, failures: dict[int, int]) -> dict[int, int]:
+    """Register ``flaky``: run index ``i`` raises on its first
+    ``failures[i]`` calls, then returns ``i``.  Returns the call counts."""
+    calls: dict[int, int] = {}
+
+    def runner(job, run_index):
+        calls[run_index] = calls.get(run_index, 0) + 1
+        if calls[run_index] <= failures.get(run_index, 0):
+            raise Flaky(f"run {run_index}")
+        return RunOutcome(value=float(run_index))
+
+    monkeypatch.setitem(SCENARIO_RUNNERS, "flaky", runner)
+    return calls
 
 
-def test_derived_unit_depends_on_the_seed():
-    assert derived_unit(1, "x") != derived_unit(2, "x")
+def _jobs():
+    return seed_block_jobs("flaky", "flaky", seed=1, num_runs=3)
 
 
-# ----------------------------------------------------------------------
-# RetryPolicy
-# ----------------------------------------------------------------------
-def test_retry_policy_validates_its_fields():
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(base_delay=-0.1)
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(jitter=1.5)
-    with pytest.raises(ConfigurationError):
-        RetryPolicy(max_pool_rebuilds=-1)
+@pytest.mark.parametrize(("retries", "failures"), [(1, 1), (2, 1), (2, 2), (3, 3)])
+def test_transient_failure_is_retried_at_once(monkeypatch, retries, failures):
+    calls = _register(monkeypatch, {1: failures})
+
+    def no_backoff(seconds):
+        raise AssertionError("a retry must not sleep")
+
+    monkeypatch.setattr(time, "sleep", no_backoff)
+    executor = SerialExecutor(retries=retries)
+    results = sorted(r.samples for r in executor.execute(_jobs()))
+    assert results == [(0.0,), (1.0,), (2.0,)]
+    assert calls == {0: 1, 1: failures + 1, 2: 1}
+    assert executor.last_resilience.retries == failures
+    assert not executor.last_resilience.failures
 
 
-def test_should_retry_counts_total_attempts():
-    policy = RetryPolicy(max_attempts=3)
-    assert policy.should_retry(1)
-    assert policy.should_retry(2)
-    assert not policy.should_retry(3)
+@pytest.mark.parametrize("retries", [1, 2, 3])
+def test_poison_job_is_quarantined_after_its_last_attempt(monkeypatch, retries):
+    calls = _register(monkeypatch, {1: 99})
+    reported = []
 
-
-def test_backoff_is_exponential_and_capped_without_jitter():
-    policy = RetryPolicy(base_delay=0.1, max_delay=0.5, jitter=0.0, max_attempts=10)
-    delays = [policy.delay("job", attempt) for attempt in range(1, 6)]
-    assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-
-
-def test_jittered_backoff_is_deterministic_and_never_exceeds_the_cap():
-    policy = RetryPolicy(base_delay=0.1, max_delay=2.0, jitter=0.5, seed=42)
-    first = [policy.delay("job", attempt) for attempt in range(1, 6)]
-    again = [policy.delay("job", attempt) for attempt in range(1, 6)]
-    assert first == again
-    for attempt, delay in enumerate(first, start=1):
-        cap = min(0.1 * 2 ** (attempt - 1), 2.0)
-        assert cap * 0.5 <= delay <= cap
-    # A different seed reschedules (deterministically) differently.
-    assert first != [
-        RetryPolicy(base_delay=0.1, jitter=0.5, seed=43).delay("job", a)
-        for a in range(1, 6)
-    ]
-
-
-# ----------------------------------------------------------------------
-# JobFailure / ResilienceSummary
-# ----------------------------------------------------------------------
-def test_job_failure_serialises_every_field():
-    failure = JobFailure(
-        job_id="abc", label="tiny/RP", scenario="max_contention",
-        attempt=2, kind="timeout", message="too slow", fatal=True,
-    )
-    assert failure.to_dict() == {
-        "job_id": "abc", "label": "tiny/RP", "scenario": "max_contention",
-        "attempt": 2, "kind": "timeout", "message": "too slow", "fatal": True,
-    }
-
-
-def test_resilience_summary_clean_flag_and_accounting():
-    summary = ResilienceSummary()
-    assert summary.clean
-    failure = JobFailure("a", "l", "s", 1, "exception")
-    summary.record_retry(failure)
-    assert summary.retries == 1 and summary.events == [failure]
-    summary.record_quarantine(failure)
-    assert summary.failures == [failure]
-    assert not summary.clean
-    as_dict = summary.as_dict()
-    assert as_dict["retries"] == 1
-    assert as_dict["events"] == [failure.to_dict()]
-
-
-# ----------------------------------------------------------------------
-# execute_with_retries
-# ----------------------------------------------------------------------
-def test_retry_driver_recovers_transient_failures_bit_identically(tiny_workload):
-    job = _job(tiny_workload)
-    plan = FaultPlan(fail_jobs=frozenset({job.job_id}))
-    summary = ResilienceSummary()
-    slept = []
-    result = execute_with_retries(
-        job, RetryPolicy(max_attempts=3, base_delay=0.01), plan, summary,
-        sleep=slept.append,
-    )
-    assert result is not None
-    assert result.samples == run_job(job).samples  # purity: retry changes nothing
-    assert summary.retries == 1 and not summary.failures
-    assert summary.events[0].kind == "exception"
-    assert slept and all(delay > 0 for delay in slept)
-
-
-def test_retry_driver_surfaces_injected_crashes_as_worker_crashes(tiny_workload):
-    job = _job(tiny_workload)
-    plan = FaultPlan(crash_jobs=frozenset({job.job_id}))
-    summary = ResilienceSummary()
-    result = execute_with_retries(
-        job, RetryPolicy(max_attempts=2, base_delay=0.0), plan, summary,
-        sleep=lambda _: None,
-    )
-    assert result is not None
-    assert summary.events[0].kind == "worker_crash"
-
-
-def test_retry_driver_without_policy_keeps_the_fail_fast_contract(tiny_workload):
-    job = _job(tiny_workload)
-    plan = FaultPlan(fail_jobs=frozenset({job.job_id}))
-    summary = ResilienceSummary()
-    with pytest.raises(FaultInjectedError):
-        execute_with_retries(job, None, plan, summary)
-    assert summary.failures and summary.failures[0].fatal
-
-
-def test_retry_driver_quarantines_poison_jobs(tiny_workload):
-    job = _job(tiny_workload)
-    # Faults on every attempt: the job is poison, not transient.
-    plan = FaultPlan(crash_jobs=frozenset({job.job_id}), max_faulty_attempts=99)
-    summary = ResilienceSummary()
-    result = execute_with_retries(
-        job, RetryPolicy(max_attempts=3, base_delay=0.0), plan, summary,
-        sleep=lambda _: None,
-    )
-    assert result is None
-    assert summary.retries == 2  # attempts 1 and 2 retried, 3rd quarantined
-    assert summary.failures[0].fatal
-    assert summary.failures[0].kind == "worker_crash"
-
-
-def test_retry_driver_reports_retry_and_quarantine_lines(tiny_workload):
     class Recorder:
-        def __init__(self):
-            self.calls = []
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: reported.append((name, *args))
 
-        def retry(self, label, attempt, max_attempts, kind, delay):
-            self.calls.append(("retry", label, attempt, kind))
-
-        def quarantine(self, label, attempt, kind):
-            self.calls.append(("quarantine", label, attempt, kind))
-
-    job = _job(tiny_workload)
-    plan = FaultPlan(fail_jobs=frozenset({job.job_id}), max_faulty_attempts=99)
-    reporter = Recorder()
-    execute_with_retries(
-        job, RetryPolicy(max_attempts=2, base_delay=0.0), plan,
-        ResilienceSummary(), reporter, sleep=lambda _: None,
-    )
-    assert reporter.calls == [
-        ("retry", job.label, 2, "exception"),
-        ("quarantine", job.label, 2, "exception"),
+    campaign = Campaign(executor=SerialExecutor(retries=retries), progress=Recorder())
+    results = campaign.run(_jobs())
+    assert sorted(r.samples for r in results.values()) == [(0.0,), (2.0,)]
+    attempts = retries + 1
+    assert calls[1] == attempts
+    (failure,) = campaign.last_report.failures
+    assert (failure.label, failure.kind, failure.attempt) == ("flaky", "exception", attempts)
+    assert failure.message == "Flaky: run 1"
+    retried = [entry for entry in reported if entry[0] == "retry"]
+    assert retried == [
+        ("retry", "flaky", attempt, attempts, "exception") for attempt in range(2, attempts + 1)
     ]
+    assert ("quarantine", "flaky", attempts, "exception") in reported
 
 
-def test_fault_injected_crash_is_a_fault_injected_error():
-    assert issubclass(FaultInjectedCrash, FaultInjectedError)
+def test_each_execute_call_reports_its_own_resilience(monkeypatch):
+    _register(monkeypatch, {1: 1})
+    executor = SerialExecutor(retries=1)
+    list(executor.execute(_jobs()))
+    assert executor.last_resilience.retries == 1
+    list(executor.execute(_jobs()))  # run 1 has spent its failure
+    assert executor.last_resilience.retries == 0
+
+
+def test_retries_and_quarantine_reach_the_metrics_file(monkeypatch, tmp_path):
+    _register(monkeypatch, {0: 1, 1: 99})
+    path = tmp_path / "metrics.jsonl"
+    Campaign(executor=SerialExecutor(retries=2), metrics_path=path).run(_jobs())
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    counters = {
+        row["name"]: row["value"]
+        for row in rows
+        if row["type"] == "counter" and row["name"].startswith("campaign.")
+    }
+    assert counters["campaign.retries"] == 3  # one for run 0, two for run 1
+    assert counters["campaign.quarantined_jobs"] == 1
+
+
+def test_resume_reruns_only_the_quarantined_job(monkeypatch, tmp_path):
+    """A quarantined job leaves no record, so resuming runs it alone."""
+    path = tmp_path / "store.jsonl"
+    _register(monkeypatch, {1: 99})
+    first = Campaign(executor=SerialExecutor(retries=1), store=ArtifactStore(path))
+    first.run(_jobs())
+    assert len(first.last_report.failures) == 1
+    calls = _register(monkeypatch, {})
+    second = Campaign(store=ArtifactStore(path), resume=True)
+    results = second.run(_jobs())
+    assert calls == {1: 1}
+    assert second.last_report.reused_jobs == 2
+    assert sorted(r.samples for r in results.values()) == [(0.0,), (1.0,), (2.0,)]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_without_retries_the_original_exception_propagates(monkeypatch, failing):
+    """Fail fast: the jobs after the failing one never run."""
+    calls = _register(monkeypatch, {failing: 1})
+    with pytest.raises(Flaky, match=f"run {failing}"):
+        Campaign(executor=SerialExecutor()).run(_jobs())
+    assert calls == {index: 1 for index in range(failing + 1)}
+
+
+def _degraded_executor(faults, job, retries):
+    """One worker whose every pool submission of ``job`` crashes it, until
+    the rebuild budget is spent and the job runs in-process."""
+    crashes = MAX_POOL_REBUILDS + 1
+    return faults.Executor(1, {job.job_id: [faults.CRASH] * crashes}, retries=retries)
+
+
+def test_degraded_endgame_retries_in_process(monkeypatch, faults):
+    calls = _register(monkeypatch, {0: 1})
+    job = _jobs()[0]
+    executor = _degraded_executor(faults, job, retries=MAX_POOL_REBUILDS + 2)
+    started = time.monotonic()
+    assert [r.samples for r in executor.execute([job])] == [(0.0,)]
+    assert time.monotonic() - started < 10.0
+    summary = executor.last_resilience
+    assert summary.degraded and summary.worker_crashes == MAX_POOL_REBUILDS + 1
+    assert summary.retries == 1 and not summary.failures
+    assert calls == {0: 2}  # both attempts ran here, none in a worker
+
+
+def test_degraded_endgame_without_retries_propagates(monkeypatch, faults):
+    calls = _register(monkeypatch, {0: 1})
+    job = _jobs()[0]
+    executor = _degraded_executor(faults, job, retries=0)
+    started = time.monotonic()
+    with pytest.raises(Flaky, match="run 0"):
+        list(executor.execute([job]))
+    assert time.monotonic() - started < 10.0
+    assert executor.last_resilience.degraded
+    assert calls == {0: 1}

@@ -119,9 +119,9 @@ def test_anchored_reads_match_stepping(params, events, data):
             ]
             holder = holders[cycle] if cycle < len(holders) else None
             idle = [core for core in range(params.num_cores) if core != holder]
-            assert bank.cycles_until_any_eligible(idle, cycle) == min(
-                _reference_wait(params, state, core) for core in idle
-            )
+            for core in idle:
+                wait = 0 if bank.eligible(core, cycle) else bank.eligible_from[core] - cycle
+                assert wait == _reference_wait(params, state, core)
         if index < len(grants):
             core, cycle, duration = grants[index]
             bank.grant(core, cycle, duration)

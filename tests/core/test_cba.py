@@ -57,7 +57,8 @@ def test_recovery_time_scales_with_transaction_length():
     cba.on_grant(3, 56, 0)
     deficit = 224 - cba.budget(3, 56)
     assert deficit == 56 * 3 + 1
-    assert cba.credits.cycles_until_any_eligible([3], 56) == deficit
+    assert cba.credits.eligible_from[3] == 56 + deficit
+    assert not cba.credits.eligible(3, 56 + deficit - 1)
 
 
 def test_on_grant_and_on_request_are_forwarded_to_base():

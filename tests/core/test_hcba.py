@@ -100,6 +100,6 @@ class TestShareDynamics:
         # Drain both core 0 and core 1 by a 6-cycle transaction each.
         arbiter.on_grant(0, 6, 0)
         arbiter.on_grant(1, 6, 6)
-        recovery_favoured = arbiter.credits.cycles_until_any_eligible([0], 12)
-        recovery_other = arbiter.credits.cycles_until_any_eligible([1], 12)
-        assert recovery_favoured < recovery_other
+        credits = arbiter.credits
+        assert not credits.eligible(0, 12) and not credits.eligible(1, 12)
+        assert credits.eligible_from[0] < credits.eligible_from[1]

@@ -23,7 +23,6 @@ class LintHarness:
         *,
         filename: str = "mod.py",
         value_class: bool = False,
-        os_exit_ok: bool = False,
         hot_methods: tuple[str, ...] | None = None,
         baseline=None,
     ) -> LintReport:
@@ -36,7 +35,6 @@ class LintHarness:
             baseline="",
             scopes={family: (filename,) for family in FAMILIES},
             value_class_modules=(filename,) if value_class else (),
-            os_exit_modules=(filename,) if os_exit_ok else (),
         )
         if hot_methods is not None:
             config.hot_methods = hot_methods

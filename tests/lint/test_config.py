@@ -31,7 +31,6 @@ class TestLoadConfig:
 
             [tool.repro-lint.options]
             value-class-modules = ["src/sim/values.py"]
-            os-exit-modules = ["src/faults.py"]
             """
         )
         config = load_config(tmp_path)
@@ -45,7 +44,6 @@ class TestLoadConfig:
         assert config.families_for("src/other.py") == frozenset()
         assert config.is_value_class_module("src/sim/values.py")
         assert not config.is_value_class_module("src/sim/clock.py")
-        assert config.allows_os_exit("src/faults.py")
 
     def test_unknown_family_rejected(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(

@@ -40,21 +40,14 @@ class TestKernelProfiler:
         assert system.profiler is not None
         assert system.profiler.executed_cycles == kernel.clock.cycle - kernel.cycles_skipped
 
-    def test_component_seconds_covers_bus_and_cores(self, tiny_workload):
-        profiler = run_profiled_system(tiny_workload).profiler
-        components = profiler.component_seconds()
-        assert "bus" in components
-        assert any(name.startswith("core") for name in components)
-        # Sorted highest first.
-        assert list(components.values()) == sorted(components.values(), reverse=True)
-
     def test_report_roundtrips_through_json(self, tiny_workload, tmp_path):
         profiler = run_profiled_system(tiny_workload).profiler
         target = profiler.write(tmp_path / "kernel_profile.json")
         report = json.loads(target.read_text())
         assert report["type"] == "kernel_profile"
         assert report["scheduler_seconds"] >= 0.0
-        assert report["components"]
+        assert "bus" in report["components"]
+        assert any(name.startswith("core") for name in report["components"])
 
 
 class TestCampaignProfiler:
