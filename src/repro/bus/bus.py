@@ -103,6 +103,10 @@ class SharedBus(Component):
         #: Each master's ``on_grant`` (``None`` when it has none: the bus
         #: then neither touches nor calls it at grant).
         self._grant_hooks: list[Callable[[BusRequest, int], None] | None] = [None] * num_masters
+        #: Whether a completion touches each master before its
+        #: ``on_complete`` (``None`` until its first completion, once every
+        #: component has its slot; see :meth:`_touches_at_completion`).
+        self._complete_touches: list[bool | None] = [None] * num_masters
         self._pending: list[BusRequest | None] = [None] * num_masters
         #: Masters with a pending request, sorted; updated at submit,
         #: admission and grant.
@@ -161,12 +165,14 @@ class SharedBus(Component):
             raise ProtocolError(f"master id {master_id} out of range")
         self._masters[master_id] = port
         self._grant_hooks[master_id] = getattr(port, "on_grant", None)
+        self._complete_touches[master_id] = None
 
     def disconnect_masters(self) -> None:
         """Detach every master port, so no bus-to-master edge outlives the
         platform (called when it is closed)."""
         self._masters = [None] * self.num_masters
         self._grant_hooks = [None] * self.num_masters
+        self._complete_touches = [None] * self.num_masters
 
     # ------------------------------------------------------------------
     # Master-side API
@@ -338,8 +344,26 @@ class SharedBus(Component):
             )
         port = self._masters[holder]
         if port is not None:
-            self._touch(port)
+            touches = self._complete_touches[holder]
+            if touches is None:
+                touches = self._complete_touches[holder] = self._touches_at_completion(port)
+            if touches:
+                self._touch(port)
             port.on_complete(request, cycle)
+
+    def _touches_at_completion(self, port: BusMasterPort) -> bool:
+        """Whether a completion must touch ``port`` before calling it.
+
+        A master in an earlier slot than the bus has had its turn this
+        cycle; without a catch-up hook it has no lagging cycles to account,
+        so touching it would only move its synced mark (the greedy
+        contender).  Every other master is touched.
+        """
+        catch_up = getattr(type(port), "fast_forward", Component.fast_forward)
+        return (
+            catch_up is not Component.fast_forward
+            or getattr(port, "_wake_slot", -1) > self._wake_slot
+        )
 
     def _arbitrate_and_grant(self, cycle: int) -> None:
         choice = self.arbiter.arbitrate(self._requestors, cycle)

@@ -29,13 +29,20 @@ Typical use::
     result = run_figure1(num_runs=1000, campaign=campaign)
 """
 
-from .campaign import AggregatedRuns, Campaign, CampaignReport, aggregate_by_label
+from .campaign import (
+    AggregatedRuns,
+    Campaign,
+    CampaignReport,
+    ReplayMismatchError,
+    aggregate_by_label,
+)
 from .executor import (
     Executor,
     JobFailure,
     ParallelExecutor,
     ResilienceSummary,
     SerialExecutor,
+    WorkerCrashError,
     create_executor,
 )
 from .jobs import (
@@ -61,9 +68,11 @@ __all__ = [
     "NullProgress",
     "ParallelExecutor",
     "ProgressReporter",
+    "ReplayMismatchError",
     "ResilienceSummary",
     "RunOutcome",
     "SerialExecutor",
+    "WorkerCrashError",
     "aggregate_by_label",
     "create_executor",
     "resolve_scenario",

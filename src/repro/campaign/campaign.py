@@ -6,6 +6,12 @@ reuse), skips jobs already present in the artifact store when resuming,
 dispatches the remainder through the configured executor, persists each
 result as it lands, and reports progress.
 
+A CBA isolation job whose sibling without CBA runs in the same call is not
+simulated: its result is replayed from the sibling's grant log
+(:func:`~repro.campaign.jobs.derive_isolation`).  For each distinct set of
+CBA parameters one such job is simulated as well and must match its
+replay field for field, so every campaign checks the replay it relies on.
+
 Experiments express their runs as jobs, call :meth:`Campaign.run`, and fold
 the returned ``job_id -> JobResult`` mapping back into their own result
 shapes with :func:`aggregate_by_label`.
@@ -13,8 +19,8 @@ shapes with :func:`aggregate_by_label`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,13 +29,24 @@ import numpy as np
 from ..obs.exporters import write_metrics
 from ..obs.profiler import CampaignProfiler
 from ..obs.registry import MetricsRegistry
-from ..sim.errors import ConfigurationError
+from ..sim.config import CBAParameters
+from ..sim.errors import ConfigurationError, SimulationError
 from .executor import Executor, JobFailure, ResilienceSummary, SerialExecutor
-from .jobs import CampaignJob, JobResult
+from .jobs import CampaignJob, JobResult, derive_isolation
 from .progress import NullProgress
 from .store import ArtifactStore
 
-__all__ = ["AggregatedRuns", "Campaign", "CampaignReport", "aggregate_by_label"]
+__all__ = [
+    "AggregatedRuns",
+    "Campaign",
+    "CampaignReport",
+    "ReplayMismatchError",
+    "aggregate_by_label",
+]
+
+
+class ReplayMismatchError(SimulationError):
+    """A replayed CBA isolation result differs from its simulation."""
 
 
 @dataclass(frozen=True)
@@ -41,6 +58,9 @@ class CampaignReport:
     whether dispatch degraded to serial execution, the poison jobs that were
     quarantined after exhausting their attempts, and store lines the loader
     moved to the quarantine sidecar.
+
+    ``executed_jobs`` counts every job not served by the store, including
+    the ``derived_jobs`` whose results were replayed instead of simulated.
     """
 
     total_jobs: int
@@ -48,6 +68,7 @@ class CampaignReport:
     reused_jobs: int
     deduplicated_jobs: int
     truncated_runs: int
+    derived_jobs: int = 0
     retries: int = 0
     worker_crashes: int = 0
     pool_rebuilds: int = 0
@@ -139,7 +160,9 @@ class Campaign:
         jobs whose ID is already in the store are served from it without
         re-execution.  Fresh results are appended to the store (when one is
         configured) as they complete, so an interrupted campaign can resume
-        from exactly where it stopped.
+        from exactly where it stopped.  CBA isolation jobs are replayed from
+        a sibling run in this call where one exists (see the module
+        docstring); a replayed result is stored and counted like any other.
         """
         unique: dict[str, CampaignJob] = {}
         for job in jobs:
@@ -154,42 +177,91 @@ class Campaign:
             else:
                 pending.append(job)
 
+        dependents, checked = _plan_derivations(pending)
+        derivable = {job.job_id for group in dependents.values() for job in group}
+        dispatch = [
+            job for job in pending if job.job_id not in derivable or job.job_id in checked
+        ]
+        #: The first of a checked job's two results (simulated, replayed).
+        first_of_check: dict[str, JobResult] = {}
+        derived = 0
+
         profiler = self.profiler
         self.progress.start(total=len(unique), skipped=len(results))
         if profiler is not None:
             profiler.start(jobs=len(pending), workers=self.executor.workers)
+
+        def phase(name: str) -> AbstractContextManager[None]:
+            return profiler.phase(name) if profiler is not None else nullcontext()
+
+        def land(result: JobResult) -> None:
+            if self.store is not None:
+                with phase("store"):
+                    self.store.put(result)
+            results[result.job_id] = result
+            self.progress.advance(label=result.label)
+
+        def check(job: CampaignJob, result: JobResult) -> None:
+            first = first_of_check.pop(job.job_id, None)
+            if first is None:
+                first_of_check[job.job_id] = result
+            else:
+                _compare_replay(job, first, result)
+
+        summaries: list[ResilienceSummary] = []
         # Hold the advisory store lock for the whole campaign so a second
         # campaign pointed at the same store fails fast instead of
         # interleaving appends with this one.
         store_lock = self.store.locked() if self.store is not None else nullcontext()
         with store_lock:
-            for result in self.executor.execute(pending):
-                if self.store is not None:
-                    if profiler is not None:
-                        with profiler.phase("store"):
-                            self.store.put(result)
+            for result in self.executor.execute(dispatch):
+                replays: list[tuple[CampaignJob, JobResult | None]] = []
+                for job in dependents.pop(result.job_id, ()):
+                    with phase("derive"):
+                        replays.append((job, derive_isolation(job, result)))
+                if result.grant_logs:
+                    result = replace(result, grant_logs=())
+                land(result)
+                if result.job_id in checked:
+                    check(unique[result.job_id], result)
+                for job, replayed in replays:
+                    if replayed is None:
+                        continue
+                    if job.job_id in checked:
+                        check(job, replayed)
                     else:
-                        self.store.put(result)
-                results[result.job_id] = result
-                self.progress.advance(label=result.label)
+                        land(replayed)
+                        derived += 1
+            summaries.append(self.executor.last_resilience or ResilienceSummary())
+            # Replays refused at run time (a run waited for its grant or
+            # ends past its budget) or whose sibling never landed.
+            leftover = [
+                job
+                for job_id, job in unique.items()
+                if job_id in derivable and job_id not in checked and job_id not in results
+            ]
+            if leftover:
+                for result in self.executor.execute(leftover):
+                    land(result)
+                summaries.append(self.executor.last_resilience or ResilienceSummary())
         if profiler is not None:
             profiler.finish()
             self.progress.report_profile(profiler)
         self.progress.finish()
 
-        resilience = self.executor.last_resilience or ResilienceSummary()
         self.last_report = CampaignReport(
             total_jobs=len(unique),
             executed_jobs=len(pending),
             reused_jobs=len(unique) - len(pending),
             deduplicated_jobs=len(jobs) - len(unique),
             truncated_runs=sum(r.truncated_runs for r in results.values()),
-            retries=resilience.retries,
-            worker_crashes=resilience.worker_crashes,
-            pool_rebuilds=resilience.pool_rebuilds,
-            timeouts=resilience.timeouts,
-            degraded=resilience.degraded,
-            failures=tuple(resilience.failures),
+            derived_jobs=derived,
+            retries=sum(s.retries for s in summaries),
+            worker_crashes=sum(s.worker_crashes for s in summaries),
+            pool_rebuilds=sum(s.pool_rebuilds for s in summaries),
+            timeouts=sum(s.timeouts for s in summaries),
+            degraded=any(s.degraded for s in summaries),
+            failures=tuple(f for s in summaries for f in s.failures),
             quarantined_store_lines=(
                 self.store.quarantined_lines if self.store is not None else 0
             ),
@@ -230,6 +302,7 @@ class Campaign:
                 for name, value in run_metrics.items():
                     registry.sample(f"campaign.{name}", **labels).add(value)
         if report is not None:
+            registry.counter("campaign.derived_jobs").increment(report.derived_jobs)
             registry.counter("campaign.retries").increment(report.retries)
             registry.counter("campaign.worker_crashes").increment(
                 report.worker_crashes
@@ -244,6 +317,74 @@ class Campaign:
                 report.quarantined_store_lines
             )
         return registry
+
+
+def _plan_derivations(
+    jobs: Sequence[CampaignJob],
+) -> tuple[dict[str, list[CampaignJob]], set[str]]:
+    """Which CBA isolation jobs in ``jobs`` can be replayed, and which of
+    them are simulated as well to check the replay.
+
+    A job qualifies when it runs the ``isolation`` scenario under CBA on a
+    platform :func:`~repro.platform.replay.replayable` admits, and ``jobs``
+    holds its sibling: the same job without CBA.  Returns the qualifying
+    jobs grouped by their sibling's ID, and for each distinct set of CBA
+    parameters the qualifying job with the smallest ID.
+    """
+    from ..platform.replay import replayable
+
+    siblings: dict[str, CampaignJob] = {}
+    candidates: list[tuple[str, CampaignJob]] = []
+    for job in jobs:
+        config = job.config
+        if (
+            job.scenario != "isolation"
+            or job.workload is None
+            or config is None
+            or not replayable(config)
+        ):
+            continue
+        key = job.with_updates(
+            config=replace(
+                config,
+                use_cba=False,
+                cba=CBAParameters(
+                    max_latency=config.cba.max_latency, num_cores=config.cba.num_cores
+                ),
+            )
+        ).job_id
+        if config.use_cba:
+            candidates.append((key, job))
+        else:
+            siblings.setdefault(key, job)
+    dependents: dict[str, list[CampaignJob]] = {}
+    checked: dict[CBAParameters, str] = {}
+    for key, job in candidates:
+        sibling = siblings.get(key)
+        if sibling is None:
+            continue
+        dependents.setdefault(sibling.job_id, []).append(job)
+        params = job.config.cba  # type: ignore[union-attr]
+        if params not in checked or job.job_id < checked[params]:
+            checked[params] = job.job_id
+    return dependents, set(checked.values())
+
+
+def _compare_replay(job: CampaignJob, first: JobResult, second: JobResult) -> None:
+    """Raise :class:`ReplayMismatchError` unless the simulated and the
+    replayed result of ``job`` agree on every field but the timing."""
+    differing = [
+        f.name
+        for f in fields(JobResult)
+        if f.compare
+        and f.name != "elapsed_seconds"
+        and getattr(first, f.name) != getattr(second, f.name)
+    ]
+    if differing:
+        raise ReplayMismatchError(
+            f"job {job.job_id} ({job.label!r}): the replayed result differs from "
+            f"the simulated one in {', '.join(differing)}"
+        )
 
 
 def aggregate_by_label(

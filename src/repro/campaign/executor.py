@@ -21,13 +21,18 @@ travels in its pickle, so workers never re-hash it.
 Resilience contract: job purity also makes *re*-execution free of side
 effects, which is what lets :class:`ParallelExecutor` survive worker death.
 A :class:`~concurrent.futures.process.BrokenProcessPool` is absorbed by
-rebuilding the pool and resubmitting the lost jobs (a broken pool does not
-say which job killed it, so every lost job is charged an attempt); more than
+rebuilding the pool and resubmitting the lost jobs.  A broken pool does not
+say which job killed it, so after a break with several jobs in flight those
+jobs run again one at a time, ahead of the rest, and only a job that breaks
+the pool while running alone is charged an attempt.  More than
 :data:`MAX_POOL_REBUILDS` consecutive pool failures degrade execution to the
-in-process serial path.  With ``retries`` > 0 a failed attempt is
-resubmitted at once, and a poison job is quarantined after ``retries + 1``
-attempts; a per-job wall-clock budget (``job_timeout``) is each future's
-deadline, and an expired future charges exactly its own job.  With
+in-process serial path, which never runs a job that was in flight at a pool
+break (it could kill the campaign's own process): such a job is
+quarantined, or raises :class:`WorkerCrashError` with ``retries`` = 0.
+With ``retries`` > 0 a failed attempt is resubmitted at once, and a poison
+job is quarantined after ``retries + 1`` attempts; a per-job wall-clock
+budget (``job_timeout``) is each future's deadline, and an expired future
+charges exactly its own job.  With
 ``retries`` = 0 a job failure propagates the original exception on first
 sight, serially and in parallel (after cancelling the other in-flight
 futures so an aborting campaign never blocks on unrelated jobs).
@@ -62,12 +67,15 @@ __all__ = [
     "ParallelExecutor",
     "ResilienceSummary",
     "SerialExecutor",
+    "WorkerCrashError",
     "create_executor",
 ]
 
 #: Consecutive process-pool failures tolerated before the parallel executor
 #: degrades to in-process serial execution.
 MAX_POOL_REBUILDS = 3
+#: The message of a job quarantined for killing its workers.
+CRASH_MESSAGE = "worker process died repeatedly"
 
 
 class JobTimeoutError(SimulationError):
@@ -85,6 +93,19 @@ class JobFailure:
     #: ``"exception"`` | ``"timeout"`` | ``"worker_crash"``.
     kind: str
     message: str = ""
+
+
+class WorkerCrashError(SimulationError):
+    """Raised, with ``retries`` = 0, for a job that killed its worker until
+    the pool was given up: it is not run in the campaign's own process."""
+
+    def __init__(self, failure: JobFailure) -> None:
+        super().__init__(
+            f"job {failure.job_id} ({failure.label!r}) was in flight when its "
+            f"workers died (attempt {failure.attempt}) until the pool was given "
+            "up; it is not run in the campaign's own process"
+        )
+        self.failure = failure
 
 
 @dataclass
@@ -217,12 +238,15 @@ class ParallelExecutor(Executor):
     and never its wait in the pool's queue.
 
     The dispatch loop survives worker death (pool rebuild + resubmission of
-    the lost jobs), hung jobs (a job past its ``job_timeout`` deadline kills
-    the pool's workers and is retried; the other in-flight jobs are requeued
-    at their current attempt), and transient job failures (``retries``);
-    after :data:`MAX_POOL_REBUILDS` consecutive pool failures it degrades to
-    running the remaining jobs serially in-process.  Because jobs are pure,
-    none of this changes a single sample — only whether they arrive.
+    the lost jobs, one at a time after a break with several in flight, so
+    only the job that breaks the pool alone is charged), hung jobs (a job
+    past its ``job_timeout`` deadline kills the pool's workers and is
+    retried; the other in-flight jobs are requeued at their current
+    attempt), and transient job failures (``retries``); after
+    :data:`MAX_POOL_REBUILDS` consecutive pool failures it degrades to
+    running the remaining jobs serially in-process, except the ones in
+    flight at a pool break.  Because jobs are pure, none of this changes a
+    single sample — only whether they arrive.
     """
 
     def __init__(
@@ -278,6 +302,10 @@ class ParallelExecutor(Executor):
         #: future -> (job, attempt, deadline).
         in_flight: dict[Future, tuple[CampaignJob, int, float | None]] = {}
         limit = self.workers if job_timeout is not None else max(4 * self.workers, 16)
+        #: IDs of the jobs in flight at a pool break that have not finished
+        #: since.  While there are any, they run one at a time, at the head
+        #: of ``pending``, so the next break names its culprit.
+        suspects: set[str] = set()
         consecutive_pool_failures = 0
 
         spawn_started = perf_counter()
@@ -290,8 +318,9 @@ class ParallelExecutor(Executor):
             """Top the pool up to its in-flight limit; True if it broke."""
             submitted = 0
             submit_started = perf_counter() if profiler is not None else 0.0
+            window = 1 if suspects else limit
             try:
-                while pending and len(in_flight) < limit:
+                while pending and len(in_flight) < window:
                     job, attempt = pending.popleft()
                     try:
                         future = pool.submit(run_job, job)
@@ -309,13 +338,17 @@ class ParallelExecutor(Executor):
             return False
 
         def charge_crash(job: CampaignJob, attempt: int) -> None:
-            """One job lost to a pool break: requeue it or quarantine it."""
+            """``job`` broke the pool running alone: requeue it behind the
+            other suspects, or quarantine it."""
             if self.retries and attempt > self.retries:
-                self._quarantine(
-                    job, attempt, "worker_crash", "worker process died repeatedly", summary
-                )
-            else:
-                pending.append((job, attempt + 1))
+                suspects.discard(job.job_id)
+                self._quarantine(job, attempt, "worker_crash", CRASH_MESSAGE, summary)
+                return
+            suspects.add(job.job_id)
+            position = 0
+            while position < len(pending) and pending[position][0].job_id in suspects:
+                position += 1
+            pending.insert(position, (job, attempt + 1))
 
         def rebuild_pool() -> ProcessPoolExecutor:
             summary.pool_rebuilds += 1
@@ -327,16 +360,27 @@ class ParallelExecutor(Executor):
             profiler.add("spawn", perf_counter() - started, count=self.workers)
             return fresh
 
-        def recover_pool() -> ProcessPoolExecutor | None:
-            """The pool broke: charge its in-flight jobs, then rebuild it
-            (``None`` once the rebuild budget is spent and dispatch degrades)."""
+        def recover_pool(lost: list[tuple[CampaignJob, int]]) -> ProcessPoolExecutor | None:
+            """The pool broke: charge the lost jobs, then rebuild it
+            (``None`` once the rebuild budget is spent and dispatch degrades).
+
+            ``lost`` are the jobs whose futures reported the break; the jobs
+            still in flight are lost with them.  A lone lost job is the
+            culprit; several name none, so each becomes a suspect and runs
+            again alone, at its current attempt.
+            """
             nonlocal consecutive_pool_failures
             summary.worker_crashes += 1
             consecutive_pool_failures += 1
             self._abandon_pool(pool)
-            for job, attempt, _ in in_flight.values():
-                charge_crash(job, attempt)
+            lost = lost + [(job, attempt) for job, attempt, _ in in_flight.values()]
             in_flight.clear()
+            if len(lost) == 1:
+                charge_crash(*lost[0])
+            else:
+                for job, attempt in reversed(lost):
+                    suspects.add(job.job_id)
+                    pending.appendleft((job, attempt))
             if consecutive_pool_failures > MAX_POOL_REBUILDS:
                 summary.degraded = True
                 if reporter is not None:
@@ -357,6 +401,20 @@ class ParallelExecutor(Executor):
                     # Serial endgame: the pool cannot be trusted any more.
                     while pending:
                         job, attempt = pending.popleft()
+                        if job.job_id in suspects:
+                            # It may be what killed the workers; here it
+                            # would kill the campaign.
+                            if not self.retries:
+                                raise WorkerCrashError(
+                                    JobFailure(
+                                        job.job_id, job.label, job.scenario, attempt,
+                                        "worker_crash", CRASH_MESSAGE,
+                                    )
+                                )
+                            self._quarantine(
+                                job, attempt, "worker_crash", CRASH_MESSAGE, summary
+                            )
+                            continue
                         started = perf_counter() if profiler is not None else 0.0
                         result = self._run_in_process(job, attempt, summary)
                         if profiler is not None:
@@ -366,7 +424,7 @@ class ParallelExecutor(Executor):
                     return
 
                 if refill():  # submission hit a broken pool
-                    pool = recover_pool() or pool
+                    pool = recover_pool([]) or pool
                     continue
 
                 wait_started = perf_counter() if profiler is not None else 0.0
@@ -389,6 +447,7 @@ class ParallelExecutor(Executor):
                     self._abandon_pool(pool)
                     for future in expired:
                         job, attempt, _ = in_flight.pop(future)
+                        suspects.discard(job.job_id)
                         summary.timeouts += 1
                         message = f"job exceeded its {job_timeout:.3g}s budget"
                         if not self.retries:
@@ -402,17 +461,17 @@ class ParallelExecutor(Executor):
                     pool = rebuild_pool()
                     continue
 
-                pool_broken = False
+                lost: list[tuple[CampaignJob, int]] = []
                 for future in done:
                     job, attempt, _ = in_flight.pop(future)
                     result_started = perf_counter() if profiler is not None else 0.0
                     try:
                         result = future.result()
                     except BrokenProcessPool:
-                        pool_broken = True
-                        charge_crash(job, attempt)
+                        lost.append((job, attempt))
                         continue
                     except Exception as exc:
+                        suspects.discard(job.job_id)
                         consecutive_pool_failures = 0
                         if not self.retries:
                             # Fail fast with the *original* exception (the
@@ -425,13 +484,14 @@ class ParallelExecutor(Executor):
                         ):
                             pending.append((job, attempt + 1))
                         continue
+                    suspects.discard(job.job_id)
                     consecutive_pool_failures = 0
                     if profiler is not None:
                         profiler.add("result", perf_counter() - result_started)
                     yield result
 
-                if pool_broken:
-                    pool = recover_pool() or pool
+                if lost:
+                    pool = recover_pool(lost) or pool
         finally:
             self.last_cancelled = sum(1 for future in in_flight if future.cancel())
             shutdown_started = perf_counter() if profiler is not None else 0.0

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from importlib import import_module
@@ -41,6 +42,7 @@ __all__ = [
     "JobResult",
     "RunOutcome",
     "SCENARIO_RUNNERS",
+    "derive_isolation",
     "resolve_scenario",
     "run_job",
     "seed_block_jobs",
@@ -96,6 +98,10 @@ class RunOutcome:
     #: Optional JSON-serialisable rich result (used by the analysis-style
     #: experiments to reconstruct their full result objects on resume).
     payload: object | None = None
+    #: The task's ``grant, release`` log of an isolation run without CBA
+    #: that :func:`derive_isolation` can replay (see
+    #: :func:`repro.platform.replay.grant_log`); ``None`` otherwise.
+    grant_log: array | None = None
 
 
 @dataclass(frozen=True)
@@ -191,6 +197,10 @@ class JobResult:
     truncated_runs: int = 0
     payloads: tuple[object, ...] = ()
     elapsed_seconds: float = 0.0
+    #: One :attr:`RunOutcome.grant_log` per run, or ``()`` when no run kept
+    #: one.  Transport from a worker to the campaign only: the store record
+    #: (:meth:`to_dict`) and comparisons leave it out.
+    grant_logs: tuple[array | None, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def samples_array(self) -> np.ndarray:
@@ -253,12 +263,14 @@ def run_job(job: CampaignJob) -> JobResult:
     samples: list[float] = []
     metrics: list[dict[str, float]] = []
     payloads: list[object] = []
+    grant_logs: list[array | None] = []
     truncated = 0
     for run_index in job.run_indices:
         outcome = runner(job, run_index)
         samples.append(float(outcome.value))
         metrics.append(dict(outcome.metrics))
         payloads.append(outcome.payload)
+        grant_logs.append(outcome.grant_log)
         truncated += int(outcome.truncated)
     return JobResult(
         job_id=job.job_id,
@@ -270,6 +282,49 @@ def run_job(job: CampaignJob) -> JobResult:
         metrics=tuple(metrics),
         truncated_runs=truncated,
         payloads=tuple(payloads),
+        elapsed_seconds=time.perf_counter() - started,  # repro-lint: allow[DET001]
+        grant_logs=tuple(grant_logs) if any(log is not None for log in grant_logs) else (),
+    )
+
+
+def derive_isolation(job: CampaignJob, source: JobResult) -> JobResult | None:
+    """The result of CBA isolation ``job``, replayed from ``source``.
+
+    ``source`` is the result of ``job``'s sibling without CBA (same
+    workload, seed, runs and platform otherwise), carrying a grant log per
+    run.  Each run's CBA waits (:func:`repro.platform.replay.cba_waits`)
+    shift its execution and total cycles; every other metric is the
+    source's.  The result is the one :func:`run_job` would return, except
+    that ``elapsed_seconds`` is the replay's time.  ``None`` when a run has
+    no grant log or its replayed end reaches ``job.max_cycles`` (the
+    simulation would have been truncated).
+    """
+    from ..platform.replay import cba_waits
+
+    logs = source.grant_logs
+    if job.config is None or len(logs) != job.num_runs or any(log is None for log in logs):
+        return None
+    # repro-lint: allow[DET001]
+    started = time.perf_counter()
+    params = job.config.cba
+    samples: list[float] = []
+    metrics: list[dict[str, float]] = []
+    for value, source_metrics, log in zip(source.samples, source.metrics, logs):
+        shift = sum(cba_waits(log, params, job.tua_core))
+        total = source_metrics["total_cycles"] + shift
+        if total >= job.max_cycles:
+            return None
+        samples.append(value + shift)
+        metrics.append({**source_metrics, "total_cycles": total})
+    return JobResult(
+        job_id=job.job_id,
+        label=job.label,
+        scenario=job.scenario,
+        run_start=job.run_start,
+        num_runs=job.num_runs,
+        samples=tuple(samples),
+        metrics=tuple(metrics),
+        payloads=source.payloads,
         elapsed_seconds=time.perf_counter() - started,  # repro-lint: allow[DET001]
     )
 
@@ -305,7 +360,9 @@ def seed_block_jobs(
 # ----------------------------------------------------------------------
 # Built-in platform scenario runners
 # ----------------------------------------------------------------------
-def _platform_outcome(job: CampaignJob, run_index: int, scenario_fn) -> RunOutcome:
+def _platform_outcome(
+    job: CampaignJob, run_index: int, scenario_fn, keep_grant_log: bool = False
+) -> RunOutcome:
     if job.workload is None or job.config is None:
         raise ConfigurationError(
             f"scenario {job.scenario!r} needs both a workload and a platform config"
@@ -329,15 +386,30 @@ def _platform_outcome(job: CampaignJob, run_index: int, scenario_fn) -> RunOutco
         "batched_items": float(observability.get("batched_items", 0)),
         "batch_stretches": float(observability.get("batch_stretches", 0)),
     }
+    log = None
+    if keep_grant_log and not result.truncated:
+        from ..platform.replay import grant_log
+
+        log = grant_log(
+            result.holder_log,
+            job.tua_core,
+            result.system.core_counters[job.tua_core].request_latencies,
+        )
     return RunOutcome(
-        value=float(result.tua_cycles), metrics=metrics, truncated=result.truncated
+        value=float(result.tua_cycles),
+        metrics=metrics,
+        truncated=result.truncated,
+        grant_log=log,
     )
 
 
 def _run_isolation(job: CampaignJob, run_index: int) -> RunOutcome:
+    from ..platform.replay import replayable
     from ..platform.scenarios import run_isolation
 
-    return _platform_outcome(job, run_index, run_isolation)
+    config = job.config
+    keep = config is not None and not config.use_cba and replayable(config)
+    return _platform_outcome(job, run_index, run_isolation, keep_grant_log=keep)
 
 
 def _run_max_contention(job: CampaignJob, run_index: int) -> RunOutcome:

@@ -34,8 +34,7 @@ Every experiment command also accepts the campaign-engine flags:
   related experiments);
 * ``--quiet`` — suppress the progress/ETA lines written to stderr;
 * ``--profile PATH`` — write a per-phase campaign wall-clock profile
-  (spawn/dispatch/simulate/result/store, plus worker context-cache
-  counters) as JSON to PATH;
+  (spawn/dispatch/simulate/result/store/derive) as JSON to PATH;
 * ``--metrics PATH`` — export a labelled metrics registry built from every
   job result to PATH (JSONL, or Prometheus text for ``.prom``/``.txt``);
 * ``--retries N`` — retry failing jobs up to N extra times, each at once

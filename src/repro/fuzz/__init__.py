@@ -3,8 +3,9 @@
 The fuzzer draws random-but-valid platform/workload/memory configurations
 from a seeded generator (:mod:`repro.fuzz.space`), runs each one through
 every kernel execution mode and the campaign engine, and checks cross-mode
-bit-identity, serial-vs-pool dispatch equivalence, duplicate-free resume and
-contention monotonicity (:mod:`repro.fuzz.harness`).  Failures shrink
+bit-identity, serial-vs-pool dispatch equivalence, duplicate-free resume,
+contention monotonicity and the CBA isolation replay
+(:mod:`repro.fuzz.harness`).  Failures shrink
 deterministically (:mod:`repro.fuzz.shrink`) into self-contained repro JSON
 files that ``repro fuzz replay`` re-executes (:mod:`repro.fuzz.runner`).
 """
@@ -17,6 +18,7 @@ from .harness import (
     KernelMode,
     build_system,
     check_campaign,
+    check_closed_form,
     check_modes,
     check_monotonicity,
     check_scenario,
@@ -63,6 +65,7 @@ __all__ = [
     "build_system",
     "canonical_json",
     "check_campaign",
+    "check_closed_form",
     "check_modes",
     "check_monotonicity",
     "check_scenario",

@@ -1,6 +1,6 @@
 """Invariant checks the fuzzer runs against each drawn scenario.
 
-Three invariant families, named by the strings a scenario's ``checks`` tuple
+Four invariant families, named by the strings a scenario's ``checks`` tuple
 carries:
 
 ``"modes"``
@@ -24,6 +24,14 @@ carries:
     sound per-run property — see
     :func:`repro.fuzz.space.monotonicity_eligible`.
 
+``"closed_form"``
+    A lone task's run under CBA is its run without CBA replayed through
+    the credit bank (:mod:`repro.platform.replay`): every request latency
+    is the source's plus its replayed wait, and the execution and total
+    cycles move by the waits' sum.  Only drawn for isolation scenarios
+    under CBA on platforms :func:`~repro.platform.replay.replayable`
+    admits.
+
 Each check is deterministic given the scenario, so a failing scenario is a
 self-contained reproduction.  ``run_mode`` accepts an optional ``perturb``
 hook (called with the built system and the mode's value, e.g.
@@ -42,6 +50,7 @@ from ..campaign.campaign import Campaign
 from ..campaign.executor import SerialExecutor, create_executor
 from ..campaign.jobs import CampaignJob, seed_block_jobs
 from ..campaign.store import ArtifactStore
+from ..platform.replay import cba_waits, grant_log
 from ..platform.system import MulticoreSystem, SystemResult
 from ..sim.config import KernelMode
 from .space import FuzzScenario
@@ -55,6 +64,7 @@ __all__ = [
     "run_mode",
     "check_modes",
     "check_campaign",
+    "check_closed_form",
     "check_monotonicity",
     "check_scenario",
     "CHECKS",
@@ -255,10 +265,63 @@ def check_monotonicity(
     return None
 
 
+def check_closed_form(
+    scenario: FuzzScenario, perturb: PerturbHook | None = None
+) -> InvariantViolation | None:
+    """The CBA isolation run equals the replay of its run without CBA."""
+    tua = scenario.tua_core
+    source_scenario = scenario.with_updates(
+        config=scenario.config.with_updates(use_cba=False)
+    )
+    with build_system(source_scenario, PRODUCTION_MODE) as system:
+        if perturb is not None:
+            perturb(system, PRODUCTION_MODE.value)
+        source = system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
+        holder_log = system.bus.holder_log
+    if source.truncated:
+        return None
+    latencies = source.core_counters[tua].request_latencies
+    log = grant_log(holder_log, tua, latencies)
+    if log is None:
+        return InvariantViolation(
+            invariant="closed_form",
+            detail="a request of the lone task waited for its grant without CBA",
+        )
+    waits = cba_waits(log, scenario.config.cba, tua)
+    shift = sum(waits)
+    if source.total_cycles + shift >= scenario.max_cycles:
+        return None
+    simulated = run_mode(scenario, PRODUCTION_MODE, perturb)
+    expected = {
+        "truncated": False,
+        "tua_cycles": source.execution_cycles(tua) + shift,
+        "total_cycles": source.total_cycles + shift,
+        "request_latencies": [latency + wait for latency, wait in zip(latencies, waits)],
+    }
+    actual = {
+        "truncated": simulated.truncated,
+        "tua_cycles": simulated.execution_cycles(tua),
+        "total_cycles": simulated.total_cycles,
+        "request_latencies": list(simulated.core_counters[tua].request_latencies),
+    }
+    differing = _diff_keys(expected, actual)
+    if differing:
+        return InvariantViolation(
+            invariant="closed_form",
+            detail="replay diverges from the simulated CBA run on "
+            + ", ".join(
+                f"{key}: replay={expected[key]!r} simulated={actual[key]!r}"
+                for key in differing
+            ),
+        )
+    return None
+
+
 CHECKS: dict[str, Callable[..., InvariantViolation | None]] = {
     "modes": check_modes,
     "campaign": check_campaign,
     "monotonicity": check_monotonicity,
+    "closed_form": check_closed_form,
 }
 
 

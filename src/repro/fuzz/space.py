@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from ..core.hcba import heterogeneous_share_parameters
+from ..platform.replay import replayable
 from ..sim.config import (
     BusTimings,
     CacheGeometry,
@@ -326,6 +327,8 @@ def draw_scenario(rng: np.random.Generator) -> FuzzScenario:
         config = config.with_updates(cba=_draw_hcba(rng, config.cba, tua_core))
     if monotonicity_eligible(config):
         checks.append("monotonicity")
+    if kind == "isolation" and config.use_cba and replayable(config):
+        checks.append("closed_form")
 
     return FuzzScenario(
         kind=kind,

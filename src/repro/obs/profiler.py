@@ -126,7 +126,7 @@ class KernelProfiler:
 class CampaignProfiler:
     """Accumulates campaign wall-clock per executor phase."""
 
-    PHASES = ("spawn", "dispatch", "simulate", "result", "store")
+    PHASES = ("spawn", "dispatch", "simulate", "result", "store", "derive")
 
     def __init__(self, output_path: str | Path | None = None) -> None:
         self.seconds = {phase: 0.0 for phase in self.PHASES}

@@ -14,7 +14,8 @@ examples and the fairness analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from enum import Enum
 
 from ..sim.config import KernelMode, PlatformConfig
@@ -54,6 +55,10 @@ class ScenarioResult:
     #: completed.  ``tua_cycles`` is then meaningless (0 if the task under
     #: analysis never finished) and must not enter execution-time statistics.
     truncated: bool = False
+    #: The bus's holder changes (:attr:`~repro.bus.bus.SharedBus.holder_log`),
+    #: kept by :func:`run_isolation` only: the grant log
+    #: :mod:`repro.platform.replay` derives CBA isolation runs from.
+    holder_log: array = field(default_factory=lambda: array("q"), compare=False, repr=False)
 
     def snapshot(self) -> dict[str, object]:
         """:meth:`SystemResult.snapshot` of the run, for the task under analysis."""
@@ -91,6 +96,7 @@ def run_isolation(
         tua_cycles=result.execution_cycles(tua_core),
         system=result,
         truncated=result.truncated,
+        holder_log=system.bus.holder_log,
     )
 
 

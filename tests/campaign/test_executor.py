@@ -321,17 +321,44 @@ def test_hung_job_without_retries_raises_timeout_error(tiny_workload, faults, wo
 
 
 def test_repeated_pool_failures_degrade_to_serial(tiny_workload, faults):
-    """When the pool cannot be kept alive, the endgame runs in-process and
-    still recovers the job."""
-    jobs = _jobs(tiny_workload)[:1]
+    """When the pool cannot be kept alive, the endgame runs the remaining
+    jobs in-process, except the one that kept killing its workers: that
+    one is quarantined instead of being run in the campaign's process."""
+    jobs = _jobs(tiny_workload)[:3]
     serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
     crashes = MAX_POOL_REBUILDS + 1
-    executor = faults.Executor(1, {jobs[0].job_id: [faults.CRASH] * crashes}, retries=crashes)
+    executor = faults.Executor(
+        1, {jobs[0].job_id: [faults.CRASH] * crashes}, retries=crashes, job_timeout=60.0
+    )
+    del serial[jobs[0].job_id]
     assert {r.job_id: r.samples for r in executor.execute(jobs)} == serial
     summary = executor.last_resilience
     assert summary.degraded
     assert summary.worker_crashes == crashes
-    assert not summary.failures
+    (failure,) = summary.failures
+    assert (failure.job_id, failure.kind, failure.attempt) == (
+        jobs[0].job_id, "worker_crash", crashes + 1
+    )
+
+
+def test_a_pool_break_charges_only_the_job_that_breaks_it_alone(tiny_workload, faults):
+    """Six jobs in flight on two workers when one kills its worker: the
+    break names no culprit, so the jobs run again one at a time and only
+    the job that breaks the pool alone is charged.  With one retry it is
+    quarantined after its second solo crash, its third in all (the first
+    cost nobody an attempt); the other five arrive."""
+    jobs = _jobs(tiny_workload)
+    serial = {r.job_id: r.samples for r in SerialExecutor().execute(jobs)}
+    poison = jobs[2].job_id
+    executor = faults.Executor(2, {poison: [faults.CRASH] * 3}, retries=1)
+    results = {r.job_id: r.samples for r in executor.execute(jobs)}
+    del serial[poison]
+    assert results == serial
+    summary = executor.last_resilience
+    (failure,) = summary.failures
+    assert (failure.job_id, failure.kind, failure.attempt) == (poison, "worker_crash", 2)
+    assert executor.injected_all
+    assert summary.worker_crashes == 3 and not summary.degraded
 
 
 def test_pool_survives_its_rebuild_budget(tiny_workload, faults):

@@ -3,18 +3,26 @@
 A failing scenario runner is registered in ``SCENARIO_RUNNERS`` for the
 test's duration; jobs run in-process, so nothing is pickled.  The degraded
 endgame is reached through the fault fixture's pool, whose crashing
-submissions never run the runner in a worker.
+submissions never run the runner in a worker, or through a runner that
+kills the worker process it runs in (pool workers are forked, so they see
+the registration).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
 from repro.campaign.campaign import Campaign
-from repro.campaign.executor import MAX_POOL_REBUILDS, SerialExecutor
+from repro.campaign.executor import (
+    MAX_POOL_REBUILDS,
+    ParallelExecutor,
+    SerialExecutor,
+    WorkerCrashError,
+)
 from repro.campaign.jobs import SCENARIO_RUNNERS, RunOutcome, seed_block_jobs
 from repro.campaign.store import ArtifactStore
 
@@ -130,32 +138,85 @@ def test_without_retries_the_original_exception_propagates(monkeypatch, failing)
 
 
 def _degraded_executor(faults, job, retries):
-    """One worker whose every pool submission of ``job`` crashes it, until
-    the rebuild budget is spent and the job runs in-process."""
+    """One worker, one job in flight at a time; every pool submission of
+    ``job`` crashes it, until the rebuild budget is spent."""
     crashes = MAX_POOL_REBUILDS + 1
-    return faults.Executor(1, {job.job_id: [faults.CRASH] * crashes}, retries=retries)
+    return faults.Executor(
+        1, {job.job_id: [faults.CRASH] * crashes}, retries=retries, job_timeout=60.0
+    )
 
 
 def test_degraded_endgame_retries_in_process(monkeypatch, faults):
-    calls = _register(monkeypatch, {0: 1})
-    job = _jobs()[0]
-    executor = _degraded_executor(faults, job, retries=MAX_POOL_REBUILDS + 2)
+    """The endgame quarantines the job that kept killing its workers and
+    runs the jobs no pool break caught in-process, retrying there."""
+    calls = _register(monkeypatch, {1: 1})
+    jobs = _jobs()
+    executor = _degraded_executor(faults, jobs[0], retries=MAX_POOL_REBUILDS + 2)
     started = time.monotonic()
-    assert [r.samples for r in executor.execute([job])] == [(0.0,)]
+    assert [r.samples for r in executor.execute(jobs)] == [(1.0,), (2.0,)]
     assert time.monotonic() - started < 10.0
     summary = executor.last_resilience
     assert summary.degraded and summary.worker_crashes == MAX_POOL_REBUILDS + 1
-    assert summary.retries == 1 and not summary.failures
-    assert calls == {0: 2}  # both attempts ran here, none in a worker
+    assert summary.retries == 1
+    (failure,) = summary.failures
+    assert (failure.job_id, failure.kind) == (jobs[0].job_id, "worker_crash")
+    assert calls == {1: 2, 2: 1}  # every attempt ran here, job 0 never did
 
 
 def test_degraded_endgame_without_retries_propagates(monkeypatch, faults):
-    calls = _register(monkeypatch, {0: 1})
-    job = _jobs()[0]
-    executor = _degraded_executor(faults, job, retries=0)
+    """Without retries the endgame raises for the job that kept killing its
+    workers, naming it, instead of running it in the campaign's process."""
+    calls = _register(monkeypatch, {})
+    jobs = _jobs()
+    executor = _degraded_executor(faults, jobs[0], retries=0)
     started = time.monotonic()
-    with pytest.raises(Flaky, match="run 0"):
-        list(executor.execute([job]))
+    with pytest.raises(WorkerCrashError, match=jobs[0].job_id) as raised:
+        list(executor.execute(jobs))
     assert time.monotonic() - started < 10.0
     assert executor.last_resilience.degraded
-    assert calls == {0: 1}
+    failure = raised.value.failure
+    assert (failure.job_id, failure.label, failure.kind) == (
+        jobs[0].job_id, "flaky", "worker_crash"
+    )
+    assert calls == {}
+
+
+def _register_worker_killer(monkeypatch, victim: int) -> None:
+    """Register ``flaky``: run index ``victim`` kills the worker process it
+    runs in; in the campaign's own process it raises instead, so a broken
+    endgame fails the test rather than ending the test session."""
+    campaign_pid = os.getpid()
+
+    def runner(job, run_index):
+        if run_index == victim:
+            if os.getpid() == campaign_pid:
+                raise AssertionError("the crashing job ran in the campaign's process")
+            os._exit(17)
+        return RunOutcome(value=float(run_index))
+
+    monkeypatch.setitem(SCENARIO_RUNNERS, "flaky", runner)
+
+
+def test_a_job_that_kills_every_worker_does_not_kill_the_campaign(monkeypatch):
+    _register_worker_killer(monkeypatch, victim=1)
+    jobs = _jobs()
+    started = time.monotonic()
+    with pytest.raises(WorkerCrashError, match=jobs[1].job_id) as raised:
+        Campaign(executor=ParallelExecutor(2)).run(jobs)
+    assert time.monotonic() - started < 20.0
+    assert raised.value.failure.job_id == jobs[1].job_id
+
+
+def test_a_job_that_kills_every_worker_is_quarantined_with_retries(monkeypatch):
+    _register_worker_killer(monkeypatch, victim=1)
+    jobs = _jobs()
+    campaign = Campaign(executor=ParallelExecutor(2, retries=1))
+    started = time.monotonic()
+    results = campaign.run(jobs)
+    assert time.monotonic() - started < 20.0
+    assert {job_id: r.samples for job_id, r in results.items()} == {
+        jobs[0].job_id: (0.0,),
+        jobs[2].job_id: (2.0,),
+    }
+    (failure,) = campaign.last_report.failures
+    assert (failure.job_id, failure.kind) == (jobs[1].job_id, "worker_crash")

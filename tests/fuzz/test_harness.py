@@ -75,3 +75,26 @@ def test_modes_table_matches_the_equivalence_matrix():
     assert names == ["stepping", "fast_forward", "production"]
     assert KERNEL_MODES == tuple(KernelMode)
     assert PRODUCTION_MODE is KernelMode.PRODUCTION
+
+
+def test_closed_form_holds_on_its_corpus_case_and_catches_a_divergent_cba_run():
+    from pathlib import Path
+
+    from repro.fuzz import check_closed_form, load_repro
+
+    scenario, _record = load_repro(
+        Path(__file__).parent / "corpus" / "closed-form-hcba-caps.json"
+    )
+    assert check_closed_form(scenario) is None
+
+    def shorten_l2_under_cba(system, mode_name):
+        if system.cba is not None:
+            slave = system.l2_slave
+            slave._duration_by_class = {
+                kind: max(1, duration - 1)
+                for kind, duration in slave._duration_by_class.items()
+            }
+
+    violation = check_closed_form(scenario, shorten_l2_under_cba)
+    assert violation is not None and violation.invariant == "closed_form"
+    assert "request_latencies" in violation.detail

@@ -122,3 +122,13 @@ def test_hcba_draws_are_valid_and_buildable():
     for scenario in scenarios[:6]:
         for mode in KERNEL_MODES:
             build_system(scenario, mode)
+
+
+def test_closed_form_drawn_only_where_the_replay_guard_holds():
+    from repro.platform.replay import replayable
+
+    drawn = [s for s in _draw_many(2025, 300) if "closed_form" in s.checks]
+    assert drawn
+    for scenario in drawn:
+        assert scenario.kind == "isolation"
+        assert scenario.config.use_cba and replayable(scenario.config)

@@ -187,3 +187,31 @@ class TestWCETModeContenderWakes:
         assert kernel.scheduled_wake(contender) is None
         assert kernel.cycles_skipped == 500
         assert contender.requests_issued == 0
+
+
+@pytest.mark.parametrize("mode", [KernelMode.FAST_FORWARD, KernelMode.PRODUCTION])
+def test_completions_touch_cores_but_not_greedy_contenders(tiny_workload, mode):
+    """A greedy contender ticks before the bus and has no catch-up hook, so
+    a completion calls it without touching it; the task core, which has
+    lagging cycles to account, is touched at every completion."""
+    from collections import Counter
+
+    from repro.platform.presets import cba_config
+    from repro.platform.system import MulticoreSystem
+
+    touched: Counter[str] = Counter()
+    with MulticoreSystem(cba_config(), seed=1, mode=mode) as system:
+        system.add_task(0, tiny_workload)
+        for core in (1, 2, 3):
+            system.add_greedy_contender(core)
+        touch = system.kernel.touch
+
+        def counting_touch(component):
+            touched[type(component).__name__] += 1
+            touch(component)
+
+        system.kernel.touch = counting_touch  # bound by each component at finalize
+        result = system.run(max_cycles=300_000)
+    assert touched["GreedyContender"] == 0
+    assert sum(result.extra["contender_requests"].values()) > 0
+    assert touched["CoreModel"] >= result.core_counters[0].bus_requests > 0
