@@ -42,7 +42,6 @@ from .core import (
     CreditBank,
     CreditBasedArbiter,
     OperatingMode,
-    make_hcba_arbiter,
 )
 from .experiments import (
     run_figure1,
@@ -118,7 +117,6 @@ __all__ = [
     "CreditAccount",
     "CreditBank",
     "CreditBasedArbiter",
-    "make_hcba_arbiter",
     "ArbiterSignalModel",
     "OperatingMode",
     "ContentionScenario",

@@ -13,7 +13,6 @@ from .bounds import (
     request_fair_execution_time,
     request_fair_wait,
     slowdown,
-    worst_case_wait_cba,
     worst_case_wait_round_robin,
     worst_case_wait_tdma,
 )
@@ -23,7 +22,6 @@ from .hcba import (
     bandwidth_fractions,
     budget_cap_parameters,
     heterogeneous_share_parameters,
-    make_hcba_arbiter,
 )
 from .signals import ArbiterSignalModel, SignalSnapshot
 from .wcet_mode import CompeteGate, OperatingMode
@@ -34,7 +32,6 @@ __all__ = [
     "CreditBasedArbiter",
     "heterogeneous_share_parameters",
     "budget_cap_parameters",
-    "make_hcba_arbiter",
     "bandwidth_fractions",
     "ArbiterSignalModel",
     "SignalSnapshot",
@@ -48,5 +45,4 @@ __all__ = [
     "slowdown",
     "worst_case_wait_round_robin",
     "worst_case_wait_tdma",
-    "worst_case_wait_cba",
 ]

@@ -9,8 +9,8 @@ contender request per contender (84 cycles), giving a 9.4x slowdown; under a
 entitled to in cycles (18 cycles here), giving a 2.8x slowdown.
 
 This module provides those closed forms so experiments can compare simulated
-behaviour against the analytical expectation, plus general per-request
-worst-case wait bounds for the policies in the library.
+behaviour against the analytical expectation, plus per-request worst-case
+wait bounds for round-robin and TDMA.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "slowdown",
     "worst_case_wait_round_robin",
     "worst_case_wait_tdma",
-    "worst_case_wait_cba",
 ]
 
 
@@ -128,34 +127,3 @@ def worst_case_wait_tdma(num_cores: int, slot_cycles: int) -> int:
     """
     return num_cores * slot_cycles - 1
 
-
-def worst_case_wait_cba(
-    num_cores: int,
-    max_latency: int,
-    tua_request_cycles: int,
-    initial_budget_cycles: int | None = None,
-) -> int:
-    """Worst-case grant delay of one TuA request under CBA.
-
-    Two terms bound the delay:
-
-    * the TuA may have to rebuild its own budget if it issued requests
-      back-to-back — at most ``N * tua_request_cycles`` cycles of
-      replenishment per previously spent request cycle (bounded here by the
-      budget the request itself costs, or by the deficit implied by
-      ``initial_budget_cycles`` for the very first request);
-    * contenders can jointly hold the bus for at most ``(N-1)`` times the
-      cycles the TuA itself consumes in steady state, but never more than one
-      ``MaxL`` request each before running out of budget relative to the TuA.
-
-    The resulting per-request bound used by the paper's reasoning is
-    ``(N-1) * max(tua_request_cycles, 1)`` in steady state plus the residual
-    of one in-flight maximum request (``MaxL - 1``), plus the initial budget
-    recovery for the first request.
-    """
-    steady_state = (num_cores - 1) * max(tua_request_cycles, 1) + (max_latency - 1)
-    if initial_budget_cycles is None:
-        return steady_state
-    deficit_cycles = max(0, max_latency - initial_budget_cycles)
-    first_request_recovery = num_cores * deficit_cycles
-    return steady_state + first_request_recovery

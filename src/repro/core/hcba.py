@@ -14,24 +14,22 @@ of the bus bandwidth than the others while keeping the CBA machinery intact:
    the TuA.  This is the configuration labelled **H-CBA** in Figure 1.
 
 Both variants are expressed here as factory functions that produce the
-corresponding :class:`~repro.sim.config.CBAParameters` /
-:class:`~repro.core.cba.CreditBasedArbiter`, plus helpers to reason about the
-resulting bandwidth fractions.
+corresponding :class:`~repro.sim.config.CBAParameters` (wrap them in a
+:class:`~repro.core.cba.CreditBasedArbiter`), plus a helper to reason about
+the resulting bandwidth fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from ..arbiters.base import Arbiter
 from ..sim.config import CBAParameters
 from ..sim.errors import ConfigurationError
-from .cba import CreditBasedArbiter
 
 __all__ = [
     "heterogeneous_share_parameters",
     "budget_cap_parameters",
-    "make_hcba_arbiter",
     "bandwidth_fractions",
 ]
 
@@ -60,7 +58,7 @@ def heterogeneous_share_parameters(
         raise ConfigurationError("favoured fraction must be strictly between 0 and 1")
     others = (1 - favoured) / (num_cores - 1)
     denominator = favoured.denominator
-    denominator = denominator * others.denominator // _gcd(denominator, others.denominator)
+    denominator = denominator * others.denominator // gcd(denominator, others.denominator)
     shares = []
     for core in range(num_cores):
         fraction = favoured if core == favoured_core else others
@@ -111,30 +109,6 @@ def budget_cap_parameters(
     )
 
 
-def make_hcba_arbiter(
-    base: Arbiter,
-    num_cores: int,
-    max_latency: int,
-    favoured_core: int = 0,
-    favoured_fraction: Fraction | float = Fraction(1, 2),
-    variant: str = "shares",
-    cap_multiplier: int = 2,
-) -> CreditBasedArbiter:
-    """Build an H-CBA arbiter of the requested variant around ``base``.
-
-    ``variant`` is ``"shares"`` (paper's evaluated H-CBA) or ``"cap"``.
-    """
-    if variant == "shares":
-        params = heterogeneous_share_parameters(
-            num_cores, max_latency, favoured_core, favoured_fraction
-        )
-    elif variant == "cap":
-        params = budget_cap_parameters(num_cores, max_latency, favoured_core, cap_multiplier)
-    else:
-        raise ConfigurationError(f"unknown H-CBA variant {variant!r}")
-    return CreditBasedArbiter(base, params)
-
-
 def bandwidth_fractions(params: CBAParameters) -> list[Fraction]:
     """Long-run bandwidth fraction each core can sustain under saturation.
 
@@ -145,9 +119,3 @@ def bandwidth_fractions(params: CBAParameters) -> list[Fraction]:
     shares = [Fraction(params.share_for(core)) for core in range(params.num_cores)]
     total = sum(shares)
     return [share / total for share in shares]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -7,21 +7,23 @@ behaviour can be inspected, tested and printed:
 ===========  ==========================================  ====================
 Signal       Every cycle                                  When using the bus
 ===========  ==========================================  ====================
-``BUDGi``    ``min(BUDGi + 1, 228)``                      ``BUDGi - 4``
+``BUDGi``    ``min(BUDGi + 1, 224)``                      ``BUDGi - 4``
 ``REQ1``     set when the TuA has a request ready         (same)
 ``REQ2..4``  WCET mode: always 1; operation: when ready   (same)
-``COMP2..4`` WCET mode: set when ``BUDGi == 228`` and      cleared when core i
+``COMP2..4`` WCET mode: set when ``BUDGi == 224`` and      cleared when core i
              ``REQ1 == 1``; operation mode: always 1      is granted
 ===========  ==========================================  ====================
 
-(228 = ``N * MaxL`` with the paper's ``N = 4`` cores and ``MaxL = 56``; the
-budget counters are 8 bits wide in hardware.)
+(224 = ``N * MaxL`` with the paper's ``N = 4`` cores and ``MaxL = 56``; the
+budget counters are 8 bits wide in hardware.  The paper's Table I prints
+"228 (56x4)"; the product is 224, which is what the model uses.)
 
 The model is deliberately standalone — it does not require the simulation
 kernel — because its purpose is to mirror the RTL description closely enough
-that the per-cycle signal table can be regenerated and checked, while the
-full-system behaviour is exercised through :class:`repro.core.cba.CreditBasedArbiter`
-inside the platform model.
+that the per-cycle signal table can be regenerated and checked.  It is also
+the reference of the production :class:`repro.core.cba.CreditBasedArbiter`:
+the tests drive both in lockstep and compare every grant and every
+``BUDGi``.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class ArbiterSignalModel:
         # Budget update (Table I): +1 saturating for everyone, -N for the
         # core using the bus this cycle.
         for core in range(self.num_cores):
-            self.budgets[core] = min(self.budgets[core] + 1, self.full_budget_cap(core))
+            self.budgets[core] = min(self.budgets[core] + 1, self.full_budget)
         if self.bus_holder is not None:
             self.budgets[self.bus_holder] = max(
                 0, self.budgets[self.bus_holder] - self.drain
@@ -208,10 +210,6 @@ class ArbiterSignalModel:
         self.history.append(snapshot)
         self.cycle += 1
         return snapshot
-
-    def full_budget_cap(self, core: int) -> int:
-        """Saturation value of ``core``'s counter (homogeneous: 228)."""
-        return self.full_budget
 
     # ------------------------------------------------------------------
     # Internals

@@ -144,7 +144,7 @@ def cba_addon_cost(num_masters: int = 4, max_latency: int = 56) -> ResourceEstim
     """Resource estimate of the CBA addition itself (Table I hardware).
 
     Per core: one saturating budget counter wide enough for ``N * MaxL``
-    (8 bits for the paper's 228), one full-budget comparator and one COMP
+    (8 bits for the paper's 224), one full-budget comparator and one COMP
     flip-flop; plus the shared mode bit and the grant-side decrement logic.
     """
     if num_masters <= 0:

@@ -12,7 +12,7 @@ Defaults reproduce the configuration described in Section IV-A of the paper:
   an atomic read+write);
 * memory latency 28 cycles;
 * ``MaxL = 56``;
-* CBA budget counters saturate at ``N * MaxL = 228``.
+* CBA budget counters saturate at ``N * MaxL = 224``.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class CBAParameters:
     updates are integral: the *scale* is the sum of the per-core replenishment
     shares (``num_cores`` for homogeneous CBA, where every share is 1).  Every
     cycle each core's budget increases by its share, saturating at
-    ``scale * max_latency`` (228 for the paper's 4 cores and MaxL=56); every
+    ``scale * max_latency`` (224 for the paper's 4 cores and MaxL=56); every
     cycle a core holds the bus its budget decreases by ``scale`` (4 in the
     paper), i.e. exactly one unscaled cycle of budget.  The invariant
     ``sum(shares) == scale == drain per busy cycle`` is what makes the total

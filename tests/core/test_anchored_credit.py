@@ -3,10 +3,10 @@
 The production :class:`~repro.core.credit.CreditBank` is only told about
 grants; every read is a closed form of the cycle asked about.  These tests
 drive random bus timelines — grants of 1..MaxL cycles separated by idle
-gaps — through it and through :meth:`CreditBank.step`, and compare, cycle by
-cycle: balances, replenish/drain totals, eligibility, the wait until a core
-is eligible again, and the ``cba.refill`` events (the cycles at which the
-eligible set changes).  Reads land anywhere at or after the latest grant,
+gaps — through it and through Equation 1 stepped one cycle at a time (the
+``stepped`` fixture), and compare, cycle by cycle: balances, eligibility,
+the wait until a core is eligible again, and the ``cba.refill`` events (the
+cycles at which the eligible set changes).  Reads land anywhere at or after the latest grant,
 including behind a read already made.
 """
 
@@ -48,12 +48,10 @@ def cba_parameters(draw):
     )
 
 
-def _stepped_timeline(params, events):
+def _stepped_timeline(stepped, params, events):
     """Step the reference through ``events``; returns the grants as
     ``(core, cycle, duration)``, the holder of every cycle and the reference
-    state ``(balance, replenished, drained)`` per core after every cycle."""
-    reference = CreditBank(params)
-    states = [[(a.balance, a.total_replenished, a.total_drained) for a in reference.accounts]]
+    balances at every cycle boundary."""
     holders: list[int | None] = []
     grants = []
     for kind, core, length in events:
@@ -61,17 +59,12 @@ def _stepped_timeline(params, events):
         if kind == "grant":
             holder = core % params.num_cores
             grants.append((holder, len(holders), length))
-        for _ in range(length):
-            reference.step(holder)
-            holders.append(holder)
-            states.append(
-                [(a.balance, a.total_replenished, a.total_drained) for a in reference.accounts]
-            )
-    return grants, holders, states, reference
+        holders += [holder] * length
+    return grants, holders, stepped(params, holders)
 
 
 def _reference_wait(params, state, core):
-    balance = state[core][0]
+    balance = state[core]
     deficit = params.scaled_full_budget - balance
     return 0 if deficit <= 0 else -(-deficit // params.share_for(core))
 
@@ -89,12 +82,12 @@ timelines = st.lists(
 
 @given(cba_parameters(), timelines, st.data())
 @settings(max_examples=150, deadline=None)
-def test_anchored_reads_match_stepping(params, events, data):
+def test_anchored_reads_match_stepping(stepped, params, events, data):
     events = [
         (kind, core, min(length, params.max_latency) if kind == "grant" else length)
         for kind, core, length in events
     ]
-    grants, holders, states, _ = _stepped_timeline(params, events)
+    grants, holders, states = _stepped_timeline(stepped, params, events)
     full = params.scaled_full_budget
     bank = CreditBank(params)
     floor = 0
@@ -108,14 +101,12 @@ def test_anchored_reads_match_stepping(params, events, data):
         )
         for cycle in cycles:
             state = states[cycle]
-            for core in range(params.num_cores):
-                balance, replenished, drained = state[core]
+            for core, balance in enumerate(state):
                 assert bank.balance(core, cycle) == balance
-                assert bank.totals(core, cycle) == (replenished, drained)
                 assert bank.eligible(core, cycle) == (balance >= full)
-            assert bank.balances(cycle) == [s[0] for s in state]
+            assert bank.balances(cycle) == state
             assert bank.eligible_cores(cycle) == [
-                core for core in range(params.num_cores) if state[core][0] >= full
+                core for core in range(params.num_cores) if state[core] >= full
             ]
             holder = holders[cycle] if cycle < len(holders) else None
             idle = [core for core in range(params.num_cores) if core != holder]
@@ -130,7 +121,7 @@ def test_anchored_reads_match_stepping(params, events, data):
 
 @given(cba_parameters(), timelines)
 @settings(max_examples=100, deadline=None)
-def test_refill_events_are_the_eligible_set_changes(params, events):
+def test_refill_events_are_the_eligible_set_changes(stepped, params, events):
     """``cba.refill`` records, at cycle ``c``, every change of the eligible
     set the stepped update of cycle ``c`` makes — computed from the anchors,
     not polled."""
@@ -138,11 +129,11 @@ def test_refill_events_are_the_eligible_set_changes(params, events):
         (kind, core, min(length, params.max_latency) if kind == "grant" else length)
         for kind, core, length in events
     ]
-    grants, holders, states, _ = _stepped_timeline(params, events)
+    grants, holders, states = _stepped_timeline(stepped, params, events)
     full = params.scaled_full_budget
 
     def eligible_at(cycle):
-        return [core for core in range(params.num_cores) if states[cycle][core][0] >= full]
+        return [core for core in range(params.num_cores) if states[cycle][core] >= full]
 
     expected = []
     traced = eligible_at(0)
@@ -150,7 +141,7 @@ def test_refill_events_are_the_eligible_set_changes(params, events):
         after = eligible_at(cycle + 1)
         if after != traced:
             traced = after
-            expected.append((cycle, after, [s[0] for s in states[cycle + 1]]))
+            expected.append((cycle, after, states[cycle + 1]))
 
     recorder = TraceRecorder(kinds=["cba.refill"])
     cba = CreditBasedArbiter(RoundRobinArbiter(params.num_cores), params)

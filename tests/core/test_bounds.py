@@ -9,7 +9,6 @@ from repro.core.bounds import (
     request_fair_execution_time,
     request_fair_wait,
     slowdown,
-    worst_case_wait_cba,
     worst_case_wait_round_robin,
     worst_case_wait_tdma,
 )
@@ -71,14 +70,3 @@ def test_worst_case_wait_round_robin():
 
 def test_worst_case_wait_tdma():
     assert worst_case_wait_tdma(4, 56) == 4 * 56 - 1
-
-
-def test_worst_case_wait_cba_steady_state_and_first_request():
-    steady = worst_case_wait_cba(4, 56, tua_request_cycles=6)
-    assert steady == 3 * 6 + 55
-    with_recovery = worst_case_wait_cba(4, 56, tua_request_cycles=6, initial_budget_cycles=0)
-    assert with_recovery == steady + 4 * 56
-
-
-def test_cba_wait_below_round_robin_wait_for_short_requests():
-    assert worst_case_wait_cba(4, 56, 6) < worst_case_wait_round_robin(4, 56)

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from repro.arbiters.round_robin import RoundRobinArbiter
+from repro.core.cba import CreditBasedArbiter
 from repro.core.hcba import (
     bandwidth_fractions,
     budget_cap_parameters,
     heterogeneous_share_parameters,
-    make_hcba_arbiter,
 )
 from repro.sim.errors import ConfigurationError
 
@@ -36,6 +36,13 @@ class TestShareParameters:
         assert fractions[0] == Fraction(2, 5)
         assert sum(fractions) == 1
 
+    def test_shares_over_least_common_denominator(self):
+        """3/10 for the favoured core and 7/20 for each other: the shares sit
+        over the least common denominator 20, not the product 200."""
+        params = heterogeneous_share_parameters(3, 56, 1, favoured_fraction=0.3)
+        assert params.replenish_shares == (7, 6, 7)
+        assert params.scale == 20
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             heterogeneous_share_parameters(4, 56, favoured_core=7)
@@ -61,27 +68,22 @@ class TestBudgetCapParameters:
             budget_cap_parameters(4, 56, favoured_core=0, cap_multiplier=0)
 
 
-class TestMakeHCBAArbiter:
+class TestHCBAArbiter:
     def test_shares_variant(self):
-        arbiter = make_hcba_arbiter(RoundRobinArbiter(4), 4, 56, favoured_core=0)
-        assert arbiter.params.replenish_shares == (3, 1, 1, 1)
+        params = heterogeneous_share_parameters(4, 56, favoured_core=0)
+        arbiter = CreditBasedArbiter(RoundRobinArbiter(4), params)
+        assert [account.replenish_share for account in arbiter.credits] == [3, 1, 1, 1]
 
     def test_cap_variant(self):
-        arbiter = make_hcba_arbiter(
-            RoundRobinArbiter(4), 4, 56, favoured_core=0, variant="cap", cap_multiplier=3
-        )
-        assert arbiter.params.budget_caps[0] == 3 * 4 * 56
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_hcba_arbiter(RoundRobinArbiter(4), 4, 56, variant="nope")
+        params = budget_cap_parameters(4, 56, favoured_core=0, cap_multiplier=3)
+        arbiter = CreditBasedArbiter(RoundRobinArbiter(4), params)
+        assert arbiter.credits[0].cap == 3 * 4 * 56
 
     def test_cap_variant_allows_back_to_back_maxl_requests(self):
         """With a 2x budget cap the favoured core can pay for two back-to-back
         maximum-length transactions, which homogeneous CBA cannot."""
-        arbiter = make_hcba_arbiter(
-            RoundRobinArbiter(4), 4, 56, favoured_core=0, variant="cap", cap_multiplier=2
-        )
+        params = budget_cap_parameters(4, 56, favoured_core=0, cap_multiplier=2)
+        arbiter = CreditBasedArbiter(RoundRobinArbiter(4), params)
         credits = arbiter.credits
         # Let the favoured core accumulate up to its doubled cap.
         start = 4 * 56 * 2
@@ -96,7 +98,8 @@ class TestMakeHCBAArbiter:
 
 class TestShareDynamics:
     def test_favoured_core_recovers_faster(self):
-        arbiter = make_hcba_arbiter(RoundRobinArbiter(4), 4, 56, favoured_core=0)
+        params = heterogeneous_share_parameters(4, 56, favoured_core=0)
+        arbiter = CreditBasedArbiter(RoundRobinArbiter(4), params)
         # Drain both core 0 and core 1 by a 6-cycle transaction each.
         arbiter.on_grant(0, 6, 0)
         arbiter.on_grant(1, 6, 6)

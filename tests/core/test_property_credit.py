@@ -1,20 +1,24 @@
-"""Property-based tests of the credit-account invariants.
+"""Property-based tests of the credit bank's invariants.
 
-Whatever sequence of grants the bus produces, three invariants must hold for
-every credit account:
+Whatever sequence of grants the bus produces, these must hold for every
+core of the anchored :class:`~repro.core.credit.CreditBank`:
 
-* the balance never leaves ``[0, cap]``;
-* the balance never exceeds what replenishment alone could have produced
-  (no credit is created out of thin air);
-* conservation: balance equals the initial balance plus everything
-  replenished minus everything drained.
+* the balance never leaves ``[0, cap]`` and equals Equation 1 stepped one
+  cycle at a time (the ``stepped`` fixture), H-CBA shares and caps included;
+* conservation: every cycle the balance moves by what the core earns (its
+  share, up to its cap) minus what it pays (the drain, only while it holds
+  the bus, and only down to zero);
+* no credit is created out of thin air: a core never pays for more than its
+  initial budget plus its replenishment.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.credit import CreditAccount, CreditBank
+from repro.core.credit import CreditBank, _held_balance
 from repro.sim.config import CBAParameters
 
 
@@ -26,27 +30,62 @@ holder_schedules = st.lists(
 )
 
 
+def _granted_balances(bank, holders):
+    """Grant ``bank`` the bus as ``holders`` holds it, one grant per run of
+    cycles with the same holder, and read its balances at every cycle
+    boundary (each read at or after the grants before it)."""
+    grants = {}
+    start = 0
+    for holder, run in groupby(holders):
+        length = len(list(run))
+        if holder is not None:
+            grants[start] = (holder, length)
+        start += length
+    states = []
+    for cycle in range(len(holders) + 1):
+        if cycle in grants:
+            bank.grant(grants[cycle][0], cycle, grants[cycle][1])
+        states.append(bank.balances(cycle))
+    return states
+
+
+def _flows(params, states):
+    """Per cycle and core, ``(earned, paid)`` between consecutive balances: a
+    cycle earns the share up to the cap, and the rest of the move is paid."""
+    flows = []
+    for before, after in zip(states, states[1:]):
+        row = []
+        for core, (old, new) in enumerate(zip(before, after, strict=True)):
+            earned = min(old + params.share_for(core), params.cap_for(core)) - old
+            row.append((earned, old + earned - new))
+        flows.append(row)
+    return flows
+
+
 @given(holder_schedules)
 @settings(max_examples=80, deadline=None)
-def test_balances_stay_within_bounds(schedule):
+def test_balances_stay_within_bounds(stepped, schedule):
     params = CBAParameters(max_latency=56, num_cores=4)
-    bank = CreditBank(params)
-    for holder in schedule:
-        bank.step(holder)
-        for account in bank.accounts:
-            assert 0 <= account.balance <= account.cap
+    states = _granted_balances(CreditBank(params), schedule)
+    assert states == stepped(params, schedule)
+    for balances in states:
+        for core, balance in enumerate(balances):
+            assert 0 <= balance <= params.cap_for(core)
 
 
 @given(holder_schedules)
 @settings(max_examples=80, deadline=None)
 def test_conservation_of_credit(schedule):
     params = CBAParameters(max_latency=56, num_cores=4)
-    bank = CreditBank(params)
-    initial = bank.balances(0)
-    for holder in schedule:
-        bank.step(holder)
-    for start, account in zip(initial, bank.accounts, strict=True):
-        assert account.balance == start + account.total_replenished - account.total_drained
+    states = _granted_balances(CreditBank(params), schedule)
+    drain = params.drain_per_busy_cycle
+    for cycle, row in enumerate(_flows(params, states)):
+        for core, (_, paid) in enumerate(row):
+            if core != schedule[cycle]:
+                assert paid == 0
+            elif paid != drain:
+                # Only a balance that reaches zero pays less than the drain.
+                assert 0 <= paid < drain and states[cycle + 1][core] == 0
 
 
 @given(holder_schedules, st.integers(min_value=2, max_value=6))
@@ -56,28 +95,23 @@ def test_busy_cycles_bounded_by_replenishment(schedule, num_cores):
     budget plus its replenishment allows — the mechanism that guarantees the
     cycle-fair bandwidth split."""
     params = CBAParameters(max_latency=56, num_cores=num_cores)
-    bank = CreditBank(params)
-    busy = [0] * num_cores
-    for holder in schedule:
-        holder = holder if holder is not None and holder < num_cores else None
-        if holder is not None:
-            busy[holder] += 1
-        bank.step(holder)
-    for core, account in enumerate(bank.accounts):
-        spent = busy[core] * params.drain_per_busy_cycle
-        earned = account.total_replenished + params.scaled_full_budget
-        assert account.total_drained <= spent
-        assert account.total_drained <= earned
+    holders = [h if h is not None and h < num_cores else None for h in schedule]
+    flows = _flows(params, _granted_balances(CreditBank(params), holders))
+    for core in range(num_cores):
+        earned = sum(row[core][0] for row in flows)
+        paid = sum(row[core][1] for row in flows)
+        spent = holders.count(core) * params.drain_per_busy_cycle
+        assert paid <= spent
+        assert paid <= earned + params.scaled_full_budget
 
 
 # ----------------------------------------------------------------------
-# Closed-form advance() vs repeated step()
+# Grants vs Equation 1 stepped per cycle
 # ----------------------------------------------------------------------
-# advance(cycles, holder) promises exact equivalence to `cycles` step(holder)
-# calls; the holder's closed form has three regimes (cap clip, linear drain,
-# floor), so the strategies below deliberately produce caps above the full
-# budget, heterogeneous shares, partial starting balances, and schedules that
-# mix holder and no-holder stretches.
+# A grant settles the holder's whole drain in closed form; the strategies
+# below deliberately produce caps above the full budget, heterogeneous
+# shares, partial starting balances, and schedules that mix holder and
+# no-holder stretches.
 
 
 @st.composite
@@ -107,7 +141,7 @@ def cba_parameters(draw):
     )
 
 
-advance_schedules = st.lists(
+stretch_schedules = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=200),
         st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
@@ -117,72 +151,47 @@ advance_schedules = st.lists(
 )
 
 
-def _account_state(bank):
-    return [
-        (acct.balance, acct.total_replenished, acct.total_drained)
-        for acct in bank.accounts
-    ]
-
-
-@given(cba_parameters(), advance_schedules, st.data())
+@given(cba_parameters(), stretch_schedules, st.data())
 @settings(max_examples=120, deadline=None)
-def test_advance_matches_repeated_step(params, schedule, data):
-    """advance() (closed-form holder drain) is exactly `cycles` x step()."""
-    bulk = CreditBank(params)
-    stepped = CreditBank(params)
-    # Partial starting balances, identical on both banks.
+def test_grants_match_repeated_step(stepped, params, schedule, data):
+    """Grants (closed-form holder drain) read exactly as Equation 1 stepped
+    one cycle at a time, at every cycle."""
+    bank = CreditBank(params)
+    start = []
     for core in range(params.num_cores):
         balance = data.draw(
             st.integers(min_value=0, max_value=params.cap_for(core)),
             label=f"balance[{core}]",
         )
-        bulk[core].reset(balance)
-        stepped[core].reset(balance)
+        bank.set_initial_budget(core, balance)
+        start.append(balance)
+    holders = []
     for cycles, holder in schedule:
         holder = holder if holder is not None and holder < params.num_cores else None
-        bulk.advance(cycles, holder)
-        for _ in range(cycles):
-            stepped.step(holder)
-        assert _account_state(bulk) == _account_state(stepped)
+        holders += [holder] * cycles
+    assert _granted_balances(bank, holders) == stepped(params, holders, start)
 
 
 @given(
     st.integers(min_value=1, max_value=40),   # full budget
     st.integers(min_value=0, max_value=60),   # cap headroom above full
-    st.integers(min_value=1, max_value=50),   # replenish share
     st.integers(min_value=1, max_value=50),   # drain per cycle
-    st.integers(min_value=0, max_value=250),  # cycles
+    st.integers(min_value=1, max_value=250),  # cycles
     st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_advance_as_holder_matches_per_cycle_update(
-    full, headroom, share, drain, cycles, data
-):
-    """The raw account closed form covers every regime combination — including
-    share > drain and share > cap, which CBAParameters cannot produce but a
-    directly built account can."""
+def test_hold_closed_form_matches_per_cycle_update(full, headroom, drain, cycles, data):
+    """The holder's closed form over every share the accounts admit
+    (``share <= drain``, including equality, which CBAParameters cannot
+    produce) and any cap."""
     cap = full + headroom
+    share = data.draw(st.integers(min_value=1, max_value=drain), label="share")
     balance = data.draw(st.integers(min_value=0, max_value=cap), label="balance")
-    account = CreditAccount(
-        core_id=0,
-        full_budget=full,
-        cap=cap,
-        replenish_share=share,
-        drain_per_cycle=drain,
-        balance=balance,
-    )
-    account.advance_as_holder(cycles)
-
-    expected_balance, replenished, drained = balance, 0, 0
+    expected = balance
     for _ in range(cycles):
-        new = min(expected_balance + share, cap)
-        replenished += new - expected_balance
-        paid = min(drain, new)
-        drained += paid
-        expected_balance = new - paid
-    assert account.balance == expected_balance
-    assert account.total_replenished == replenished
-    assert account.total_drained == drained
+        expected = min(expected + share, cap)
+        expected -= min(drain, expected)
+    assert _held_balance(balance, share, drain, cap, cycles) == expected
 
 
 @given(
@@ -191,7 +200,9 @@ def test_advance_as_holder_matches_per_cycle_update(
     st.integers(min_value=1, max_value=56),
 )
 @settings(max_examples=60, deadline=None)
-def test_recovery_time_is_n_minus_one_times_duration(duration, num_cores, max_latency):
+def test_recovery_time_is_n_minus_one_times_duration(
+    stepped, duration, num_cores, max_latency
+):
     """After holding the bus for ``d`` cycles from a full budget, a core needs
     ``(N-1) * d + 1`` idle cycles to become eligible again: the net drain is
     (N-1)/N per busy cycle, except that in the first busy cycle the +1
@@ -200,10 +211,12 @@ def test_recovery_time_is_n_minus_one_times_duration(duration, num_cores, max_la
         duration, max_latency = max_latency, duration
     params = CBAParameters(max_latency=max_latency, num_cores=num_cores)
     bank = CreditBank(params)
-    for _ in range(duration):
-        bank.step(holder=0)
-    recovery = 0
-    while not bank[0].eligible:
-        bank.step(holder=None)
-        recovery += 1
-    assert recovery == (num_cores - 1) * duration + 1
+    bank.grant(0, 0, duration)
+    recovery = (num_cores - 1) * duration + 1
+    assert bank.eligible_from[0] == duration + recovery
+    states = stepped(params, [0] * duration + [None] * recovery)
+    refilled = [
+        cycle for cycle, state in enumerate(states)
+        if cycle >= duration and state[0] >= params.scaled_full_budget
+    ]
+    assert refilled == [duration + recovery]

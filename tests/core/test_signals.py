@@ -1,9 +1,16 @@
-"""Tests for the signal-level (Table I) arbiter model."""
+"""Tests for the signal-level (Table I) arbiter model, and of the production
+CBA arbiter against it."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arbiters.round_robin import RoundRobinArbiter
+from repro.core.cba import CreditBasedArbiter
 from repro.core.signals import ArbiterSignalModel
-from repro.core.wcet_mode import OperatingMode
+from repro.core.wcet_mode import CompeteGate, OperatingMode
+from repro.sim.config import CBAParameters
 from repro.sim.errors import ConfigurationError
 
 
@@ -145,3 +152,91 @@ class TestDrivers:
         row = rows[0]
         for column in ("cycle", "BUDG1", "REQ1", "COMP4", "granted", "holder"):
             assert column in row
+
+
+# ----------------------------------------------------------------------
+# The production arbiter in lockstep with Table I
+# ----------------------------------------------------------------------
+LOCKSTEP_CYCLES = 2_000
+
+
+@st.composite
+def signal_configurations(draw):
+    """``(N, MaxL, mode, TuA core, TuA hold, TuA initial budget)``."""
+    num_cores = draw(st.integers(min_value=2, max_value=6))
+    max_latency = draw(st.integers(min_value=1, max_value=60))
+    mode = draw(st.sampled_from(list(OperatingMode)))
+    tua_core = draw(st.integers(min_value=0, max_value=num_cores - 1))
+    duration = draw(st.integers(min_value=1, max_value=max_latency))
+    full = num_cores * max_latency
+    initial = draw(
+        st.one_of(st.none(), st.just(0), st.integers(min_value=0, max_value=full))
+    )
+    return num_cores, max_latency, mode, tua_core, duration, initial
+
+
+@given(
+    signal_configurations(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    st.sampled_from([0.05, 0.3, 0.8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_production_arbiter_matches_table1_cycle_by_cycle(
+    config, seed, tua_rate, contender_rate
+):
+    """The production :class:`CreditBasedArbiter` (round-robin base, its
+    anchored :class:`CreditBank`) and the Table I signal model see the same
+    random request lines, one cycle at a time.  On the production side one
+    :class:`CompeteGate` per contender is fed by ``credits.eligible``, and
+    ``arbitrate``/``on_grant`` run when the bus is free.  Every cycle the
+    grant and every ``BUDGi`` must agree (the model's snapshot holds the
+    budgets after the cycle's update, i.e. the bank's read at ``c + 1``)."""
+    num_cores, max_latency, mode, tua, duration, initial = config
+    model = ArbiterSignalModel(
+        num_cores=num_cores,
+        max_latency=max_latency,
+        mode=mode,
+        tua_core=tua,
+        tua_request_duration=duration,
+        tua_initial_budget=initial,
+    )
+    cba = CreditBasedArbiter(
+        RoundRobinArbiter(num_cores),
+        CBAParameters(max_latency=max_latency, num_cores=num_cores),
+    )
+    if initial is not None:
+        cba.set_initial_budget(tua, initial)
+    wcet = mode is OperatingMode.WCET_ESTIMATION
+    gates = [CompeteGate(mode=mode, compete=not wcet) for _ in range(num_cores)]
+    rng = random.Random(seed)
+    release = 0
+    for cycle in range(LOCKSTEP_CYCLES):
+        tua_ready = rng.random() < tua_rate
+        lines = [rng.random() < contender_rate for _ in range(num_cores)]
+        snapshot = model.step(tua_ready, lines)
+
+        requests = [wcet or line for line in lines]
+        requests[tua] = tua_ready
+        for core, gate in enumerate(gates):
+            if core != tua:
+                gate.update(
+                    budget_full=cba.credits.eligible(core, cycle),
+                    tua_request_ready=tua_ready,
+                )
+        granted = None
+        if cycle >= release:
+            requestors = [
+                core
+                for core in range(num_cores)
+                if requests[core] and (core == tua or gates[core].compete)
+            ]
+            granted = cba.arbitrate(requestors, cycle)
+            if granted is not None:
+                hold = duration if granted == tua else max_latency
+                cba.on_grant(granted, hold, cycle)
+                gates[granted].on_granted()
+                release = cycle + hold
+        assert granted == snapshot.granted, cycle
+        assert cba.budgets(cycle + 1) == list(snapshot.budgets), cycle
+    assert sum(model.grants) > 0
