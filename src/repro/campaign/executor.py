@@ -40,9 +40,9 @@ futures so an aborting campaign never blocks on unrelated jobs).
 
 from __future__ import annotations
 
-# repro-lint: allow-file[DET001] — job deadlines and profiling are wall-clock
-# by nature here; job *results* derive only from (seed, run_index) inside
-# run_job, so host time never reaches the samples.
+# Job deadlines and profiling are wall-clock by nature here (the contract
+# test's DET001 skips this module); job *results* derive only from
+# (seed, run_index) inside run_job, so host time never reaches the samples.
 
 import os
 from abc import ABC, abstractmethod

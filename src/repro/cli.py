@@ -16,7 +16,6 @@ Command                   Regenerates
 ``list-workloads``        the modelled EEMBC-like and synthetic workloads
 ``obs``                   observability: record/inspect traces, profiles, metrics
 ``fuzz``                  the property-based scenario fuzzer (run/replay/shrink)
-``lint``                  the repository-contract static analyzer
 ========================  =====================================================
 
 Every command accepts ``--runs`` and ``--scale`` where applicable so the
@@ -57,7 +56,6 @@ from .campaign.executor import create_executor
 from .campaign.progress import NullProgress, ProgressReporter
 from .campaign.store import ArtifactStore
 from .fuzz.cli import add_fuzz_arguments, run_from_args as _run_fuzz_args
-from .lint.cli import add_lint_arguments, run_from_args as _run_lint_args
 from .obs.profiler import CampaignProfiler
 from .core.bounds import ContentionScenario
 from .sim.errors import ConfigurationError, SimulationError
@@ -252,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="property-based scenario fuzzer (run, replay, shrink)",
     )
     add_fuzz_arguments(fuzz)
-
-    lint = sub.add_parser(
-        "lint",
-        help="AST-based contract analyzer (determinism, hot paths, resources)",
-    )
-    add_lint_arguments(lint)
 
     return parser
 
@@ -459,7 +451,6 @@ _COMMANDS = {
     "list-workloads": _cmd_list_workloads,
     "obs": _cmd_obs,
     "fuzz": _run_fuzz_args,
-    "lint": _run_lint_args,
 }
 
 

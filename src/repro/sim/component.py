@@ -163,7 +163,10 @@ class Component:
         The kernel reads it at registration and reset to seed the
         component's wake, and components that push wakes derive what they
         push from it.  A component that overrides it must push its wakes at
-        its state transitions (``repro lint`` rule CON001).  The contract:
+        its state transitions; the three-mode agreement tests
+        (``tests/bus/test_posted_requests.py``,
+        ``tests/workloads/test_contender.py``) catch a missed push.  The
+        contract:
 
         * return an ``int`` cycle ``c >= now`` — "as long as no *other*
           component calls into me, my :meth:`tick` at every cycle before
@@ -199,7 +202,8 @@ class Component:
         right before the component's next tick, before another component
         calls into it, or at the end of the run — long after the clock moved
         past ``start``.  Take the cycles from the arguments and never read
-        :attr:`now` or :attr:`clock` here (``repro lint`` rule CON004).
+        :attr:`now` or :attr:`clock` here (the three-mode agreement tests in
+        ``tests/bus/test_posted_requests.py`` catch the bus doing so).
         Default: nothing to account.
         """
 

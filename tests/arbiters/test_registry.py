@@ -1,5 +1,6 @@
 """Tests for the arbiter registry/factory."""
 
+import numpy as np
 import pytest
 
 from repro.arbiters import (
@@ -67,3 +68,24 @@ def test_priority_option_forwarded(rng):
 def test_default_rng_allows_omitting_generator():
     arbiter = create_arbiter("lottery", 2)
     assert arbiter.arbitrate([0, 1], 0) in (0, 1)
+
+
+def _grants(arbiter, num_masters):
+    """Winners over 200 two-cycle slots of a shifting request pattern."""
+    winners = []
+    for cycle in range(0, 400, 2):
+        requestors = [m for m in range(num_masters) if (cycle // 2 + m) % 3 != 0] or [0]
+        winner = arbiter.arbitrate(requestors, cycle)
+        if winner is not None:
+            arbiter.on_grant(winner, 2, cycle)
+        winners.append(winner)
+    return winners
+
+
+@pytest.mark.parametrize("num_masters", [2, 4])
+@pytest.mark.parametrize("policy", available_policies())
+def test_default_generator_is_the_documented_fixed_stream(policy, num_masters):
+    """Without an ``rng`` every build draws what ``default_rng(0)`` draws."""
+    seeded = _grants(create_arbiter(policy, num_masters, rng=np.random.default_rng(0)), num_masters)
+    assert _grants(create_arbiter(policy, num_masters), num_masters) == seeded
+    assert _grants(create_arbiter(policy, num_masters), num_masters) == seeded

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+from contextlib import contextmanager
 
 import pytest
 
@@ -207,6 +209,41 @@ def test_lock_is_reentrant_within_one_instance(tmp_path):
     with store.locked():
         store.put(_result("abc"))  # put() re-acquires the held lock
     assert ArtifactStore(store.path).get("abc") is not None
+
+
+@contextmanager
+def _hold_then_release(store):
+    store.acquire_lock()
+    yield
+    store.release_lock()
+
+
+@contextmanager
+def _put_under_lock(store):
+    with store.locked():
+        store.put(_result("abc"))
+        yield
+
+
+@pytest.mark.parametrize("holder", [_hold_then_release, _put_under_lock])
+def test_release_frees_the_lock_while_a_forked_worker_lives(tmp_path, holder):
+    """A worker forked while the lock is held inherits its descriptor, so
+    closing the handle alone would keep the next campaign out."""
+    pytest.importorskip("fcntl")
+    path = tmp_path / "store.jsonl"
+    context = multiprocessing.get_context("fork")
+    done = context.Event()
+    worker = None
+    try:
+        with holder(ArtifactStore(path)):
+            worker = context.Process(target=done.wait, args=(60,))
+            worker.start()
+        with ArtifactStore(path).locked():
+            pass
+    finally:
+        done.set()
+        if worker is not None:
+            worker.join(60)
 
 
 def test_compact_drops_superseded_records(tmp_path):
