@@ -6,11 +6,13 @@ reuse), skips jobs already present in the artifact store when resuming,
 dispatches the remainder through the configured executor, persists each
 result as it lands, and reports progress.
 
-A CBA isolation job whose sibling without CBA runs in the same call is not
-simulated: its result is replayed from the sibling's grant log
-(:func:`~repro.campaign.jobs.derive_isolation`).  For each distinct set of
-CBA parameters one such job is simulated as well and must match its
-replay field for field, so every campaign checks the replay it relies on.
+A CBA isolation job or a maximum-contention job whose RP-ISO sibling (the
+same job in isolation without CBA) runs in the same call is not simulated:
+its result is replayed from the sibling's grant log
+(:func:`~repro.campaign.jobs.derive_job`).  For each distinct (scenario,
+platform configuration) one such job is simulated as well and must match
+its replay field for field, so every campaign checks the replays it relies
+on.
 
 Experiments express their runs as jobs, call :meth:`Campaign.run`, and fold
 the returned ``job_id -> JobResult`` mapping back into their own result
@@ -32,7 +34,7 @@ from ..obs.registry import MetricsRegistry
 from ..sim.config import CBAParameters
 from ..sim.errors import ConfigurationError, SimulationError
 from .executor import Executor, JobFailure, ResilienceSummary, SerialExecutor
-from .jobs import CampaignJob, JobResult, derive_isolation
+from .jobs import CampaignJob, JobResult, derive_job
 from .progress import NullProgress
 from .store import ArtifactStore
 
@@ -46,7 +48,8 @@ __all__ = [
 
 
 class ReplayMismatchError(SimulationError):
-    """A replayed CBA isolation result differs from its simulation."""
+    """A replayed job result (CBA isolation or maximum contention) differs
+    from its simulation."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,9 @@ class CampaignReport:
     moved to the quarantine sidecar.
 
     ``executed_jobs`` counts every job not served by the store, including
-    the ``derived_jobs`` whose results were replayed instead of simulated.
+    the ``derived_jobs`` whose results were replayed instead of simulated:
+    CBA isolation and maximum-contention jobs alike, less the checked jobs,
+    which are simulated too.
     """
 
     total_jobs: int
@@ -160,9 +165,10 @@ class Campaign:
         jobs whose ID is already in the store are served from it without
         re-execution.  Fresh results are appended to the store (when one is
         configured) as they complete, so an interrupted campaign can resume
-        from exactly where it stopped.  CBA isolation jobs are replayed from
-        a sibling run in this call where one exists (see the module
-        docstring); a replayed result is stored and counted like any other.
+        from exactly where it stopped.  CBA isolation and maximum-contention
+        jobs are replayed from a sibling run in this call where one exists
+        (see the module docstring); a replayed result is stored and counted
+        like any other.
         """
         unique: dict[str, CampaignJob] = {}
         for job in jobs:
@@ -218,7 +224,7 @@ class Campaign:
                 replays: list[tuple[CampaignJob, JobResult | None]] = []
                 for job in dependents.pop(result.job_id, ()):
                     with phase("derive"):
-                        replays.append((job, derive_isolation(job, result)))
+                        replays.append((job, derive_job(job, result)))
                 if result.grant_logs:
                     result = replace(result, grant_logs=())
                 land(result)
@@ -322,51 +328,56 @@ class Campaign:
 def _plan_derivations(
     jobs: Sequence[CampaignJob],
 ) -> tuple[dict[str, list[CampaignJob]], set[str]]:
-    """Which CBA isolation jobs in ``jobs`` can be replayed, and which of
+    """Which jobs in ``jobs`` can be replayed from a sibling, and which of
     them are simulated as well to check the replay.
 
-    A job qualifies when it runs the ``isolation`` scenario under CBA on a
-    platform :func:`~repro.platform.replay.replayable` admits, and ``jobs``
-    holds its sibling: the same job without CBA.  Returns the qualifying
-    jobs grouped by their sibling's ID, and for each distinct set of CBA
-    parameters the qualifying job with the smallest ID.
+    A job qualifies when ``jobs`` holds its sibling: the same job in the
+    ``isolation`` scenario without CBA and with default CBA parameters, on
+    a platform :func:`~repro.platform.replay.replayable` admits.  It must be
+    an ``isolation`` job under CBA, or a ``max_contention`` job on a
+    platform :func:`~repro.platform.replay.bus_replayable` admits.  Returns
+    the qualifying jobs grouped by their sibling's ID, and for each distinct
+    (scenario, platform configuration) the qualifying job with the smallest
+    ID.
     """
-    from ..platform.replay import replayable
+    from ..platform.replay import bus_replayable, replayable
 
     siblings: dict[str, CampaignJob] = {}
     candidates: list[tuple[str, CampaignJob]] = []
     for job in jobs:
         config = job.config
-        if (
-            job.scenario != "isolation"
-            or job.workload is None
-            or config is None
-            or not replayable(config)
-        ):
+        if job.workload is None or config is None or not replayable(config):
+            continue
+        if job.scenario == "isolation":
+            derived = config.use_cba
+        elif job.scenario == "max_contention":
+            derived = bus_replayable(config)
+        else:
             continue
         key = job.with_updates(
+            scenario="isolation",
             config=replace(
                 config,
                 use_cba=False,
                 cba=CBAParameters(
                     max_latency=config.cba.max_latency, num_cores=config.cba.num_cores
                 ),
-            )
+            ),
         ).job_id
-        if config.use_cba:
+        if derived:
             candidates.append((key, job))
-        else:
+        elif job.scenario == "isolation":
             siblings.setdefault(key, job)
     dependents: dict[str, list[CampaignJob]] = {}
-    checked: dict[CBAParameters, str] = {}
+    checked: dict[tuple[str, object], str] = {}
     for key, job in candidates:
         sibling = siblings.get(key)
         if sibling is None:
             continue
         dependents.setdefault(sibling.job_id, []).append(job)
-        params = job.config.cba  # type: ignore[union-attr]
-        if params not in checked or job.job_id < checked[params]:
-            checked[params] = job.job_id
+        point = (job.scenario, job.config)
+        if point not in checked or job.job_id < checked[point]:
+            checked[point] = job.job_id
     return dependents, set(checked.values())
 
 

@@ -42,7 +42,7 @@ __all__ = [
     "JobResult",
     "RunOutcome",
     "SCENARIO_RUNNERS",
-    "derive_isolation",
+    "derive_job",
     "resolve_scenario",
     "run_job",
     "seed_block_jobs",
@@ -99,7 +99,7 @@ class RunOutcome:
     #: experiments to reconstruct their full result objects on resume).
     payload: object | None = None
     #: The task's ``grant, release`` log of an isolation run without CBA
-    #: that :func:`derive_isolation` can replay (see
+    #: that :func:`derive_job` can replay (see
     #: :func:`repro.platform.replay.grant_log`); ``None`` otherwise.
     grant_log: array | None = None
 
@@ -287,35 +287,66 @@ def run_job(job: CampaignJob) -> JobResult:
     )
 
 
-def derive_isolation(job: CampaignJob, source: JobResult) -> JobResult | None:
-    """The result of CBA isolation ``job``, replayed from ``source``.
+def derive_job(job: CampaignJob, source: JobResult) -> JobResult | None:
+    """The result of ``job``, replayed from its RP-ISO sibling's ``source``.
 
-    ``source`` is the result of ``job``'s sibling without CBA (same
-    workload, seed, runs and platform otherwise), carrying a grant log per
-    run.  Each run's CBA waits (:func:`repro.platform.replay.cba_waits`)
-    shift its execution and total cycles; every other metric is the
-    source's.  The result is the one :func:`run_job` would return, except
-    that ``elapsed_seconds`` is the replay's time.  ``None`` when a run has
-    no grant log or its replayed end reaches ``job.max_cycles`` (the
+    ``source`` is the result of ``job``'s ``isolation`` sibling without CBA
+    (same workload, seed, runs, base policy and platform otherwise),
+    carrying a grant log per run (:func:`repro.platform.replay.grant_log`).
+    Each run of ``job`` shifts the source's execution and total cycles:
+
+    * an ``isolation`` job under CBA by its CBA waits
+      (:func:`repro.platform.replay.cba_waits`), every other metric being
+      the source's;
+    * a ``max_contention`` job by its bus replay against greedy contenders
+      (:func:`repro.platform.replay.bus_replay`), which also gives its
+      bandwidth share and contender requests; the batch counters are the
+      source's, since the task's own stream is unchanged.
+
+    The result is the one :func:`run_job` would return, except that
+    ``elapsed_seconds`` is the replay's time.  ``None`` when a run has no
+    grant log or its replayed end reaches ``job.max_cycles`` (the
     simulation would have been truncated).
     """
-    from ..platform.replay import cba_waits
+    from ..platform import replay
 
     logs = source.grant_logs
-    if job.config is None or len(logs) != job.num_runs or any(log is None for log in logs):
+    config = job.config
+    if config is None or len(logs) != job.num_runs or any(log is None for log in logs):
         return None
     # repro-lint: allow[DET001]
     started = time.perf_counter()
-    params = job.config.cba
     samples: list[float] = []
     metrics: list[dict[str, float]] = []
-    for value, source_metrics, log in zip(source.samples, source.metrics, logs):
-        shift = sum(cba_waits(log, params, job.tua_core))
-        total = source_metrics["total_cycles"] + shift
-        if total >= job.max_cycles:
+    runs = zip(job.run_indices, source.samples, source.metrics, logs)
+    for run_index, value, source_metrics, log in runs:
+        source_total = int(source_metrics["total_cycles"])
+        if job.scenario == "isolation":
+            shift = sum(replay.cba_waits(log, config.cba, job.tua_core))
+            run_metrics = {**source_metrics, "total_cycles": float(source_total + shift)}
+        else:
+            replayed = replay.bus_replay(
+                log,
+                config,
+                source_total,
+                seed=job.seed,
+                run_index=run_index,
+                tua_core=job.tua_core,
+                max_cycles=job.max_cycles,
+            )
+            if replayed is None:
+                return None
+            shift = replayed.shift
+            run_metrics = {
+                **source_metrics,
+                "total_cycles": float(replayed.total_cycles),
+                "tua_bandwidth_share": replayed.tua_bandwidth_share,
+                "contender_requests": float(replayed.contender_requests),
+            }
+        if run_metrics["total_cycles"] >= job.max_cycles:
             return None
         samples.append(value + shift)
-        metrics.append({**source_metrics, "total_cycles": total})
+        metrics.append(run_metrics)
     return JobResult(
         job_id=job.job_id,
         label=job.label,

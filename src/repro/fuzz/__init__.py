@@ -4,8 +4,8 @@ The fuzzer draws random-but-valid platform/workload/memory configurations
 from a seeded generator (:mod:`repro.fuzz.space`), runs each one through
 every kernel execution mode and the campaign engine, and checks cross-mode
 bit-identity, serial-vs-pool dispatch equivalence, duplicate-free resume,
-contention monotonicity and the CBA isolation replay
-(:mod:`repro.fuzz.harness`).  Failures shrink
+contention monotonicity, and the CBA isolation and maximum-contention
+replays (:mod:`repro.fuzz.harness`).  Failures shrink
 deterministically (:mod:`repro.fuzz.shrink`) into self-contained repro JSON
 files that ``repro fuzz replay`` re-executes (:mod:`repro.fuzz.runner`).
 """
@@ -19,6 +19,7 @@ from .harness import (
     build_system,
     check_campaign,
     check_closed_form,
+    check_contention_replay,
     check_modes,
     check_monotonicity,
     check_scenario,
@@ -66,6 +67,7 @@ __all__ = [
     "canonical_json",
     "check_campaign",
     "check_closed_form",
+    "check_contention_replay",
     "check_modes",
     "check_monotonicity",
     "check_scenario",

@@ -1,6 +1,6 @@
 """Invariant checks the fuzzer runs against each drawn scenario.
 
-Four invariant families, named by the strings a scenario's ``checks`` tuple
+Five invariant families, named by the strings a scenario's ``checks`` tuple
 carries:
 
 ``"modes"``
@@ -32,6 +32,14 @@ carries:
     under CBA on platforms :func:`~repro.platform.replay.replayable`
     admits.
 
+``"contention_replay"``
+    A task's run against greedy contenders is its lone run without CBA
+    replayed through the production arbiter
+    (:func:`~repro.platform.replay.bus_replay`): execution and total cycles,
+    bandwidth share, contender completions and batch counters all match.
+    Only drawn for maximum-contention scenarios on platforms
+    :func:`~repro.platform.replay.bus_replayable` admits.
+
 Each check is deterministic given the scenario, so a failing scenario is a
 self-contained reproduction.  ``run_mode`` accepts an optional ``perturb``
 hook (called with the built system and the mode's value, e.g.
@@ -50,7 +58,7 @@ from ..campaign.campaign import Campaign
 from ..campaign.executor import SerialExecutor, create_executor
 from ..campaign.jobs import CampaignJob, seed_block_jobs
 from ..campaign.store import ArtifactStore
-from ..platform.replay import cba_waits, grant_log
+from ..platform.replay import bus_replay, cba_waits, grant_log
 from ..platform.system import MulticoreSystem, SystemResult
 from ..sim.config import KernelMode
 from .space import FuzzScenario
@@ -65,6 +73,7 @@ __all__ = [
     "check_modes",
     "check_campaign",
     "check_closed_form",
+    "check_contention_replay",
     "check_monotonicity",
     "check_scenario",
     "CHECKS",
@@ -317,11 +326,79 @@ def check_closed_form(
     return None
 
 
+def _outcome(result: SystemResult, tua: int) -> dict[str, object]:
+    """The fields a campaign keeps of a run of the task on core ``tua``."""
+    return {
+        "truncated": result.truncated,
+        "tua_cycles": result.execution_cycles(tua),
+        "total_cycles": result.total_cycles,
+        "tua_bandwidth_share": result.bandwidth_shares[tua],
+        "contender_requests": sum(result.extra.get("contender_requests", {}).values()),
+        "batched_items": result.observability.get("batched_items", 0),
+        "batch_stretches": result.observability.get("batch_stretches", 0),
+    }
+
+
+def check_contention_replay(
+    scenario: FuzzScenario, perturb: PerturbHook | None = None
+) -> InvariantViolation | None:
+    """The run against greedy contenders equals the bus replay of the
+    task's lone run without CBA."""
+    tua = scenario.tua_core
+    source_scenario = scenario.with_updates(
+        kind="isolation", config=scenario.config.with_updates(use_cba=False)
+    )
+    with build_system(source_scenario, PRODUCTION_MODE) as system:
+        if perturb is not None:
+            perturb(system, PRODUCTION_MODE.value)
+        source = system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
+        holder_log = system.bus.holder_log
+    if source.truncated:
+        return None
+    log = grant_log(holder_log, tua, source.core_counters[tua].request_latencies)
+    if log is None:
+        return InvariantViolation(
+            invariant="contention_replay",
+            detail="a request of the lone task waited for its grant without CBA",
+        )
+    replayed = bus_replay(
+        log,
+        scenario.config,
+        source.total_cycles,
+        seed=scenario.seed,
+        run_index=scenario.run_index,
+        tua_core=tua,
+        max_cycles=scenario.max_cycles,
+    )
+    if replayed is None:
+        return None
+    expected = {
+        **_outcome(source, tua),
+        "tua_cycles": source.execution_cycles(tua) + replayed.shift,
+        "total_cycles": replayed.total_cycles,
+        "tua_bandwidth_share": replayed.tua_bandwidth_share,
+        "contender_requests": replayed.contender_requests,
+    }
+    actual = _outcome(run_mode(scenario, PRODUCTION_MODE, perturb), tua)
+    differing = _diff_keys(expected, actual)
+    if differing:
+        return InvariantViolation(
+            invariant="contention_replay",
+            detail="replay diverges from the simulated contention run on "
+            + ", ".join(
+                f"{key}: replay={expected[key]!r} simulated={actual[key]!r}"
+                for key in differing
+            ),
+        )
+    return None
+
+
 CHECKS: dict[str, Callable[..., InvariantViolation | None]] = {
     "modes": check_modes,
     "campaign": check_campaign,
     "monotonicity": check_monotonicity,
     "closed_form": check_closed_form,
+    "contention_replay": check_contention_replay,
 }
 
 

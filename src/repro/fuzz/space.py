@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from ..core.hcba import heterogeneous_share_parameters
-from ..platform.replay import replayable
+from ..platform.replay import bus_replayable, replayable
 from ..sim.config import (
     BusTimings,
     CacheGeometry,
@@ -329,6 +329,8 @@ def draw_scenario(rng: np.random.Generator) -> FuzzScenario:
         checks.append("monotonicity")
     if kind == "isolation" and config.use_cba and replayable(config):
         checks.append("closed_form")
+    if kind == "max_contention" and bus_replayable(config):
+        checks.append("contention_replay")
 
     return FuzzScenario(
         kind=kind,

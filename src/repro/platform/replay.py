@@ -1,13 +1,19 @@
-"""Isolation under CBA by replay.
+"""Isolation under CBA and maximum contention by replay.
 
 A task running alone on a bus whose base policy grants a lone requestor in
 the cycle it asks sees no wait without CBA: every request is granted at its
-issue.  Under CBA the same task only adds the budget-recovery stalls of the
-credit filter.  Nothing else changes — the L2 is private to the task, its
-caches see the same access sequence, and every transaction holds the bus
-for the same number of cycles — so each stall shifts the rest of the run by
-its length, and the CBA run follows from the grant log of the run without
-CBA:
+issue.  That run's grant log (:func:`grant_log`) is the task's own request
+stream — when each request issues after the previous release, how long it
+holds the bus, and how long the task computes after its last release —
+and on the platforms admitted here the stream does not depend on the bus:
+the L2 is private to the task, its caches see the same access sequence,
+and every transaction holds the bus for the same number of cycles.  Only
+the waits for the bus change, so other runs of the same task follow from
+the log.
+
+**Under CBA, alone** (:func:`cba_waits`), the task only adds the
+budget-recovery stalls of the credit filter, and each stall shifts the rest
+of the run by its length:
 
 * the request the source granted at ``g`` is issued at ``g + shift``, where
   ``shift`` is the sum of the stalls before it;
@@ -17,24 +23,48 @@ CBA:
   :class:`~repro.core.credit.CreditBank`, so shares, caps and initial
   budgets need no formula of their own.
 
-:func:`cba_waits` is that replay.  The campaign derives CBA isolation jobs
-with it (:func:`repro.campaign.jobs.derive_isolation`), and the tier-1
-oracle and the fuzzer's ``closed_form`` invariant compare it with simulated
-runs.  It holds when :func:`replayable` admits the platform and the source
-granted every request at issue (:func:`grant_log` returns ``None``
-otherwise): a store buffer overlaps a store with later work, and TDMA delays
-a lone requestor to its slot, so neither is a pure shift.
+It holds when :func:`replayable` admits the platform and the source granted
+every request at issue (:func:`grant_log` returns ``None`` otherwise): a
+store buffer overlaps a store with later work, and TDMA delays a lone
+requestor to its slot, so neither is a pure shift.
+
+**Against greedy contenders** (:func:`bus_replay`), the stream is replayed
+through the production arbiter, with or without CBA, against contenders
+that re-issue the cycle after each completion.  It holds when
+:func:`bus_replayable` admits the platform: on top of :func:`replayable`,
+fixed DRAM, so that a contender's atomic transaction (which bypasses the
+L2) always holds the bus as long and leaves the task's memory as it finds
+it.  Banked DRAM keeps rows open across masters.
+
+The campaign derives CBA isolation and maximum-contention jobs with these
+replays (:func:`repro.campaign.jobs.derive_job`), and the tier-1 oracles and
+the fuzzer's ``closed_form`` and ``contention_replay`` invariants compare
+them with simulated runs.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import insort
+from dataclasses import dataclass
 from typing import Sequence
 
+from ..arbiters.base import Arbiter
+from ..arbiters.registry import create_arbiter
+from ..core.cba import CreditBasedArbiter
 from ..core.credit import CreditBank
 from ..sim.config import CBAParameters, PlatformConfig
+from ..sim.rng import RandomStreams
 
-__all__ = ["REPLAYABLE_POLICIES", "cba_waits", "grant_log", "replayable"]
+__all__ = [
+    "REPLAYABLE_POLICIES",
+    "ContentionReplay",
+    "bus_replay",
+    "bus_replayable",
+    "cba_waits",
+    "grant_log",
+    "replayable",
+]
 
 #: Base policies that grant a lone requestor in the cycle it asks.
 REPLAYABLE_POLICIES = frozenset({"random_permutations", "round_robin", "fifo"})
@@ -97,3 +127,146 @@ def cba_waits(log: Sequence[int], params: CBAParameters, master: int) -> array:
             granted = issue
         grant(master, granted, log[index + 1] - source)
     return waits
+
+
+def bus_replayable(config: PlatformConfig) -> bool:
+    """Whether a task's run against greedy contenders on ``config`` follows
+    by replay from its lone run without CBA (the platform side of the
+    guard): :func:`replayable`, and fixed DRAM, so that each contender's
+    atomic hold is one fixed duration and leaves the task's memory as it
+    finds it."""
+    return replayable(config) and config.memory.model == "fixed"
+
+
+@dataclass(frozen=True)
+class ContentionReplay:
+    """What :func:`bus_replay` derives of a run under maximum contention."""
+
+    #: How much later the task's last hold ends than in the source; its
+    #: execution and total cycles move by as much.
+    shift: int
+    total_cycles: int
+    #: The task's share of the bus cycles granted before the run ends.
+    tua_bandwidth_share: float
+    #: Contender requests completed before the run ends.
+    contender_requests: int
+
+
+def bus_replay(
+    log: Sequence[int],
+    config: PlatformConfig,
+    source_total: int,
+    *,
+    seed: int,
+    run_index: int,
+    tua_core: int,
+    max_cycles: int,
+) -> ContentionReplay | None:
+    """The run of a task against greedy contenders, replayed from its lone
+    run without CBA on the same platform.
+
+    ``log`` is that run's ``grant, release`` log (:func:`grant_log`) and
+    ``source_total`` its total cycles.  The task keeps its own stream: each
+    request issues its source gap after the previous release (the first at
+    its source grant) and holds the bus as long as in the source, and the
+    run ends the source's tail after the last release.  Every other core is
+    a greedy contender: it issues at cycle 0 and the cycle after each
+    completion, and holds the bus for an atomic transaction.  The grants
+    come from the production arbiter, built as the platform builds it and
+    driven the way :class:`~repro.bus.bus.SharedBus` drives it: requests
+    reach :meth:`~repro.arbiters.base.Arbiter.on_request` in issue order
+    (the task first within a cycle, since its core ticks before the
+    contenders), and an idle bus arbitrates among the pending requests at
+    the first cycle one is pending, then at the earlier of the arbiter's
+    :meth:`~repro.arbiters.base.Arbiter.next_grant_opportunity` and the next
+    issue until it grants.
+
+    ``None`` when the run would not end before ``max_cycles`` (the
+    simulation is truncated there).  Holds when :func:`bus_replayable`
+    admits ``config``.
+    """
+    cores = config.num_cores
+    arbiter: Arbiter = create_arbiter(
+        config.arbitration,
+        cores,
+        rng=RandomStreams(seed=seed, run_index=run_index).stream("arbiter"),
+        slot_cycles=config.bus_timings.max_latency,
+    )
+    if config.use_cba:
+        arbiter = CreditBasedArbiter(arbiter, config.cba)
+    on_request = arbiter.on_request
+    arbitrate = arbiter.arbitrate
+    on_grant = arbiter.on_grant
+    next_grant_opportunity = arbiter.next_grant_opportunity
+    contender_hold = config.bus_timings.atomic()
+    requests = len(log) // 2
+
+    # Each master's next request while it is not yet admitted: its issue
+    # cycle, or ``None`` while it is pending or held (and for the task once
+    # its stream is done).  Masters in admission order for equal issues.
+    issues: list[int | None] = [0] * cores
+    issues[tua_core] = log[0] if requests else None
+    order = [tua_core] + [core for core in range(cores) if core != tua_core]
+    requestors: list[int] = []
+    served = 0
+    end = None if requests else source_total
+    free = tua_granted = granted = 0
+    releases = array("q")
+    while True:
+        if requestors:
+            cycle = free
+        else:
+            upcoming = [issue for issue in issues if issue is not None]
+            cycle = max(free, min(upcoming)) if upcoming else max_cycles
+        # The idle bus from ``cycle`` on: admit, arbitrate, and if nothing
+        # is granted wait for the arbiter's next opportunity or an issue.
+        while True:
+            if end is not None and cycle >= end:
+                break
+            if cycle >= max_cycles:
+                return None
+            ready = [
+                master
+                for master in order
+                if (issue := issues[master]) is not None and issue <= cycle
+            ]
+            ready.sort(key=issues.__getitem__)  # stable: ties keep ``order``
+            for master in ready:
+                on_request(master, issues[master])
+                issues[master] = None
+                insort(requestors, master)
+            choice = arbitrate(requestors, cycle)
+            if choice is not None:
+                break
+            wake = next_grant_opportunity(requestors, cycle + 1)
+            for issue in issues:
+                if issue is not None and (wake is None or issue < wake):
+                    wake = issue
+            cycle = max_cycles if wake is None else wake
+        if end is not None and cycle >= end:
+            break
+        requestors.remove(choice)
+        if choice == tua_core:
+            hold = log[2 * served + 1] - log[2 * served]
+            tua_granted += hold
+            served += 1
+            free = cycle + hold
+            if served < requests:
+                issues[tua_core] = free + log[2 * served] - log[2 * served - 1]
+            else:
+                end = free + source_total - log[-1]
+                if end >= max_cycles:
+                    return None
+        else:
+            hold = contender_hold
+            free = cycle + hold
+            issues[choice] = free + 1
+            releases.append(free)
+        granted += hold
+        on_grant(choice, hold, cycle)
+    return ContentionReplay(
+        shift=end - source_total,
+        total_cycles=end,
+        tua_bandwidth_share=tua_granted / granted if granted else 0.0,
+        contender_requests=sum(1 for release in releases if release < end),
+    )

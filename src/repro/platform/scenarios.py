@@ -57,7 +57,8 @@ class ScenarioResult:
     truncated: bool = False
     #: The bus's holder changes (:attr:`~repro.bus.bus.SharedBus.holder_log`),
     #: kept by :func:`run_isolation` only: the grant log
-    #: :mod:`repro.platform.replay` derives CBA isolation runs from.
+    #: :mod:`repro.platform.replay` derives CBA isolation and
+    #: maximum-contention runs from.
     holder_log: array = field(default_factory=lambda: array("q"), compare=False, repr=False)
 
     def snapshot(self) -> dict[str, object]:

@@ -1,11 +1,13 @@
-"""CBA isolation jobs replayed from their sibling without CBA.
+"""CBA isolation and maximum-contention jobs replayed from their RP-ISO
+sibling.
 
-A campaign that holds a CBA isolation job and the same job without CBA
-replays the first from the second's grant log instead of simulating it
-(:func:`repro.campaign.jobs.derive_isolation`).  These tests hold the
-replayed results to what :func:`run_job` returns for the same jobs, check
-that the guard sends every case it does not cover to the simulator, and
-that each campaign's own check sample catches a wrong replay.
+A campaign that holds a CBA isolation job or a maximum-contention job and
+the same job in isolation without CBA replays the first from the second's
+grant log instead of simulating it (:func:`repro.campaign.jobs.derive_job`).
+These tests hold the replayed results to what :func:`run_job` returns for
+the same jobs, check that the guard sends every case it does not cover to
+the simulator, that each campaign's own check sample catches a wrong
+replay, and how many jobs the paper's grids replay.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from repro.campaign.campaign import Campaign, ReplayMismatchError
 from repro.campaign.executor import ParallelExecutor, SerialExecutor
 from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.store import ArtifactStore
+from repro.experiments.base_policy_sweep import run_base_policy_sweep
 from repro.experiments.figure1 import run_figure1
 from repro.obs.profiler import CampaignProfiler
 from repro.platform import replay
 from repro.platform.presets import cba_config, hcba_config, rp_config
+from repro.sim.config import MemoryConfig
 
 
 class RecordingExecutor(SerialExecutor):
@@ -54,11 +58,11 @@ def _without_timing(result):
     return replace(result, elapsed_seconds=0.0)
 
 
-def _iso_jobs(workload, *configs, num_runs=2, max_cycles=300_000):
+def _iso_jobs(workload, *configs, num_runs=2, max_cycles=300_000, scenario="isolation"):
     jobs = []
     for label, config in configs:
         jobs += seed_block_jobs(
-            label, "isolation", seed=3, num_runs=num_runs,
+            label, scenario, seed=3, num_runs=num_runs,
             workload=workload, config=config, max_cycles=max_cycles,
         )
     return jobs
@@ -73,15 +77,29 @@ def _grid(workload, **config_updates):
     )
 
 
+def _con_grid(workload, scenario="max_contention", **config_updates):
+    """The RP-ISO sibling and the RP, CBA and H-CBA contention columns."""
+    return _iso_jobs(
+        workload, ("RP-ISO", rp_config().with_updates(**config_updates))
+    ) + _iso_jobs(
+        workload,
+        ("RP-CON", rp_config().with_updates(**config_updates)),
+        ("CBA-CON", cba_config().with_updates(**config_updates)),
+        ("H-CBA-CON", hcba_config(4, favoured_core=0).with_updates(**config_updates)),
+        scenario=scenario,
+    )
+
+
 @pytest.mark.parametrize("executor", [SerialExecutor, lambda: ParallelExecutor(2)])
 def test_figure1_grid_is_bit_identical_to_simulating_every_job(executor):
     """The whole Figure 1 grid at a small scale: every result equals
     ``run_job`` for its job, ``elapsed_seconds`` aside, and the replayed
-    jobs are the CBA and H-CBA isolation columns less one checked job each."""
+    jobs are the CBA and H-CBA isolation columns and the three contention
+    columns, less one checked job each."""
     for seed in (1, 7):
         campaign = RecordingCampaign(executor=executor())
         run_figure1(num_runs=3, seed=seed, access_scale=0.1, campaign=campaign)
-        assert campaign.last_report.derived_jobs == 2 * 4 * 3 - 2
+        assert campaign.last_report.derived_jobs == 5 * 4 * 3 - 5
         assert campaign.last_report.executed_jobs == len(campaign.jobs) == 72
         for job_id, job in campaign.jobs.items():
             assert _without_timing(campaign.results[job_id]) == _without_timing(
@@ -107,14 +125,14 @@ def test_replayed_jobs_are_not_simulated_and_count_as_executed(tiny_workload):
 
 
 def _refused(jobs, **campaign_options):
-    """Run ``jobs`` and assert every CBA job was simulated, equal to
-    ``run_job``; returns the campaign."""
+    """Run ``jobs`` and assert every job but the RP-ISO siblings was
+    simulated, equal to ``run_job``; returns the campaign."""
     executor = RecordingExecutor()
     campaign = Campaign(executor=executor, **campaign_options)
     results = campaign.run(jobs)
     assert campaign.last_report.derived_jobs == 0
     for job in jobs:
-        if job.config.use_cba:
+        if job.config.use_cba or job.scenario != "isolation":
             assert job.job_id in executor.executed
             assert _without_timing(results[job.job_id]) == _without_timing(run_job(job))
     return campaign
@@ -132,9 +150,10 @@ def test_cba_job_without_a_sibling_is_simulated(tiny_workload):
     _refused([job for job in _grid(tiny_workload) if job.config.use_cba])
 
 
-def test_truncated_sibling_sends_its_jobs_to_the_simulator(tiny_workload):
-    jobs = _iso_jobs(
-        tiny_workload, ("RP", rp_config()), ("CBA", cba_config()), max_cycles=400
+@pytest.mark.parametrize("scenario", ["isolation", "max_contention"])
+def test_truncated_sibling_sends_its_jobs_to_the_simulator(tiny_workload, scenario):
+    jobs = _iso_jobs(tiny_workload, ("RP", rp_config()), max_cycles=400) + _iso_jobs(
+        tiny_workload, ("CBA", cba_config()), max_cycles=400, scenario=scenario
     )
     assert all(run_job(job).truncated_runs for job in jobs)
     campaign = _refused(jobs)
@@ -146,9 +165,12 @@ def test_truncated_sibling_sends_its_jobs_to_the_simulator(tiny_workload):
     assert len(cba & set(first)) == 1 and cba - set(first) == set(second)
 
 
-def test_replayed_end_past_the_cycle_budget_is_simulated(tiny_workload):
+@pytest.mark.parametrize("scenario", ["isolation", "max_contention"])
+def test_replayed_end_past_the_cycle_budget_is_simulated(tiny_workload, scenario):
     (source,) = _iso_jobs(tiny_workload, ("RP", rp_config()), num_runs=1)
-    (target,) = _iso_jobs(tiny_workload, ("CBA", cba_config()), num_runs=1)
+    (target,) = _iso_jobs(
+        tiny_workload, ("CBA", cba_config()), num_runs=1, scenario=scenario
+    )
     source_end = run_job(source).metrics[0]["total_cycles"]
     assert run_job(target).metrics[0]["total_cycles"] > source_end + 1
     jobs = [
@@ -161,11 +183,63 @@ def test_replayed_end_past_the_cycle_budget_is_simulated(tiny_workload):
 def test_sibling_served_from_the_store_leaves_the_job_to_the_simulator(
     tiny_workload, tmp_path
 ):
-    jobs = _grid(tiny_workload)
+    jobs = _grid(tiny_workload) + _con_grid(tiny_workload)[2:]
     path = tmp_path / "store.jsonl"
-    Campaign(store=ArtifactStore(path)).run([j for j in jobs if not j.config.use_cba])
+    siblings = [j for j in jobs if j.label == "RP-ISO"]
+    Campaign(store=ArtifactStore(path)).run(siblings)
     campaign = _refused(jobs, store=ArtifactStore(path), resume=True)
-    assert campaign.last_report.reused_jobs == 2
+    assert campaign.last_report.reused_jobs == len(siblings) == 2
+
+
+def test_contention_jobs_are_simulated_not_derived_outside_the_guard(tiny_workload):
+    for updates in (
+        {"memory": MemoryConfig(model="banked", controller_policy="frfcfs")},
+        {"store_buffer_entries": 2},
+        {"arbitration": "tdma"},
+    ):
+        _refused(_con_grid(tiny_workload, **updates))
+    for scenario in ("wcet_estimation", "mixed_criticality"):
+        _refused(_con_grid(tiny_workload, scenario=scenario))
+
+
+def test_contention_job_without_an_iso_sibling_is_simulated(tiny_workload):
+    _refused([job for job in _con_grid(tiny_workload) if job.label != "RP-ISO"])
+
+
+def test_replayed_contention_jobs_are_not_simulated(tiny_workload):
+    jobs = _con_grid(tiny_workload)
+    executor = RecordingExecutor()
+    campaign = Campaign(executor=executor)
+    results = campaign.run(jobs)
+    checked = {
+        min(job.job_id for job in jobs if job.label == label)
+        for label in ("RP-CON", "CBA-CON", "H-CBA-CON")
+    }
+    simulated = {job.job_id for job in jobs if job.label == "RP-ISO"} | checked
+    assert executor.batches == [[job.job_id for job in jobs if job.job_id in simulated]]
+    assert campaign.last_report.derived_jobs == len(jobs) - len(simulated)
+    for job in jobs:
+        assert _without_timing(results[job.job_id]) == _without_timing(run_job(job))
+
+
+@pytest.mark.parametrize("num_runs", [1, 2])
+def test_figure1_grid_replays_all_but_its_siblings_and_checks(num_runs):
+    """Per run, 8 CBA/H-CBA isolation and 12 contention jobs are derivable;
+    2 + 3 are checked.  A guard that refused every replay would change no
+    result, only the campaign's speed: this count is what catches it."""
+    campaign = Campaign()
+    run_figure1(num_runs=num_runs, seed=5, access_scale=0.02, campaign=campaign)
+    assert campaign.last_report.derived_jobs == 20 * num_runs - 5
+
+
+def test_base_policy_sweep_replays_its_replayable_bases():
+    """Round robin and random permutations, each with and without CBA:
+    2 CBA isolation and 4 contention jobs per run, one of each (scenario,
+    configuration) checked.  Lottery and TDMA are simulated."""
+    num_runs = 2
+    campaign = Campaign()
+    run_base_policy_sweep(num_runs=num_runs, access_scale=0.02, campaign=campaign)
+    assert campaign.last_report.derived_jobs == 6 * num_runs - 6
 
 
 def test_store_of_fully_simulated_jobs_resumes_with_nothing_executed(
@@ -220,6 +294,21 @@ def test_a_wrong_replay_fails_the_campaign(tiny_workload, monkeypatch):
     with pytest.raises(ReplayMismatchError, match=checked) as raised:
         Campaign().run(jobs)
     assert "samples" in str(raised.value) and "CBA-ISO" in str(raised.value)
+
+
+def test_a_wrong_contention_replay_fails_the_campaign(tiny_workload, monkeypatch):
+    real = replay.bus_replay
+
+    def one_more_completion(*args, **kwargs):
+        replayed = real(*args, **kwargs)
+        return replace(replayed, contender_requests=replayed.contender_requests + 1)
+
+    monkeypatch.setattr(replay, "bus_replay", one_more_completion)
+    jobs = _con_grid(tiny_workload)
+    checked = min(job.job_id for job in jobs if job.label == "CBA-CON")
+    with pytest.raises(ReplayMismatchError, match=checked) as raised:
+        Campaign().run([job for job in jobs if job.label in ("RP-ISO", "CBA-CON")])
+    assert "metrics" in str(raised.value) and "CBA-CON" in str(raised.value)
 
 
 def test_replays_reach_the_report_metrics_and_profile(tiny_workload, tmp_path):

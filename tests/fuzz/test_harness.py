@@ -98,3 +98,25 @@ def test_closed_form_holds_on_its_corpus_case_and_catches_a_divergent_cba_run():
     violation = check_closed_form(scenario, shorten_l2_under_cba)
     assert violation is not None and violation.invariant == "closed_form"
     assert "request_latencies" in violation.detail
+
+
+def test_contention_replay_holds_on_its_corpus_case_and_catches_a_short_contender():
+    from pathlib import Path
+
+    from repro.bus.latency import TransactionClass
+    from repro.fuzz import check_contention_replay, load_repro
+
+    scenario, _record = load_repro(
+        Path(__file__).parent / "corpus" / "contention-replay-hcba-shares-fifo.json"
+    )
+    assert scenario.config.arbitration == "fifo"
+    assert scenario.config.use_cba and scenario.config.cba.replenish_shares
+    assert check_contention_replay(scenario) is None
+
+    def shorten_atomics(system, mode_name):
+        durations = system.l2_slave._duration_by_class
+        durations[TransactionClass.ATOMIC] -= 1
+
+    violation = check_contention_replay(scenario, shorten_atomics)
+    assert violation is not None and violation.invariant == "contention_replay"
+    assert "tua_cycles" in violation.detail

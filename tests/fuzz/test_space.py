@@ -132,3 +132,20 @@ def test_closed_form_drawn_only_where_the_replay_guard_holds():
     for scenario in drawn:
         assert scenario.kind == "isolation"
         assert scenario.config.use_cba and replayable(scenario.config)
+
+
+def test_contention_replay_drawn_only_where_the_bus_replay_guard_holds():
+    from repro.platform.replay import bus_replayable
+
+    scenarios = _draw_many(2025, 600)
+    drawn = [s for s in scenarios if "contention_replay" in s.checks]
+    assert drawn
+    for scenario in drawn:
+        assert scenario.kind == "max_contention" and bus_replayable(scenario.config)
+        # Appended last, so no earlier check moves.
+        assert scenario.checks[-1] == "contention_replay"
+    assert all(
+        "contention_replay" in s.checks
+        for s in scenarios
+        if s.kind == "max_contention" and bus_replayable(s.config)
+    )

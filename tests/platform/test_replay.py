@@ -1,4 +1,4 @@
-"""The CBA isolation replay against simulated runs.
+"""The CBA isolation and maximum-contention replays against simulated runs.
 
 :func:`repro.platform.replay.cba_waits` replays a lone task's run without
 CBA through the production credit bank.  Its waits, added to the source's
@@ -11,6 +11,13 @@ budget caps above the full budget (H-CBA option 1).  A store buffer does
 not: the buffered stores overlap later work, so requests wait for the bus
 in the source already and :func:`grant_log` refuses it.  TDMA does not
 either, since a lone requestor waits for its slot.
+
+:func:`repro.platform.replay.bus_replay` replays the same grant log against
+greedy contenders through the production arbiter.  It must give every
+field the campaign keeps of the simulated contention run, for RP, RR and
+FIFO bases with and without CBA, H-CBA shares and caps included.  Its guard
+adds fixed DRAM: banked rows make a contender's hold depend on the state
+it finds.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ import pytest
 
 from repro.experiments.runner import scale_workload
 from repro.platform.presets import cba_config, hcba_config, rp_config
-from repro.platform.replay import cba_waits, grant_log, replayable
-from repro.platform.scenarios import run_isolation
+from repro.platform.replay import bus_replay, bus_replayable, cba_waits, grant_log, replayable
+from repro.platform.scenarios import run_isolation, run_max_contention
 from repro.sim.config import KernelMode, MemoryConfig
 from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
 
@@ -113,3 +120,102 @@ def test_replay_of_back_to_back_requests_waits_for_each_refill():
     # shift moves every later request with it.
     log = array("q", [0, 10, 10, 20, 100, 110])
     assert list(cba_waits(log, cba_config().cba, 0)) == [0, 31, 0]
+
+
+# ----------------------------------------------------------------------
+# Maximum contention
+# ----------------------------------------------------------------------
+def _outcome(tua_cycles, system, tua):
+    """The fields the campaign keeps of a run (``_platform_outcome``)."""
+    return {
+        "tua_cycles": tua_cycles,
+        "total_cycles": system.total_cycles,
+        "tua_bandwidth_share": system.bandwidth_shares[tua],
+        "contender_requests": sum(system.extra["contender_requests"].values()),
+        "batched_items": system.observability["batched_items"],
+        "batch_stretches": system.observability["batch_stretches"],
+    }
+
+
+def _replayed_outcome(workload, config, seed, tua=0, max_cycles=5_000_000):
+    """The contention run's fields as replayed from its RP-ISO sibling."""
+    sibling = config.with_updates(use_cba=False)
+    source = run_isolation(workload, sibling, seed=seed, run_index=1, tua_core=tua)
+    log = grant_log(source.holder_log, tua, source.system.core_counters[tua].request_latencies)
+    assert log is not None
+    replayed = bus_replay(
+        log, config, source.system.total_cycles,
+        seed=seed, run_index=1, tua_core=tua, max_cycles=max_cycles,
+    )
+    if replayed is None:
+        return None
+    return {
+        **_outcome(source.tua_cycles + replayed.shift, source.system, tua),
+        "total_cycles": replayed.total_cycles,
+        "tua_bandwidth_share": replayed.tua_bandwidth_share,
+        "contender_requests": replayed.contender_requests,
+    }
+
+
+def _simulated_outcome(workload, config, seed, tua=0):
+    simulated = run_max_contention(workload, config, seed=seed, run_index=1, tua_core=tua)
+    return _outcome(simulated.tua_cycles, simulated.system, tua)
+
+
+def _cba_variants(config, tua):
+    """No CBA, CBA, and H-CBA with shares and a 2x cap for the TuA."""
+    cores = config.num_cores
+    hcba = hcba_config(cores, favoured_core=tua, arbitration=config.arbitration)
+    full = hcba.cba.scaled_full_budget
+    caps = tuple(2 * full if core == tua else full for core in range(cores))
+    return {
+        "no-cba": config,
+        "cba": cba_config(cores, arbitration=config.arbitration),
+        "hcba-shares-caps": hcba.with_updates(cba=replace(hcba.cba, budget_caps=caps)),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("arbitration", ["random_permutations", "round_robin", "fifo"])
+def test_bus_replay_gives_every_field_of_max_contention(arbitration, seed):
+    rp = rp_config(arbitration=arbitration)
+    assert bus_replayable(rp)
+    for name in FIGURE1_BENCHMARKS:
+        workload = scale_workload(eembc_workload(name), 0.1)
+        for label, config in _cba_variants(rp, 0).items():
+            assert _replayed_outcome(workload, config, seed) == _simulated_outcome(
+                workload, config, seed
+            ), (name, label)
+
+
+@pytest.mark.parametrize("arbitration", ["random_permutations", "fifo"])
+def test_bus_replay_of_a_task_above_its_contender(arbitration):
+    # With the task on core 1 of 2, contender 0 ticks after the task's core:
+    # within a cycle the task's request still reaches the arbiter first.
+    workload = scale_workload(eembc_workload("matrix"), 0.1)
+    rp = rp_config(2, arbitration=arbitration)
+    for label, config in _cba_variants(rp, 1).items():
+        assert _replayed_outcome(workload, config, 4, tua=1) == _simulated_outcome(
+            workload, config, 4, tua=1
+        ), label
+
+
+def test_bus_replay_refuses_an_end_past_the_cycle_budget():
+    workload = scale_workload(eembc_workload("canrdr"), 0.05)
+    config = cba_config()
+    end = _simulated_outcome(workload, config, 1)["total_cycles"]
+    assert _replayed_outcome(workload, config, 1, max_cycles=end + 1) is not None
+    assert _replayed_outcome(workload, config, 1, max_cycles=end) is None
+
+
+def test_banked_dram_store_buffer_and_tdma_are_outside_the_contention_guard():
+    banked = rp_config().with_updates(
+        memory=MemoryConfig(model="banked", controller_policy="frfcfs")
+    )
+    assert replayable(banked) and not bus_replayable(banked)
+    assert not bus_replayable(rp_config().with_updates(store_buffer_entries=4))
+    assert not bus_replayable(rp_config().with_updates(arbitration="tdma"))
+    # Banked DRAM is outside for cause: the contenders' atomics open rows and
+    # take row-dependent times, which the replay's fixed hold does not see.
+    workload = scale_workload(eembc_workload("matrix"), 0.1)
+    assert _replayed_outcome(workload, banked, 1) != _simulated_outcome(workload, banked, 1)
