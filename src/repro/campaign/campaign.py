@@ -6,13 +6,19 @@ reuse), skips jobs already present in the artifact store when resuming,
 dispatches the remainder through the configured executor, persists each
 result as it lands, and reports progress.
 
-A CBA isolation job or a maximum-contention job whose RP-ISO sibling (the
-same job in isolation without CBA) runs in the same call is not simulated:
-its result is replayed from the sibling's grant log
-(:func:`~repro.campaign.jobs.derive_job`).  For each distinct (scenario,
-platform configuration) one such job is simulated as well and must match
-its replay field for field, so every campaign checks the replays it relies
-on.
+A CBA isolation job whose RP-ISO sibling (the same job in isolation
+without CBA) runs in the same call is not simulated: its result is replayed
+from the sibling's grant log (:func:`~repro.campaign.jobs.derive_job`).
+Neither is a maximum-contention or WCET-estimation job on a platform the
+bus replay admits: when its sibling is not simulated in the call, the
+campaign *synthesises* it — dispatches the sibling like any other job, so
+that its grant log feeds the replays, but neither returns nor stores its
+result.  A synthesised source costs a lone run, far less than the
+contended run it replaces; a CBA isolation job never gets one, since its
+source would cost as much as the job.  For each distinct (scenario,
+platform configuration) one replayed job is simulated as well and must
+match its replay field for field, so every campaign checks the replays it
+relies on.
 
 Experiments express their runs as jobs, call :meth:`Campaign.run`, and fold
 the returned ``job_id -> JobResult`` mapping back into their own result
@@ -48,8 +54,8 @@ __all__ = [
 
 
 class ReplayMismatchError(SimulationError):
-    """A replayed job result (CBA isolation or maximum contention) differs
-    from its simulation."""
+    """A replayed job result (CBA isolation, maximum contention or WCET
+    estimation) differs from its simulation."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +70,10 @@ class CampaignReport:
 
     ``executed_jobs`` counts every job not served by the store, including
     the ``derived_jobs`` whose results were replayed instead of simulated:
-    CBA isolation and maximum-contention jobs alike, less the checked jobs,
-    which are simulated too.
+    CBA isolation, maximum-contention and WCET-estimation jobs alike, less
+    the checked jobs, which are simulated too.  ``synthesised_sources``
+    counts the extra lone runs simulated only to feed replays; they are in
+    neither count, nor in the returned results.
     """
 
     total_jobs: int
@@ -74,6 +82,7 @@ class CampaignReport:
     deduplicated_jobs: int
     truncated_runs: int
     derived_jobs: int = 0
+    synthesised_sources: int = 0
     retries: int = 0
     worker_crashes: int = 0
     pool_rebuilds: int = 0
@@ -165,10 +174,11 @@ class Campaign:
         jobs whose ID is already in the store are served from it without
         re-execution.  Fresh results are appended to the store (when one is
         configured) as they complete, so an interrupted campaign can resume
-        from exactly where it stopped.  CBA isolation and maximum-contention
-        jobs are replayed from a sibling run in this call where one exists
-        (see the module docstring); a replayed result is stored and counted
-        like any other.
+        from exactly where it stopped.  CBA isolation, maximum-contention
+        and WCET-estimation jobs are replayed from a sibling run in this
+        call, synthesised for the latter two where none is pending (see the
+        module docstring); a replayed result is stored and counted like any
+        other.
         """
         unique: dict[str, CampaignJob] = {}
         for job in jobs:
@@ -183,14 +193,20 @@ class Campaign:
             else:
                 pending.append(job)
 
-        dependents, checked = _plan_derivations(pending)
-        derivable = {job.job_id for group in dependents.values() for job in group}
-        dispatch = [
-            job for job in pending if job.job_id not in derivable or job.job_id in checked
-        ]
+        dependents, checked, sources = _plan_derivations(pending)
+        source_of = {job.job_id: key for key, group in dependents.items() for job in group}
+        # Each synthesised source goes out just before its first dependent.
+        unsent = dict(sources)
+        dispatch: list[CampaignJob] = []
+        for job in pending:
+            key = source_of.get(job.job_id)
+            if key in unsent:
+                dispatch.append(unsent.pop(key))
+            if job.job_id not in source_of or job.job_id in checked:
+                dispatch.append(job)
         #: The first of a checked job's two results (simulated, replayed).
         first_of_check: dict[str, JobResult] = {}
-        derived = 0
+        derived = synthesised = 0
 
         profiler = self.profiler
         self.progress.start(total=len(unique), skipped=len(results))
@@ -227,9 +243,12 @@ class Campaign:
                         replays.append((job, derive_job(job, result)))
                 if result.grant_logs:
                     result = replace(result, grant_logs=())
-                land(result)
-                if result.job_id in checked:
-                    check(unique[result.job_id], result)
+                if result.job_id in sources:
+                    synthesised += 1
+                else:
+                    land(result)
+                    if result.job_id in checked:
+                        check(unique[result.job_id], result)
                 for job, replayed in replays:
                     if replayed is None:
                         continue
@@ -244,7 +263,7 @@ class Campaign:
             leftover = [
                 job
                 for job_id, job in unique.items()
-                if job_id in derivable and job_id not in checked and job_id not in results
+                if job_id in source_of and job_id not in checked and job_id not in results
             ]
             if leftover:
                 for result in self.executor.execute(leftover):
@@ -262,6 +281,7 @@ class Campaign:
             deduplicated_jobs=len(jobs) - len(unique),
             truncated_runs=sum(r.truncated_runs for r in results.values()),
             derived_jobs=derived,
+            synthesised_sources=synthesised,
             retries=sum(s.retries for s in summaries),
             worker_crashes=sum(s.worker_crashes for s in summaries),
             pool_rebuilds=sum(s.pool_rebuilds for s in summaries),
@@ -309,6 +329,9 @@ class Campaign:
                     registry.sample(f"campaign.{name}", **labels).add(value)
         if report is not None:
             registry.counter("campaign.derived_jobs").increment(report.derived_jobs)
+            registry.counter("campaign.synthesised_sources").increment(
+                report.synthesised_sources
+            )
             registry.counter("campaign.retries").increment(report.retries)
             registry.counter("campaign.worker_crashes").increment(
                 report.worker_crashes
@@ -327,34 +350,37 @@ class Campaign:
 
 def _plan_derivations(
     jobs: Sequence[CampaignJob],
-) -> tuple[dict[str, list[CampaignJob]], set[str]]:
-    """Which jobs in ``jobs`` can be replayed from a sibling, and which of
-    them are simulated as well to check the replay.
+) -> tuple[dict[str, list[CampaignJob]], set[str], dict[str, CampaignJob]]:
+    """Which jobs in ``jobs`` can be replayed from a sibling, which of them
+    are simulated as well to check the replay, and which siblings must be
+    synthesised.
 
-    A job qualifies when ``jobs`` holds its sibling: the same job in the
-    ``isolation`` scenario without CBA and with default CBA parameters, on
-    a platform :func:`~repro.platform.replay.replayable` admits.  It must be
-    an ``isolation`` job under CBA, or a ``max_contention`` job on a
-    platform :func:`~repro.platform.replay.bus_replayable` admits.  Returns
-    the qualifying jobs grouped by their sibling's ID, and for each distinct
+    A job's sibling is the same job in the ``isolation`` scenario without
+    CBA and with default CBA parameters, on a platform
+    :func:`~repro.platform.replay.replayable` admits.  A job qualifies when
+    it is an ``isolation`` job under CBA whose sibling is in ``jobs``, or a
+    ``max_contention`` or ``wcet_estimation`` job on a platform
+    :func:`~repro.platform.replay.bus_replayable` admits; the sibling of the
+    latter is synthesised when ``jobs`` does not hold it.  Returns the
+    qualifying jobs grouped by their sibling's ID; for each distinct
     (scenario, platform configuration) the qualifying job with the smallest
-    ID.
+    ID; and the synthesised siblings by ID.
     """
     from ..platform.replay import bus_replayable, replayable
 
     siblings: dict[str, CampaignJob] = {}
-    candidates: list[tuple[str, CampaignJob]] = []
+    candidates: list[tuple[CampaignJob, CampaignJob]] = []
     for job in jobs:
         config = job.config
         if job.workload is None or config is None or not replayable(config):
             continue
         if job.scenario == "isolation":
             derived = config.use_cba
-        elif job.scenario == "max_contention":
+        elif job.scenario in ("max_contention", "wcet_estimation"):
             derived = bus_replayable(config)
         else:
             continue
-        key = job.with_updates(
+        lone = job.with_updates(
             scenario="isolation",
             config=replace(
                 config,
@@ -363,22 +389,27 @@ def _plan_derivations(
                     max_latency=config.cba.max_latency, num_cores=config.cba.num_cores
                 ),
             ),
-        ).job_id
+        )
         if derived:
-            candidates.append((key, job))
+            candidates.append((lone, job))
         elif job.scenario == "isolation":
-            siblings.setdefault(key, job)
+            siblings.setdefault(lone.job_id, job)
     dependents: dict[str, list[CampaignJob]] = {}
     checked: dict[tuple[str, object], str] = {}
-    for key, job in candidates:
-        sibling = siblings.get(key)
+    sources: dict[str, CampaignJob] = {}
+    for lone, job in candidates:
+        sibling = siblings.get(lone.job_id)
         if sibling is None:
-            continue
+            if job.scenario == "isolation":
+                continue
+            if lone.job_id not in sources:
+                sources[lone.job_id] = lone.with_updates(label=f"{job.label} (source)")
+            sibling = sources[lone.job_id]
         dependents.setdefault(sibling.job_id, []).append(job)
         point = (job.scenario, job.config)
         if point not in checked or job.job_id < checked[point]:
             checked[point] = job.job_id
-    return dependents, set(checked.values())
+    return dependents, set(checked.values()), sources
 
 
 def _compare_replay(job: CampaignJob, first: JobResult, second: JobResult) -> None:

@@ -298,7 +298,8 @@ def derive_job(job: CampaignJob, source: JobResult) -> JobResult | None:
     * an ``isolation`` job under CBA by its CBA waits
       (:func:`repro.platform.replay.cba_waits`), every other metric being
       the source's;
-    * a ``max_contention`` job by its bus replay against greedy contenders
+    * a ``max_contention`` or ``wcet_estimation`` job by its bus replay
+      against greedy or WCET-estimation-mode contenders
       (:func:`repro.platform.replay.bus_replay`), which also gives its
       bandwidth share and contender requests; the batch counters are the
       source's, since the task's own stream is unchanged.
@@ -333,6 +334,7 @@ def derive_job(job: CampaignJob, source: JobResult) -> JobResult | None:
                 run_index=run_index,
                 tua_core=job.tua_core,
                 max_cycles=job.max_cycles,
+                wcet_mode=job.scenario == "wcet_estimation",
             )
             if replayed is None:
                 return None

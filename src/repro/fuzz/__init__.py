@@ -23,6 +23,7 @@ from .harness import (
     check_modes,
     check_monotonicity,
     check_scenario,
+    check_wcet_dominates,
     run_mode,
 )
 from .runner import (
@@ -48,6 +49,7 @@ from .space import (
     monotonicity_eligible,
     scenario_from_dict,
     scenario_to_dict,
+    wcet_dominance_eligible,
 )
 
 __all__ = [
@@ -71,12 +73,14 @@ __all__ = [
     "check_modes",
     "check_monotonicity",
     "check_scenario",
+    "check_wcet_dominates",
     "draw_scenario",
     "fuzz_iteration",
     "fuzz_run",
     "iteration_seed",
     "load_repro",
     "monotonicity_eligible",
+    "wcet_dominance_eligible",
     "replay_file",
     "replay_scenario",
     "run_mode",

@@ -1,6 +1,6 @@
 """Invariant checks the fuzzer runs against each drawn scenario.
 
-Five invariant families, named by the strings a scenario's ``checks`` tuple
+Six invariant families, named by the strings a scenario's ``checks`` tuple
 carries:
 
 ``"modes"``
@@ -33,12 +33,20 @@ carries:
     admits.
 
 ``"contention_replay"``
-    A task's run against greedy contenders is its lone run without CBA
-    replayed through the production arbiter
+    A task's run against greedy or WCET-estimation-mode contenders is its
+    lone run without CBA replayed through the production arbiter
     (:func:`~repro.platform.replay.bus_replay`): execution and total cycles,
     bandwidth share, contender completions and batch counters all match.
-    Only drawn for maximum-contention scenarios on platforms
-    :func:`~repro.platform.replay.bus_replayable` admits.
+    Only drawn for maximum-contention and WCET-estimation scenarios on
+    platforms :func:`~repro.platform.replay.bus_replayable` admits.
+
+``"wcet_dominates"``
+    MBPTA's premise (Table I): the task under analysis takes at least as
+    long against WCET-estimation-mode contenders as against greedy ones in
+    the same (seed, run).  Both runs are bus replays of one lone run (the
+    ``contention_replay`` invariant holds each replay to its simulation).
+    Only drawn where :func:`repro.fuzz.space.wcet_dominance_eligible`
+    admits the platform.
 
 Each check is deterministic given the scenario, so a failing scenario is a
 self-contained reproduction.  ``run_mode`` accepts an optional ``perturb``
@@ -51,6 +59,7 @@ the harness notices.
 from __future__ import annotations
 
 import tempfile
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +67,7 @@ from ..campaign.campaign import Campaign
 from ..campaign.executor import SerialExecutor, create_executor
 from ..campaign.jobs import CampaignJob, seed_block_jobs
 from ..campaign.store import ArtifactStore
-from ..platform.replay import bus_replay, cba_waits, grant_log
+from ..platform.replay import ContentionReplay, bus_replay, cba_waits, grant_log
 from ..platform.system import MulticoreSystem, SystemResult
 from ..sim.config import KernelMode
 from .space import FuzzScenario
@@ -75,6 +84,7 @@ __all__ = [
     "check_closed_form",
     "check_contention_replay",
     "check_monotonicity",
+    "check_wcet_dominates",
     "check_scenario",
     "CHECKS",
 ]
@@ -274,13 +284,14 @@ def check_monotonicity(
     return None
 
 
-def check_closed_form(
-    scenario: FuzzScenario, perturb: PerturbHook | None = None
-) -> InvariantViolation | None:
-    """The CBA isolation run equals the replay of its run without CBA."""
+def _lone_log(
+    scenario: FuzzScenario, perturb: PerturbHook | None
+) -> tuple[SystemResult, array | None] | None:
+    """The task's lone run without CBA and its grant log; ``None`` when the
+    run is truncated (the log is ``None`` when a request waited)."""
     tua = scenario.tua_core
     source_scenario = scenario.with_updates(
-        config=scenario.config.with_updates(use_cba=False)
+        kind="isolation", config=scenario.config.with_updates(use_cba=False)
     )
     with build_system(source_scenario, PRODUCTION_MODE) as system:
         if perturb is not None:
@@ -289,13 +300,24 @@ def check_closed_form(
         holder_log = system.bus.holder_log
     if source.truncated:
         return None
-    latencies = source.core_counters[tua].request_latencies
-    log = grant_log(holder_log, tua, latencies)
+    return source, grant_log(holder_log, tua, source.core_counters[tua].request_latencies)
+
+
+def check_closed_form(
+    scenario: FuzzScenario, perturb: PerturbHook | None = None
+) -> InvariantViolation | None:
+    """The CBA isolation run equals the replay of its run without CBA."""
+    lone = _lone_log(scenario, perturb)
+    if lone is None:
+        return None
+    source, log = lone
     if log is None:
         return InvariantViolation(
             invariant="closed_form",
             detail="a request of the lone task waited for its grant without CBA",
         )
+    tua = scenario.tua_core
+    latencies = source.core_counters[tua].request_latencies
     waits = cba_waits(log, scenario.config.cba, tua)
     shift = sum(waits)
     if source.total_cycles + shift >= scenario.max_cycles:
@@ -339,39 +361,39 @@ def _outcome(result: SystemResult, tua: int) -> dict[str, object]:
     }
 
 
-def check_contention_replay(
-    scenario: FuzzScenario, perturb: PerturbHook | None = None
-) -> InvariantViolation | None:
-    """The run against greedy contenders equals the bus replay of the
-    task's lone run without CBA."""
-    tua = scenario.tua_core
-    source_scenario = scenario.with_updates(
-        kind="isolation", config=scenario.config.with_updates(use_cba=False)
-    )
-    with build_system(source_scenario, PRODUCTION_MODE) as system:
-        if perturb is not None:
-            perturb(system, PRODUCTION_MODE.value)
-        source = system.run(max_cycles=scenario.max_cycles, allow_truncation=True)
-        holder_log = system.bus.holder_log
-    if source.truncated:
-        return None
-    log = grant_log(holder_log, tua, source.core_counters[tua].request_latencies)
-    if log is None:
-        return InvariantViolation(
-            invariant="contention_replay",
-            detail="a request of the lone task waited for its grant without CBA",
-        )
-    replayed = bus_replay(
+def _bus_replay(
+    scenario: FuzzScenario, source: SystemResult, log: array, wcet_mode: bool
+) -> ContentionReplay | None:
+    return bus_replay(
         log,
         scenario.config,
         source.total_cycles,
         seed=scenario.seed,
         run_index=scenario.run_index,
-        tua_core=tua,
+        tua_core=scenario.tua_core,
         max_cycles=scenario.max_cycles,
+        wcet_mode=wcet_mode,
     )
+
+
+def check_contention_replay(
+    scenario: FuzzScenario, perturb: PerturbHook | None = None
+) -> InvariantViolation | None:
+    """The run against greedy or WCET-estimation-mode contenders equals the
+    bus replay of the task's lone run without CBA."""
+    lone = _lone_log(scenario, perturb)
+    if lone is None:
+        return None
+    source, log = lone
+    if log is None:
+        return InvariantViolation(
+            invariant="contention_replay",
+            detail="a request of the lone task waited for its grant without CBA",
+        )
+    replayed = _bus_replay(scenario, source, log, scenario.kind == "wcet_estimation")
     if replayed is None:
         return None
+    tua = scenario.tua_core
     expected = {
         **_outcome(source, tua),
         "tua_cycles": source.execution_cycles(tua) + replayed.shift,
@@ -393,12 +415,38 @@ def check_contention_replay(
     return None
 
 
+def check_wcet_dominates(
+    scenario: FuzzScenario, perturb: PerturbHook | None = None
+) -> InvariantViolation | None:
+    """The task takes at least as long against WCET-estimation-mode
+    contenders as against greedy ones (same seed and run)."""
+    lone = _lone_log(scenario, perturb)
+    if lone is None or lone[1] is None:
+        return None
+    source, log = lone
+    wcet = _bus_replay(scenario, source, log, True)
+    greedy = _bus_replay(scenario, source, log, False)
+    if wcet is None or greedy is None:
+        return None
+    if wcet.shift < greedy.shift:
+        base = source.execution_cycles(scenario.tua_core)
+        return InvariantViolation(
+            invariant="wcet_dominates",
+            detail=(
+                f"the WCET-estimation run is shorter than maximum contention: "
+                f"wcet_estimation={base + wcet.shift} max_contention={base + greedy.shift}"
+            ),
+        )
+    return None
+
+
 CHECKS: dict[str, Callable[..., InvariantViolation | None]] = {
     "modes": check_modes,
     "campaign": check_campaign,
     "monotonicity": check_monotonicity,
     "closed_form": check_closed_form,
     "contention_replay": check_contention_replay,
+    "wcet_dominates": check_wcet_dominates,
 }
 
 

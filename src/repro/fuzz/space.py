@@ -46,6 +46,7 @@ __all__ = [
     "SCENARIO_KINDS",
     "draw_scenario",
     "monotonicity_eligible",
+    "wcet_dominance_eligible",
     "canonical_json",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -297,6 +298,31 @@ def monotonicity_eligible(config: PlatformConfig) -> bool:
     )
 
 
+def wcet_dominance_eligible(config: PlatformConfig) -> bool:
+    """Whether per-run WCET dominance (WCET-estimation mode takes at least
+    as long as maximum contention, same seed and run) is an invariant here.
+
+    * CBA must be on: Table I defines the mode for CBA, whose budget is
+      what a contender's COMP bit waits for;
+    * the platform must admit the bus replay
+      (:func:`~repro.platform.replay.bus_replayable`), which the check uses;
+    * the base arbiter must be deterministic, as for monotonicity: the
+      randomised ones draw from a stream whose draws shift between the two
+      runs, so a single run pair proves nothing;
+    * the base must not be FIFO: a WCET-estimation-mode contender issues
+      only once the task's line is up, so FIFO queues it behind the task.
+
+    That leaves round robin.  CHANGES.md records the FIFO and random
+    permutations counter-examples (``tests/fuzz/findings/``).
+    """
+    return (
+        config.use_cba
+        and bus_replayable(config)
+        and config.arbitration in DETERMINISTIC_ARBITERS
+        and config.arbitration != "fifo"
+    )
+
+
 def draw_scenario(rng: np.random.Generator) -> FuzzScenario:
     """Draw one valid scenario from the configuration space."""
     config = _draw_config(rng)
@@ -329,8 +355,10 @@ def draw_scenario(rng: np.random.Generator) -> FuzzScenario:
         checks.append("monotonicity")
     if kind == "isolation" and config.use_cba and replayable(config):
         checks.append("closed_form")
-    if kind == "max_contention" and bus_replayable(config):
+    if kind in ("max_contention", "wcet_estimation") and bus_replayable(config):
         checks.append("contention_replay")
+        if wcet_dominance_eligible(config):
+            checks.append("wcet_dominates")
 
     return FuzzScenario(
         kind=kind,

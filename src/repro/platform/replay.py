@@ -1,4 +1,4 @@
-"""Isolation under CBA and maximum contention by replay.
+"""Isolation under CBA, maximum contention and WCET estimation by replay.
 
 A task running alone on a bus whose base policy grants a lone requestor in
 the cycle it asks sees no wait without CBA: every request is granted at its
@@ -28,24 +28,29 @@ every request at issue (:func:`grant_log` returns ``None`` otherwise): a
 store buffer overlaps a store with later work, and TDMA delays a lone
 requestor to its slot, so neither is a pure shift.
 
-**Against greedy contenders** (:func:`bus_replay`), the stream is replayed
-through the production arbiter, with or without CBA, against contenders
-that re-issue the cycle after each completion.  It holds when
+**Against contenders** (:func:`bus_replay`), the stream is replayed
+through the production arbiter, with or without CBA, against greedy
+contenders that re-issue the cycle after each completion, or against
+Table I's WCET-estimation-mode contenders, which compete only when their
+budget is full while the task has a request ready.  It holds when
 :func:`bus_replayable` admits the platform: on top of :func:`replayable`,
 fixed DRAM, so that a contender's atomic transaction (which bypasses the
 L2) always holds the bus as long and leaves the task's memory as it finds
 it.  Banked DRAM keeps rows open across masters.
 
-The campaign derives CBA isolation and maximum-contention jobs with these
-replays (:func:`repro.campaign.jobs.derive_job`), and the tier-1 oracles and
-the fuzzer's ``closed_form`` and ``contention_replay`` invariants compare
-them with simulated runs.
+The campaign derives CBA isolation, maximum-contention and
+WCET-estimation jobs with these replays
+(:func:`repro.campaign.jobs.derive_job`); for the last two it synthesises
+the lone run when the campaign does not simulate one anyway.  The tier-1
+oracles and the fuzzer's ``closed_form`` and ``contention_replay``
+invariants compare the replays with simulated runs, and the
+``wcet_dominates`` invariant compares the two contender rules.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,7 +145,7 @@ def bus_replayable(config: PlatformConfig) -> bool:
 
 @dataclass(frozen=True)
 class ContentionReplay:
-    """What :func:`bus_replay` derives of a run under maximum contention."""
+    """What :func:`bus_replay` derives of a run against contenders."""
 
     #: How much later the task's last hold ends than in the source; its
     #: execution and total cycles move by as much.
@@ -152,6 +157,18 @@ class ContentionReplay:
     contender_requests: int
 
 
+def _line_up(cycle: int, line_from: int, line_until: int, line_next: int) -> int:
+    """The first cycle from ``cycle`` on at which the task's request line is
+    up, as far as the replay knows it: from ``line_from`` (the issue of the
+    task's current or next request) through ``line_until`` (that request's
+    release), then from ``line_next`` (the issue after that release).  A
+    cycle not known yet, or never reached, is the cycle budget."""
+    first = cycle if cycle > line_from else line_from
+    if first <= line_until:
+        return first
+    return cycle if cycle > line_next else line_next
+
+
 def bus_replay(
     log: Sequence[int],
     config: PlatformConfig,
@@ -161,23 +178,34 @@ def bus_replay(
     run_index: int,
     tua_core: int,
     max_cycles: int,
+    wcet_mode: bool = False,
 ) -> ContentionReplay | None:
-    """The run of a task against greedy contenders, replayed from its lone
-    run without CBA on the same platform.
+    """The run of a task against contenders, replayed from its lone run
+    without CBA on the same platform.
 
     ``log`` is that run's ``grant, release`` log (:func:`grant_log`) and
     ``source_total`` its total cycles.  The task keeps its own stream: each
     request issues its source gap after the previous release (the first at
     its source grant) and holds the bus as long as in the source, and the
     run ends the source's tail after the last release.  Every other core is
-    a greedy contender: it issues at cycle 0 and the cycle after each
-    completion, and holds the bus for an atomic transaction.  The grants
-    come from the production arbiter, built as the platform builds it and
-    driven the way :class:`~repro.bus.bus.SharedBus` drives it: requests
-    reach :meth:`~repro.arbiters.base.Arbiter.on_request` in issue order
-    (the task first within a cycle, since its core ticks before the
-    contenders), and an idle bus arbitrates among the pending requests at
-    the first cycle one is pending, then at the earlier of the arbiter's
+    a contender that holds the bus for an atomic transaction when granted:
+
+    * greedy (maximum contention): it issues at cycle 0 and the cycle after
+      each completion;
+    * with ``wcet_mode``, Table I's WCET-estimation-mode contender: its grant
+      clears its COMP bit, which sets again at the first cycle its budget is
+      full while the task's request line is up, and it issues at the later
+      of that cycle and the one after its completion.  The cores tick before
+      the contenders, so a contender sees the task's line from the task's
+      issue cycle through its release cycle.  The task starts with a zero
+      budget under CBA.
+
+    The grants come from the production arbiter, built as the platform
+    builds it and driven the way :class:`~repro.bus.bus.SharedBus` drives
+    it: requests reach :meth:`~repro.arbiters.base.Arbiter.on_request` in
+    issue order (the task first within a cycle, since its core ticks before
+    the contenders), and an idle bus arbitrates among the pending requests
+    at the first cycle one is pending, then at the earlier of the arbiter's
     :meth:`~repro.arbiters.base.Arbiter.next_grant_opportunity` and the next
     issue until it grants.
 
@@ -192,58 +220,72 @@ def bus_replay(
         rng=RandomStreams(seed=seed, run_index=run_index).stream("arbiter"),
         slot_cycles=config.bus_timings.max_latency,
     )
+    credits: CreditBank | None = None
     if config.use_cba:
-        arbiter = CreditBasedArbiter(arbiter, config.cba)
+        cba = CreditBasedArbiter(arbiter, config.cba)
+        if wcet_mode:
+            cba.set_initial_budget(tua_core, 0)
+        arbiter, credits = cba, cba.credits
     on_request = arbiter.on_request
     arbitrate = arbiter.arbitrate
     on_grant = arbiter.on_grant
     next_grant_opportunity = arbiter.next_grant_opportunity
     contender_hold = config.bus_timings.atomic()
     requests = len(log) // 2
+    contenders = [core for core in range(cores) if core != tua_core]
+    # Masters in admission order for equal issues.
+    order = [tua_core, *contenders]
+    # Any cycle at or past the budget ends the replay, so the budget also
+    # stands for "never" and "not known yet".
+    never = max_cycles
 
+    # The task's request line (see ``_line_up``).
+    line_from = log[0] if requests else never
+    line_until = line_next = never
     # Each master's next request while it is not yet admitted: its issue
-    # cycle, or ``None`` while it is pending or held (and for the task once
-    # its stream is done).  Masters in admission order for equal issues.
-    issues: list[int | None] = [0] * cores
-    issues[tua_core] = log[0] if requests else None
-    order = [tua_core] + [core for core in range(cores) if core != tua_core]
+    # cycle, or ``never`` while it is pending or held (for the task once its
+    # stream is done, for a WCET-mode contender while the line stays down).
+    issues = [0] * cores
+    issues[tua_core] = line_from
+    # WCET mode: the first cycle each contender waiting for the task's line
+    # could set COMP (its budget full), or ``never`` when it is not waiting.
+    waiting = [never] * cores
+    if wcet_mode:
+        for core in contenders:
+            waiting[core] = 0 if credits is None else credits.eligible_from[core]
+            issues[core] = _line_up(waiting[core], line_from, never, never)
+    due = min(issues)
     requestors: list[int] = []
     served = 0
-    end = None if requests else source_total
+    end = never if requests else source_total
     free = tua_granted = granted = 0
     releases = array("q")
     while True:
-        if requestors:
-            cycle = free
-        else:
-            upcoming = [issue for issue in issues if issue is not None]
-            cycle = max(free, min(upcoming)) if upcoming else max_cycles
+        cycle = free if requestors or due < free else due
         # The idle bus from ``cycle`` on: admit, arbitrate, and if nothing
         # is granted wait for the arbiter's next opportunity or an issue.
         while True:
-            if end is not None and cycle >= end:
+            if cycle >= end:
                 break
-            if cycle >= max_cycles:
-                return None
-            ready = [
-                master
-                for master in order
-                if (issue := issues[master]) is not None and issue <= cycle
-            ]
-            ready.sort(key=issues.__getitem__)  # stable: ties keep ``order``
-            for master in ready:
-                on_request(master, issues[master])
-                issues[master] = None
-                insort(requestors, master)
+            if due <= cycle:
+                ready = [master for master in order if issues[master] <= cycle]
+                ready.sort(key=issues.__getitem__)  # stable: ties keep ``order``
+                for master in ready:
+                    issue = issues[master]
+                    on_request(master, issue)
+                    if master == tua_core:
+                        line_from, line_until = issue, never
+                    else:
+                        waiting[master] = never
+                    issues[master] = never
+                    insort(requestors, master)
+                due = min(issues)
             choice = arbitrate(requestors, cycle)
             if choice is not None:
                 break
             wake = next_grant_opportunity(requestors, cycle + 1)
-            for issue in issues:
-                if issue is not None and (wake is None or issue < wake):
-                    wake = issue
-            cycle = max_cycles if wake is None else wake
-        if end is not None and cycle >= end:
+            cycle = due if wake is None or due < wake else wake
+        if cycle >= end:
             break
         requestors.remove(choice)
         if choice == tua_core:
@@ -255,18 +297,37 @@ def bus_replay(
                 issues[tua_core] = free + log[2 * served] - log[2 * served - 1]
             else:
                 end = free + source_total - log[-1]
-                if end >= max_cycles:
+                if end >= never:
                     return None
+            if wcet_mode:
+                line_until, line_next = free, issues[tua_core]
+                for core in contenders:
+                    if waiting[core] < never:
+                        issues[core] = _line_up(waiting[core], line_from, line_until, line_next)
         else:
             hold = contender_hold
             free = cycle + hold
-            issues[choice] = free + 1
             releases.append(free)
+            issues[choice] = free + 1
         granted += hold
         on_grant(choice, hold, cycle)
+        if wcet_mode and choice != tua_core:
+            # The line rises during the hold only if the task is waiting
+            # then, and it stays up past the hold: COMP sets if the budget
+            # is full at that cycle (it can only fall during a hold).
+            up = _line_up(cycle + 1, line_from, line_until, line_next)
+            if up > free or not (credits is None or credits.eligible(choice, up)):
+                ready_from = free + 1
+                if credits is not None and credits.eligible_from[choice] > ready_from:
+                    ready_from = credits.eligible_from[choice]
+                waiting[choice] = ready_from
+                issues[choice] = _line_up(ready_from, line_from, line_until, line_next)
+        due = min(issues)
+    if end >= never:
+        return None
     return ContentionReplay(
         shift=end - source_total,
         total_cycles=end,
         tua_bandwidth_share=tua_granted / granted if granted else 0.0,
-        contender_requests=sum(1 for release in releases if release < end),
+        contender_requests=bisect_left(releases, end),
     )

@@ -19,7 +19,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.campaign.campaign import Campaign, aggregate_by_label
-from repro.campaign.executor import ParallelExecutor
+from repro.campaign.executor import ParallelExecutor, SerialExecutor
 from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.store import ArtifactStore
 from repro.platform.presets import cba_config, rp_config
@@ -38,14 +38,29 @@ def _grid(workload):
     return jobs
 
 
+class _DispatchRecorder(SerialExecutor):
+    """Serial executor that records the IDs of the jobs it is handed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dispatched: list[str] = []
+
+    def execute(self, jobs):
+        self.dispatched += [job.job_id for job in jobs]
+        yield from super().execute(jobs)
+
+
 @pytest.mark.parametrize("fault_seed", [2017, 2018, 2019])
 def test_faulty_campaign_recovers_every_sample(tiny_workload, tmp_path, faults, fault_seed):
-    """The seed ranks the job IDs by a seeded hash; the first three get a
-    crash, a transient failure and a hang, and the store a corrupt line."""
+    """The seed ranks the IDs of the jobs the campaign dispatches (the
+    synthesised RP-ISO sources the contention jobs are replayed from and
+    one simulated check per column) by a seeded hash; the first three get
+    a crash, a transient failure and a hang, and the store a corrupt line."""
     jobs = _grid(tiny_workload)
-    reference = aggregate_by_label(jobs, Campaign().run(jobs))
+    recorder = _DispatchRecorder()
+    reference = aggregate_by_label(jobs, Campaign(executor=recorder).run(jobs))
     ranked = sorted(
-        (job.job_id for job in jobs),
+        recorder.dispatched,
         key=lambda job_id: hashlib.blake2b(f"{fault_seed}:{job_id}".encode()).digest(),
     )
     plan = dict(zip(ranked, ([faults.CRASH], [faults.FAIL], [faults.hang(JOB_TIMEOUT)])))

@@ -1,13 +1,15 @@
-"""CBA isolation and maximum-contention jobs replayed from their RP-ISO
-sibling.
+"""CBA isolation, maximum-contention and WCET-estimation jobs replayed from
+their RP-ISO sibling.
 
-A campaign that holds a CBA isolation job or a maximum-contention job and
-the same job in isolation without CBA replays the first from the second's
-grant log instead of simulating it (:func:`repro.campaign.jobs.derive_job`).
-These tests hold the replayed results to what :func:`run_job` returns for
-the same jobs, check that the guard sends every case it does not cover to
-the simulator, that each campaign's own check sample catches a wrong
-replay, and how many jobs the paper's grids replay.
+A campaign that holds a CBA isolation job and the same job in isolation
+without CBA replays the first from the second's grant log instead of
+simulating it (:func:`repro.campaign.jobs.derive_job`).  A maximum-contention
+or WCET-estimation job is replayed the same way, from a sibling the campaign
+synthesises when the call does not simulate one.  These tests hold the
+replayed results to what :func:`run_job` returns for the same jobs, check
+that the guard sends every case it does not cover to the simulator, that
+each campaign's own check sample catches a wrong replay, and how many jobs
+the paper's grids and the MBPTA experiment replay and synthesise.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.campaign.jobs import run_job, seed_block_jobs
 from repro.campaign.store import ArtifactStore
 from repro.experiments.base_policy_sweep import run_base_policy_sweep
 from repro.experiments.figure1 import run_figure1
+from repro.experiments.mbpta_experiment import run_mbpta_experiment
 from repro.obs.profiler import CampaignProfiler
 from repro.platform import replay
 from repro.platform.presets import cba_config, hcba_config, rp_config
@@ -180,30 +183,97 @@ def test_replayed_end_past_the_cycle_budget_is_simulated(tiny_workload, scenario
     _refused(jobs)
 
 
-def test_sibling_served_from_the_store_leaves_the_job_to_the_simulator(
+def test_sibling_served_from_the_store_is_synthesised_for_contention_jobs_only(
     tiny_workload, tmp_path
 ):
+    """A stored sibling keeps no grant log.  The CBA isolation jobs are
+    simulated; the contention jobs are replayed from a synthesised source,
+    which is neither returned nor stored again."""
     jobs = _grid(tiny_workload) + _con_grid(tiny_workload)[2:]
     path = tmp_path / "store.jsonl"
     siblings = [j for j in jobs if j.label == "RP-ISO"]
     Campaign(store=ArtifactStore(path)).run(siblings)
-    campaign = _refused(jobs, store=ArtifactStore(path), resume=True)
-    assert campaign.last_report.reused_jobs == len(siblings) == 2
+    executor = RecordingExecutor()
+    campaign = Campaign(executor=executor, store=ArtifactStore(path), resume=True)
+    results = campaign.run(jobs)
+    report = campaign.last_report
+    assert report.reused_jobs == len(siblings) == 2
+    assert (report.synthesised_sources, report.derived_jobs) == (2, 6 - 3)
+    sibling_ids = {job.job_id for job in siblings}
+    assert sibling_ids <= executor.executed
+    for job in jobs:
+        if job.scenario == "isolation" and job.config.use_cba:
+            assert job.job_id in executor.executed
+        assert _without_timing(results[job.job_id]) == _without_timing(run_job(job))
+    records = [json.loads(line)["job_id"] for line in path.read_text().splitlines()]
+    assert sorted(records) == sorted(job.job_id for job in jobs)
 
 
-def test_contention_jobs_are_simulated_not_derived_outside_the_guard(tiny_workload):
+@pytest.mark.parametrize("scenario", ["max_contention", "wcet_estimation"])
+def test_contention_jobs_are_simulated_not_derived_outside_the_guard(
+    tiny_workload, scenario
+):
     for updates in (
         {"memory": MemoryConfig(model="banked", controller_policy="frfcfs")},
         {"store_buffer_entries": 2},
         {"arbitration": "tdma"},
     ):
-        _refused(_con_grid(tiny_workload, **updates))
-    for scenario in ("wcet_estimation", "mixed_criticality"):
-        _refused(_con_grid(tiny_workload, scenario=scenario))
+        for jobs in (
+            _con_grid(tiny_workload, scenario, **updates),
+            _con_grid(tiny_workload, scenario, **updates)[2:],
+        ):
+            campaign = _refused(jobs)
+            assert campaign.last_report.synthesised_sources == 0
+    _refused(_con_grid(tiny_workload, scenario="mixed_criticality"))
 
 
-def test_contention_job_without_an_iso_sibling_is_simulated(tiny_workload):
-    _refused([job for job in _con_grid(tiny_workload) if job.label != "RP-ISO"])
+def _derived(jobs, num_sources, **campaign_options):
+    """Run ``jobs`` and assert that only ``num_sources`` synthesised sources,
+    the RP-ISO siblings and one checked job per label were simulated, and
+    that every returned result equals ``run_job``; returns the campaign."""
+    executor = RecordingExecutor()
+    campaign = Campaign(executor=executor, **campaign_options)
+    results = campaign.run(jobs)
+    replayed = {job.label for job in jobs if job.label != "RP-ISO"}
+    checked = {
+        min(job.job_id for job in jobs if job.label == label) for label in replayed
+    }
+    siblings = {job.job_id for job in jobs if job.label == "RP-ISO"}
+    simulated = set(executor.batches[0])
+    assert len(simulated - siblings - checked) == num_sources
+    assert siblings | checked <= simulated
+    report = campaign.last_report
+    assert report.synthesised_sources == num_sources
+    assert report.derived_jobs == len(jobs) - len(siblings) - len(checked)
+    assert set(results) == {job.job_id for job in jobs}
+    for job in jobs:
+        assert _without_timing(results[job.job_id]) == _without_timing(run_job(job))
+    return campaign
+
+
+@pytest.mark.parametrize("scenario", ["max_contention", "wcet_estimation"])
+def test_contention_job_without_an_iso_sibling_is_derived_from_a_synthesised_source(
+    tiny_workload, scenario
+):
+    """One source per (seed, run), shared by the RP, CBA and H-CBA
+    columns and dispatched before its first dependent."""
+    jobs = [job for job in _con_grid(tiny_workload, scenario) if job.label != "RP-ISO"]
+    campaign = _derived(jobs, num_sources=2)
+    (dispatched,) = campaign.executor.batches
+    ids = {job.job_id for job in jobs}
+    assert dispatched[0] not in ids
+
+
+def test_wcet_estimation_jobs_are_derived_from_a_simulated_sibling(tiny_workload):
+    _derived(_con_grid(tiny_workload, "wcet_estimation"), num_sources=0)
+
+
+def test_truncated_synthesised_source_sends_its_jobs_to_the_simulator(tiny_workload):
+    jobs = _iso_jobs(
+        tiny_workload, ("CBA", cba_config()), max_cycles=400, scenario="max_contention"
+    )
+    campaign = _refused(jobs)
+    assert campaign.last_report.synthesised_sources == 2
 
 
 def test_replayed_contention_jobs_are_not_simulated(tiny_workload):
@@ -240,6 +310,28 @@ def test_base_policy_sweep_replays_its_replayable_bases():
     campaign = Campaign()
     run_base_policy_sweep(num_runs=num_runs, access_scale=0.02, campaign=campaign)
     assert campaign.last_report.derived_jobs == 6 * num_runs - 6
+
+
+@pytest.mark.parametrize("executor", [SerialExecutor, lambda: ParallelExecutor(2)])
+def test_mbpta_synthesises_a_source_per_run_and_derives_all_but_two_checks(executor):
+    """N WCET-estimation and M operation runs: N + M synthesised sources,
+    N + M - 2 derived jobs (one check per scenario), and every result equal
+    to ``run_job``.  A guard that silently refused every replay would
+    change no result, only the speed: these counts are what catch it."""
+    num_runs, operation_runs = 20, 3
+    campaign = RecordingCampaign(executor=executor())
+    run_mbpta_experiment(
+        num_runs=num_runs, operation_runs=operation_runs, access_scale=0.05,
+        campaign=campaign,
+    )
+    report = campaign.last_report
+    assert report.synthesised_sources == num_runs + operation_runs
+    assert report.derived_jobs == num_runs + operation_runs - 2
+    assert set(campaign.results) == set(campaign.jobs)
+    for job_id, job in campaign.jobs.items():
+        assert _without_timing(campaign.results[job_id]) == _without_timing(
+            run_job(job)
+        ), job.label
 
 
 def test_store_of_fully_simulated_jobs_resumes_with_nothing_executed(
@@ -322,6 +414,22 @@ def test_replays_reach_the_report_metrics_and_profile(tiny_workload, tmp_path):
         if (row := json.loads(line))["type"] == "counter" and not row["labels"]
     }
     assert counters["campaign.derived_jobs"] == len(jobs) - 4
+    assert counters["campaign.synthesised_sources"] == 0
     # One replay per CBA job, the two checked ones included.
     assert profiler.events["derive"] == len(jobs) - 2
     assert profiler.seconds["derive"] > 0.0
+
+
+def test_synthesised_sources_reach_the_report_metrics(tiny_workload, tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    jobs = [job for job in _con_grid(tiny_workload) if job.label != "RP-ISO"]
+    campaign = Campaign(metrics_path=path)
+    campaign.run(jobs)
+    counters = {
+        row["name"]: row["value"]
+        for line in path.read_text().splitlines()
+        if (row := json.loads(line))["type"] == "counter" and not row["labels"]
+    }
+    assert counters["campaign.synthesised_sources"] == 2
+    assert counters["campaign.derived_jobs"] == len(jobs) - 3
+    assert campaign.last_report.executed_jobs == len(jobs)

@@ -120,3 +120,26 @@ def test_contention_replay_holds_on_its_corpus_case_and_catches_a_short_contende
     violation = check_contention_replay(scenario, shorten_atomics)
     assert violation is not None and violation.invariant == "contention_replay"
     assert "tua_cycles" in violation.detail
+
+
+def test_wcet_replay_and_dominance_hold_on_their_corpus_case_and_catch_faults():
+    from pathlib import Path
+
+    from repro.bus.latency import TransactionClass
+    from repro.fuzz import check_contention_replay, check_wcet_dominates, load_repro
+
+    corpus = Path(__file__).parent
+    scenario, _record = load_repro(corpus / "corpus" / "wcet-replay-rr-cba.json")
+    assert scenario.kind == "wcet_estimation" and scenario.tua_core > 0
+    assert check_contention_replay(scenario) is None
+    assert check_wcet_dominates(scenario) is None
+
+    def shorten_atomics(system, mode_name):
+        durations = system.l2_slave._duration_by_class
+        durations[TransactionClass.ATOMIC] -= 1
+
+    violation = check_contention_replay(scenario, shorten_atomics)
+    assert violation is not None and violation.invariant == "contention_replay"
+    finding, record = load_repro(corpus / "findings" / "wcet-dominates-rr-hcba-cap.json")
+    violation = check_wcet_dominates(finding)
+    assert violation is not None and violation.detail == record["detail"]

@@ -140,12 +140,30 @@ def test_contention_replay_drawn_only_where_the_bus_replay_guard_holds():
     scenarios = _draw_many(2025, 600)
     drawn = [s for s in scenarios if "contention_replay" in s.checks]
     assert drawn
+    contended = ("max_contention", "wcet_estimation")
     for scenario in drawn:
-        assert scenario.kind == "max_contention" and bus_replayable(scenario.config)
-        # Appended last, so no earlier check moves.
-        assert scenario.checks[-1] == "contention_replay"
+        assert scenario.kind in contended and bus_replayable(scenario.config)
+        # Appended after every older check, so none of them moves.
+        assert scenario.checks[-1] in ("contention_replay", "wcet_dominates")
+        assert scenario.checks[-1] == "contention_replay" or scenario.checks[-2:] == (
+            "contention_replay",
+            "wcet_dominates",
+        )
     assert all(
         "contention_replay" in s.checks
         for s in scenarios
-        if s.kind == "max_contention" and bus_replayable(s.config)
+        if s.kind in contended and bus_replayable(s.config)
     )
+    assert {s.kind for s in drawn} == set(contended)
+
+
+def test_wcet_dominates_drawn_only_where_eligible():
+    from repro.fuzz.space import wcet_dominance_eligible
+
+    scenarios = _draw_many(2025, 1500)
+    drawn = [s for s in scenarios if "wcet_dominates" in s.checks]
+    assert drawn
+    for scenario in drawn:
+        assert scenario.kind in ("max_contention", "wcet_estimation")
+        assert wcet_dominance_eligible(scenario.config)
+        assert scenario.config.use_cba and scenario.config.arbitration == "round_robin"

@@ -17,7 +17,10 @@ greedy contenders through the production arbiter.  It must give every
 field the campaign keeps of the simulated contention run, for RP, RR and
 FIFO bases with and without CBA, H-CBA shares and caps included.  Its guard
 adds fixed DRAM: banked rows make a contender's hold depend on the state
-it finds.
+it finds.  With ``wcet_mode`` it replays Table I's WCET-estimation-mode
+contenders instead, and must give every field of the simulated
+WCET-estimation run; two replays of one source also give MBPTA's premise,
+that WCET-estimation mode takes at least as long as maximum contention.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import scale_workload
-from repro.platform.presets import cba_config, hcba_config, rp_config
+from repro.platform.presets import cba_config, config_by_label, hcba_config, rp_config
 from repro.platform.replay import bus_replay, bus_replayable, cba_waits, grant_log, replayable
-from repro.platform.scenarios import run_isolation, run_max_contention
+from repro.platform.scenarios import run_isolation, run_max_contention, run_wcet_estimation
 from repro.sim.config import KernelMode, MemoryConfig
 from repro.workloads.eembc import FIGURE1_BENCHMARKS, eembc_workload
 
@@ -137,15 +140,16 @@ def _outcome(tua_cycles, system, tua):
     }
 
 
-def _replayed_outcome(workload, config, seed, tua=0, max_cycles=5_000_000):
-    """The contention run's fields as replayed from its RP-ISO sibling."""
+def _replayed_outcome(workload, config, seed, tua=0, max_cycles=5_000_000, wcet_mode=False):
+    """The contention (or WCET-estimation) run's fields as replayed from its
+    RP-ISO sibling."""
     sibling = config.with_updates(use_cba=False)
     source = run_isolation(workload, sibling, seed=seed, run_index=1, tua_core=tua)
     log = grant_log(source.holder_log, tua, source.system.core_counters[tua].request_latencies)
     assert log is not None
     replayed = bus_replay(
         log, config, source.system.total_cycles,
-        seed=seed, run_index=1, tua_core=tua, max_cycles=max_cycles,
+        seed=seed, run_index=1, tua_core=tua, max_cycles=max_cycles, wcet_mode=wcet_mode,
     )
     if replayed is None:
         return None
@@ -157,22 +161,26 @@ def _replayed_outcome(workload, config, seed, tua=0, max_cycles=5_000_000):
     }
 
 
-def _simulated_outcome(workload, config, seed, tua=0):
-    simulated = run_max_contention(workload, config, seed=seed, run_index=1, tua_core=tua)
+def _simulated_outcome(workload, config, seed, tua=0, scenario=run_max_contention):
+    simulated = scenario(workload, config, seed=seed, run_index=1, tua_core=tua)
     return _outcome(simulated.tua_cycles, simulated.system, tua)
 
 
-def _cba_variants(config, tua):
-    """No CBA, CBA, and H-CBA with shares and a 2x cap for the TuA."""
+def _cba_variants(config, tua, shares_alone=False):
+    """No CBA, CBA, and H-CBA with shares and a 2x cap for the TuA (and
+    with shares alone)."""
     cores = config.num_cores
     hcba = hcba_config(cores, favoured_core=tua, arbitration=config.arbitration)
     full = hcba.cba.scaled_full_budget
     caps = tuple(2 * full if core == tua else full for core in range(cores))
-    return {
+    variants = {
         "no-cba": config,
         "cba": cba_config(cores, arbitration=config.arbitration),
         "hcba-shares-caps": hcba.with_updates(cba=replace(hcba.cba, budget_caps=caps)),
     }
+    if shares_alone:
+        variants["hcba-shares"] = hcba
+    return variants
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -206,6 +214,8 @@ def test_bus_replay_refuses_an_end_past_the_cycle_budget():
     end = _simulated_outcome(workload, config, 1)["total_cycles"]
     assert _replayed_outcome(workload, config, 1, max_cycles=end + 1) is not None
     assert _replayed_outcome(workload, config, 1, max_cycles=end) is None
+    # A budget the run crosses mid-stream, while a contender holds the bus.
+    assert _replayed_outcome(workload, config, 1, max_cycles=end // 2) is None
 
 
 def test_banked_dram_store_buffer_and_tdma_are_outside_the_contention_guard():
@@ -219,3 +229,81 @@ def test_banked_dram_store_buffer_and_tdma_are_outside_the_contention_guard():
     # take row-dependent times, which the replay's fixed hold does not see.
     workload = scale_workload(eembc_workload("matrix"), 0.1)
     assert _replayed_outcome(workload, banked, 1) != _simulated_outcome(workload, banked, 1)
+
+
+# ----------------------------------------------------------------------
+# WCET estimation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("arbitration", ["random_permutations", "round_robin", "fifo"])
+@pytest.mark.parametrize("cores, tua", [(4, 0), (4, 2), (2, 1)], ids=["core0", "core2", "core1of2"])
+def test_wcet_replay_gives_every_field_of_wcet_estimation(arbitration, seed, cores, tua):
+    rp = rp_config(cores, arbitration=arbitration)
+    for name in FIGURE1_BENCHMARKS:
+        workload = scale_workload(eembc_workload(name), 0.1)
+        for label, config in _cba_variants(rp, tua, shares_alone=True).items():
+            assert _replayed_outcome(
+                workload, config, seed, tua=tua, wcet_mode=True
+            ) == _simulated_outcome(
+                workload, config, seed, tua=tua, scenario=run_wcet_estimation
+            ), (name, label)
+
+
+@pytest.mark.parametrize("arbitration", ["random_permutations", "fifo"])
+def test_wcet_replay_of_contenders_whose_budget_stays_full_while_they_hold(arbitration):
+    # Contender caps at 3x the full budget keep a contender eligible into
+    # its own hold, so COMP can set while it holds the bus and it issues
+    # again the cycle after its completion, whatever its budget then.
+    workload = scale_workload(eembc_workload("tblook"), 0.1)
+    config = cba_config(arbitration=arbitration)
+    full = config.cba.scaled_full_budget
+    caps = (full, 3 * full, 3 * full, 3 * full)
+    config = config.with_updates(cba=replace(config.cba, budget_caps=caps))
+    for seed in (1, 2, 3):
+        assert _replayed_outcome(workload, config, seed, wcet_mode=True) == _simulated_outcome(
+            workload, config, seed, scenario=run_wcet_estimation
+        ), seed
+
+
+def test_wcet_replay_refuses_an_end_past_the_cycle_budget():
+    workload = scale_workload(eembc_workload("canrdr"), 0.05)
+    config = cba_config()
+    end = _simulated_outcome(workload, config, 1, scenario=run_wcet_estimation)["total_cycles"]
+    assert _replayed_outcome(workload, config, 1, max_cycles=end + 1, wcet_mode=True) is not None
+    assert _replayed_outcome(workload, config, 1, max_cycles=end, wcet_mode=True) is None
+    assert _replayed_outcome(workload, config, 1, max_cycles=end // 2, wcet_mode=True) is None
+
+
+def test_banked_dram_is_outside_the_wcet_guard_for_cause():
+    banked = cba_config().with_updates(
+        memory=MemoryConfig(model="banked", controller_policy="frfcfs")
+    )
+    assert not bus_replayable(banked)
+    assert not bus_replayable(cba_config().with_updates(store_buffer_entries=4))
+    assert not bus_replayable(cba_config().with_updates(arbitration="tdma"))
+    workload = scale_workload(eembc_workload("matrix"), 0.1)
+    assert _replayed_outcome(workload, banked, 1, wcet_mode=True) != _simulated_outcome(
+        workload, banked, 1, scenario=run_wcet_estimation
+    )
+
+
+@pytest.mark.parametrize("label", ["CBA", "H-CBA"])
+@pytest.mark.parametrize("name", FIGURE1_BENCHMARKS)
+def test_wcet_estimation_dominates_max_contention(name, label):
+    """MBPTA's premise (Table I), per (seed, run): the task takes at least
+    as long against WCET-estimation-mode contenders as against greedy ones.
+    Both runs are replays of one RP-ISO source."""
+    workload = scale_workload(eembc_workload(name), 0.3)
+    config = config_by_label(label)
+    for seed in (1, 2, 3):
+        source = run_isolation(workload, config.with_updates(use_cba=False), seed=seed)
+        log = grant_log(source.holder_log, 0, source.system.core_counters[0].request_latencies)
+        replays = [
+            bus_replay(
+                log, config, source.system.total_cycles,
+                seed=seed, run_index=0, tua_core=0, max_cycles=5_000_000, wcet_mode=wcet_mode,
+            )
+            for wcet_mode in (True, False)
+        ]
+        wcet, greedy = (source.tua_cycles + replayed.shift for replayed in replays)
+        assert wcet >= greedy, seed
